@@ -1,0 +1,100 @@
+"""Exact statistics of cycles whose drops all land on odd entries.
+
+A cycle on [n] is a cyclic word canonically written starting at 1; a drop is
+a cyclically adjacent descending pair.  This package enumerates the cycles
+whose drops all land on odd values, tracks how many drops start odd versus
+even, and cross-checks the resulting counting polynomials along four
+independent routes: brute force, a generating tree, differential
+recurrences, and closed-form generating functions (whose integer
+specializations are the Genocchi numbers and their medians).
+"""
+
+from .cycles import (
+    STAR,
+    Cycle,
+    Drop,
+    DropKind,
+    StatVector,
+    canonicalize,
+    classify,
+    drop_stats,
+    drops,
+    is_odd_drop_cycle,
+)
+from .enumerator import (
+    StatTable,
+    count_even_odd_only,
+    count_odd_odd_only,
+    iter_odd_drop_cycles,
+    joint_table,
+)
+from .gentree import children, insertion_delta, joint_poly, joint_step_even, joint_step_odd
+from .polynomials import BigPoly, BiPoly
+from .recurrences import eo_poly, oo_poly
+from .series import (
+    ClosedFormSummand,
+    TruncSeries,
+    eo_series,
+    genocchi,
+    genocchi_median,
+    genocchi_median_sequence,
+    genocchi_sequence,
+    identity_residual_1,
+    identity_residual_2,
+    oo_series,
+    pde_residual,
+    series_eo_even,
+    series_eo_odd,
+    series_oo_even,
+    series_oo_odd,
+    summand_recurrence_check,
+)
+from .verify import CheckResult, run_suites
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "STAR",
+    "BiPoly",
+    "BigPoly",
+    "CheckResult",
+    "ClosedFormSummand",
+    "Cycle",
+    "Drop",
+    "DropKind",
+    "StatTable",
+    "StatVector",
+    "TruncSeries",
+    "canonicalize",
+    "children",
+    "classify",
+    "count_even_odd_only",
+    "count_odd_odd_only",
+    "drop_stats",
+    "drops",
+    "eo_poly",
+    "eo_series",
+    "genocchi",
+    "genocchi_median",
+    "genocchi_median_sequence",
+    "genocchi_sequence",
+    "identity_residual_1",
+    "identity_residual_2",
+    "insertion_delta",
+    "is_odd_drop_cycle",
+    "iter_odd_drop_cycles",
+    "joint_poly",
+    "joint_step_even",
+    "joint_step_odd",
+    "joint_table",
+    "oo_poly",
+    "oo_series",
+    "pde_residual",
+    "run_suites",
+    "series_eo_even",
+    "series_eo_odd",
+    "series_oo_even",
+    "series_oo_odd",
+    "summand_recurrence_check",
+    "__version__",
+]

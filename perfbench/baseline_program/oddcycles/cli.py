@@ -1,0 +1,414 @@
+"""Command line front end.
+
+Subcommands:
+  enumerate   list the odd-drop cycles on [n] with their drop statistics
+  poly        print a distribution polynomial (f: odd-odd, g: even-odd,
+              joint: bivariate) for one n
+  verify      run cross-verification suites and report PASS/FAIL per check
+  sequence    print one of the integer sequences with its source
+  table       print joint statistic tables as flat rows
+
+Output formats: table (human), json, csv.  JSON documents always carry the
+four keys command/params/results/checks, with sorted keys and a fixed
+indent, so parsing and re-emitting is byte-identical.  Machine formats
+contain no timings; the human verify report shows per-check seconds.
+
+Limits come from flags, falling back to a key=value config file given with
+--config, falling back to defaults.  Exit codes: 0 success, 1 verification
+failure, 2 usage or validation error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass
+
+from . import __version__, enumerator, gentree, recurrences, series, verify
+from .cycles import drop_stats
+from .polynomials import BigPoly, BiPoly
+
+FORMATS = ("table", "json", "csv")
+POLY_KINDS = ("f", "g", "joint")
+SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
+
+CONFIG_KEYS = ("max_bruteforce_n", "series_order", "threads", "format")
+
+
+class UsageError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    max_bruteforce_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX
+    series_order: int = series.DEFAULT_ORDER
+    threads: int = 0  # 0: one worker per logical core
+    output_format: str = "table"
+
+    def __post_init__(self):
+        if not 1 <= self.max_bruteforce_n <= 14:
+            raise UsageError(
+                f"max_bruteforce_n must be in 1..14, got {self.max_bruteforce_n}"
+            )
+        if self.series_order < self.max_bruteforce_n:
+            raise UsageError(
+                f"series_order {self.series_order} below max_bruteforce_n "
+                f"{self.max_bruteforce_n}"
+            )
+        if self.threads < 0:
+            raise UsageError(f"threads must be nonnegative (0 = all cores), got {self.threads}")
+        if self.output_format not in FORMATS:
+            raise UsageError(f"format must be one of {', '.join(FORMATS)}")
+
+    @property
+    def worker_count(self) -> int:
+        return self.threads or os.cpu_count() or 1
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if not sep or not value or key not in CONFIG_KEYS:
+                    raise UsageError(f"{path}:{lineno}: expected key=value with key in {CONFIG_KEYS}")
+                values[key] = value
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    return values
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    merged: dict[str, str | int] = {}
+    if args.config:
+        merged.update(_read_config_file(args.config))
+    # flags win over the file
+    if args.max_n is not None:
+        merged["max_bruteforce_n"] = args.max_n
+    if args.series_order is not None:
+        merged["series_order"] = args.series_order
+    if args.threads is not None:
+        merged["threads"] = args.threads
+    if args.format is not None:
+        merged["format"] = args.format
+    try:
+        ints = {
+            key: int(merged[key])
+            for key in ("max_bruteforce_n", "series_order", "threads")
+            if key in merged
+        }
+    except ValueError as exc:
+        raise UsageError(f"non-integer config value: {exc}") from exc
+    return RunConfig(
+        max_bruteforce_n=ints.get("max_bruteforce_n", enumerator.DEFAULT_BRUTEFORCE_MAX),
+        series_order=ints.get("series_order", series.DEFAULT_ORDER),
+        threads=ints.get("threads", 0),
+        output_format=str(merged.get("format", "table")),
+    )
+
+
+# -- polynomial serialization ----------------------------------------------
+
+
+def parse_bipoly(text: str) -> BiPoly:
+    """Inverse of the emitted polynomial strings (unit coefficients optional)."""
+    text = text.strip()
+    if text == "0":
+        return BiPoly.zero()
+    terms: dict[tuple[int, int], int] = {}
+    for part in text.split(" + "):
+        coeff = None
+        degrees = {"x": 0, "y": 0}
+        for factor in part.split("*"):
+            if factor.lstrip("-").isdigit():
+                if coeff is not None:
+                    raise ValueError(f"two coefficients in term {part!r}")
+                coeff = int(factor)
+            else:
+                name, _, exp = factor.partition("^")
+                if name not in degrees or (exp and not exp.isdigit()):
+                    raise ValueError(f"bad factor {factor!r} in term {part!r}")
+                if degrees[name]:
+                    raise ValueError(f"repeated variable in term {part!r}")
+                degrees[name] = int(exp) if exp else 1
+        key = (degrees["x"], degrees["y"])
+        if key in terms:
+            raise ValueError(f"repeated monomial in {text!r}")
+        terms[key] = 1 if coeff is None else coeff
+    return BiPoly(terms)
+
+
+def parse_bigpoly(text: str, var: str) -> BigPoly:
+    return parse_bipoly(text).as_univariate(var)
+
+
+# -- emission ---------------------------------------------------------------
+
+
+def _emit_json(command: str, params: dict, results: dict, checks: list[dict]) -> str:
+    doc = {"command": command, "params": params, "results": results, "checks": checks}
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _emit_csv(header: list[str], rows: list[list]) -> str:
+    # values here never contain commas or quotes, so plain joins do
+    lines = [",".join(header)]
+    lines.extend(",".join(str(v) for v in row) for row in rows)
+    return "\n".join(lines)
+
+
+def _params(cfg: RunConfig, **extra) -> dict:
+    out = {
+        "format": cfg.output_format,
+        "max_bruteforce_n": cfg.max_bruteforce_n,
+        "series_order": cfg.series_order,
+        "threads": cfg.worker_count,
+    }
+    out.update(extra)
+    return out
+
+
+# -- subcommands -------------------------------------------------------------
+
+
+def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
+    if n is None:
+        raise UsageError("enumerate requires --n")
+    try:
+        members = list(enumerator.iter_odd_drop_cycles(n, max_n=cfg.max_bruteforce_n))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    rows = [(c, drop_stats(c)) for c in members]
+    if cfg.output_format == "json":
+        results = {
+            "count": len(rows),
+            "cycles": [
+                {"entries": list(c.entries), "oo": s.oo, "eo": s.eo} for c, s in rows
+            ],
+        }
+        return 0, _emit_json("enumerate", _params(cfg, n=n), results, [])
+    if cfg.output_format == "csv":
+        body = [
+            [n, " ".join(map(str, c.entries)), s.oo, s.eo] for c, s in rows
+        ]
+        return 0, _emit_csv(["n", "entries", "oo", "eo"], body)
+    lines = [
+        f"{' '.join(map(str, c.entries))}   oo={s.oo} eo={s.eo}" for c, s in rows
+    ]
+    lines.append(f"total {len(rows)}")
+    return 0, "\n".join(lines)
+
+
+def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
+    if kind == "f":
+        return recurrences.oo_poly(n).to_bipoly("x"), "x"
+    if kind == "g":
+        return recurrences.eo_poly(n).to_bipoly("y"), "y"
+    return gentree.joint_poly(n), "xy"
+
+
+def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
+    if kind is None or n is None:
+        raise UsageError("poly requires --kind and --n")
+    if n < 1:
+        raise UsageError(f"n must be positive, got {n}")
+    poly, variables = _poly_for(kind, n)
+    if cfg.output_format == "json":
+        results = {
+            "kind": kind,
+            "n": n,
+            "variables": variables,
+            "polynomial": poly.format(explicit_units=True),
+        }
+        return 0, _emit_json("poly", _params(cfg, kind=kind, n=n), results, [])
+    if cfg.output_format == "csv":
+        rows = [[i, j, c] for (i, j), c in poly.sorted_terms()]
+        return 0, _emit_csv(["x_degree", "y_degree", "coefficient"], rows)
+    return 0, poly.format()
+
+
+def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
+    try:
+        checks = verify.run_suites(
+            suite,
+            max_n=cfg.max_bruteforce_n,
+            series_order=cfg.series_order,
+            threads=cfg.worker_count,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    failed = [c for c in checks if not c.passed]
+    status = 1 if failed else 0
+    if cfg.output_format == "json":
+        payload = [
+            {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
+        ]
+        results = {"failed": len(failed), "passed": len(checks) - len(failed)}
+        return status, _emit_json("verify", _params(cfg, suite=suite), results, payload)
+    if cfg.output_format == "csv":
+        rows = [[c.name, c.status, c.detail] for c in checks]
+        return status, _emit_csv(["name", "status", "detail"], rows)
+    width = max(len(c.name) for c in checks)
+    lines = [
+        f"{c.status:4} {c.name:<{width}} {c.seconds:8.3f}s  {c.detail}" for c in checks
+    ]
+    lines.append(
+        f"{len(checks) - len(failed)}/{len(checks)} checks passed"
+        + (f", {len(failed)} FAILED" if failed else "")
+    )
+    return status, "\n".join(lines)
+
+
+def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
+    threads = cfg.worker_count
+    if kind == "cno_count":
+        return [(n, recurrences.oo_poly(n)(1)) for n in range(1, limit + 1)], "recurrence"
+    if kind == "even_odd_only":
+        if 2 * limit > cfg.max_bruteforce_n:
+            raise UsageError(
+                f"limit {limit} needs enumeration at {2 * limit}, beyond "
+                f"max_bruteforce_n {cfg.max_bruteforce_n}"
+            )
+        return [
+            (2 * m, enumerator.count_even_odd_only(2 * m, threads=threads, max_n=cfg.max_bruteforce_n))
+            for m in range(1, limit + 1)
+        ], "enumeration"
+    if kind == "odd_odd_only":
+        if 2 * limit + 1 > cfg.max_bruteforce_n:
+            raise UsageError(
+                f"limit {limit} needs enumeration at {2 * limit + 1}, beyond "
+                f"max_bruteforce_n {cfg.max_bruteforce_n}"
+            )
+        return [
+            (2 * m + 1, enumerator.count_odd_odd_only(2 * m + 1, threads=threads, max_n=cfg.max_bruteforce_n))
+            for m in range(1, limit + 1)
+        ], "enumeration"
+    if kind == "genocchi":
+        if limit > cfg.series_order:
+            raise UsageError(f"limit {limit} beyond series_order {cfg.series_order}")
+        return list(enumerate(series.genocchi_sequence(limit), 1)), "generating function"
+    if limit > cfg.series_order:
+        raise UsageError(f"limit {limit} beyond series_order {cfg.series_order}")
+    return list(enumerate(series.genocchi_median_sequence(limit))), "generating function"
+
+
+def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, str]:
+    if kind is None or limit is None:
+        raise UsageError("sequence requires --kind and --limit")
+    if limit < 1:
+        raise UsageError(f"limit must be positive, got {limit}")
+    rows, source = _sequence_rows(cfg, kind, limit)
+    if cfg.output_format == "json":
+        results = {
+            "kind": kind,
+            "source": source,
+            "values": [{"n": n, "value": v} for n, v in rows],
+        }
+        return 0, _emit_json("sequence", _params(cfg, kind=kind, limit=limit), results, [])
+    if cfg.output_format == "csv":
+        return 0, _emit_csv(["n", "value"], [[n, v] for n, v in rows])
+    lines = [f"# source: {source}"]
+    lines.extend(f"{n}\t{v}" for n, v in rows)
+    return 0, "\n".join(lines)
+
+
+def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, str]:
+    if (n is None) == (limit is None):
+        raise UsageError("table requires exactly one of --n or --limit")
+    ns = [n] if n is not None else list(range(1, limit + 1))
+    rows: list[list[int]] = []
+    for m in ns:
+        try:
+            table = enumerator.joint_table(
+                m, threads=cfg.worker_count, max_n=cfg.max_bruteforce_n
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        for (oo, eo), c in sorted(table.counts.items()):
+            rows.append([m, oo, eo, c])
+    if cfg.output_format == "json":
+        results = {
+            "rows": [
+                {"n": m, "oo": oo, "eo": eo, "count": c} for m, oo, eo, c in rows
+            ]
+        }
+        params = _params(cfg, n=n, limit=limit)
+        return 0, _emit_json("table", params, results, [])
+    if cfg.output_format == "csv":
+        return 0, _emit_csv(["n", "oo", "eo", "count"], rows)
+    lines = [f"{'n':>3} {'oo':>3} {'eo':>3} {'count':>12}"]
+    lines.extend(f"{m:>3} {oo:>3} {eo:>3} {c:>12}" for m, oo, eo, c in rows)
+    return 0, "\n".join(lines)
+
+
+# -- driver -------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--format", choices=FORMATS, default=None)
+    shared.add_argument("--threads", type=int, default=None)
+    shared.add_argument("--series-order", type=int, default=None, dest="series_order")
+    shared.add_argument("--max-n", type=int, default=None, dest="max_n")
+    shared.add_argument("--config", default=None, metavar="PATH")
+
+    parser = argparse.ArgumentParser(
+        prog="oddcycles",
+        description="Exact statistics of cycles whose drops all land on odd entries.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("enumerate", parents=[shared], help="list members of one length")
+    p.add_argument("--n", type=int, default=None)
+
+    p = sub.add_parser("poly", parents=[shared], help="print a distribution polynomial")
+    p.add_argument("--kind", choices=POLY_KINDS, default=None)
+    p.add_argument("--n", type=int, default=None)
+
+    p = sub.add_parser("verify", parents=[shared], help="run verification suites")
+    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+
+    p = sub.add_parser("sequence", parents=[shared], help="print an integer sequence")
+    p.add_argument("--kind", choices=SEQUENCE_KINDS, default=None)
+    p.add_argument("--limit", type=int, default=None)
+
+    p = sub.add_parser("table", parents=[shared], help="print joint statistic tables")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _build_config(args)
+        if args.command == "enumerate":
+            status, text = cmd_enumerate(cfg, args.n)
+        elif args.command == "poly":
+            status, text = cmd_poly(cfg, args.kind, args.n)
+        elif args.command == "verify":
+            status, text = cmd_verify(cfg, args.suite)
+        elif args.command == "sequence":
+            status, text = cmd_sequence(cfg, args.kind, args.limit)
+        else:
+            status, text = cmd_table(cfg, args.n, args.limit)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(text)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,382 @@
+"""Exact polynomial arithmetic over Python's arbitrary-precision integers.
+
+Two representations are provided:
+
+* ``BigPoly`` -- dense univariate polynomials as coefficient tuples,
+  ``coeffs[i]`` being the coefficient of degree ``i``.  The tuple never ends
+  in a zero; the zero polynomial is the empty tuple.  Degrees stay small in
+  this package (at most half the cycle length) while coefficients grow
+  factorially, so dense storage with bigint entries is the right trade.
+
+* ``BiPoly`` -- sparse bivariate polynomials in the counting variables
+  ``x`` (odd-odd drops) and ``y`` (even-odd drops), stored as a map from
+  ``(x_degree, y_degree)`` to a nonzero integer coefficient.
+
+Both types are immutable value objects: every operation returns a fresh
+polynomial and instances hash and compare by content.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Mapping
+
+VARIABLES = ("x", "y")
+
+
+def _fmt_power(var: str, exp: int) -> str:
+    return var if exp == 1 else f"{var}^{exp}"
+
+
+class BigPoly:
+    """Dense univariate polynomial with exact integer coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BigPoly is immutable")
+
+    @classmethod
+    def zero(cls) -> "BigPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "BigPoly":
+        return cls((1,))
+
+    @classmethod
+    def constant(cls, c: int) -> "BigPoly":
+        return cls((c,))
+
+    @classmethod
+    def variable(cls) -> "BigPoly":
+        return cls((0, 1))
+
+    @classmethod
+    def monomial(cls, degree: int, coeff: int = 1) -> "BigPoly":
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        return cls((0,) * degree + (coeff,))
+
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.coeffs == (() if other == 0 else (other,))
+        if isinstance(other, BigPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("BigPoly", self.coeffs))
+
+    def __add__(self, other) -> "BigPoly":
+        other = _as_bigpoly(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return BigPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "BigPoly":
+        return BigPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "BigPoly":
+        return self + (-_as_bigpoly(other))
+
+    def __rsub__(self, other) -> "BigPoly":
+        return _as_bigpoly(other) + (-self)
+
+    def __mul__(self, other) -> "BigPoly":
+        if isinstance(other, int):
+            if other == 0:
+                return BigPoly()
+            return BigPoly(tuple(c * other for c in self.coeffs))
+        other = _as_bigpoly(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return BigPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return BigPoly(out)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "BigPoly":
+        """Multiply by the k-th power of the variable."""
+        if not self.coeffs:
+            return self
+        return BigPoly((0,) * k + self.coeffs)
+
+    def derivative(self) -> "BigPoly":
+        return BigPoly(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def __call__(self, value: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def to_bipoly(self, var: str) -> "BiPoly":
+        if var not in VARIABLES:
+            raise ValueError(f"unknown variable {var!r}")
+        if var == "x":
+            return BiPoly({(i, 0): c for i, c in enumerate(self.coeffs) if c})
+        return BiPoly({(0, i): c for i, c in enumerate(self.coeffs) if c})
+
+    def format(self, var: str = "x", explicit_units: bool = False) -> str:
+        """Render as '+'-separated monomials in ascending degree."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif c == 1 and not explicit_units:
+                parts.append(_fmt_power(var, i))
+            else:
+                parts.append(f"{c}*{_fmt_power(var, i)}")
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"BigPoly({self.format()!r})"
+
+    def __getitem__(self, i: int) -> int:
+        return self.coeff(i)
+
+
+def _as_bigpoly(value) -> BigPoly:
+    if isinstance(value, BigPoly):
+        return value
+    if isinstance(value, int):
+        return BigPoly((value,))
+    raise TypeError(f"cannot coerce {type(value).__name__} to BigPoly")
+
+
+class BiPoly:
+    """Sparse bivariate polynomial in x and y with integer coefficients.
+
+    ``terms`` maps ``(i, j)`` to the coefficient of ``x^i * y^j``; zero
+    coefficients are never stored.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
+        cleaned = {}
+        for (i, j), c in dict(terms).items():
+            if c == 0:
+                continue
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term {(i, j)}")
+            cleaned[(i, j)] = c
+        object.__setattr__(self, "terms", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BiPoly is immutable")
+
+    @classmethod
+    def zero(cls) -> "BiPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "BiPoly":
+        return cls({(0, 0): 1})
+
+    @classmethod
+    def constant(cls, c: int) -> "BiPoly":
+        return cls({(0, 0): c})
+
+    @classmethod
+    def x(cls) -> "BiPoly":
+        return cls({(1, 0): 1})
+
+    @classmethod
+    def y(cls) -> "BiPoly":
+        return cls({(0, 1): 1})
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPoly":
+        return cls({(i, j): coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, i: int, j: int) -> int:
+        return self.terms.get((i, j), 0)
+
+    def degree(self, var: str) -> int:
+        """Degree in the given variable; -1 for the zero polynomial."""
+        if var not in VARIABLES:
+            raise ValueError(f"unknown variable {var!r}")
+        if not self.terms:
+            return -1
+        k = 0 if var == "x" else 1
+        return max(key[k] for key in self.terms)
+
+    def variables(self) -> frozenset[str]:
+        """The variables that actually appear with positive degree."""
+        used = set()
+        for i, j in self.terms:
+            if i:
+                used.add("x")
+            if j:
+                used.add("y")
+        return frozenset(used)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.terms == ({} if other == 0 else {(0, 0): other})
+        if isinstance(other, BiPoly):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("BiPoly", frozenset(self.terms.items())))
+
+    def __add__(self, other) -> "BiPoly":
+        other = _as_bipoly(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return BiPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "BiPoly":
+        return BiPoly({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other) -> "BiPoly":
+        return self + (-_as_bipoly(other))
+
+    def __rsub__(self, other) -> "BiPoly":
+        return _as_bipoly(other) + (-self)
+
+    def __mul__(self, other) -> "BiPoly":
+        if isinstance(other, int):
+            return BiPoly({key: c * other for key, c in self.terms.items()})
+        other = _as_bipoly(other)
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2)
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return BiPoly(out)
+
+    __rmul__ = __mul__
+
+    def derivative(self, var: str) -> "BiPoly":
+        if var not in VARIABLES:
+            raise ValueError(f"unknown variable {var!r}")
+        out = {}
+        if var == "x":
+            for (i, j), c in self.terms.items():
+                if i:
+                    out[(i - 1, j)] = c * i
+        else:
+            for (i, j), c in self.terms.items():
+                if j:
+                    out[(i, j - 1)] = c * j
+        return BiPoly(out)
+
+    def substitute(self, var: str, value: int) -> "BiPoly":
+        """Evaluate one variable at an integer, leaving the other symbolic."""
+        if var not in VARIABLES:
+            raise ValueError(f"unknown variable {var!r}")
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self.terms.items():
+            if var == "x":
+                key, scaled = (0, j), c * value**i
+            else:
+                key, scaled = (i, 0), c * value**j
+            s = out.get(key, 0) + scaled
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return BiPoly(out)
+
+    def evaluate(self, x: int, y: int) -> int:
+        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
+
+    def as_univariate(self, var: str) -> BigPoly:
+        """Project onto one variable; the other must not appear.
+
+        Raises ValueError when the discarded variable has positive degree,
+        which is how series code asserts a coefficient really is univariate.
+        """
+        if var not in VARIABLES:
+            raise ValueError(f"unknown variable {var!r}")
+        other = "y" if var == "x" else "x"
+        if self.degree(other) > 0:
+            raise ValueError(f"polynomial involves {other}: {self.format()}")
+        out = [0] * (self.degree(var) + 1)
+        for (i, j), c in self.terms.items():
+            out[i if var == "x" else j] = c
+        return BigPoly(out)
+
+    def sorted_terms(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """Terms in graded lexicographic order (total degree, then x, then y)."""
+        return iter(sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])))
+
+    def format(self, explicit_units: bool = False) -> str:
+        """Render as '+'-separated monomials in graded lexicographic order."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for (i, j), c in self.sorted_terms():
+            factors = []
+            if i:
+                factors.append(_fmt_power("x", i))
+            if j:
+                factors.append(_fmt_power("y", j))
+            if not factors:
+                parts.append(str(c))
+            elif c == 1 and not explicit_units:
+                parts.append("*".join(factors))
+            else:
+                parts.append("*".join([str(c)] + factors))
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"BiPoly({self.format()!r})"
+
+
+def _as_bipoly(value) -> BiPoly:
+    if isinstance(value, BiPoly):
+        return value
+    if isinstance(value, int):
+        return BiPoly({(0, 0): value})
+    if isinstance(value, BigPoly):
+        raise TypeError("specify the variable: use BigPoly.to_bipoly('x'|'y')")
+    raise TypeError(f"cannot coerce {type(value).__name__} to BiPoly")
