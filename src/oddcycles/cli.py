@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
 
-CONFIG_KEYS = ("max_bruteforce_n", "series_order", "threads", "format")
+CONFIG_KEYS = ("max_bruteforce_n", "series_order", "format")
 
 
 class UsageError(Exception):
@@ -45,7 +44,6 @@ class UsageError(Exception):
 class RunConfig:
     max_bruteforce_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX
     series_order: int = series.DEFAULT_ORDER
-    threads: int = 0  # 0: one worker per logical core
     output_format: str = "table"
 
     def __post_init__(self):
@@ -58,14 +56,8 @@ class RunConfig:
                 f"series_order {self.series_order} below max_bruteforce_n "
                 f"{self.max_bruteforce_n}"
             )
-        if self.threads < 0:
-            raise UsageError(f"threads must be nonnegative (0 = all cores), got {self.threads}")
         if self.output_format not in FORMATS:
             raise UsageError(f"format must be one of {', '.join(FORMATS)}")
-
-    @property
-    def worker_count(self) -> int:
-        return self.threads or os.cpu_count() or 1
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -95,14 +87,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         merged["max_bruteforce_n"] = args.max_n
     if args.series_order is not None:
         merged["series_order"] = args.series_order
-    if args.threads is not None:
-        merged["threads"] = args.threads
     if args.format is not None:
         merged["format"] = args.format
     try:
         ints = {
             key: int(merged[key])
-            for key in ("max_bruteforce_n", "series_order", "threads")
+            for key in ("max_bruteforce_n", "series_order")
             if key in merged
         }
     except ValueError as exc:
@@ -110,7 +100,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         max_bruteforce_n=ints.get("max_bruteforce_n", enumerator.DEFAULT_BRUTEFORCE_MAX),
         series_order=ints.get("series_order", series.DEFAULT_ORDER),
-        threads=ints.get("threads", 0),
         output_format=str(merged.get("format", "table")),
     )
 
@@ -170,7 +159,6 @@ def _params(cfg: RunConfig, **extra) -> dict:
         "format": cfg.output_format,
         "max_bruteforce_n": cfg.max_bruteforce_n,
         "series_order": cfg.series_order,
-        "threads": cfg.worker_count,
     }
     out.update(extra)
     return out
@@ -241,7 +229,6 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
             suite,
             max_n=cfg.max_bruteforce_n,
             series_order=cfg.series_order,
-            threads=cfg.worker_count,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -268,7 +255,6 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
 
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
-    threads = cfg.worker_count
     if kind == "cno_count":
         return [(n, recurrences.oo_poly(n)(1)) for n in range(1, limit + 1)], "recurrence"
     if kind == "even_odd_only":
@@ -278,7 +264,7 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
                 f"max_bruteforce_n {cfg.max_bruteforce_n}"
             )
         return [
-            (2 * m, enumerator.count_even_odd_only(2 * m, threads=threads, max_n=cfg.max_bruteforce_n))
+            (2 * m, enumerator.count_even_odd_only(2 * m, max_n=cfg.max_bruteforce_n))
             for m in range(1, limit + 1)
         ], "enumeration"
     if kind == "odd_odd_only":
@@ -288,7 +274,7 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
                 f"max_bruteforce_n {cfg.max_bruteforce_n}"
             )
         return [
-            (2 * m + 1, enumerator.count_odd_odd_only(2 * m + 1, threads=threads, max_n=cfg.max_bruteforce_n))
+            (2 * m + 1, enumerator.count_odd_odd_only(2 * m + 1, max_n=cfg.max_bruteforce_n))
             for m in range(1, limit + 1)
         ], "enumeration"
     if kind == "genocchi":
@@ -327,9 +313,7 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
     rows: list[list[int]] = []
     for m in ns:
         try:
-            table = enumerator.joint_table(
-                m, threads=cfg.worker_count, max_n=cfg.max_bruteforce_n
-            )
+            table = enumerator.joint_table(m, max_n=cfg.max_bruteforce_n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         for (oo, eo), c in sorted(table.counts.items()):
@@ -355,7 +339,6 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=FORMATS, default=None)
-    shared.add_argument("--threads", type=int, default=None)
     shared.add_argument("--series-order", type=int, default=None, dest="series_order")
     shared.add_argument("--max-n", type=int, default=None, dest="max_n")
     shared.add_argument("--config", default=None, metavar="PATH")

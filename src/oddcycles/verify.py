@@ -81,12 +81,12 @@ def _series_nonzero_detail(s: series.TruncSeries) -> str:
 # -- oracle suite ----------------------------------------------------------
 
 
-def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX, threads: int | None = None) -> list[CheckResult]:
+def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckResult]:
     tables = {}
 
     def table(n):
         if n not in tables:
-            tables[n] = enumerator.joint_table(n, threads=threads, max_n=max_n)
+            tables[n] = enumerator.joint_table(n, max_n=max_n)
         return tables[n]
 
     def check_table_vs_tree():
@@ -133,10 +133,7 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX, threads: int | 
                 raise CheckFailure(f"n={n}: {problems[0]}")
             if len(level) != len(set(level)):
                 raise CheckFailure(f"n={n}: children lists overlap")
-            # pruned walk: the plain walk visits all (n-1)! tails in Python
-            # and is only worth it once per run; equivalence of the two walks
-            # is itself a tested invariant
-            want = set(enumerator.iter_odd_drop_cycles(n + 1, prune=True, max_n=max_n))
+            want = set(enumerator.iter_odd_drop_cycles(n + 1, max_n=max_n))
             if set(level) != want:
                 missing = sorted(c.entries for c in want - set(level))[:1]
                 extra = sorted(c.entries for c in set(level) - want)[:1]
@@ -202,7 +199,6 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
 def suite_genocchi(
     series_order: int = series.DEFAULT_ORDER,
     max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX,
-    threads: int | None = None,
 ) -> list[CheckResult]:
     def check_genocchi_values():
         got = series.genocchi_sequence(len(GENOCCHI_VALUES))
@@ -236,7 +232,7 @@ def suite_genocchi(
 
     def check_genocchi_vs_enumeration():
         for m in range(1, max_n // 2 + 1):
-            got = enumerator.count_even_odd_only(2 * m, threads=threads, max_n=max_n)
+            got = enumerator.count_even_odd_only(2 * m, max_n=max_n)
             want = series.genocchi(m)
             if got != want:
                 raise CheckFailure(f"length {2 * m}: enumerated {got} != {want}")
@@ -244,7 +240,7 @@ def suite_genocchi(
 
     def check_median_vs_enumeration():
         for m in range(2, (max_n + 1) // 2 + 1):
-            got = enumerator.count_odd_odd_only(2 * m - 1, threads=threads, max_n=max_n)
+            got = enumerator.count_odd_odd_only(2 * m - 1, max_n=max_n)
             want = series.genocchi_median(m - 2)
             if got != want:
                 raise CheckFailure(f"length {2 * m - 1}: enumerated {got} != {want}")
@@ -327,7 +323,6 @@ def run_suites(
     *,
     max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX,
     series_order: int = series.DEFAULT_ORDER,
-    threads: int | None = None,
 ) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
     if suite == "all":
@@ -339,11 +334,11 @@ def run_suites(
     out: list[CheckResult] = []
     for name in names:
         if name == "oracle":
-            out.extend(suite_oracle(max_n, threads))
+            out.extend(suite_oracle(max_n))
         elif name == "series":
             out.extend(suite_series(series_order))
         elif name == "genocchi":
-            out.extend(suite_genocchi(series_order, max_n, threads))
+            out.extend(suite_genocchi(series_order, max_n))
         elif name == "identities":
             out.extend(suite_identities(series_order))
         else:

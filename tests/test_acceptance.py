@@ -140,7 +140,7 @@ def test_criterion_08_generating_tree(emit_line):
                     doo, deo = insertion_delta(parent, pos)
                     kid = child_at(parent, pos)
                     assert drop_stats(kid) == (base.oo + doo, base.eo + deo)
-            assert seen == set(iter_odd_drop_cycles(n + 1, prune=True))
+            assert seen == set(iter_odd_drop_cycles(n + 1))
             level = nxt
 
 

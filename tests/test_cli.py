@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -151,10 +152,12 @@ class TestTable:
         assert run(capsys, "table")[0] == 2
         assert run(capsys, "table", "--n", "3", "--limit", "3")[0] == 2
 
-    def test_thread_count_leaves_output_unchanged(self, capsys):
-        _, lone, _ = run(capsys, "table", "--limit", "7", "--threads", "1", "--format", "csv")
-        _, pooled, _ = run(capsys, "table", "--limit", "7", "--threads", "3", "--format", "csv")
-        assert lone == pooled
+    def test_json_independent_of_core_count(self, capsys, monkeypatch):
+        outputs = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            outputs.append(run(capsys, "table", "--n", "5", "--format", "json")[1])
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyCommand:
@@ -191,7 +194,7 @@ class TestVerifyCommand:
         assert all("s  " in line for line in lines[:-1])
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
-        def fake(suite, *, max_n, series_order, threads):
+        def fake(suite, *, max_n, series_order):
             return [CheckResult("broken", False, "synthetic failure", 0.0)]
 
         monkeypatch.setattr(verify, "run_suites", fake)

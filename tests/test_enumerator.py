@@ -1,9 +1,11 @@
 """Brute-force enumeration and the joint statistic table."""
 
 import math
+from itertools import permutations
 
 import pytest
 
+from oddcycles import enumerator, verify
 from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle
 from oddcycles.enumerator import (
     StatTable,
@@ -12,12 +14,27 @@ from oddcycles.enumerator import (
     iter_odd_drop_cycles,
     joint_table,
 )
+from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
 
 
 def member_count(n: int) -> int:
     return math.factorial((n - 1) // 2) * math.factorial(n // 2)
+
+
+def members_by_definition(n: int) -> list[Cycle]:
+    """Every tail of (1, ...) in lexicographic order, filtered by membership."""
+    cycles = (Cycle((1,) + tail) for tail in permutations(range(2, n + 1)))
+    return [c for c in cycles if is_odd_drop_cycle(c)]
+
+
+def tally(cycles, stats=drop_stats) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for c in cycles:
+        key = tuple(stats(c))
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 class TestIteration:
@@ -40,9 +57,7 @@ class TestIteration:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pruned_walk_matches_full_scan(self, n):
-        full = list(iter_odd_drop_cycles(n, prune=False))
-        pruned = list(iter_odd_drop_cycles(n, prune=True))
-        assert full == pruned
+        assert list(iter_odd_drop_cycles(n)) == members_by_definition(n)
 
     def test_membership_of_output(self):
         for c in iter_odd_drop_cycles(6):
@@ -85,20 +100,29 @@ class TestStatTable:
 class TestJointTable:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_direct_tally(self, n):
-        tally: dict[tuple[int, int], int] = {}
-        for c in iter_odd_drop_cycles(n):
-            key = tuple(drop_stats(c))
-            tally[key] = tally.get(key, 0) + 1
-        assert joint_table(n).counts == tally
+        assert joint_table(n).counts == tally(members_by_definition(n))
 
-    def test_thread_count_does_not_change_result(self):
-        lone = joint_table(8, threads=1)
-        pooled = joint_table(8, threads=3)
-        auto = joint_table(8)
-        assert lone == pooled == auto
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_matches_tree_beyond_default_ceiling(self, n):
+        assert joint_table(n, max_n=14).as_bipoly() == joint_poly(n)
 
-    def test_pruned_table_agrees(self):
-        assert joint_table(9, prune=True) == joint_table(9, prune=False)
+    def test_oracle_suite_catches_a_broken_table(self, monkeypatch):
+        # negative control: a table that scores the wrap pair (a_n, 1) as no
+        # drop must fail table-vs-tree at its first differing coefficient;
+        # max_n=6 keeps the permutation tally cheap in the checks that pass
+        def without_wrap(c):
+            oo, eo = drop_stats(c)
+            if c.n == 1:
+                return oo, eo
+            return (oo - 1, eo) if c.entries[-1] & 1 else (oo, eo - 1)
+
+        def broken(n, *, max_n=enumerator.DEFAULT_BRUTEFORCE_MAX):
+            return StatTable(n, tally(members_by_definition(n), without_wrap))
+
+        monkeypatch.setattr(enumerator, "joint_table", broken)
+        result = {c.name: c for c in verify.suite_oracle(max_n=6)}["table-vs-tree"]
+        assert not result.passed
+        assert result.detail == "n=2: x^0*y^0: 1 != 0"
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_total_is_member_count(self, n):
