@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import __version__, enumerator, gentree, recurrences, series, verify
 from .cycles import drop_stats
-from .polynomials import BigPoly, BiPoly
+from .polynomials import BiPoly
 
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
@@ -133,10 +133,6 @@ def parse_bipoly(text: str) -> BiPoly:
             raise ValueError(f"repeated monomial in {text!r}")
         terms[key] = 1 if coeff is None else coeff
     return BiPoly(terms)
-
-
-def parse_bigpoly(text: str, var: str) -> BigPoly:
-    return parse_bipoly(text).as_univariate(var)
 
 
 # -- emission ---------------------------------------------------------------

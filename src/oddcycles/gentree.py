@@ -11,7 +11,8 @@ Polynomial level: the same step acts on the joint polynomial
 sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
 only on the parity of the new length.  Alternating the two operators from
 the one-element cycle rebuilds the joint polynomial of any length without
-touching cycles at all.
+touching cycles at all.  The two operators are one: the odd step is the even
+step with x and y exchanged, on its input and on its output.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
 insertion lands in; insertion_delta exposes that case analysis so tests can
@@ -98,54 +99,41 @@ def joint_step_even(poly: BiPoly, n: int) -> BiPoly:
     c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)).
     """
     _check_joint_input(poly, n)
-    out: dict[tuple[int, int], int] = {}
-
-    def put(i: int, j: int, c: int) -> None:
-        if c:
-            key = (i, j)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-
-    for (i, j), c in poly.terms.items():
-        if i:
-            put(i - 1, j + 1, c * i)
-        put(i, j, c * j)
-        put(i, j + 1, c * (n - i - j))
-    result = BiPoly(out)
-    if any(c < 0 for c in result.terms.values()):
-        raise ValueError(f"step produced a negative coefficient from {poly}")
-    return result
+    return _transfer_even(poly, n)
 
 
 def joint_step_odd(poly: BiPoly, n: int) -> BiPoly:
     """Transfer the joint polynomial from length 2n to length 2n+1.
 
     Each monomial c*x^i*y^j contributes
-    c * (i*x^i*y^j + j*x^(i+1)*y^(j-1) + (n-i-j)*x^(i+1)*y^j).
+    c * (i*x^i*y^j + j*x^(i+1)*y^(j-1) + (n-i-j)*x^(i+1)*y^j),
+    which is the even step's contribution with x and y (and i and j)
+    exchanged term by term, so the odd step is the even step conjugated by
+    that swap.  The input check runs on the unswapped polynomial so that its
+    messages name the caller's terms.
     """
     _check_joint_input(poly, n)
-    out: dict[tuple[int, int], int] = {}
+    return _swap(_transfer_even(_swap(poly), n))
 
-    def put(i: int, j: int, c: int) -> None:
-        if c:
-            key = (i, j)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
 
+def _swap(poly: BiPoly) -> BiPoly:
+    return BiPoly({(j, i): c for (i, j), c in poly.terms.items()})
+
+
+def _transfer_even(poly: BiPoly, n: int) -> BiPoly:
+    # dense grid[i][j]: checked input keeps i + j <= n, so every image lands
+    # inside (n+1) x (n+2); with checked input every contribution is
+    # nonnegative, and the zeros are left out
+    grid = [[0] * (n + 2) for _ in range(n + 1)]
     for (i, j), c in poly.terms.items():
-        put(i, j, c * i)
-        if j:
-            put(i + 1, j - 1, c * j)
-        put(i + 1, j, c * (n - i - j))
-    result = BiPoly(out)
+        row = grid[i]
+        if i:
+            grid[i - 1][j + 1] += c * i
+        row[j] += c * j
+        row[j + 1] += c * (n - i - j)
+    result = BiPoly({(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c})
     if any(c < 0 for c in result.terms.values()):
-        raise ValueError(f"step produced a negative coefficient from {poly}")
+        raise ValueError(f"transfer step {n} produced a negative coefficient")
     return result
 
 

@@ -236,16 +236,6 @@ class BiPoly:
         k = 0 if var == "x" else 1
         return max(key[k] for key in self.terms)
 
-    def variables(self) -> frozenset[str]:
-        """The variables that actually appear with positive degree."""
-        used = set()
-        for i, j in self.terms:
-            if i:
-                used.add("x")
-            if j:
-                used.add("y")
-        return frozenset(used)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.terms == ({} if other == 0 else {(0, 0): other})
@@ -295,20 +285,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def derivative(self, var: str) -> "BiPoly":
-        if var not in VARIABLES:
-            raise ValueError(f"unknown variable {var!r}")
-        out = {}
-        if var == "x":
-            for (i, j), c in self.terms.items():
-                if i:
-                    out[(i - 1, j)] = c * i
-        else:
-            for (i, j), c in self.terms.items():
-                if j:
-                    out[(i, j - 1)] = c * j
-        return BiPoly(out)
-
     def substitute(self, var: str, value: int) -> "BiPoly":
         """Evaluate one variable at an integer, leaving the other symbolic."""
         if var not in VARIABLES:
@@ -332,8 +308,7 @@ class BiPoly:
     def as_univariate(self, var: str) -> BigPoly:
         """Project onto one variable; the other must not appear.
 
-        Raises ValueError when the discarded variable has positive degree,
-        which is how series code asserts a coefficient really is univariate.
+        Raises ValueError when the discarded variable has positive degree.
         """
         if var not in VARIABLES:
             raise ValueError(f"unknown variable {var!r}")

@@ -2,12 +2,18 @@
 
 oo_poly(n) is the distribution of odd-odd drops over odd-drop cycles on [n]
 (the x-marginal of the joint polynomial), eo_poly(n) the distribution of
-even-odd drops (the y-marginal).  Both satisfy two-phase recurrences that
-alternate with the parity of the target length; each step is
-    p  |->  a*p + b*p'
-with polynomial coefficients a, b read off below.  The steps are the
-specializations y=1 resp. x=1 of the bivariate transfer operators in
-gentree, which is what the cross-check tests pin down.
+even-odd drops (the y-marginal).  Both are built from the same two steps in
+the marked variable v,
+
+    free_step:    p  |->  k*p + (1-v)*p'
+    forced_step:  p  |->  v * (k*p + (1-v)*p')
+
+which are the specializations y=1 resp. x=1 of the bivariate transfer
+operators in gentree, as the cross-check tests pin down.  The forced step is
+the one into lengths where every cycle has a drop of the marked kind: odd
+lengths for the odd-odd statistic, even lengths for the even-odd one.  So
+oo_poly alternates (even: free, odd: forced) and eo_poly the same steps with
+the phases swapped.
 
 Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
 parameter k; step_plan exposes that pairing.
@@ -16,8 +22,6 @@ parameter k; step_plan exposes that pairing.
 from __future__ import annotations
 
 from .polynomials import BigPoly
-
-_X = BigPoly.variable()
 
 
 def step_plan(target: int) -> tuple[str, int]:
@@ -29,47 +33,32 @@ def step_plan(target: int) -> tuple[str, int]:
     return ("odd", (target - 1) // 2)
 
 
-def oo_step_even(poly: BigPoly, k: int) -> BigPoly:
-    """Length 2k-1 to 2k for the odd-odd statistic: k*p + (1-x)*p'."""
+def free_step(poly: BigPoly, k: int) -> BigPoly:
+    """One length step that forces no marked drop: k*p + (1-v)*p'."""
     d = poly.derivative()
-    return poly * k + d - _X * d
+    return poly * k + d - d.shift(1)
 
 
-def oo_step_odd(poly: BigPoly, k: int) -> BigPoly:
-    """Length 2k to 2k+1 for the odd-odd statistic: k*x*p + x*(1-x)*p'."""
-    d = poly.derivative()
-    return _X * (poly * k + d - _X * d)
+def forced_step(poly: BigPoly, k: int) -> BigPoly:
+    """One length step that forces a marked drop: v * free_step(p, k)."""
+    return free_step(poly, k).shift(1)
 
 
-def eo_step_even(poly: BigPoly, k: int) -> BigPoly:
-    """Length 2k-1 to 2k for the even-odd statistic: k*y*p + y*(1-y)*p'."""
-    d = poly.derivative()
-    return _X * (poly * k + d - _X * d)
-
-
-def eo_step_odd(poly: BigPoly, k: int) -> BigPoly:
-    """Length 2k to 2k+1 for the even-odd statistic: k*p + (1-y)*p'."""
-    d = poly.derivative()
-    return poly * k + d - _X * d
+def _walk(n: int, even_step, odd_step) -> BigPoly:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    poly = BigPoly.one()
+    for target in range(2, n + 1):
+        phase, k = step_plan(target)
+        poly = even_step(poly, k) if phase == "even" else odd_step(poly, k)
+    return poly
 
 
 def oo_poly(n: int) -> BigPoly:
     """Odd-odd drop distribution over odd-drop cycles on [n], in x."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    poly = BigPoly.one()
-    for target in range(2, n + 1):
-        phase, k = step_plan(target)
-        poly = oo_step_even(poly, k) if phase == "even" else oo_step_odd(poly, k)
-    return poly
+    return _walk(n, free_step, forced_step)
 
 
 def eo_poly(n: int) -> BigPoly:
     """Even-odd drop distribution over odd-drop cycles on [n], in y."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    poly = BigPoly.one()
-    for target in range(2, n + 1):
-        phase, k = step_plan(target)
-        poly = eo_step_even(poly, k) if phase == "even" else eo_step_odd(poly, k)
-    return poly
+    return _walk(n, forced_step, free_step)

@@ -1,7 +1,10 @@
-"""Truncated power series in t with exact bivariate polynomial coefficients.
+"""Truncated power series in t with exact univariate polynomial coefficients.
 
 Everything here is exact integer arithmetic; there is no floating point and
-no tolerance anywhere.  A TruncSeries knows the order through which its
+no tolerance anywhere.  Each generating function marks one statistic with
+one variable (x for odd-odd drops, y for even-odd drops), so a series holds
+BigPoly coefficients in a single named variable, or integer coefficients
+when it names none.  A TruncSeries knows the order through which its
 coefficients are trustworthy, and every operation recomputes that bound
 honestly (differentiating in t loses one order, multiplying by t gains one,
 dividing by t spends a known-zero low coefficient, and products combine the
@@ -36,68 +39,71 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable
 
-from .polynomials import BiPoly, BigPoly, _as_bipoly
+from .polynomials import BigPoly, _as_bigpoly
 
 DEFAULT_ORDER = 40
 
-_VALID_TAGS = frozenset({"x", "y"})
+
+def _join(a: str | None, b: str | None) -> str | None:
+    """The variable of a sum or product of an a-series and a b-series."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    raise ValueError(f"cannot combine a series in {a} with a series in {b}")
 
 
 class TruncSeries:
-    """Power series in t, exact through self.order, BiPoly coefficients.
+    """Power series in t, exact through self.order.
 
-    coeffs has length order+1; tags declares which polynomial variables may
-    appear in coefficients (asserted at construction).
+    coeffs has length order+1 and holds BigPoly coefficients in the variable
+    var ("x" or "y"); var None marks a series with integer coefficients,
+    which combines with a series in either variable.  Scalar operands, ints
+    or BigPolys, are read in the series' own variable.
     """
 
-    __slots__ = ("coeffs", "order", "tags")
+    __slots__ = ("coeffs", "order", "var")
 
-    def __init__(self, coeffs=(), order: int | None = None, tags=None):
-        cs = [_as_bipoly(c) for c in coeffs]
+    def __init__(self, coeffs=(), order: int | None = None, var: str | None = None):
+        cs = [_as_bigpoly(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("series order must be nonnegative")
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([BiPoly.zero()] * (order + 1 - len(cs)))
-        used = frozenset().union(*(c.variables() for c in cs)) if cs else frozenset()
-        if tags is None:
-            tags = used
-        else:
-            tags = frozenset(tags)
-            if not tags <= _VALID_TAGS:
-                raise ValueError(f"unknown variable tags {sorted(tags - _VALID_TAGS)}")
-            if not used <= tags:
-                raise ValueError(
-                    f"coefficients use {sorted(used - tags)} outside declared tags"
-                )
+        if var not in (None, "x", "y"):
+            raise ValueError(f"unknown series variable {var!r}")
+        if var is None and any(c.degree() > 0 for c in cs):
+            raise ValueError("a series without a variable needs constant coefficients")
+        cs.extend([BigPoly.zero()] * (order + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int, tags=None) -> "TruncSeries":
-        return cls((), order, tags)
+    def zero(cls, order: int, var: str | None = None) -> "TruncSeries":
+        return cls((), order, var)
 
     @classmethod
-    def one(cls, order: int, tags=None) -> "TruncSeries":
-        return cls((BiPoly.one(),), order, tags)
+    def one(cls, order: int, var: str | None = None) -> "TruncSeries":
+        return cls((1,), order, var)
 
     @classmethod
-    def t_monomial(cls, k: int, order: int, coeff=1, tags=None) -> "TruncSeries":
+    def t_monomial(cls, k: int, order: int, coeff=1, var: str | None = None) -> "TruncSeries":
         """The series coeff * t^k."""
         if not 0 <= k <= order:
             raise ValueError(f"exponent {k} outside order {order}")
-        return cls([BiPoly.zero()] * k + [_as_bipoly(coeff)], order, tags)
+        return cls([0] * k + [coeff], order, var)
 
     # -- inspection ------------------------------------------------------
 
-    def coeff(self, n: int) -> BiPoly:
+    def coeff(self, n: int) -> BigPoly:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond tracked order {self.order}")
         return self.coeffs[n]
@@ -105,18 +111,9 @@ class TruncSeries:
     def coeff_int(self, n: int) -> int:
         """Coefficient of t^n as an integer; requires a constant coefficient."""
         c = self.coeff(n)
-        out = c.coeff(0, 0)
-        if c != BiPoly.constant(out):
-            raise ValueError(f"coefficient of t^{n} is not constant: {c}")
-        return out
-
-    def coeff_poly(self, n: int, var: str) -> BigPoly:
-        """Coefficient of t^n as a univariate polynomial in var.
-
-        Raises if the other variable appears: each series here is supposed
-        to involve one polynomial variable only.
-        """
-        return self.coeff(n).as_univariate(var)
+        if c.degree() > 0:
+            raise ValueError(f"coefficient of t^{n} is not constant: {self._show(c)}")
+        return c.coeff(0)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -128,7 +125,7 @@ class TruncSeries:
                 return i
         return self.order + 1
 
-    def first_nonzero(self) -> tuple[int, BiPoly] | None:
+    def first_nonzero(self) -> tuple[int, BigPoly] | None:
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
                 return (i, c)
@@ -137,19 +134,22 @@ class TruncSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.var, self.coeffs) == (other.order, other.var, other.coeffs)
+
+    def _show(self, c: BigPoly) -> str:
+        return c.format(self.var or "x")
 
     def __repr__(self) -> str:
-        head = ", ".join(repr(c) for c in self.coeffs[:4])
+        head = ", ".join(self._show(c) for c in self.coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
-        return f"TruncSeries(order={self.order}, coeffs=[{head}{tail}])"
+        return f"TruncSeries(order={self.order}, var={self.var!r}, coeffs=[{head}{tail}])"
 
     # -- ring operations -------------------------------------------------
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncSeries(self.coeffs[: order + 1], order, self.tags)
+        return TruncSeries(self.coeffs[: order + 1], order, self.var)
 
     def __add__(self, other) -> "TruncSeries":
         if isinstance(other, TruncSeries):
@@ -157,40 +157,32 @@ class TruncSeries:
             coeffs = [
                 self.coeffs[i] + other.coeffs[i] for i in range(order + 1)
             ]
-            return TruncSeries(coeffs, order, self.tags | other.tags)
+            return TruncSeries(coeffs, order, _join(self.var, other.var))
         # scalars are exact at every order
-        other = _as_bipoly(other)
         return TruncSeries(
-            (self.coeffs[0] + other,) + self.coeffs[1:],
-            self.order,
-            self.tags | other.variables(),
+            (self.coeffs[0] + other,) + self.coeffs[1:], self.order, self.var
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs], self.order, self.tags)
+        return TruncSeries([-c for c in self.coeffs], self.order, self.var)
 
     def __sub__(self, other) -> "TruncSeries":
-        return self + (-other if isinstance(other, TruncSeries) else -_as_bipoly(other))
+        return self + (-other if isinstance(other, TruncSeries) else -_as_bigpoly(other))
 
     def __rsub__(self, other) -> "TruncSeries":
-        return (-self) + _as_bipoly(other)
+        return (-self) + other
 
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
-            other = _as_bipoly(other)
-            return TruncSeries(
-                [c * other for c in self.coeffs],
-                self.order,
-                self.tags | other.variables(),
-            )
+            return TruncSeries([c * other for c in self.coeffs], self.order, self.var)
         # unknown coefficients of one factor first pollute the product at
         # (order+1) + valuation of the other factor
         order = min(
             self.order + other.valuation(), other.order + self.valuation()
         )
-        out = [BiPoly.zero()] * (order + 1)
+        out = [BigPoly.zero()] * (order + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero() or i > order:
                 continue
@@ -199,7 +191,7 @@ class TruncSeries:
                     break
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return TruncSeries(out, order, self.tags | other.tags)
+        return TruncSeries(out, order, _join(self.var, other.var))
 
     __rmul__ = __mul__
 
@@ -208,7 +200,7 @@ class TruncSeries:
         if k < 0:
             raise ValueError("shift_up needs k >= 0")
         return TruncSeries(
-            (BiPoly.zero(),) * k + self.coeffs, self.order + k, self.tags
+            (BigPoly.zero(),) * k + self.coeffs, self.order + k, self.var
         )
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
@@ -220,9 +212,9 @@ class TruncSeries:
         for i in range(k):
             if not self.coeffs[i].is_zero():
                 raise ValueError(
-                    f"cannot divide by t^{k}: coefficient of t^{i} is {self.coeffs[i]}"
+                    f"cannot divide by t^{k}: coefficient of t^{i} is {self._show(self.coeffs[i])}"
                 )
-        return TruncSeries(self.coeffs[k:], self.order - k, self.tags)
+        return TruncSeries(self.coeffs[k:], self.order - k, self.var)
 
     def differentiate_t(self) -> "TruncSeries":
         """Formal d/dt; the top coefficient would need t^(order+1), so one
@@ -232,51 +224,46 @@ class TruncSeries:
         return TruncSeries(
             [i * self.coeffs[i] for i in range(1, self.order + 1)],
             self.order - 1,
-            self.tags,
+            self.var,
         )
 
-    def differentiate(self, var: str) -> "TruncSeries":
-        """Formal coefficientwise d/dx or d/dy; t-orders untouched."""
-        return TruncSeries(
-            [c.derivative(var) for c in self.coeffs], self.order, self.tags
-        )
+    def differentiate(self) -> "TruncSeries":
+        """Formal coefficientwise derivative in the series' variable;
+        t-orders untouched."""
+        return TruncSeries([c.derivative() for c in self.coeffs], self.order, self.var)
 
     def substitute_t_squared(self) -> "TruncSeries":
         """t -> t^2.  Odd coefficients of the image are exactly zero, so the
         image is exact through 2*order+1."""
-        out = [BiPoly.zero()] * (2 * self.order + 2)
+        out = [BigPoly.zero()] * (2 * self.order + 2)
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
-        return TruncSeries(out, 2 * self.order + 1, self.tags)
+        return TruncSeries(out, 2 * self.order + 1, self.var)
 
-    def substitute(self, var: str, value: int) -> "TruncSeries":
-        return TruncSeries(
-            [c.substitute(var, value) for c in self.coeffs],
-            self.order,
-            self.tags - {var},
-        )
+    def substitute(self, value: int) -> "TruncSeries":
+        """Evaluate the series' variable at an integer: an integer series."""
+        return TruncSeries([c(value) for c in self.coeffs], self.order)
 
     def reciprocal(self) -> "TruncSeries":
         """Inverse of a unit series with constant coefficient exactly 1."""
-        if self.coeffs[0] != BiPoly.one():
-            raise ValueError(f"reciprocal needs constant term 1, got {self.coeffs[0]}")
-        out = [BiPoly.one()] + [BiPoly.zero()] * self.order
+        if self.coeffs[0] != 1:
+            raise ValueError(f"reciprocal needs constant term 1, got {self._show(self.coeffs[0])}")
+        out = [BigPoly.one()] + [BigPoly.zero()] * self.order
         for n in range(1, self.order + 1):
-            acc = BiPoly.zero()
+            acc = BigPoly.zero()
             for i in range(1, n + 1):
                 if not self.coeffs[i].is_zero():
                     acc = acc + self.coeffs[i] * out[n - i]
             out[n] = -acc
-        return TruncSeries(out, self.order, self.tags)
+        return TruncSeries(out, self.order, self.var)
 
     def divide_linear(self, c) -> "TruncSeries":
         """Exact division by the unit factor (1 + c*t) without building its
         reciprocal: out_j = self_j - c*out_(j-1)."""
-        c = _as_bipoly(c)
         out = [self.coeffs[0]]
         for j in range(1, self.order + 1):
             out.append(self.coeffs[j] - c * out[j - 1])
-        return TruncSeries(out, self.order, self.tags | c.variables())
+        return TruncSeries(out, self.order, self.var)
 
 
 # -- closed forms --------------------------------------------------------
@@ -285,34 +272,21 @@ class TruncSeries:
 @dataclass(frozen=True)
 class _Family:
     var: str  # polynomial variable of the full series
-    ratio_name: str
-    denom_name: str
+    numerator: Callable[[int], int]  # of the m-th summand
+    ratio: Callable[[int], int]  # numerator(m) / numerator(m-1)
+    denom: Callable[[int], int]  # a_k in the factor (1 + a_k*(1-v)*t)
     zeroth: int  # stated coefficient of s in the constant-in-xi term
-    prefix: bool  # full series carries the extra (var - 1)*t term
 
-    def ratio(self, m: int) -> int:
-        # successive numerator quotient: m!(m-1)! steps by m(m-1),
-        # ((m-1)!)^2 steps by (m-1)^2
-        return m * (m - 1) if self.ratio_name == "m(m-1)" else (m - 1) ** 2
 
-    def denom(self, k: int) -> int:
-        if self.denom_name == "k^2":
-            return k * k
-        if self.denom_name == "k(k+1)":
-            return k * (k + 1)
-        return k * (k - 1)
-
-    def numerator(self, m: int) -> int:
-        if self.ratio_name == "m(m-1)":
-            return factorial(m) * factorial(m - 1)
-        return factorial(m - 1) ** 2
-
+# m!(m-1)! steps by m(m-1), ((m-1)!)^2 by (m-1)^2
+_MIXED = (lambda m: factorial(m) * factorial(m - 1), lambda m: m * (m - 1))
+_SQUARE = (lambda m: factorial(m - 1) ** 2, lambda m: (m - 1) ** 2)
 
 FAMILIES = {
-    "oo_even": _Family("x", "m(m-1)", "k^2", 0, False),
-    "oo_odd": _Family("x", "(m-1)^2", "k^2", 0, False),
-    "eo_even": _Family("y", "m(m-1)", "k(k+1)", -1, True),
-    "eo_odd": _Family("y", "(m-1)^2", "k(k-1)", 0, False),
+    "oo_even": _Family("x", *_MIXED, lambda k: k * k, 0),
+    "oo_odd": _Family("x", *_SQUARE, lambda k: k * k, 0),
+    "eo_even": _Family("y", *_MIXED, lambda k: k * (k + 1), -1),
+    "eo_odd": _Family("y", *_SQUARE, lambda k: k * (k - 1), 0),
 }
 
 
@@ -354,20 +328,26 @@ class ClosedFormSummand:
     def series(self, order: int) -> TruncSeries:
         """Expansion in t with polynomial coefficients in the family variable."""
         fam = FAMILIES[self.family]
-        u = 1 - (BiPoly.x() if fam.var == "x" else BiPoly.y())
-        return _summand_series(fam, self.m, order, u)
+        return _summand_series(fam, self.m, order, fam.var)
 
     def eta_series(self, order: int) -> TruncSeries:
         """Expansion in the substituted variable s = (1-v)*t; integer coeffs."""
-        return _summand_series(FAMILIES[self.family], self.m, order, BiPoly.one())
+        return _summand_series(FAMILIES[self.family], self.m, order, None)
 
 
-def _summand_series(fam: _Family, m: int, order: int, u: BiPoly) -> TruncSeries:
+def _one_minus(var: str | None) -> int | BigPoly:
+    """u = 1 - var, the factor multiplying a_k in each denominator; 1 for the
+    integer series (var None), which stand for v = 0 or for s = (1-v)*t."""
+    return 1 if var is None else BigPoly((1, -1))
+
+
+def _summand_series(fam: _Family, m: int, order: int, var: str | None) -> TruncSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     if m > order:
-        return TruncSeries.zero(order, u.variables())
-    s = TruncSeries.t_monomial(m, order, fam.numerator(m))
+        return TruncSeries.zero(order, var)
+    u = _one_minus(var)
+    s = TruncSeries.t_monomial(m, order, fam.numerator(m), var)
     for k in range(1, m + 1):
         a = fam.denom(k)
         if a:
@@ -375,15 +355,16 @@ def _summand_series(fam: _Family, m: int, order: int, u: BiPoly) -> TruncSeries:
     return s
 
 
-def _closed_form_sum(fam: _Family, order: int, u: BiPoly) -> TruncSeries:
-    """Sum of the family's summands through m = order.
+def _closed_form_sum(fam: _Family, order: int, var: str | None) -> TruncSeries:
+    """Sum of the family's summands through m = order, in var (None: v = 0).
 
     Built incrementally: the m-th summand is the (m-1)-st times
     ratio(m) * t / (1 + a_m*u*t), so each step costs one linear division.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    summand = TruncSeries.t_monomial(1, order, fam.numerator(1))
+    u = _one_minus(var)
+    summand = TruncSeries.t_monomial(1, order, fam.numerator(1), var)
     a1 = fam.denom(1)
     if a1:
         summand = summand.divide_linear(u * a1)
@@ -401,13 +382,13 @@ def series_oo_even(order: int) -> TruncSeries:
     """Odd-odd drop distribution series for even lengths: the coefficient of
     t^m is the polynomial in x for cycles on [2m]."""
     fam = FAMILIES["oo_even"]
-    return _closed_form_sum(fam, order, 1 - BiPoly.x())
+    return _closed_form_sum(fam, order, fam.var)
 
 
 def series_oo_odd(order: int) -> TruncSeries:
     """Odd-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
     fam = FAMILIES["oo_odd"]
-    return _closed_form_sum(fam, order, 1 - BiPoly.x())
+    return _closed_form_sum(fam, order, fam.var)
 
 
 def series_eo_even(order: int) -> TruncSeries:
@@ -417,14 +398,14 @@ def series_eo_even(order: int) -> TruncSeries:
     1 instead of the single cycle on [2] with its one even-odd drop.
     """
     fam = FAMILIES["eo_even"]
-    total = _closed_form_sum(fam, order, 1 - BiPoly.y())
-    return total + TruncSeries.t_monomial(1, order, BiPoly.y() - 1)
+    total = _closed_form_sum(fam, order, fam.var)
+    return total + TruncSeries.t_monomial(1, order, BigPoly((-1, 1)), fam.var)
 
 
 def series_eo_odd(order: int) -> TruncSeries:
     """Even-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
     fam = FAMILIES["eo_odd"]
-    return _closed_form_sum(fam, order, 1 - BiPoly.y())
+    return _closed_form_sum(fam, order, fam.var)
 
 
 def oo_series(order: int) -> TruncSeries:
@@ -459,7 +440,7 @@ def eo_series(order: int) -> TruncSeries:
 def genocchi_series(order: int) -> TruncSeries:
     """Generating function of the Genocchi numbers:
     sum of m!(m-1)! t^m / prod(1+k^2 t), integer coefficients."""
-    return _closed_form_sum(FAMILIES["oo_even"], order, BiPoly.one())
+    return _closed_form_sum(FAMILIES["oo_even"], order, None)
 
 
 def genocchi(n: int) -> int:
@@ -478,7 +459,7 @@ def genocchi_sequence(count: int) -> list[int]:
 def median_series(order: int) -> TruncSeries:
     """Generating function whose t^(n+2) coefficient is the n-th Genocchi
     median: sum of ((m-1)!)^2 t^m / prod(1+k(k-1) t)."""
-    return _closed_form_sum(FAMILIES["eo_odd"], order, BiPoly.one())
+    return _closed_form_sum(FAMILIES["eo_odd"], order, None)
 
 
 def genocchi_median(n: int) -> int:
@@ -499,12 +480,12 @@ def identity_residual_1(order: int) -> TruncSeries:
 
     The sum telescopes to t exactly; the residual is the zero series.
     """
-    return _closed_form_sum(FAMILIES["oo_odd"], order, BiPoly.one()) - TruncSeries.t_monomial(1, order)
+    return _closed_form_sum(FAMILIES["oo_odd"], order, None) - TruncSeries.t_monomial(1, order)
 
 
 def identity_residual_2(order: int) -> TruncSeries:
     """sum of m!(m-1)! t^m / prod(1+k(k+1) t)  minus  t; again zero."""
-    return _closed_form_sum(FAMILIES["eo_even"], order, BiPoly.one()) - TruncSeries.t_monomial(1, order)
+    return _closed_form_sum(FAMILIES["eo_even"], order, None) - TruncSeries.t_monomial(1, order)
 
 
 # -- PDE residuals --------------------------------------------------------
@@ -541,14 +522,16 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     fam = _check_family(which)
     if series.order < 3:
         raise ValueError(f"order {series.order} too small for a PDE residual")
-    if not series.tags <= {fam.var}:
+    if series.var not in (None, fam.var):
         raise ValueError(
-            f"series in {sorted(series.tags)} fed to the {which} equation ({fam.var})"
+            f"series in {series.var} fed to the {which} equation ({fam.var})"
         )
-    v = BiPoly.x() if fam.var == "x" else BiPoly.y()
+    # an integer series is read in the family variable, where v has degree 1
+    series = TruncSeries(series.coeffs, series.order, fam.var)
+    v = BigPoly.variable()
     u = 1 - v
-    s_v = series.differentiate(fam.var)
-    s_vv = s_v.differentiate(fam.var)
+    s_v = series.differentiate()
+    s_vv = s_v.differentiate()
     s_t = series.differentiate_t()
     s_vt = s_v.differentiate_t()
     s_tt = s_t.differentiate_t()
@@ -564,7 +547,7 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
         lhs = (series - TruncSeries.t_monomial(1, series.order)).shift_down()
         rhs = common - s_v * (v * u) + s_t.shift_up() * v
     elif which == "eo_even":
-        lhs = (series - TruncSeries.t_monomial(1, series.order, v)).shift_down()
+        lhs = (series - TruncSeries.t_monomial(1, series.order, v, fam.var)).shift_down()
         rhs = common + s_t.shift_up() * 2 * v
     else:  # eo_odd
         lhs = (series - TruncSeries.t_monomial(1, series.order)).shift_down()
@@ -585,10 +568,10 @@ def pde_residual(which: str, order: int) -> TruncSeries:
 def _geometric_base(a: int, num: int, order: int) -> TruncSeries:
     """num * s / (1 + a*s) expanded directly: coefficient of s^j is
     num * (-a)^(j-1).  Independent of the division routines on purpose."""
-    coeffs = [BiPoly.zero()] * (order + 1)
+    coeffs = [0] * (order + 1)
     power = num
     for j in range(1, order + 1):
-        coeffs[j] = BiPoly.constant(power)
+        coeffs[j] = power
         power *= -a
     return TruncSeries(coeffs, order)
 

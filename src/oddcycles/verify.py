@@ -75,7 +75,7 @@ def _series_nonzero_detail(s: series.TruncSeries) -> str:
     hit = s.first_nonzero()
     if hit is None:
         return "zero"
-    return f"t^{hit[0]}: {hit[1].format()}"
+    return f"t^{hit[0]}: {hit[1].format(s.var or 'x')}"
 
 
 # -- oracle suite ----------------------------------------------------------
@@ -158,7 +158,7 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     def check_oo():
         s = series.oo_series(top)
         for n in range(1, top + 1):
-            got = s.coeff_poly(n, "x")
+            got = s.coeff(n)
             want = recurrences.oo_poly(n)
             if got != want:
                 raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
@@ -167,7 +167,7 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     def check_eo():
         s = series.eo_series(top)
         for n in range(1, top + 1):
-            got = s.coeff_poly(n, "y")
+            got = s.coeff(n)
             want = recurrences.eo_poly(n)
             if got != want:
                 raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
@@ -176,8 +176,8 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     def check_constant_terms():
         # no odd length >= 3 avoids odd-odd drops; no even length avoids
         # even-odd drops
-        oo0 = series.oo_series(top).substitute("x", 0)
-        eo0 = series.eo_series(top).substitute("y", 0)
+        oo0 = series.oo_series(top).substitute(0)
+        eo0 = series.eo_series(top).substitute(0)
         for n in range(3, top + 1, 2):
             if not oo0.coeff(n).is_zero():
                 raise CheckFailure(f"odd-odd constant term at t^{n}: {oo0.coeff(n)}")

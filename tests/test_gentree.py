@@ -1,7 +1,10 @@
 """Growth by maximum insertion and the bivariate transfer steps."""
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
+from oddcycles import gentree
 from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle
 from oddcycles.enumerator import iter_odd_drop_cycles, joint_table
 from oddcycles.gentree import (
@@ -16,7 +19,7 @@ from oddcycles.gentree import (
     verify_level,
 )
 from oddcycles.polynomials import BiPoly
-from oddcycles.recurrences import eo_poly, eo_step_even, eo_step_odd, oo_poly, oo_step_even, oo_step_odd
+from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
 
 
 def levels(top: int) -> list[list[Cycle]]:
@@ -144,10 +147,10 @@ class TestTransferSteps:
     def test_even_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k - 1)
         q = joint_step_even(p, k)
-        assert q.substitute("y", 1).as_univariate("x") == oo_step_even(
+        assert q.substitute("y", 1).as_univariate("x") == free_step(
             p.substitute("y", 1).as_univariate("x"), k
         )
-        assert q.substitute("x", 1).as_univariate("y") == eo_step_even(
+        assert q.substitute("x", 1).as_univariate("y") == forced_step(
             p.substitute("x", 1).as_univariate("y"), k
         )
 
@@ -155,12 +158,59 @@ class TestTransferSteps:
     def test_odd_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k)
         q = joint_step_odd(p, k)
-        assert q.substitute("y", 1).as_univariate("x") == oo_step_odd(
+        assert q.substitute("y", 1).as_univariate("x") == forced_step(
             p.substitute("y", 1).as_univariate("x"), k
         )
-        assert q.substitute("x", 1).as_univariate("y") == eo_step_odd(
+        assert q.substitute("x", 1).as_univariate("y") == free_step(
             p.substitute("x", 1).as_univariate("y"), k
         )
+
+
+@st.composite
+def joint_input(draw):
+    """A random nonnegative joint polynomial that respects i + j <= n."""
+    n = draw(st.integers(1, 9))
+    exponents = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda e: sum(e) <= n)
+    terms = draw(st.dictionaries(exponents, st.integers(1, 10**12), max_size=8))
+    return BiPoly(terms), n
+
+
+NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+
+
+def _marginals(p: BiPoly):
+    return p.substitute("y", 1).as_univariate("x"), p.substitute("x", 1).as_univariate("y")
+
+
+def _steps_match_marginal_steps(case) -> bool:
+    # x marks the odd-odd drops that odd lengths force, y the even-odd drops
+    # that even lengths force
+    p, n = case
+    px, py = _marginals(p)
+    even_ok = _marginals(joint_step_even(p, n)) == (free_step(px, n), forced_step(py, n))
+    odd_ok = _marginals(joint_step_odd(p, n)) == (forced_step(px, n), free_step(py, n))
+    return even_ok and odd_ok
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(joint_input())
+def test_merged_steps_specialize_to_marginal_steps(case):
+    assert _steps_match_marginal_steps(case)
+
+
+def test_step_property_catches_a_dropped_term(monkeypatch):
+    def without_kept_drops(poly, n):
+        # the even step without its j*x^i*y^j contribution
+        out = {}
+        for (i, j), c in poly.terms.items():
+            if i:
+                out[i - 1, j + 1] = out.get((i - 1, j + 1), 0) + c * i
+            out[i, j + 1] = out.get((i, j + 1), 0) + c * (n - i - j)
+        return BiPoly(out)
+
+    monkeypatch.setattr(gentree, "_transfer_even", without_kept_drops)
+    # raises NoSuchExample if the property cannot tell the broken step apart
+    find(joint_input(), lambda case: not _steps_match_marginal_steps(case), settings=NO_SHRINK)
 
 
 class TestJointPolynomial:

@@ -128,11 +128,6 @@ class TestBiPolyBasics:
         with pytest.raises(ValueError):
             p.degree("t")
 
-    def test_variables(self):
-        assert BiPoly({(1, 0): 1}).variables() == frozenset({"x"})
-        assert BiPoly({(1, 1): 1}).variables() == frozenset({"x", "y"})
-        assert BiPoly.constant(2).variables() == frozenset()
-
     def test_int_equality(self):
         assert BiPoly.constant(4) == 4
         assert BiPoly.x() != 1
@@ -154,11 +149,6 @@ class TestBiPolyArithmetic:
         assert 1 + BiPoly.x() == BiPoly({(0, 0): 1, (1, 0): 1})
         assert 2 * BiPoly.y() == BiPoly({(0, 1): 2})
         assert 1 - BiPoly.x() == BiPoly({(0, 0): 1, (1, 0): -1})
-
-    def test_derivative(self):
-        p = BiPoly({(2, 1): 3})
-        assert p.derivative("x") == BiPoly({(1, 1): 6})
-        assert p.derivative("y") == BiPoly({(2, 0): 3})
 
     def test_substitute(self):
         p = BiPoly({(1, 1): 2, (0, 1): 1})

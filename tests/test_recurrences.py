@@ -5,15 +5,7 @@ import math
 import pytest
 
 from oddcycles.polynomials import BigPoly
-from oddcycles.recurrences import (
-    eo_poly,
-    eo_step_even,
-    eo_step_odd,
-    oo_poly,
-    oo_step_even,
-    oo_step_odd,
-    step_plan,
-)
+from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly, step_plan
 
 
 class TestStepPlan:
@@ -56,22 +48,21 @@ class TestPinnedPolynomials:
 class TestStepOperators:
     def test_zero_is_fixed(self):
         z = BigPoly.zero()
-        assert oo_step_even(z, 4) == 0
-        assert oo_step_odd(z, 4) == 0
-        assert eo_step_even(z, 4) == 0
-        assert eo_step_odd(z, 4) == 0
+        assert free_step(z, 4) == 0
+        assert forced_step(z, 4) == 0
 
     def test_single_step_values(self):
-        # one step of each family reproduces the next pinned polynomial
-        assert oo_step_odd(oo_poly(4), 2) == oo_poly(5)
-        assert oo_step_even(oo_poly(5), 3) == oo_poly(6)
-        assert eo_step_odd(eo_poly(4), 2) == eo_poly(5)
-        assert eo_step_even(eo_poly(3), 2) == eo_poly(4)
+        # one step of each family reproduces the next pinned polynomial:
+        # odd-odd is forced into odd lengths, even-odd into even lengths
+        assert forced_step(oo_poly(4), 2) == oo_poly(5)
+        assert free_step(oo_poly(5), 3) == oo_poly(6)
+        assert free_step(eo_poly(4), 2) == eo_poly(5)
+        assert forced_step(eo_poly(3), 2) == eo_poly(4)
 
     def test_derivative_term_matters(self):
         # the operators are not plain multiplication: degree can stay put
         p = BigPoly((0, 0, 1))
-        assert oo_step_even(p, 1) != p
+        assert free_step(p, 1) != p
 
 
 class TestFamilyInvariants:

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
+from oddcycles import verify
 from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
@@ -33,13 +36,15 @@ from oddcycles.series import (
 GENOCCHI = [1, 1, 3, 17, 155, 2073, 38227, 929569]
 MEDIANS = [1, 2, 8, 56, 608, 9440, 198272, 5410688]
 
+X = BigPoly.variable()
+
 
 class TestTruncSeriesBasics:
     def test_padding_and_order(self):
         s = TruncSeries([1, 2], order=4)
         assert s.order == 4
-        assert s.coeff(1) == BiPoly.constant(2)
-        assert s.coeff(4) == BiPoly.zero()
+        assert s.coeff(1) == BigPoly.constant(2)
+        assert s.coeff(4) == BigPoly.zero()
 
     def test_order_inferred_from_coefficients(self):
         assert TruncSeries([1, 0, 3]).order == 2
@@ -50,13 +55,12 @@ class TestTruncSeriesBasics:
         with pytest.raises(ValueError):
             TruncSeries([1, 2, 3], order=1)
         with pytest.raises(ValueError):
-            TruncSeries([1], order=1, tags={"t"})
+            TruncSeries([1], order=1, var="t")
+        # a series naming no variable holds integers only
         with pytest.raises(ValueError):
-            TruncSeries([BiPoly.x()], order=1, tags={"y"})
-
-    def test_tags_inferred(self):
-        assert TruncSeries([BiPoly.x()], order=1).tags == frozenset({"x"})
-        assert TruncSeries([1], order=1).tags == frozenset()
+            TruncSeries([1, X], order=1)
+        with pytest.raises(TypeError):
+            TruncSeries([BiPoly.x()], order=1, var="x")
 
     def test_coeff_beyond_order_raises(self):
         s = TruncSeries([1], order=2)
@@ -64,7 +68,7 @@ class TestTruncSeriesBasics:
             s.coeff(3)
 
     def test_coeff_int_requires_constant(self):
-        s = TruncSeries([BiPoly.x()], order=0)
+        s = TruncSeries([X], order=0, var="x")
         with pytest.raises(ValueError):
             s.coeff_int(0)
 
@@ -88,13 +92,13 @@ class TestTruncSeriesArithmetic:
         a = TruncSeries([1], order=5)
         b = TruncSeries([0, 1], order=3)
         assert (a + b).order == 3
-        assert (a + b).coeff(1) == BiPoly.one()
+        assert (a + b).coeff(1) == BigPoly.one()
 
     def test_scalar_ops_keep_order(self):
         a = TruncSeries([1, 1], order=5)
         assert (a + 2).order == 5
         assert (3 * a).order == 5
-        assert (2 - a).coeff(0) == BiPoly.one()
+        assert (2 - a).coeff(0) == BigPoly.one()
 
     def test_mul_order_uses_valuation(self):
         # multiplying by t^3 pushes usable information three orders up
@@ -102,7 +106,7 @@ class TestTruncSeriesArithmetic:
         t3 = TruncSeries.t_monomial(3, 7)
         assert (a * t3).order == 7
         assert (t3 * a).order == 7
-        assert (a * t3).coeff(4) == BiPoly.one()
+        assert (a * t3).coeff(4) == BigPoly.one()
 
     def test_mul_value(self):
         # (1 + t)(1 - t) = 1 - t^2
@@ -128,8 +132,9 @@ class TestTruncSeriesArithmetic:
             TruncSeries.one(0).differentiate_t()
 
     def test_differentiate_variable(self):
-        a = TruncSeries([BiPoly.x() * BiPoly.x()], order=2)
-        assert a.differentiate("x").coeff(0) == 2 * BiPoly.x()
+        a = TruncSeries([X * X], order=2, var="y")
+        assert a.differentiate().coeff(0) == 2 * X
+        assert a.differentiate().var == "y"
 
     def test_substitute_t_squared(self):
         a = TruncSeries([1, 2, 3], order=2)
@@ -138,8 +143,20 @@ class TestTruncSeriesArithmetic:
         assert [b.coeff_int(i) for i in range(6)] == [1, 0, 2, 0, 3, 0]
 
     def test_substitute_variable(self):
-        a = TruncSeries([BiPoly.x() + 1], order=1)
-        assert a.substitute("x", 0).coeff_int(0) == 1
+        a = TruncSeries([X + 1], order=1, var="x")
+        assert a.substitute(0).coeff_int(0) == 1
+        assert a.substitute(2).var is None
+
+    def test_mixing_variables_raises(self):
+        a = TruncSeries([1, X], order=3, var="x")
+        b = TruncSeries([1, X], order=3, var="y")
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
+        # an integer series combines with either
+        assert (a * TruncSeries.one(3)).var == "x"
+        assert (TruncSeries.one(3) + b).var == "y"
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
@@ -150,8 +167,8 @@ class TestTruncSeriesArithmetic:
         assert s * s.reciprocal() == TruncSeries.one(8)
 
     def test_reciprocal_with_polynomial_coefficients(self):
-        s = TruncSeries([BiPoly.one(), 2 * (1 - BiPoly.x())], order=6)
-        assert s * s.reciprocal() == TruncSeries.one(6, tags={"x"})
+        s = TruncSeries([1, 2 * (1 - X)], order=6, var="x")
+        assert s * s.reciprocal() == TruncSeries.one(6, var="x")
 
     def test_reciprocal_needs_unit_constant(self):
         with pytest.raises(ValueError):
@@ -205,43 +222,47 @@ class TestClosedFormSummands:
     def test_eta_series_is_x_zero_specialization(self, which, m):
         # with v = 0 the factor (1 - v) is 1, so s = t and both expansions agree
         summand = ClosedFormSummand(which, m)
-        specialized = summand.series(9).substitute("x", 0)
+        specialized = summand.series(9).substitute(0)
         assert specialized == summand.eta_series(9)
 
 
 class TestSeriesAgainstRecurrences:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_oo_series_coefficients(self, n):
-        assert oo_series(25).coeff_poly(n, "x") == oo_poly(n)
+        s = oo_series(25)
+        assert s.var == "x"
+        assert s.coeff(n) == oo_poly(n)
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_eo_series_coefficients(self, n):
-        assert eo_series(25).coeff_poly(n, "y") == eo_poly(n)
+        s = eo_series(25)
+        assert s.var == "y"
+        assert s.coeff(n) == eo_poly(n)
 
     def test_even_length_slice(self):
         s = series_oo_even(6)
-        assert s.coeff_poly(1, "x") == BigPoly((1,))
-        assert s.coeff_poly(2, "x") == BigPoly((1, 1))
-        assert s.coeff_poly(3, "x") == oo_poly(6)
+        assert s.coeff(1) == BigPoly((1,))
+        assert s.coeff(2) == BigPoly((1, 1))
+        assert s.coeff(3) == oo_poly(6)
 
     def test_odd_length_slice(self):
         s = series_oo_odd(6)
-        assert s.coeff_poly(1, "x") == BigPoly((1,))
-        assert s.coeff_poly(2, "x") == BigPoly((0, 1))
-        assert s.coeff_poly(3, "x") == oo_poly(5)
+        assert s.coeff(1) == BigPoly((1,))
+        assert s.coeff(2) == BigPoly((0, 1))
+        assert s.coeff(3) == oo_poly(5)
 
     def test_eo_even_prefix_term(self):
         # the correction term (y - 1)t cancels the telescoped sum's lone t,
         # turning the constant 1 at t^1 into the true coefficient y
         s = series_eo_even(5)
-        assert s.coeff(1) == BiPoly.y()
-        assert s.coeff_poly(2, "y") == eo_poly(4)
-        assert s.coeff_poly(3, "y") == eo_poly(6)
+        assert s.coeff(1) == X
+        assert s.coeff(2) == eo_poly(4)
+        assert s.coeff(3) == eo_poly(6)
 
     def test_eo_odd_slice(self):
         s = series_eo_odd(5)
-        assert s.coeff_poly(1, "y") == BigPoly((1,))
-        assert s.coeff_poly(3, "y") == eo_poly(5)
+        assert s.coeff(1) == BigPoly((1,))
+        assert s.coeff(3) == eo_poly(5)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -272,18 +293,18 @@ class TestSpecialValues:
             genocchi_median(-1)
 
     def test_genocchi_series_is_x_zero_slice(self):
-        assert genocchi_series(10) == series_oo_even(10).substitute("x", 0)
+        assert genocchi_series(10) == series_oo_even(10).substitute(0)
 
     def test_median_series_is_y_zero_slice(self):
-        assert median_series(10) == series_eo_odd(10).substitute("y", 0)
+        assert median_series(10) == series_eo_odd(10).substitute(0)
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
         # cancels the lone t that the telescoped sum contributes
-        assert series_eo_even(12).substitute("y", 0).is_zero()
+        assert series_eo_even(12).substitute(0).is_zero()
 
     def test_oo_odd_at_x_zero_is_t(self):
-        s = series_oo_odd(12).substitute("x", 0)
+        s = series_oo_odd(12).substitute(0)
         assert s == TruncSeries.t_monomial(1, 12)
 
 
@@ -313,6 +334,18 @@ class TestPdeResiduals:
         with pytest.raises(ValueError):
             pde_residual_of(series_eo_odd(8), "oo_even")
 
+    def test_integer_series_read_in_family_variable(self):
+        res = pde_residual_of(TruncSeries.t_monomial(1, 8), "eo_odd")
+        assert res.var == "y"
+        assert res.order == 7
+
+    def test_failure_detail_names_the_series_variable(self):
+        # the perturbation y*t^3 first shows as y at t^2; a detail that
+        # formats every coefficient in x would print "t^2: x"
+        tainted = series_eo_odd(12) + TruncSeries.t_monomial(3, 12, X, "y")
+        res = pde_residual_of(tainted, "eo_odd")
+        assert verify._series_nonzero_detail(res) == "t^2: y"
+
     def test_order_floor(self):
         with pytest.raises(ValueError):
             pde_residual("oo_even", 2)
@@ -330,3 +363,91 @@ class TestSummandRecurrences:
             summand_recurrence_check("oo_even", 10, 19)
         with pytest.raises(ValueError):
             summand_recurrence_check("nope", 5, 20)
+
+
+# -- order bookkeeping, against the same operation three orders wider -------
+
+SLACK = 3
+_small = st.integers(-20, 20)
+
+
+@st.composite
+def wide_series(draw, var=None):
+    """(narrow, wide): a random series exact through N, and the same series
+    known SLACK orders further.  var None draws an integer series or an
+    x-series; leading zero coefficients give it a valuation."""
+    if var is None:
+        var = draw(st.sampled_from([None, "x"]))
+    coeff = _small if var is None else st.lists(_small, max_size=4).map(BigPoly)
+    n = draw(st.integers(0, 7))
+    cs = draw(st.lists(coeff, min_size=n + SLACK + 1, max_size=n + SLACK + 1))
+    zeros = draw(st.integers(0, n + SLACK + 1))
+    cs[:zeros] = [0] * zeros
+    wide = TruncSeries(cs, n + SLACK, var)
+    return wide.truncate(n), wide
+
+
+def agrees(narrow_result, wide_result) -> bool:
+    """Every coefficient the narrow result claims is the wide one's."""
+    return (
+        wide_result.order >= narrow_result.order
+        and wide_result.truncate(narrow_result.order) == narrow_result
+    )
+
+
+def mul_agrees(a, b) -> bool:
+    return agrees(a[0] * b[0], a[1] * b[1])
+
+
+_property = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@_property
+@given(wide_series(), wide_series(var="x"))
+def test_mul_order_is_honest(a, b):
+    assert mul_agrees(a, b)
+
+
+@_property
+@given(wide_series(), st.integers(0, 4))
+def test_shift_down_order_is_honest(a, k):
+    narrow, wide = a
+    if k > narrow.order or narrow.valuation() < k:
+        with pytest.raises(ValueError):
+            narrow.shift_down(k)
+        return
+    assert agrees(narrow.shift_down(k), wide.shift_down(k))
+
+
+@_property
+@given(wide_series())
+def test_differentiate_t_order_is_honest(a):
+    narrow, wide = a
+    if narrow.order == 0:
+        return
+    assert agrees(narrow.differentiate_t(), wide.differentiate_t())
+
+
+@_property
+@given(wide_series(), _small, st.lists(_small, max_size=3))
+def test_divide_linear_order_is_honest(a, c, poly):
+    narrow, wide = a
+    # a polynomial divisor needs a series in a variable
+    divisor = c if narrow.var is None else BigPoly(poly)
+    assert agrees(narrow.divide_linear(divisor), wide.divide_linear(divisor))
+
+
+def test_order_property_catches_an_overclaiming_product(monkeypatch):
+    honest = TruncSeries.__mul__
+
+    def overclaiming(self, other):
+        # treats each factor's first unknown coefficient as zero
+        if not isinstance(other, TruncSeries):
+            return honest(self, other)
+        widen = lambda s: TruncSeries(s.coeffs, s.order + 1, s.var)
+        return honest(widen(self), widen(other))
+
+    monkeypatch.setattr(TruncSeries, "__mul__", overclaiming)
+    no_shrink = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+    # raises NoSuchExample if the property cannot tell the broken product apart
+    find(st.tuples(wide_series(), wide_series(var="x")), lambda ab: not mul_agrees(*ab), settings=no_shrink)
