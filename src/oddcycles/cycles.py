@@ -169,19 +169,35 @@ def classify(drop: Drop) -> DropKind:
 def is_odd_drop_cycle(cycle: Cycle) -> bool:
     """True when every drop lands on an odd entry.
 
-    The n=1 cycle qualifies: its formal drop lands on 1.
+    The n=1 cycle qualifies: its formal drop lands on 1.  One pass over the
+    cyclic pairs, the wrap pair first; tested against ``drops()``, which is
+    the definition.
     """
-    return all(d.latter % 2 == 1 for d in drops(cycle))
+    entries = cycle.entries
+    prev = entries[-1]
+    for v in entries:
+        if v < prev and not v & 1:
+            return False
+        prev = v
+    return True
 
 
 def drop_stats(cycle: Cycle) -> StatVector:
-    """Counts of odd-odd and even-odd drops; STAR counts toward neither."""
+    """Counts of odd-odd and even-odd drops; STAR counts toward neither.
+
+    One pass over the cyclic pairs, the wrap pair first (for n = 1 that pair
+    is (1, 1), no drop); tested against the tally of ``classify`` over
+    ``drops()``, which is the definition.
+    """
     oo = 0
     eo = 0
-    for d in drops(cycle):
-        kind = classify(d)
-        if kind is DropKind.ODD_ODD:
-            oo += 1
-        elif kind is DropKind.EVEN_ODD:
-            eo += 1
+    entries = cycle.entries
+    prev = entries[-1]
+    for v in entries:
+        if v < prev and v & 1:
+            if prev & 1:
+                oo += 1
+            else:
+                eo += 1
+        prev = v
     return StatVector(oo, eo)

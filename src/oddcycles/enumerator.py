@@ -12,7 +12,13 @@ their (odd-odd, even-odd) drop pair with a dynamic program over the state
 method: it takes about 2^n * n^2 steps rather than (n-1)!, so tables
 through n = 14 take well under a second.  ``iter_odd_drop_cycles`` lists
 the members themselves by a depth-first walk over tails in lexicographic
-order that abandons a prefix as soon as a drop lands on an even entry.
+order.  The walk enters a prefix only if it completes to a member: its
+drops land on odd entries, and the smallest unused value is odd or larger
+than its last entry.  That test is exact.  If the smallest unused value is
+even and below the last entry, everything that could precede it is larger,
+so some drop lands on it.  Otherwise the unused values in increasing order
+complete the prefix: the only drops they add land on that smallest value,
+which is then odd, and on the leading 1.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .polynomials import BigPoly, BiPoly
 
 #: Default ceiling for enumeration work.  The table at n=12 takes hundredths
 #: of a second; the listing walk, which yields each of the 5!*6! = 86 400
-#: members at n=12 one by one, is what this bound keeps short.
+#: members at n=12 one by one (about 0.5 s, half of it building the Cycle
+#: objects), is what this bound keeps short.
 DEFAULT_BRUTEFORCE_MAX = 12
 
 
@@ -74,18 +81,28 @@ def _check_n(n: int, max_n: int) -> None:
         raise ValueError(f"n must be in 1..{max_n}, got {n}")
 
 
-def _iter_tails(prev: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # Lexicographic DFS over the unused values; a committed drop onto an
-    # even entry kills the whole subtree.
-    if not remaining:
-        yield ()
-        return
-    for i, v in enumerate(remaining):
-        if v < prev and not v & 1:
+def _iter_tails(n: int) -> Iterator[tuple[int, ...]]:
+    """Tails (a_2, ..., a_n) of the members on [n], n >= 2, in lexicographic order."""
+    # Stack of (last entry, unused values in increasing order, tail so far),
+    # children pushed in reverse.  The exact prune of the module docstring
+    # holds for every entry, so an even smallest unused value is larger than
+    # the last entry and must come next: any other choice leaves it even and
+    # below the new last entry.  An odd smallest value never trips the prune.
+    stack = [(1, tuple(range(2, n + 1)), ())]
+    while stack:
+        prev, rest, tail = stack.pop()
+        if len(rest) == 1:
+            yield tail + rest
             continue
-        rest = remaining[:i] + remaining[i + 1:]
-        for suffix in _iter_tails(v, rest):
-            yield (v,) + suffix
+        low = rest[0]
+        if not low & 1:
+            stack.append((low, rest[1:], tail + (low,)))
+            continue
+        for i in range(len(rest) - 1, -1, -1):
+            v = rest[i]
+            if v < prev and not v & 1:
+                continue  # a drop onto an even entry
+            stack.append((v, rest[:i] + rest[i + 1:], tail + (v,)))
 
 
 def iter_odd_drop_cycles(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> Iterator[Cycle]:
@@ -94,7 +111,7 @@ def iter_odd_drop_cycles(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> Iter
     if n == 1:
         yield Cycle((1,))
         return
-    for tail in _iter_tails(1, tuple(range(2, n + 1))):
+    for tail in _iter_tails(n):
         yield Cycle((1,) + tail)
 
 

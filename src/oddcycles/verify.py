@@ -131,12 +131,13 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
             level, problems = gentree.verify_level(level)
             if problems:
                 raise CheckFailure(f"n={n}: {problems[0]}")
-            if len(level) != len(set(level)):
+            grown = set(level)
+            if len(level) != len(grown):
                 raise CheckFailure(f"n={n}: children lists overlap")
             want = set(enumerator.iter_odd_drop_cycles(n + 1, max_n=max_n))
-            if set(level) != want:
-                missing = sorted(c.entries for c in want - set(level))[:1]
-                extra = sorted(c.entries for c in set(level) - want)[:1]
+            if grown != want:
+                missing = sorted(c.entries for c in want - grown)[:1]
+                extra = sorted(c.entries for c in grown - want)[:1]
                 raise CheckFailure(f"n={n}: missing {missing}, extra {extra}")
         return f"children partition the next level for n=1..{max_n - 1}"
 
@@ -154,9 +155,15 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
 
 def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     top = 2 * series_order
+    built = {}
+
+    def full(build):
+        if build not in built:
+            built[build] = build(top)
+        return built[build]
 
     def check_oo():
-        s = series.oo_series(top)
+        s = full(series.oo_series)
         for n in range(1, top + 1):
             got = s.coeff(n)
             want = recurrences.oo_poly(n)
@@ -165,7 +172,7 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
         return f"odd-odd series matches recurrence for n=1..{top}"
 
     def check_eo():
-        s = series.eo_series(top)
+        s = full(series.eo_series)
         for n in range(1, top + 1):
             got = s.coeff(n)
             want = recurrences.eo_poly(n)
@@ -176,8 +183,8 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     def check_constant_terms():
         # no odd length >= 3 avoids odd-odd drops; no even length avoids
         # even-odd drops
-        oo0 = series.oo_series(top).substitute(0)
-        eo0 = series.eo_series(top).substitute(0)
+        oo0 = full(series.oo_series).substitute(0)
+        eo0 = full(series.eo_series).substitute(0)
         for n in range(3, top + 1, 2):
             if not oo0.coeff(n).is_zero():
                 raise CheckFailure(f"odd-odd constant term at t^{n}: {oo0.coeff(n)}")

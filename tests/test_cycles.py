@@ -1,6 +1,8 @@
 """Canonical cycles, drops, and drop parity statistics."""
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from oddcycles.cycles import (
     STAR,
@@ -142,3 +144,82 @@ class TestStats:
         words = [(2, 5, 4, 3, 1), (5, 4, 3, 1, 2), (3, 1, 2, 5, 4)]
         stats = {drop_stats(canonicalize(w)) for w in words}
         assert len(stats) == 1
+
+
+# -- the one-pass statistics against the definition ---------------------------
+
+
+@st.composite
+def cycles(draw):
+    """A cycle on [n], n = 1..12, read through canonicalize from some rotation.
+
+    Half are shuffled words, nearly all of them non-members once n passes 4;
+    half are members, grown by inserting each new maximum before an odd entry.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return canonicalize(draw(st.permutations(range(1, n + 1))))
+    word = [1]
+    for m in range(2, n + 1):
+        word.insert(draw(st.sampled_from([i for i, v in enumerate(word) if v & 1])), m)
+    shift = draw(st.integers(0, n - 1))
+    return canonicalize(word[shift:] + word[:shift])
+
+
+def stats_by_definition(cycle: Cycle) -> tuple[int, int]:
+    kinds = [classify(d) for d in drops(cycle)]
+    return kinds.count(DropKind.ODD_ODD), kinds.count(DropKind.EVEN_ODD)
+
+
+def stats_agree(cycle: Cycle, stats=drop_stats) -> bool:
+    return tuple(stats(cycle)) == stats_by_definition(cycle)
+
+
+def membership_agrees(cycle: Cycle, member=is_odd_drop_cycle) -> bool:
+    return member(cycle) == all(d.latter % 2 == 1 for d in drops(cycle))
+
+
+_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+
+
+@_property
+@given(cycles())
+def test_drop_stats_is_the_tally_of_classified_drops(cycle):
+    assert stats_agree(cycle)
+
+
+@_property
+@given(cycles())
+def test_membership_is_every_drop_landing_odd(cycle):
+    assert membership_agrees(cycle)
+
+
+def test_stats_property_catches_a_counted_even_even_drop():
+    def even_even_as_even_odd(cycle):
+        oo = eo = 0
+        prev = cycle.entries[-1]
+        for v in cycle.entries:
+            if v < prev:
+                if prev & 1:
+                    oo += v & 1
+                else:
+                    eo += 1  # also counts a drop onto an even entry
+            prev = v
+        return oo, eo
+
+    # raises NoSuchExample if the property cannot tell the broken tally apart
+    find(cycles(), lambda c: not stats_agree(c, even_even_as_even_odd), settings=NO_SHRINK)
+
+
+def test_membership_property_catches_a_skipped_pair():
+    def without_last_pair(cycle):
+        # off by one: never looks at the pair (a_(n-1), a_n)
+        prev = cycle.entries[-1]
+        for v in cycle.entries[:-1]:
+            if v < prev and not v & 1:
+                return False
+            prev = v
+        return True
+
+    find(cycles(), lambda c: not membership_agrees(c, without_last_pair), settings=NO_SHRINK)

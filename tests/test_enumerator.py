@@ -59,6 +59,16 @@ class TestIteration:
     def test_pruned_walk_matches_full_scan(self, n):
         assert list(iter_odd_drop_cycles(n)) == members_by_definition(n)
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_walk_is_the_member_set_in_order(self, n):
+        # beyond the full-scan reference: strictly increasing tails (lex order,
+        # no repeats), all of them members, as many as there are members
+        cycles = list(iter_odd_drop_cycles(n))
+        tails = [c.entries[1:] for c in cycles]
+        assert all(a < b for a, b in zip(tails, tails[1:]))
+        assert all(is_odd_drop_cycle(c) for c in cycles)
+        assert len(cycles) == member_count(n)
+
     def test_membership_of_output(self):
         for c in iter_odd_drop_cycles(6):
             assert is_odd_drop_cycle(c)

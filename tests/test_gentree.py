@@ -4,8 +4,8 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from oddcycles import gentree
-from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle
+from oddcycles import enumerator, gentree, verify
+from oddcycles.cycles import Cycle, StatVector, drop_stats, is_odd_drop_cycle
 from oddcycles.enumerator import iter_odd_drop_cycles, joint_table
 from oddcycles.gentree import (
     child_at,
@@ -98,6 +98,38 @@ class TestPartition:
         for _ in range(7):
             level, problems = verify_level(level)
             assert problems == []
+
+    # negative controls for verify's tree-partition check; max_n=6 keeps the
+    # oracle suite's other checks cheap
+    @staticmethod
+    def tree_partition():
+        return {c.name: c for c in verify.suite_oracle(max_n=6)}["tree-partition"]
+
+    def test_tree_partition_catches_a_walk_that_skips_a_member(self, monkeypatch):
+        walk = enumerator.iter_odd_drop_cycles
+
+        def skipping(n, *, max_n=enumerator.DEFAULT_BRUTEFORCE_MAX):
+            return (c for c in walk(n, max_n=max_n) if c.entries != (1, 2, 4, 3, 5))
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", skipping)
+        result = self.tree_partition()
+        assert not result.passed
+        # the tree's child is "extra" against the shortened walk
+        assert result.detail == "n=4: missing [], extra [(1, 2, 4, 3, 5)]"
+
+    def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
+        def wrap_as_odd_odd(cycle):
+            # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
+            oo, eo = drop_stats(cycle)
+            if cycle.n > 1 and not cycle.entries[-1] & 1:
+                return StatVector(oo + 1, eo - 1)
+            return StatVector(oo, eo)
+
+        # gentree imports drop_stats by name
+        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=1: Cycle(1,) pos 0: predicted stats (0, 1), got (1, 0)"
 
     def test_delta_cases_cover_all_six(self):
         seen = set()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from oddcycles import verify
+from oddcycles import series, verify
 from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
@@ -269,6 +269,19 @@ class TestSeriesAgainstRecurrences:
             oo_series(0)
         with pytest.raises(ValueError):
             eo_series(-2)
+
+    def test_series_suite_builds_each_series_once(self, monkeypatch):
+        built = []
+        for name in ("oo_series", "eo_series"):
+            build = getattr(series, name)
+
+            def counted(order, build=build, name=name):
+                built.append((name, order))
+                return build(order)
+
+            monkeypatch.setattr(series, name, counted)
+        assert all(c.passed for c in verify.suite_series(10))
+        assert built == [("oo_series", 20), ("eo_series", 20)]
 
 
 class TestSpecialValues:
