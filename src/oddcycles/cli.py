@@ -192,11 +192,10 @@ def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
 
 
 def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
-    if kind == "f":
-        return recurrences.oo_poly(n).to_bipoly("x"), "x"
-    if kind == "g":
-        return recurrences.eo_poly(n).to_bipoly("y"), "y"
-    return gentree.joint_poly(n), "xy"
+    if kind == "joint":
+        return gentree.joint_poly(n), "xy"
+    recurrence, var = (recurrences.oo_poly, "x") if kind == "f" else (recurrences.eo_poly, "y")
+    return recurrence(n).to_bipoly(var), var
 
 
 def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
@@ -253,33 +252,26 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
     if kind == "cno_count":
         return [(n, recurrences.oo_poly(n)(1)) for n in range(1, limit + 1)], "recurrence"
-    if kind == "even_odd_only":
-        if 2 * limit > cfg.max_bruteforce_n:
+    if kind in ("even_odd_only", "odd_odd_only"):
+        # lengths 2m for even-odd-only cycles, 2m+1 for odd-odd-only ones
+        odd = kind == "odd_odd_only"
+        count = enumerator.count_odd_odd_only if odd else enumerator.count_even_odd_only
+        if 2 * limit + odd > cfg.max_bruteforce_n:
             raise UsageError(
-                f"limit {limit} needs enumeration at {2 * limit}, beyond "
+                f"limit {limit} needs enumeration at {2 * limit + odd}, beyond "
                 f"max_bruteforce_n {cfg.max_bruteforce_n}"
             )
         return [
-            (2 * m, enumerator.count_even_odd_only(2 * m, max_n=cfg.max_bruteforce_n))
+            (2 * m + odd, count(2 * m + odd, max_n=cfg.max_bruteforce_n))
             for m in range(1, limit + 1)
         ], "enumeration"
-    if kind == "odd_odd_only":
-        if 2 * limit + 1 > cfg.max_bruteforce_n:
-            raise UsageError(
-                f"limit {limit} needs enumeration at {2 * limit + 1}, beyond "
-                f"max_bruteforce_n {cfg.max_bruteforce_n}"
-            )
-        return [
-            (2 * m + 1, enumerator.count_odd_odd_only(2 * m + 1, max_n=cfg.max_bruteforce_n))
-            for m in range(1, limit + 1)
-        ], "enumeration"
-    if kind == "genocchi":
-        if limit > cfg.series_order:
-            raise UsageError(f"limit {limit} beyond series_order {cfg.series_order}")
-        return list(enumerate(series.genocchi_sequence(limit), 1)), "generating function"
     if limit > cfg.series_order:
         raise UsageError(f"limit {limit} beyond series_order {cfg.series_order}")
-    return list(enumerate(series.genocchi_median_sequence(limit))), "generating function"
+    if kind == "genocchi":
+        values, first = series.genocchi_sequence(limit), 1
+    else:
+        values, first = series.genocchi_median_sequence(limit), 0
+    return list(enumerate(values, first)), "generating function"
 
 
 def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, str]:
@@ -305,6 +297,8 @@ def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, str]:
 def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, str]:
     if (n is None) == (limit is None):
         raise UsageError("table requires exactly one of --n or --limit")
+    if limit is not None and limit < 1:
+        raise UsageError(f"limit must be positive, got {limit}")
     ns = [n] if n is not None else list(range(1, limit + 1))
     rows: list[list[int]] = []
     for m in ns:

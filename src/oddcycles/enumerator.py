@@ -61,19 +61,19 @@ class StatTable:
         """The table read as the joint polynomial sum of x^oo * y^eo."""
         return BiPoly({key: c for key, c in self.counts.items()})
 
+    def _marginal(self, axis: int) -> BigPoly:
+        out: dict[int, int] = {}
+        for pair, c in self.counts.items():
+            out[pair[axis]] = out.get(pair[axis], 0) + c
+        return BigPoly(out.get(i, 0) for i in range(max(out, default=0) + 1))
+
     def oo_marginal(self) -> BigPoly:
         """Polynomial in x counting members by odd-odd drops (y set to 1)."""
-        out: dict[int, int] = {}
-        for (oo, _), c in self.counts.items():
-            out[oo] = out.get(oo, 0) + c
-        return BigPoly(out.get(i, 0) for i in range(max(out, default=0) + 1))
+        return self._marginal(0)
 
     def eo_marginal(self) -> BigPoly:
         """Polynomial in y counting members by even-odd drops (x set to 1)."""
-        out: dict[int, int] = {}
-        for (_, eo), c in self.counts.items():
-            out[eo] = out.get(eo, 0) + c
-        return BigPoly(out.get(j, 0) for j in range(max(out, default=0) + 1))
+        return self._marginal(1)
 
 
 def _check_n(n: int, max_n: int) -> None:
@@ -164,17 +164,22 @@ def joint_table(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> StatTable:
     return StatTable(n, counts)
 
 
+def _count_only(length: int, max_n: int, other: int) -> int:
+    # members with no drop of the other kind, read off the joint table
+    _check_n(length, max_n)
+    if length == 1:
+        return 0
+    table = joint_table(length, max_n=max_n)
+    return sum(c for pair, c in table.counts.items() if pair[other] == 0)
+
+
 def count_even_odd_only(length: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> int:
     """Number of cycles on [length] all of whose drops are even-odd.
 
     The one-element cycle's formal drop has no parity, so it is not
     even-odd and the count for length 1 is 0.
     """
-    _check_n(length, max_n)
-    if length == 1:
-        return 0
-    table = joint_table(length, max_n=max_n)
-    return sum(c for (oo, _), c in table.counts.items() if oo == 0)
+    return _count_only(length, max_n, 0)
 
 
 def count_odd_odd_only(length: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> int:
@@ -182,8 +187,4 @@ def count_odd_odd_only(length: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> i
 
     Zero for length 1, for the same reason as count_even_odd_only.
     """
-    _check_n(length, max_n)
-    if length == 1:
-        return 0
-    table = joint_table(length, max_n=max_n)
-    return sum(c for (_, eo), c in table.counts.items() if eo == 0)
+    return _count_only(length, max_n, 1)

@@ -25,14 +25,22 @@ contributing nothing at order N is asserted by a test, not assumed.
 Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2) yields
 the full-distribution series oo_series and eo_series.
 
+What differs between the four families is data, one FAMILIES row each: the
+variable, the summand numerators and denominator factors, the coefficient
+zeroth of the prefix zeroth*(1-v)*t (-1 for eo_even's (y-1)t, 0 elsewhere)
+and the two first-order coefficients of the family's PDE.  One builder,
+closed_form_series, reads a row; no code branches on the family name.
+
 Specializing the variable to 0 turns the oo_even family into the Genocchi
 number generating function and the eo_odd family into the Genocchi median
 one; the other two specializations collapse to t exactly, which is what the
 two identity_residual operations check.
 
 Each closed form satisfies a second-order PDE in its original variables;
-pde_residual substitutes the truncated series and returns the residual,
-whose tracked order states exactly how far the zero check is meaningful.
+the four share their second-order part, and the row's zeroth also fixes the
+source term t*(1 + zeroth*(1-v)).  pde_residual substitutes the truncated
+series and returns the residual, whose tracked order states exactly how far
+the zero check is meaningful.
 """
 
 from __future__ import annotations
@@ -271,22 +279,30 @@ class TruncSeries:
 
 @dataclass(frozen=True)
 class _Family:
-    var: str  # polynomial variable of the full series
+    var: str  # polynomial variable v of the full series
     numerator: Callable[[int], int]  # of the m-th summand
     ratio: Callable[[int], int]  # numerator(m) / numerator(m-1)
     denom: Callable[[int], int]  # a_k in the factor (1 + a_k*(1-v)*t)
-    zeroth: int  # stated coefficient of s in the constant-in-xi term
+    # coefficient of s = (1-v)*t in the constant-in-xi term: the series
+    # carries the prefix zeroth*(1-v)*t, and the PDE's source term is
+    # t*(1 + zeroth*(1-v))
+    zeroth: int
+    pde_v: BigPoly | int  # coefficient of S_v in the family's PDE
+    pde_t: BigPoly | int  # coefficient of t*S_t in the family's PDE
 
 
 # m!(m-1)! steps by m(m-1), ((m-1)!)^2 by (m-1)^2
 _MIXED = (lambda m: factorial(m) * factorial(m - 1), lambda m: m * (m - 1))
 _SQUARE = (lambda m: factorial(m - 1) ** 2, lambda m: (m - 1) ** 2)
+# the family variable v and u = 1 - v, as polynomials
+_V = BigPoly.variable()
+_U = 1 - _V
 
 FAMILIES = {
-    "oo_even": _Family("x", *_MIXED, lambda k: k * k, 0),
-    "oo_odd": _Family("x", *_SQUARE, lambda k: k * k, 0),
-    "eo_even": _Family("y", *_MIXED, lambda k: k * (k + 1), -1),
-    "eo_odd": _Family("y", *_SQUARE, lambda k: k * (k - 1), 0),
+    "oo_even": _Family("x", *_MIXED, lambda k: k * k, 0, _U * _U, 1 + _V),
+    "oo_odd": _Family("x", *_SQUARE, lambda k: k * k, 0, -_V * _U, _V),
+    "eo_even": _Family("y", *_MIXED, lambda k: k * (k + 1), -1, 0, 2 * _V),
+    "eo_odd": _Family("y", *_SQUARE, lambda k: k * (k - 1), 0, _U * (1 - 2 * _V), 1),
 }
 
 
@@ -378,17 +394,23 @@ def _closed_form_sum(fam: _Family, order: int, var: str | None) -> TruncSeries:
     return total
 
 
+def closed_form_series(which: str, order: int) -> TruncSeries:
+    """The full series of one family: its summands through m = order plus
+    the prefix zeroth*(1-v)*t."""
+    fam = _check_family(which)
+    total = _closed_form_sum(fam, order, fam.var)
+    return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U, fam.var)
+
+
 def series_oo_even(order: int) -> TruncSeries:
     """Odd-odd drop distribution series for even lengths: the coefficient of
     t^m is the polynomial in x for cycles on [2m]."""
-    fam = FAMILIES["oo_even"]
-    return _closed_form_sum(fam, order, fam.var)
+    return closed_form_series("oo_even", order)
 
 
 def series_oo_odd(order: int) -> TruncSeries:
     """Odd-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
-    fam = FAMILIES["oo_odd"]
-    return _closed_form_sum(fam, order, fam.var)
+    return closed_form_series("oo_odd", order)
 
 
 def series_eo_even(order: int) -> TruncSeries:
@@ -397,41 +419,35 @@ def series_eo_even(order: int) -> TruncSeries:
     Carries the extra (y-1)*t term; without it the t^1 coefficient would be
     1 instead of the single cycle on [2] with its one even-odd drop.
     """
-    fam = FAMILIES["eo_even"]
-    total = _closed_form_sum(fam, order, fam.var)
-    return total + TruncSeries.t_monomial(1, order, BigPoly((-1, 1)), fam.var)
+    return closed_form_series("eo_even", order)
 
 
 def series_eo_odd(order: int) -> TruncSeries:
     """Even-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
-    fam = FAMILIES["eo_odd"]
-    return _closed_form_sum(fam, order, fam.var)
+    return closed_form_series("eo_odd", order)
+
+
+def _interleave(even: str, odd: str, order: int) -> TruncSeries:
+    """even(t^2) + odd(t^2)/t for two families, through t^order; the division
+    by t is exact because the odd-length series has no constant term."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    half = order // 2 + 1
+    evens = closed_form_series(even, half).substitute_t_squared()
+    odds = closed_form_series(odd, half).substitute_t_squared().shift_down()
+    return (evens + odds).truncate(order)
 
 
 def oo_series(order: int) -> TruncSeries:
     """Full odd-odd distribution series: coefficient of t^n is the polynomial
-    over odd-drop cycles on [n], every n >= 1.
-
-    Interleaves the even- and odd-length series as even(t^2) + odd(t^2)/t;
-    the division by t is exact because the odd-length series has no constant
-    term.
-    """
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    half = order // 2 + 1
-    even = series_oo_even(half).substitute_t_squared()
-    odd = series_oo_odd(half).substitute_t_squared().shift_down()
-    return (even + odd).truncate(order)
+    over odd-drop cycles on [n], every n >= 1, interleaving the even- and
+    odd-length series."""
+    return _interleave("oo_even", "oo_odd", order)
 
 
 def eo_series(order: int) -> TruncSeries:
     """Full even-odd distribution series, interleaved like oo_series."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    half = order // 2 + 1
-    even = series_eo_even(half).substitute_t_squared()
-    odd = series_eo_odd(half).substitute_t_squared().shift_down()
-    return (even + odd).truncate(order)
+    return _interleave("eo_even", "eo_odd", order)
 
 
 # -- integer specializations ---------------------------------------------
@@ -491,17 +507,6 @@ def identity_residual_2(order: int) -> TruncSeries:
 # -- PDE residuals --------------------------------------------------------
 
 
-def closed_form_series(which: str, order: int) -> TruncSeries:
-    """The full series of one family, prefix term included."""
-    _check_family(which)
-    return {
-        "oo_even": series_oo_even,
-        "oo_odd": series_oo_odd,
-        "eo_even": series_eo_even,
-        "eo_odd": series_eo_odd,
-    }[which](order)
-
-
 def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     """Residual of the second-order PDE the family satisfies, evaluated on an
     arbitrary series (so a perturbed input serves as a negative control).
@@ -518,6 +523,10 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
                              + 2*v*t*S_t        (no first-order S_v term)
       eo_odd:  (S - t)/t   = v*u^2*S_vv + 2*v*u*t*S_vt + v*t^2*S_tt
                              + u*(1-2*v)*S_v + t*S_t
+
+    The second-order part is common to all four; the family table supplies
+    the rest: the coefficients of S_v (pde_v) and of t*S_t (pde_t), and
+    zeroth, which makes the source term t*(1 + zeroth*u).
     """
     fam = _check_family(which)
     if series.order < 3:
@@ -528,8 +537,7 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
         )
     # an integer series is read in the family variable, where v has degree 1
     series = TruncSeries(series.coeffs, series.order, fam.var)
-    v = BigPoly.variable()
-    u = 1 - v
+    v, u = _V, _U
     s_v = series.differentiate()
     s_vv = s_v.differentiate()
     s_t = series.differentiate_t()
@@ -540,18 +548,9 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
         + s_vt.shift_up() * (2 * v * u)
         + s_tt.shift_up(2) * v
     )
-    if which == "oo_even":
-        lhs = (series - TruncSeries.t_monomial(1, series.order)).shift_down()
-        rhs = common + s_v * (u * u) + s_t.shift_up() * (1 + v)
-    elif which == "oo_odd":
-        lhs = (series - TruncSeries.t_monomial(1, series.order)).shift_down()
-        rhs = common - s_v * (v * u) + s_t.shift_up() * v
-    elif which == "eo_even":
-        lhs = (series - TruncSeries.t_monomial(1, series.order, v, fam.var)).shift_down()
-        rhs = common + s_t.shift_up() * 2 * v
-    else:  # eo_odd
-        lhs = (series - TruncSeries.t_monomial(1, series.order)).shift_down()
-        rhs = common + s_v * (u * (1 - 2 * v)) + s_t.shift_up()
+    source = TruncSeries.t_monomial(1, series.order, 1 + fam.zeroth * u, fam.var)
+    lhs = (series - source).shift_down()
+    rhs = common + s_v * fam.pde_v + s_t.shift_up() * fam.pde_t
     return lhs - rhs
 
 

@@ -97,21 +97,16 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
-    def check_oo_marginal():
-        for n in range(1, max_n + 1):
-            got = table(n).oo_marginal()
-            want = recurrences.oo_poly(n)
-            if got != want:
-                raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
-        return f"odd-odd marginal equals recurrence for n=1..{max_n}"
+    def check_marginal(label, marginal, recurrence):
+        def body():
+            for n in range(1, max_n + 1):
+                got = marginal(table(n))
+                want = recurrence(n)
+                if got != want:
+                    raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
+            return f"{label} marginal equals recurrence for n=1..{max_n}"
 
-    def check_eo_marginal():
-        for n in range(1, max_n + 1):
-            got = table(n).eo_marginal()
-            want = recurrences.eo_poly(n)
-            if got != want:
-                raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
-        return f"even-odd marginal equals recurrence for n=1..{max_n}"
+        return body
 
     def check_totals():
         for n in range(1, max_n + 1):
@@ -141,10 +136,13 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
                 raise CheckFailure(f"n={n}: missing {missing}, extra {extra}")
         return f"children partition the next level for n=1..{max_n - 1}"
 
+    marginals = (
+        ("oo", "odd-odd", enumerator.StatTable.oo_marginal, recurrences.oo_poly),
+        ("eo", "even-odd", enumerator.StatTable.eo_marginal, recurrences.eo_poly),
+    )
     return [
         _run("table-vs-tree", check_table_vs_tree),
-        _run("oo-marginal-vs-recurrence", check_oo_marginal),
-        _run("eo-marginal-vs-recurrence", check_eo_marginal),
+        *(_run(f"{stat}-marginal-vs-recurrence", check_marginal(*row)) for stat, *row in marginals),
         _run("counts-all-routes", check_totals),
         _run("tree-partition", check_tree_partition),
     ]
@@ -162,40 +160,40 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
             built[build] = build(top)
         return built[build]
 
-    def check_oo():
-        s = full(series.oo_series)
-        for n in range(1, top + 1):
-            got = s.coeff(n)
-            want = recurrences.oo_poly(n)
-            if got != want:
-                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
-        return f"odd-odd series matches recurrence for n=1..{top}"
+    # per statistic: its words, its series and recurrence, and the least of
+    # the lengths n, n + 2, ... at which every cycle has a drop of its kind
+    stats = (
+        ("oo", "odd-odd", series.oo_series, recurrences.oo_poly, 3),
+        ("eo", "even-odd", series.eo_series, recurrences.eo_poly, 2),
+    )
 
-    def check_eo():
-        s = full(series.eo_series)
-        for n in range(1, top + 1):
-            got = s.coeff(n)
-            want = recurrences.eo_poly(n)
-            if got != want:
-                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
-        return f"even-odd series matches recurrence for n=1..{top}"
+    def check_vs_recurrence(label, build, recurrence):
+        def body():
+            s = full(build)
+            for n in range(1, top + 1):
+                got = s.coeff(n)
+                want = recurrence(n)
+                if got != want:
+                    raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
+            return f"{label} series matches recurrence for n=1..{top}"
+
+        return body
 
     def check_constant_terms():
         # no odd length >= 3 avoids odd-odd drops; no even length avoids
         # even-odd drops
-        oo0 = full(series.oo_series).substitute(0)
-        eo0 = full(series.eo_series).substitute(0)
-        for n in range(3, top + 1, 2):
-            if not oo0.coeff(n).is_zero():
-                raise CheckFailure(f"odd-odd constant term at t^{n}: {oo0.coeff(n)}")
-        for n in range(2, top + 1, 2):
-            if not eo0.coeff(n).is_zero():
-                raise CheckFailure(f"even-odd constant term at t^{n}: {eo0.coeff(n)}")
+        for _, label, build, _, forced in stats:
+            const = full(build).substitute(0)
+            for n in range(forced, top + 1, 2):
+                if not const.coeff(n).is_zero():
+                    raise CheckFailure(f"{label} constant term at t^{n}: {const.coeff(n)}")
         return f"forced-drop constant terms vanish for n<={top}"
 
     return [
-        _run("oo-series-vs-recurrence", check_oo),
-        _run("eo-series-vs-recurrence", check_eo),
+        *(
+            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence(label, build, recurrence))
+            for stat, label, build, recurrence, _ in stats
+        ),
         _run("forced-drops-vanish", check_constant_terms),
     ]
 
@@ -207,59 +205,63 @@ def suite_genocchi(
     series_order: int = series.DEFAULT_ORDER,
     max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX,
 ) -> list[CheckResult]:
-    def check_genocchi_values():
-        got = series.genocchi_sequence(len(GENOCCHI_VALUES))
-        if got != GENOCCHI_VALUES:
-            i = next(i for i, (a, b) in enumerate(zip(got, GENOCCHI_VALUES)) if a != b)
-            raise CheckFailure(f"index {i + 1}: {got[i]} != {GENOCCHI_VALUES[i]}")
-        return f"Genocchi numbers 1..{len(GENOCCHI_VALUES)} match"
+    # Both sequences, indexed by the parity odd of the lengths 2m - odd they
+    # count: the Genocchi numbers (odd = 0) count the cycles on [2m], m >= 1,
+    # with only even-odd drops, the medians (odd = 1) those on [2m - 1],
+    # m >= 2, with only odd-odd drops.
+    pinned = (GENOCCHI_VALUES, MEDIAN_VALUES)
+    sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
+    term = (series.genocchi, lambda m: series.genocchi_median(m - 2))
+    recurrence = (recurrences.oo_poly, recurrences.eo_poly)
+    count = (enumerator.count_even_odd_only, enumerator.count_odd_odd_only)
 
-    def check_median_values():
-        got = series.genocchi_median_sequence(len(MEDIAN_VALUES))
-        if got != MEDIAN_VALUES:
-            i = next(i for i, (a, b) in enumerate(zip(got, MEDIAN_VALUES)) if a != b)
-            raise CheckFailure(f"index {i}: {got[i]} != {MEDIAN_VALUES[i]}")
-        return f"Genocchi medians 0..{len(MEDIAN_VALUES) - 1} match"
-
-    def check_genocchi_vs_recurrence():
-        values = series.genocchi_sequence(series_order)
-        for m in range(1, series_order + 1):
-            want = recurrences.oo_poly(2 * m)(0)
-            if values[m - 1] != want:
-                raise CheckFailure(f"m={m}: {values[m - 1]} != recurrence {want}")
-        return f"Genocchi equals even-odd-only recurrence count for m=1..{series_order}"
-
-    def check_median_vs_recurrence():
-        values = series.genocchi_median_sequence(series_order - 1)
-        for m in range(2, series_order + 1):
-            want = recurrences.eo_poly(2 * m - 1)(0)
-            if values[m - 2] != want:
-                raise CheckFailure(f"m={m}: {values[m - 2]} != recurrence {want}")
-        return f"medians equal odd-odd-only recurrence count for m=2..{series_order}"
-
-    def check_genocchi_vs_enumeration():
-        for m in range(1, max_n // 2 + 1):
-            got = enumerator.count_even_odd_only(2 * m, max_n=max_n)
-            want = series.genocchi(m)
+    def check_values(odd):
+        def body():
+            want, first = pinned[odd], 1 - odd
+            got = sequence[odd](len(want))
             if got != want:
-                raise CheckFailure(f"length {2 * m}: enumerated {got} != {want}")
-        return f"enumeration confirms Genocchi for lengths 2..{2 * (max_n // 2)}"
+                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+                raise CheckFailure(f"index {i + first}: {got[i]} != {want[i]}")
+            label = ("Genocchi numbers", "Genocchi medians")[odd]
+            return f"{label} {first}..{len(want) - 1 + first} match"
 
-    def check_median_vs_enumeration():
-        for m in range(2, (max_n + 1) // 2 + 1):
-            got = enumerator.count_odd_odd_only(2 * m - 1, max_n=max_n)
-            want = series.genocchi_median(m - 2)
-            if got != want:
-                raise CheckFailure(f"length {2 * m - 1}: enumerated {got} != {want}")
-        return f"enumeration confirms medians for lengths 3..{2 * ((max_n + 1) // 2) - 1}"
+        return body
 
+    def check_vs_recurrence(odd):
+        def body():
+            lo = 1 + odd
+            values = sequence[odd](series_order - odd)
+            for m in range(lo, series_order + 1):
+                want = recurrence[odd](2 * m - odd)(0)
+                if values[m - lo] != want:
+                    raise CheckFailure(f"m={m}: {values[m - lo]} != recurrence {want}")
+            claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
+            return f"{claim} recurrence count for m={lo}..{series_order}"
+
+        return body
+
+    def check_vs_enumeration(odd):
+        def body():
+            top = (max_n + odd) // 2
+            for m in range(1 + odd, top + 1):
+                got = count[odd](2 * m - odd, max_n=max_n)
+                want = term[odd](m)
+                if got != want:
+                    raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
+            label = ("Genocchi", "medians")[odd]
+            return f"enumeration confirms {label} for lengths {2 + odd}..{2 * top - odd}"
+
+        return body
+
+    checks = (
+        ("values", check_values),
+        ("vs-recurrence", check_vs_recurrence),
+        ("vs-enumeration", check_vs_enumeration),
+    )
     return [
-        _run("genocchi-values", check_genocchi_values),
-        _run("median-values", check_median_values),
-        _run("genocchi-vs-recurrence", check_genocchi_vs_recurrence),
-        _run("median-vs-recurrence", check_median_vs_recurrence),
-        _run("genocchi-vs-enumeration", check_genocchi_vs_enumeration),
-        _run("median-vs-enumeration", check_median_vs_enumeration),
+        _run(f"{name}-{kind}", check(odd))
+        for kind, check in checks
+        for odd, name in enumerate(("genocchi", "median"))
     ]
 
 
@@ -267,6 +269,8 @@ def suite_genocchi(
 
 
 def suite_identities(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
+    bound = max(2, min(15, series_order // 2))
+
     def residual_check(fn):
         def body():
             res = fn(series_order)
@@ -278,10 +282,9 @@ def suite_identities(series_order: int = series.DEFAULT_ORDER) -> list[CheckResu
 
     def summand_check(which):
         def body():
-            bound = max(2, min(15, series_order // 2))
             if not series.summand_recurrence_check(which, bound, series_order):
                 raise CheckFailure(f"recurrence broken for some m <= {bound}")
-            return f"term ratios and bases hold for m<={max(2, min(15, series_order // 2))}"
+            return f"term ratios and bases hold for m<={bound}"
 
         return body
 
@@ -338,16 +341,15 @@ def run_suites(
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    # each suite_<name> is looked up when it runs, so a patched one is called
+    runners = {
+        "oracle": lambda: suite_oracle(max_n),
+        "series": lambda: suite_series(series_order),
+        "genocchi": lambda: suite_genocchi(series_order, max_n),
+        "identities": lambda: suite_identities(series_order),
+        "pde": lambda: suite_pde(series_order),
+    }
     out: list[CheckResult] = []
     for name in names:
-        if name == "oracle":
-            out.extend(suite_oracle(max_n))
-        elif name == "series":
-            out.extend(suite_series(series_order))
-        elif name == "genocchi":
-            out.extend(suite_genocchi(series_order, max_n))
-        elif name == "identities":
-            out.extend(suite_identities(series_order))
-        else:
-            out.extend(suite_pde(series_order))
+        out.extend(runners[name]())
     return out

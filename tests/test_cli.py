@@ -134,6 +134,11 @@ class TestSequence:
     def test_limits_enforced(self, capsys):
         # enumeration kinds stop at the brute-force ceiling
         assert run(capsys, "sequence", "--kind", "even_odd_only", "--limit", "7")[0] == 2
+        # odd-odd-only lengths are odd: limit 5 reaches 11, limit 6 would need 13
+        assert run(capsys, "sequence", "--kind", "odd_odd_only", "--limit", "5")[0] == 0
+        status, _, err = run(capsys, "sequence", "--kind", "odd_odd_only", "--limit", "6")
+        assert status == 2
+        assert "needs enumeration at 13" in err
         # generating-function kinds stop at the series order
         assert run(capsys, "sequence", "--kind", "genocchi", "--limit", "41")[0] == 2
         assert run(capsys, "sequence", "--kind", "genocchi", "--limit", "0")[0] == 2
@@ -151,6 +156,13 @@ class TestTable:
     def test_exactly_one_selector(self, capsys):
         assert run(capsys, "table")[0] == 2
         assert run(capsys, "table", "--n", "3", "--limit", "3")[0] == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_must_be_positive(self, capsys, limit):
+        status, out, err = run(capsys, "table", "--limit", limit)
+        assert status == 2
+        assert out == ""
+        assert f"limit must be positive, got {limit}" in err
 
     def test_json_independent_of_core_count(self, capsys, monkeypatch):
         outputs = []
@@ -192,6 +204,35 @@ class TestVerifyCommand:
         assert status == 0
         assert lines[-1].endswith("checks passed")
         assert all("s  " in line for line in lines[:-1])
+
+    @pytest.mark.parametrize(
+        "max_n, even_lengths, odd_lengths",
+        [("1", "2..0", "3..1"), ("2", "2..2", "3..1")],
+    )
+    def test_genocchi_suite_reports_empty_enumeration_ranges(
+        self, capsys, max_n, even_lengths, odd_lengths
+    ):
+        status, out, _ = run(
+            capsys, "verify", "--suite", "genocchi", "--max-n", max_n,
+            "--series-order", "5", "--format", "csv",
+        )
+        assert status == 0
+        assert out.splitlines()[-2:] == [
+            f"genocchi-vs-enumeration,PASS,enumeration confirms Genocchi for lengths {even_lengths}",
+            f"median-vs-enumeration,PASS,enumeration confirms medians for lengths {odd_lengths}",
+        ]
+
+    def test_oracle_suite_at_the_smallest_ceiling(self, capsys):
+        status, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "1", "--format", "csv")
+        assert status == 0
+        assert out.splitlines() == [
+            "name,status,detail",
+            "table-vs-tree,PASS,joint table equals tree polynomial for n=1..1",
+            "oo-marginal-vs-recurrence,PASS,odd-odd marginal equals recurrence for n=1..1",
+            "eo-marginal-vs-recurrence,PASS,even-odd marginal equals recurrence for n=1..1",
+            "counts-all-routes,PASS,cycle counts agree on all four routes for n=1..1",
+            "tree-partition,PASS,children partition the next level for n=1..0",
+        ]
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         def fake(suite, *, max_n, series_order):

@@ -1,5 +1,6 @@
 """Truncated series arithmetic and the closed-form generating functions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -362,6 +363,38 @@ class TestPdeResiduals:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             pde_residual("oo_even", 2)
+
+
+class TestFamilyTable:
+    """Negative controls: the checks read each family's row of FAMILIES."""
+
+    @staticmethod
+    def replace_row(monkeypatch, which, **fields):
+        row = dataclasses.replace(series.FAMILIES[which], **fields)
+        monkeypatch.setitem(series.FAMILIES, which, row)
+
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    @pytest.mark.parametrize("field", ["pde_v", "pde_t"])
+    def test_wrong_pde_coefficient_fails_its_check(self, monkeypatch, which, field):
+        wrong = getattr(series.FAMILIES[which], field) + 1
+        self.replace_row(monkeypatch, which, **{field: wrong})
+        passed = {c.name: c.passed for c in verify.suite_pde(8)}
+        assert not passed[f"pde-{which}"]
+        assert all(passed[f"pde-{other}"] for other in FAMILIES if other != which)
+
+    def test_eo_even_zeroth_feeds_the_series_and_the_stated_term(self, monkeypatch):
+        # drops the (y-1)t prefix from the series
+        self.replace_row(monkeypatch, "eo_even", zeroth=0)
+        checks = verify.suite_series(6) + verify.suite_identities(12) + verify.suite_pde(8)
+        passed = {c.name: c.passed for c in checks}
+        assert not passed["eo-series-vs-recurrence"]
+        assert not passed["forced-drops-vanish"]
+        assert not passed["summand-recurrence-eo_even"]
+        assert passed["oo-series-vs-recurrence"]
+        assert passed["summand-recurrence-oo_even"]
+        # zeroth also sets the PDE's source term, and the two changes cancel
+        # in the equation, so its check stays blind to this
+        assert passed["pde-eo_even"]
 
 
 class TestSummandRecurrences:
