@@ -111,7 +111,7 @@ def parse_bipoly(text: str) -> BiPoly:
     """Inverse of the emitted polynomial strings (unit coefficients optional)."""
     text = text.strip()
     if text == "0":
-        return BiPoly.zero()
+        return BiPoly()
     terms: dict[tuple[int, int], int] = {}
     for part in text.split(" + "):
         coeff = None

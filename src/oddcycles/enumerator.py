@@ -59,21 +59,15 @@ class StatTable:
 
     def as_bipoly(self) -> BiPoly:
         """The table read as the joint polynomial sum of x^oo * y^eo."""
-        return BiPoly({key: c for key, c in self.counts.items()})
-
-    def _marginal(self, axis: int) -> BigPoly:
-        out: dict[int, int] = {}
-        for pair, c in self.counts.items():
-            out[pair[axis]] = out.get(pair[axis], 0) + c
-        return BigPoly(out.get(i, 0) for i in range(max(out, default=0) + 1))
+        return BiPoly(self.counts)
 
     def oo_marginal(self) -> BigPoly:
         """Polynomial in x counting members by odd-odd drops (y set to 1)."""
-        return self._marginal(0)
+        return self.as_bipoly().marginal("x")
 
     def eo_marginal(self) -> BigPoly:
         """Polynomial in y counting members by even-odd drops (x set to 1)."""
-        return self._marginal(1)
+        return self.as_bipoly().marginal("y")
 
 
 def _check_n(n: int, max_n: int) -> None:

@@ -11,8 +11,11 @@ Polynomial level: the same step acts on the joint polynomial
 sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
 only on the parity of the new length.  Alternating the two operators from
 the one-element cycle rebuilds the joint polynomial of any length without
-touching cycles at all.  The two operators are one: the odd step is the even
-step with x and y exchanged, on its input and on its output.
+touching cycles at all.  The walk carries the coefficients as one dense
+square grid, grid[i][j] being the coefficient of x^i*y^j, and wraps them in
+a BiPoly once, at the end.  The two operators are one grid body: the odd
+step is the even step with x and y exchanged, on its input and on its
+output, which on the grid is the body conjugated by a transpose.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
 insertion lands in; insertion_delta exposes that case analysis so tests can
@@ -99,7 +102,7 @@ def joint_step_even(poly: BiPoly, n: int) -> BiPoly:
     c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)).
     """
     _check_joint_input(poly, n)
-    return _transfer_even(poly, n)
+    return _to_bipoly(_step(_to_grid(poly.terms, n), n))
 
 
 def joint_step_odd(poly: BiPoly, n: int) -> BiPoly:
@@ -109,49 +112,75 @@ def joint_step_odd(poly: BiPoly, n: int) -> BiPoly:
     c * (i*x^i*y^j + j*x^(i+1)*y^(j-1) + (n-i-j)*x^(i+1)*y^j),
     which is the even step's contribution with x and y (and i and j)
     exchanged term by term, so the odd step is the even step conjugated by
-    that swap.  The input check runs on the unswapped polynomial so that its
+    that swap.  The input check runs on the caller's polynomial so that its
     messages name the caller's terms.
     """
     _check_joint_input(poly, n)
-    return _swap(_transfer_even(_swap(poly), n))
+    return _to_bipoly(_odd_step(_to_grid(poly.terms, n), n))
 
 
-def _swap(poly: BiPoly) -> BiPoly:
-    return BiPoly({(j, i): c for (i, j), c in poly.terms.items()})
+def _to_grid(terms: dict[tuple[int, int], int], n: int) -> list[list[int]]:
+    # terms within the degree bound i + j <= n fit a side of n + 1
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, j), c in terms.items():
+        grid[i][j] = c
+    return grid
 
 
-def _transfer_even(poly: BiPoly, n: int) -> BiPoly:
-    # dense grid[i][j]: checked input keeps i + j <= n, so every image lands
-    # inside (n+1) x (n+2); with checked input every contribution is
-    # nonnegative, and the zeros are left out
-    grid = [[0] * (n + 2) for _ in range(n + 1)]
-    for (i, j), c in poly.terms.items():
-        row = grid[i]
-        if i:
-            grid[i - 1][j + 1] += c * i
-        row[j] += c * j
-        row[j + 1] += c * (n - i - j)
-    result = BiPoly({(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c})
-    if any(c < 0 for c in result.terms.values()):
-        raise ValueError(f"transfer step {n} produced a negative coefficient")
-    return result
+def _transpose(grid: list[list[int]]) -> list[list[int]]:
+    return [list(column) for column in zip(*grid)]
+
+
+def _odd_step(grid: list[list[int]], n: int) -> list[list[int]]:
+    return _transpose(_step(_transpose(grid), n))
+
+
+def _step(grid: list[list[int]], n: int) -> list[list[int]]:
+    # the even step on a square grid of side at least n + 1; checking each
+    # nonzero entry's degree and sign keeps every image inside the grid and
+    # nonnegative.  The messages hold on the transposed grid too.
+    side = len(grid)
+    out = [[0] * side for _ in range(side)]
+    for i, row in enumerate(grid):
+        kept, lowered = out[i], out[i - 1]
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            fresh = n - i - j
+            if fresh < 0:
+                raise ValueError(f"transfer step {n}: a term of degree {i + j} exceeds the bound {n}")
+            if c < 0:
+                raise ValueError(f"transfer step {n}: negative coefficient {c}")
+            if i:
+                lowered[j + 1] += c * i
+            kept[j] += c * j
+            if fresh:
+                kept[j + 1] += c * fresh
+    return out
+
+
+def _to_bipoly(grid: list[list[int]]) -> BiPoly:
+    terms = {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c}
+    for (i, j), c in terms.items():
+        if c < 0:
+            raise ValueError(f"transfer steps produced a negative coefficient {c} at x^{i}*y^{j}")
+    return BiPoly(terms)
 
 
 def joint_poly(n: int) -> BiPoly:
     """Joint polynomial of the odd-drop cycles on [n] via the transfer steps.
 
-    Starts from the one-element cycle (polynomial 1) and alternates the even
-    and odd steps; never enumerates a cycle.
+    Starts from the one-element cycle (polynomial 1); length 2k comes from
+    the even step with parameter k, length 2k+1 from the odd step with
+    parameter k.  Never enumerates a cycle.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    poly = BiPoly.one()
+    grid = _to_grid({(0, 0): 1}, n // 2)
     for target in range(2, n + 1):
-        if target % 2 == 0:
-            poly = joint_step_even(poly, target // 2)
-        else:
-            poly = joint_step_odd(poly, (target - 1) // 2)
-    return poly
+        step = _odd_step if target & 1 else _step
+        grid = step(grid, target // 2)
+    return _to_bipoly(grid)
 
 
 def children_count(n: int) -> int:

@@ -10,10 +10,11 @@ Two representations are provided:
 
 * ``BiPoly`` -- sparse bivariate polynomials in the counting variables
   ``x`` (odd-odd drops) and ``y`` (even-odd drops), stored as a map from
-  ``(x_degree, y_degree)`` to a nonzero integer coefficient.
+  ``(x_degree, y_degree)`` to a nonzero integer coefficient.  A ``BiPoly``
+  only holds values and has no arithmetic: the routes compute on their own
+  tables and wrap the result once, to compare, format or take a marginal.
 
-Both types are immutable value objects: every operation returns a fresh
-polynomial and instances hash and compare by content.
+Both types are immutable value objects that hash and compare by content.
 """
 
 from __future__ import annotations
@@ -50,18 +51,8 @@ class BigPoly:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: int) -> "BigPoly":
-        return cls((c,))
-
-    @classmethod
     def variable(cls) -> "BigPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "BigPoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -163,9 +154,6 @@ class BigPoly:
     def __repr__(self) -> str:
         return f"BigPoly({self.format()!r})"
 
-    def __getitem__(self, i: int) -> int:
-        return self.coeff(i)
-
 
 def _as_bigpoly(value) -> BigPoly:
     if isinstance(value, BigPoly):
@@ -198,43 +186,11 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "BiPoly":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def constant(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPoly":
-        return cls({(i, j): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, i: int, j: int) -> int:
         return self.terms.get((i, j), 0)
-
-    def degree(self, var: str) -> int:
-        """Degree in the given variable; -1 for the zero polynomial."""
-        if var not in VARIABLES:
-            raise ValueError(f"unknown variable {var!r}")
-        if not self.terms:
-            return -1
-        k = 0 if var == "x" else 1
-        return max(key[k] for key in self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -246,78 +202,14 @@ class BiPoly:
     def __hash__(self) -> int:
         return hash(("BiPoly", frozenset(self.terms.items())))
 
-    def __add__(self, other) -> "BiPoly":
-        other = _as_bipoly(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other) -> "BiPoly":
-        return self + (-_as_bipoly(other))
-
-    def __rsub__(self, other) -> "BiPoly":
-        return _as_bipoly(other) + (-self)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            return BiPoly({key: c * other for key, c in self.terms.items()})
-        other = _as_bipoly(other)
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def substitute(self, var: str, value: int) -> "BiPoly":
-        """Evaluate one variable at an integer, leaving the other symbolic."""
+    def marginal(self, var: str) -> BigPoly:
+        """The polynomial in var obtained by setting the other variable to 1."""
         if var not in VARIABLES:
             raise ValueError(f"unknown variable {var!r}")
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x":
-                key, scaled = (0, j), c * value**i
-            else:
-                key, scaled = (i, 0), c * value**j
-            s = out.get(key, 0) + scaled
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BiPoly(out)
-
-    def evaluate(self, x: int, y: int) -> int:
-        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
-
-    def as_univariate(self, var: str) -> BigPoly:
-        """Project onto one variable; the other must not appear.
-
-        Raises ValueError when the discarded variable has positive degree.
-        """
-        if var not in VARIABLES:
-            raise ValueError(f"unknown variable {var!r}")
-        other = "y" if var == "x" else "x"
-        if self.degree(other) > 0:
-            raise ValueError(f"polynomial involves {other}: {self.format()}")
-        out = [0] * (self.degree(var) + 1)
-        for (i, j), c in self.terms.items():
-            out[i if var == "x" else j] = c
+        axis = VARIABLES.index(var)
+        out = [0] * (max((key[axis] for key in self.terms), default=-1) + 1)
+        for key, c in self.terms.items():
+            out[key[axis]] += c
         return BigPoly(out)
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, int], int]]:
@@ -346,12 +238,3 @@ class BiPoly:
     def __repr__(self) -> str:
         return f"BiPoly({self.format()!r})"
 
-
-def _as_bipoly(value) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, int):
-        return BiPoly({(0, 0): value})
-    if isinstance(value, BigPoly):
-        raise TypeError("specify the variable: use BigPoly.to_bipoly('x'|'y')")
-    raise TypeError(f"cannot coerce {type(value).__name__} to BiPoly")

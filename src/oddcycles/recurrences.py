@@ -16,21 +16,13 @@ oo_poly alternates (even: free, odd: forced) and eo_poly the same steps with
 the phases swapped.
 
 Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
-parameter k; step_plan exposes that pairing.
+parameter k, so the walk picks the step by the parity of the target length
+and passes k = target // 2.
 """
 
 from __future__ import annotations
 
 from .polynomials import BigPoly
-
-
-def step_plan(target: int) -> tuple[str, int]:
-    """Which step produces the polynomial of the given length, and its k."""
-    if target < 2:
-        raise ValueError(f"no step produces length {target}")
-    if target % 2 == 0:
-        return ("even", target // 2)
-    return ("odd", (target - 1) // 2)
 
 
 def free_step(poly: BigPoly, k: int) -> BigPoly:
@@ -49,8 +41,8 @@ def _walk(n: int, even_step, odd_step) -> BigPoly:
         raise ValueError(f"n must be positive, got {n}")
     poly = BigPoly.one()
     for target in range(2, n + 1):
-        phase, k = step_plan(target)
-        poly = even_step(poly, k) if phase == "even" else odd_step(poly, k)
+        step = odd_step if target & 1 else even_step
+        poly = step(poly, target // 2)
     return poly
 
 

@@ -334,10 +334,6 @@ class ClosedFormSummand:
     def numerator(self) -> int:
         return FAMILIES[self.family].numerator(self.m)
 
-    def denominator_factors(self) -> list[int]:
-        fam = FAMILIES[self.family]
-        return [fam.denom(k) for k in range(1, self.m + 1)]
-
     def variable(self) -> str:
         return FAMILIES[self.family].var
 

@@ -89,10 +89,10 @@ class TestPolynomialText:
 
     def test_bigpoly_round_trip(self):
         p = oo_poly(8)
-        assert cli.parse_bipoly(p.format()).as_univariate("x") == p
+        assert cli.parse_bipoly(p.format()) == p.to_bipoly("x")
 
     def test_zero(self):
-        assert cli.parse_bipoly("0") == BiPoly.zero()
+        assert cli.parse_bipoly("0") == BiPoly()
 
     @pytest.mark.parametrize("bad", ["x + x", "2*3*x", "z^2", "x^y", "x*x"])
     def test_rejects_malformed(self, bad):

@@ -179,6 +179,11 @@ def membership_agrees(cycle: Cycle, member=is_odd_drop_cycle) -> bool:
     return member(cycle) == all(d.latter % 2 == 1 for d in drops(cycle))
 
 
+def rotations_agree(cycle: Cycle, canon=canonicalize) -> bool:
+    word = cycle.entries
+    return all(canon(word[s:] + word[:s]) == cycle for s in range(cycle.n))
+
+
 _property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
 
@@ -193,6 +198,23 @@ def test_drop_stats_is_the_tally_of_classified_drops(cycle):
 @given(cycles())
 def test_membership_is_every_drop_landing_odd(cycle):
     assert membership_agrees(cycle)
+
+
+@_property
+@given(cycles())
+def test_canonicalize_is_rotation_invariant(cycle):
+    assert rotations_agree(cycle)
+
+
+def test_rotation_property_catches_a_reversal_on_odd_pivots():
+    def reversed_on_odd_pivots(word):
+        pivot = word.index(1)
+        rotated = word[pivot:] + word[:pivot]
+        if pivot & 1:
+            rotated = rotated[:1] + rotated[:0:-1]
+        return Cycle(rotated)
+
+    find(cycles(), lambda c: not rotations_agree(c, reversed_on_odd_pivots), settings=NO_SHRINK)
 
 
 def test_stats_property_catches_a_counted_even_even_drop():

@@ -149,23 +149,23 @@ class TestPartition:
 
 class TestTransferSteps:
     def test_even_step_examples(self):
-        assert joint_step_even(BiPoly.one(), 1) == BiPoly.y()
-        assert joint_step_even(BiPoly.x(), 2) == BiPoly({(0, 1): 1, (1, 1): 1})
+        assert joint_step_even(BiPoly.one(), 1) == BiPoly({(0, 1): 1})
+        assert joint_step_even(BiPoly({(1, 0): 1}), 2) == BiPoly({(0, 1): 1, (1, 1): 1})
 
     def test_odd_step_examples(self):
-        assert joint_step_odd(BiPoly.y(), 1) == BiPoly.x()
+        assert joint_step_odd(BiPoly({(0, 1): 1}), 1) == BiPoly({(1, 0): 1})
         got = joint_step_odd(BiPoly({(0, 1): 1, (1, 1): 1}), 2)
         assert got == BiPoly({(1, 0): 1, (1, 1): 2, (2, 0): 1})
 
     def test_steps_are_linear_in_zero(self):
-        assert joint_step_even(BiPoly.zero(), 3) == BiPoly.zero()
-        assert joint_step_odd(BiPoly.zero(), 3) == BiPoly.zero()
+        assert joint_step_even(BiPoly(), 3) == BiPoly()
+        assert joint_step_odd(BiPoly(), 3) == BiPoly()
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
-            joint_step_even(BiPoly.monomial(2, 2), 3)
+            joint_step_even(BiPoly({(2, 2): 1}), 3)
         with pytest.raises(ValueError):
-            joint_step_odd(BiPoly.monomial(3, 1), 3)
+            joint_step_odd(BiPoly({(3, 1): 1}), 3)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
@@ -179,23 +179,15 @@ class TestTransferSteps:
     def test_even_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k - 1)
         q = joint_step_even(p, k)
-        assert q.substitute("y", 1).as_univariate("x") == free_step(
-            p.substitute("y", 1).as_univariate("x"), k
-        )
-        assert q.substitute("x", 1).as_univariate("y") == forced_step(
-            p.substitute("x", 1).as_univariate("y"), k
-        )
+        assert q.marginal("x") == free_step(p.marginal("x"), k)
+        assert q.marginal("y") == forced_step(p.marginal("y"), k)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_odd_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k)
         q = joint_step_odd(p, k)
-        assert q.substitute("y", 1).as_univariate("x") == forced_step(
-            p.substitute("y", 1).as_univariate("x"), k
-        )
-        assert q.substitute("x", 1).as_univariate("y") == free_step(
-            p.substitute("x", 1).as_univariate("y"), k
-        )
+        assert q.marginal("x") == forced_step(p.marginal("x"), k)
+        assert q.marginal("y") == free_step(p.marginal("y"), k)
 
 
 @st.composite
@@ -211,7 +203,7 @@ NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[
 
 
 def _marginals(p: BiPoly):
-    return p.substitute("y", 1).as_univariate("x"), p.substitute("x", 1).as_univariate("y")
+    return p.marginal("x"), p.marginal("y")
 
 
 def _steps_match_marginal_steps(case) -> bool:
@@ -231,16 +223,18 @@ def test_merged_steps_specialize_to_marginal_steps(case):
 
 
 def test_step_property_catches_a_dropped_term(monkeypatch):
-    def without_kept_drops(poly, n):
-        # the even step without its j*x^i*y^j contribution
-        out = {}
-        for (i, j), c in poly.terms.items():
-            if i:
-                out[i - 1, j + 1] = out.get((i - 1, j + 1), 0) + c * i
-            out[i, j + 1] = out.get((i, j + 1), 0) + c * (n - i - j)
-        return BiPoly(out)
+    def without_kept_drops(grid, n):
+        # the grid body without its j*x^i*y^j contribution
+        out = [[0] * len(grid) for _ in grid]
+        for i, row in enumerate(grid):
+            for j, c in enumerate(row):
+                if c and i:
+                    out[i - 1][j + 1] += c * i
+                if c and n - i - j:
+                    out[i][j + 1] += c * (n - i - j)
+        return out
 
-    monkeypatch.setattr(gentree, "_transfer_even", without_kept_drops)
+    monkeypatch.setattr(gentree, "_step", without_kept_drops)
     # raises NoSuchExample if the property cannot tell the broken step apart
     find(joint_input(), lambda case: not _steps_match_marginal_steps(case), settings=NO_SHRINK)
 
@@ -258,9 +252,69 @@ class TestJointPolynomial:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_marginals_match_recurrences(self, n):
         jp = joint_poly(n)
-        assert jp.substitute("y", 1).as_univariate("x") == oo_poly(n)
-        assert jp.substitute("x", 1).as_univariate("y") == eo_poly(n)
+        assert jp.marginal("x") == oo_poly(n)
+        assert jp.marginal("y") == eo_poly(n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             joint_poly(0)
+
+    def test_builds_one_bipoly(self, monkeypatch):
+        expected = joint_table(12).as_bipoly()
+        built = []
+        init = BiPoly.__init__
+
+        def counted(self, terms=()):
+            built.append(len(terms))
+            init(self, terms)
+
+        monkeypatch.setattr(BiPoly, "__init__", counted)
+        assert joint_poly(12) == expected
+        assert len(built) == 1
+
+
+def _spoil_call(calls: int, spoil, monkeypatch) -> list[int]:
+    """Patch the grid body so that spoil edits its output on the given call."""
+    real = gentree._step
+    seen = []
+
+    def spoiled(grid, n):
+        out = real(grid, n)
+        seen.append(n)
+        if len(seen) == calls:
+            spoil(out)
+        return out
+
+    monkeypatch.setattr(gentree, "_step", spoiled)
+    return seen
+
+
+def _negate_first(grid):
+    i, j = next((i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if c)
+    grid[i][j] = -grid[i][j]
+
+
+def _fill_corner(grid):
+    grid[-1][-1] = 1
+
+
+def test_walk_check_catches_a_negative_coefficient_mid_walk(monkeypatch):
+    seen = _spoil_call(3, _negate_first, monkeypatch)
+    with pytest.raises(ValueError, match="negative coefficient"):
+        joint_poly(9)
+    # the fourth step's own loop refused its input; no later step ran
+    assert seen == [1, 1, 2]
+
+
+def test_walk_check_catches_a_term_beyond_the_degree_bound(monkeypatch):
+    seen = _spoil_call(3, _fill_corner, monkeypatch)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        joint_poly(9)
+    assert seen == [1, 1, 2]
+
+
+def test_final_scan_catches_a_negative_coefficient_from_the_last_step(monkeypatch):
+    seen = _spoil_call(8, _negate_first, monkeypatch)
+    with pytest.raises(ValueError, match="negative coefficient"):
+        joint_poly(9)
+    assert len(seen) == 8

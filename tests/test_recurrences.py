@@ -4,22 +4,42 @@ import math
 
 import pytest
 
+from oddcycles import recurrences
 from oddcycles.polynomials import BigPoly
-from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly, step_plan
+from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
 
 
 class TestStepPlan:
+    """The walk's rule: length 2k comes from the even step with parameter k,
+    length 2k+1 from the odd step with parameter k."""
+
     @pytest.mark.parametrize(
         "target,parity,k",
         [(2, "even", 1), (3, "odd", 1), (4, "even", 2), (5, "odd", 2), (12, "even", 6), (13, "odd", 6)],
     )
     def test_mapping(self, target, parity, k):
-        assert step_plan(target) == (parity, k)
+        # odd-odd is forced into odd lengths, even-odd into even lengths
+        oo_step, eo_step = (free_step, forced_step) if parity == "even" else (forced_step, free_step)
+        assert oo_poly(target) == oo_step(oo_poly(target - 1), k)
+        assert eo_poly(target) == eo_step(eo_poly(target - 1), k)
 
     @pytest.mark.parametrize("bad", [1, 0, -3])
-    def test_rejects_small_targets(self, bad):
-        with pytest.raises(ValueError):
-            step_plan(bad)
+    def test_rejects_small_targets(self, bad, monkeypatch):
+        # no step produces a length below 2: length 1 is the base case, and
+        # lower lengths are refused before any step runs
+        def no_step(poly, k):
+            raise AssertionError(f"step {k} applied")
+
+        monkeypatch.setattr(recurrences, "free_step", no_step)
+        monkeypatch.setattr(recurrences, "forced_step", no_step)
+        if bad == 1:
+            assert oo_poly(bad) == 1
+            assert eo_poly(bad) == 1
+        else:
+            with pytest.raises(ValueError):
+                oo_poly(bad)
+            with pytest.raises(ValueError):
+                eo_poly(bad)
 
 
 class TestPinnedPolynomials:
