@@ -5,6 +5,7 @@ Subcommands:
   poly        print a distribution polynomial (f: odd-odd, g: even-odd,
               joint: bivariate) for one n
   verify      run cross-verification suites and report PASS/FAIL per check
+              (SKIP for a check whose range is empty at the given limits)
   sequence    print one of the integer sequences with its source
   table       print joint statistic tables as flat rows
 
@@ -227,13 +228,15 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    failed = [c for c in checks if not c.passed]
+    failed = sum(not c.passed for c in checks)
+    skipped = sum(c.skipped for c in checks)
+    passed = len(checks) - failed - skipped
     status = 1 if failed else 0
     if cfg.output_format == "json":
         payload = [
             {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
         ]
-        results = {"failed": len(failed), "passed": len(checks) - len(failed)}
+        results = {"failed": failed, "passed": passed}
         return status, _emit_json("verify", _params(cfg, suite=suite), results, payload)
     if cfg.output_format == "csv":
         rows = [[c.name, c.status, c.detail] for c in checks]
@@ -243,8 +246,9 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
         f"{c.status:4} {c.name:<{width}} {c.seconds:8.3f}s  {c.detail}" for c in checks
     ]
     lines.append(
-        f"{len(checks) - len(failed)}/{len(checks)} checks passed"
-        + (f", {len(failed)} FAILED" if failed else "")
+        f"{passed}/{len(checks)} checks passed"
+        + (f", {skipped} skipped" if skipped else "")
+        + (f", {failed} FAILED" if failed else "")
     )
     return status, "\n".join(lines)
 

@@ -15,6 +15,12 @@ Drops are classified by the parities of their two entries.  The class of
 interest here consists of the cycles all of whose drops land on an odd
 entry ("odd-drop cycles"); within it the counts of odd-odd and even-odd
 drops are the two statistics everything else in this package is built on.
+
+``Cycle`` validates its entries, which is what the API edge wants.  Code
+that builds its words from permutations it already knows to be valid, as
+the generating-tree check does for hundreds of thousands of them, reads
+the statistics off the plain word with ``word_drop_stats`` and
+``is_odd_drop_word``; the ``Cycle`` functions are wrappers over those.
 """
 
 from __future__ import annotations
@@ -166,24 +172,22 @@ def classify(drop: Drop) -> DropKind:
     return DropKind.EVEN_ODD if latter_odd else DropKind.EVEN_EVEN
 
 
-def is_odd_drop_cycle(cycle: Cycle) -> bool:
-    """True when every drop lands on an odd entry.
+def is_odd_drop_word(word: tuple[int, ...]) -> bool:
+    """``is_odd_drop_cycle`` on a canonical word, which is not re-validated.
 
-    The n=1 cycle qualifies: its formal drop lands on 1.  One pass over the
-    cyclic pairs, the wrap pair first; tested against ``drops()``, which is
-    the definition.
+    One pass over the cyclic pairs, the wrap pair first; tested against
+    ``drops()``, which is the definition.
     """
-    entries = cycle.entries
-    prev = entries[-1]
-    for v in entries:
+    prev = word[-1]
+    for v in word:
         if v < prev and not v & 1:
             return False
         prev = v
     return True
 
 
-def drop_stats(cycle: Cycle) -> StatVector:
-    """Counts of odd-odd and even-odd drops; STAR counts toward neither.
+def word_drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
+    """``drop_stats`` on a canonical word, which is not re-validated.
 
     One pass over the cyclic pairs, the wrap pair first (for n = 1 that pair
     is (1, 1), no drop); tested against the tally of ``classify`` over
@@ -191,13 +195,25 @@ def drop_stats(cycle: Cycle) -> StatVector:
     """
     oo = 0
     eo = 0
-    entries = cycle.entries
-    prev = entries[-1]
-    for v in entries:
+    prev = word[-1]
+    for v in word:
         if v < prev and v & 1:
             if prev & 1:
                 oo += 1
             else:
                 eo += 1
         prev = v
-    return StatVector(oo, eo)
+    return oo, eo
+
+
+def is_odd_drop_cycle(cycle: Cycle) -> bool:
+    """True when every drop lands on an odd entry.
+
+    The n=1 cycle qualifies: its formal drop lands on 1.
+    """
+    return is_odd_drop_word(cycle.entries)
+
+
+def drop_stats(cycle: Cycle) -> StatVector:
+    """Counts of odd-odd and even-odd drops; STAR counts toward neither."""
+    return StatVector(*word_drop_stats(cycle.entries))

@@ -7,6 +7,13 @@ must land odd; deleting the maximum inverts the step).  Inserting before
 the leading 1 means appending at the end of the canonical word, so children
 are canonical by construction.
 
+``children``, ``child_at``, ``insertion_positions`` and ``insertion_delta``
+take and return validated ``Cycle`` values.  Each is a wrapper over a body
+on the plain canonical word, and ``verify_level``, which grows a whole
+level for the tree-partition check, runs those bodies on words: every word
+it builds comes from a valid permutation, so a ``Cycle`` per child would
+only re-check what insertion already guarantees.
+
 Polynomial level: the same step acts on the joint polynomial
 sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
 only on the parity of the new length.  Alternating the two operators from
@@ -26,8 +33,14 @@ from __future__ import annotations
 
 from math import ceil
 
-from .cycles import Cycle, drop_stats, is_odd_drop_cycle
+from .cycles import Cycle, is_odd_drop_cycle, is_odd_drop_word, word_drop_stats
 from .polynomials import BiPoly
+
+Word = tuple[int, ...]
+
+
+def _odd_positions(word: Word) -> list[int]:
+    return [i for i, v in enumerate(word) if v & 1]
 
 
 def insertion_positions(cycle: Cycle) -> list[int]:
@@ -35,31 +48,26 @@ def insertion_positions(cycle: Cycle) -> list[int]:
 
     Index 0 (the leading 1) stands for appending at the end of the word.
     """
-    return [i for i, v in enumerate(cycle.entries) if v & 1]
+    return _odd_positions(cycle.entries)
+
+
+def _child_word(word: Word, pos: int) -> Word:
+    new = len(word) + 1
+    if pos == 0:
+        return word + (new,)
+    return word[:pos] + (new,) + word[pos:]
 
 
 def child_at(cycle: Cycle, pos: int) -> Cycle:
     """Insert n+1 immediately before the entry at pos (pos 0: append)."""
-    entries = cycle.entries
-    new = len(entries) + 1
-    if pos == 0:
-        return Cycle(entries + (new,))
-    return Cycle(entries[:pos] + (new,) + entries[pos:])
+    return Cycle(_child_word(cycle.entries, pos))
 
 
-def insertion_delta(cycle: Cycle, pos: int) -> tuple[int, int]:
-    """Predicted change of (oo, eo) when the next maximum lands before pos.
-
-    Three cases each way: the insertion either splits an existing drop of
-    one kind or another, or sits where there was no drop.  n = 1 is the
-    lone special case: the formal (STAR, 1) drop counts as no drop, and
-    appending 2 creates the even-odd wrap drop (2, 1).
-    """
-    entries = cycle.entries
-    n = len(entries)
+def _word_delta(word: Word, pos: int) -> tuple[int, int]:
+    n = len(word)
     new = n + 1
-    former = entries[pos - 1] if pos else entries[-1]
-    latter = entries[pos]
+    former = word[pos - 1] if pos else word[-1]
+    latter = word[pos]
     splits_drop = n > 1 and former > latter
     if new & 1:
         if not splits_drop:
@@ -72,6 +80,17 @@ def insertion_delta(cycle: Cycle, pos: int) -> tuple[int, int]:
     if former & 1:
         return (-1, 1)  # odd-odd drop replaced by even-odd (new, latter)
     return (0, 0)  # even-odd drop replaced by even-odd
+
+
+def insertion_delta(cycle: Cycle, pos: int) -> tuple[int, int]:
+    """Predicted change of (oo, eo) when the next maximum lands before pos.
+
+    Three cases each way: the insertion either splits an existing drop of
+    one kind or another, or sits where there was no drop.  n = 1 is the
+    lone special case: the formal (STAR, 1) drop counts as no drop, and
+    appending 2 creates the even-odd wrap drop (2, 1).
+    """
+    return _word_delta(cycle.entries, pos)
 
 
 def children(cycle: Cycle) -> list[Cycle]:
@@ -188,31 +207,31 @@ def children_count(n: int) -> int:
     return ceil(n / 2)
 
 
-def verify_level(parent_level: list[Cycle]) -> tuple[list[Cycle], list[str]]:
-    """Grow one tree level, checking the per-insertion case analysis.
+def verify_level(parents: list[Word]) -> tuple[list[Word], list[str]]:
+    """Grow one tree level of canonical words, checking the case analysis.
 
-    Returns the children of all parents plus a list of discrepancy
-    messages (statistics recomputed from scratch not matching the
-    predicted deltas, a wrong child count, or a non-member child).
+    The parents are member words, such as the level this returned last
+    time: every child it grows is checked for membership.  Returns the
+    children of all parents plus a list of discrepancy messages (statistics
+    recomputed from scratch not matching the predicted deltas, a wrong
+    child count, or a non-member child), which name the parent as a Cycle.
     """
-    next_level: list[Cycle] = []
+    next_level: list[Word] = []
     problems: list[str] = []
-    for parent in parent_level:
-        stats = drop_stats(parent)
-        kids = children(parent)
-        if len(kids) != children_count(parent.n):
-            problems.append(
-                f"{parent}: {len(kids)} children, expected {children_count(parent.n)}"
-            )
-        for pos, kid in zip(insertion_positions(parent), kids):
-            if not is_odd_drop_cycle(kid):
-                problems.append(f"{parent} pos {pos}: child {kid} not an odd-drop cycle")
-            doo, deo = insertion_delta(parent, pos)
-            predicted = (stats.oo + doo, stats.eo + deo)
-            actual = tuple(drop_stats(kid))
+    for parent in parents:
+        oo, eo = word_drop_stats(parent)
+        positions = _odd_positions(parent)
+        expected = children_count(len(parent))
+        if len(positions) != expected:
+            problems.append(f"Cycle{parent}: {len(positions)} children, expected {expected}")
+        for pos in positions:
+            kid = _child_word(parent, pos)
+            if not is_odd_drop_word(kid):
+                problems.append(f"Cycle{parent} pos {pos}: child Cycle{kid} not an odd-drop cycle")
+            doo, deo = _word_delta(parent, pos)
+            predicted = (oo + doo, eo + deo)
+            actual = word_drop_stats(kid)
             if predicted != actual:
-                problems.append(
-                    f"{parent} pos {pos}: predicted stats {predicted}, got {actual}"
-                )
-        next_level.extend(kids)
+                problems.append(f"Cycle{parent} pos {pos}: predicted stats {predicted}, got {actual}")
+            next_level.append(kid)
     return next_level, problems

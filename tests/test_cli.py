@@ -216,10 +216,12 @@ class TestVerifyCommand:
             capsys, "verify", "--suite", "genocchi", "--max-n", max_n,
             "--series-order", "5", "--format", "csv",
         )
+        # an empty range compares nothing, so its check reports SKIP
+        even_status, odd_status = {"1": ("SKIP", "SKIP"), "2": ("PASS", "SKIP")}[max_n]
         assert status == 0
         assert out.splitlines()[-2:] == [
-            f"genocchi-vs-enumeration,PASS,enumeration confirms Genocchi for lengths {even_lengths}",
-            f"median-vs-enumeration,PASS,enumeration confirms medians for lengths {odd_lengths}",
+            f"genocchi-vs-enumeration,{even_status},enumeration confirms Genocchi for lengths {even_lengths}",
+            f"median-vs-enumeration,{odd_status},enumeration confirms medians for lengths {odd_lengths}",
         ]
 
     def test_oracle_suite_at_the_smallest_ceiling(self, capsys):
@@ -231,8 +233,22 @@ class TestVerifyCommand:
             "oo-marginal-vs-recurrence,PASS,odd-odd marginal equals recurrence for n=1..1",
             "eo-marginal-vs-recurrence,PASS,even-odd marginal equals recurrence for n=1..1",
             "counts-all-routes,PASS,cycle counts agree on all four routes for n=1..1",
-            "tree-partition,PASS,children partition the next level for n=1..0",
+            "tree-partition,SKIP,children partition the next level for n=1..0",
         ]
+
+    def test_skipped_check_is_counted_apart(self, capsys):
+        status, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "1")
+        lines = out.splitlines()
+        assert status == 0
+        assert lines[-2].startswith("SKIP tree-partition ")
+        assert lines[-1] == "4/5 checks passed, 1 skipped"
+        status, out, _ = run(
+            capsys, "verify", "--suite", "oracle", "--max-n", "1", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert status == 0
+        assert doc["results"] == {"failed": 0, "passed": 4}
+        assert [c["status"] for c in doc["checks"]] == ["PASS"] * 4 + ["SKIP"]
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         def fake(suite, *, max_n, series_order):

@@ -5,7 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import Cycle, StatVector, drop_stats, is_odd_drop_cycle
+from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle, word_drop_stats
 from oddcycles.enumerator import iter_odd_drop_cycles, joint_table
 from oddcycles.gentree import (
     child_at,
@@ -94,7 +94,7 @@ class TestPartition:
                 assert drop_stats(kid) == (base.oo + doo, base.eo + deo)
 
     def test_verify_level_clean_walk(self):
-        level = [Cycle((1,))]
+        level = [(1,)]
         for _ in range(7):
             level, problems = verify_level(level)
             assert problems == []
@@ -106,30 +106,45 @@ class TestPartition:
         return {c.name: c for c in verify.suite_oracle(max_n=6)}["tree-partition"]
 
     def test_tree_partition_catches_a_walk_that_skips_a_member(self, monkeypatch):
-        walk = enumerator.iter_odd_drop_cycles
+        walk = enumerator.iter_odd_drop_words
 
         def skipping(n, *, max_n=enumerator.DEFAULT_BRUTEFORCE_MAX):
-            return (c for c in walk(n, max_n=max_n) if c.entries != (1, 2, 4, 3, 5))
+            return (w for w in walk(n, max_n=max_n) if w != (1, 2, 4, 3, 5))
 
-        monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", skipping)
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", skipping)
         result = self.tree_partition()
         assert not result.passed
         # the tree's child is "extra" against the shortened walk
         assert result.detail == "n=4: missing [], extra [(1, 2, 4, 3, 5)]"
 
     def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
-        def wrap_as_odd_odd(cycle):
+        def wrap_as_odd_odd(word):
             # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
-            oo, eo = drop_stats(cycle)
-            if cycle.n > 1 and not cycle.entries[-1] & 1:
-                return StatVector(oo + 1, eo - 1)
-            return StatVector(oo, eo)
+            oo, eo = word_drop_stats(word)
+            if len(word) > 1 and not word[-1] & 1:
+                return (oo + 1, eo - 1)
+            return (oo, eo)
 
-        # gentree imports drop_stats by name
-        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd)
+        # gentree imports word_drop_stats by name
+        monkeypatch.setattr(gentree, "word_drop_stats", wrap_as_odd_odd)
         result = self.tree_partition()
         assert not result.passed
         assert result.detail == "n=1: Cycle(1,) pos 0: predicted stats (0, 1), got (1, 0)"
+
+    def test_tree_partition_catches_a_child_grown_twice(self, monkeypatch):
+        # 6 inserted before the 3 or before the 5 of (1, 2, 3, 4, 5) splits no
+        # drop either way, so both children have the same statistics.  Growing
+        # the first in place of the second keeps the count, the membership and
+        # the statistics right: only the partition compare can tell.
+        grow = gentree._child_word
+
+        def twice(word, pos):
+            return grow(word, 2 if word == (1, 2, 3, 4, 5) and pos == 4 else pos)
+
+        monkeypatch.setattr(gentree, "_child_word", twice)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=5: children lists overlap"
 
     def test_delta_cases_cover_all_six(self):
         seen = set()
@@ -237,6 +252,40 @@ def test_step_property_catches_a_dropped_term(monkeypatch):
     monkeypatch.setattr(gentree, "_step", without_kept_drops)
     # raises NoSuchExample if the property cannot tell the broken step apart
     find(joint_input(), lambda case: not _steps_match_marginal_steps(case), settings=NO_SHRINK)
+
+
+@st.composite
+def member_and_position(draw):
+    """A member word on [n], n <= 9, from the listing walk, and one of its odd positions."""
+    n = draw(st.integers(1, 9))
+    word = draw(st.sampled_from(list(enumerator.iter_odd_drop_words(n))))
+    pos = draw(st.sampled_from([i for i, v in enumerate(word) if v & 1]))
+    return word, pos
+
+
+def _word_child_is_the_cycle_child(case, build=gentree._child_word) -> bool:
+    word, pos = case
+    kid = build(word, pos)
+    cycle = Cycle(kid)  # raises if the word is no canonical permutation
+    return is_odd_drop_cycle(cycle) and kid == child_at(Cycle(word), pos).entries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(member_and_position())
+def test_word_child_is_a_valid_member(case):
+    assert _word_child_is_the_cycle_child(case)
+
+
+def test_word_child_property_catches_a_late_insertion():
+    def one_slot_late(word, pos):
+        return word[: pos + 1] + (len(word) + 1,) + word[pos + 1:]
+
+    # raises NoSuchExample if the property cannot tell the late builder apart
+    find(
+        member_and_position(),
+        lambda case: not _word_child_is_the_cycle_child(case, one_slot_late),
+        settings=NO_SHRINK,
+    )
 
 
 class TestJointPolynomial:
