@@ -30,7 +30,7 @@ from .enumerator import (
 )
 from .gentree import children, insertion_delta, joint_poly, joint_step_even, joint_step_odd
 from .polynomials import BigPoly, BiPoly
-from .recurrences import eo_poly, oo_poly
+from .recurrences import eo_poly, eo_polys, oo_poly, oo_polys
 from .series import (
     ClosedFormSummand,
     TruncSeries,
@@ -73,6 +73,7 @@ __all__ = [
     "drop_stats",
     "drops",
     "eo_poly",
+    "eo_polys",
     "eo_series",
     "genocchi",
     "genocchi_median",
@@ -88,6 +89,7 @@ __all__ = [
     "joint_step_odd",
     "joint_table",
     "oo_poly",
+    "oo_polys",
     "oo_series",
     "pde_residual",
     "run_suites",

@@ -255,7 +255,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
     if kind == "cno_count":
-        return [(n, recurrences.oo_poly(n)(1)) for n in range(1, limit + 1)], "recurrence"
+        return [(n, poly(1)) for n, poly in enumerate(recurrences.oo_polys(limit), 1)], "recurrence"
     if kind in ("even_odd_only", "odd_odd_only"):
         # lengths 2m for even-odd-only cycles, 2m+1 for odd-odd-only ones
         odd = kind == "odd_odd_only"

@@ -15,20 +15,33 @@ lengths for the odd-odd statistic, even lengths for the even-odd one.  So
 oo_poly alternates (even: free, odd: forced) and eo_poly the same steps with
 the phases swapped.
 
+The free step is fused into one pass over the coefficients: coefficient i
+of k*p + p' - v*p' is (k-i)*p[i] + (i+1)*p[i+1].
+
 Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
 parameter k, so the walk picks the step by the parity of the target length
-and passes k = target // 2.
+and passes k = target // 2.  The walk yields every length 1..n in turn:
+oo_polys(n)/eo_polys(n) hand it out lazily, and oo_poly(n)/eo_poly(n) keep
+only its last element, so a caller that needs every length runs one walk,
+and no caller holds more than one polynomial of it at a time.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .polynomials import BigPoly
 
 
 def free_step(poly: BigPoly, k: int) -> BigPoly:
     """One length step that forces no marked drop: k*p + (1-v)*p'."""
-    d = poly.derivative()
-    return poly * k + d - d.shift(1)
+    p = poly.coeffs
+    if not p:
+        return poly
+    deg = len(p) - 1
+    return BigPoly(
+        [(k - i) * p[i] + (i + 1) * p[i + 1] for i in range(deg)] + [(k - deg) * p[deg]]
+    )
 
 
 def forced_step(poly: BigPoly, k: int) -> BigPoly:
@@ -36,21 +49,43 @@ def forced_step(poly: BigPoly, k: int) -> BigPoly:
     return free_step(poly, k).shift(1)
 
 
-def _walk(n: int, even_step, odd_step) -> BigPoly:
+def _walk(n: int, even_step, odd_step) -> Iterator[BigPoly]:
+    # checked here, not in the generator, so a bad n fails at the call
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    return _lengths(n, even_step, odd_step)
+
+
+def _lengths(n: int, even_step, odd_step) -> Iterator[BigPoly]:
     poly = BigPoly.one()
+    yield poly
     for target in range(2, n + 1):
         step = odd_step if target & 1 else even_step
         poly = step(poly, target // 2)
+        yield poly
+
+
+def _last(polys: Iterator[BigPoly]) -> BigPoly:
+    for poly in polys:
+        pass
     return poly
+
+
+def oo_polys(n: int) -> Iterator[BigPoly]:
+    """oo_poly(1), ..., oo_poly(n) from one walk, computed as they are read."""
+    return _walk(n, free_step, forced_step)
+
+
+def eo_polys(n: int) -> Iterator[BigPoly]:
+    """eo_poly(1), ..., eo_poly(n) from one walk, computed as they are read."""
+    return _walk(n, forced_step, free_step)
 
 
 def oo_poly(n: int) -> BigPoly:
     """Odd-odd drop distribution over odd-drop cycles on [n], in x."""
-    return _walk(n, free_step, forced_step)
+    return _last(oo_polys(n))
 
 
 def eo_poly(n: int) -> BigPoly:
     """Even-odd drop distribution over odd-drop cycles on [n], in y."""
-    return _walk(n, forced_step, free_step)
+    return _last(eo_polys(n))

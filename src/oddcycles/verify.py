@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial
 
 from . import enumerator, gentree, recurrences, series
@@ -109,11 +110,10 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
-    def check_marginal(label, marginal, recurrence):
+    def check_marginal(label, marginal, walk):
         def body():
-            for n in range(1, max_n + 1):
+            for n, want in zip(range(1, max_n + 1), walk(max_n), strict=True):
                 got = marginal(table(n))
-                want = recurrence(n)
                 if got != want:
                     raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
             return f"{label} marginal equals recurrence for n=1..{max_n}"
@@ -121,10 +121,10 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
         return body
 
     def check_totals():
-        for n in range(1, max_n + 1):
+        walks = (recurrences.oo_polys(max_n), recurrences.eo_polys(max_n))
+        for n, f, g in zip(range(1, max_n + 1), *walks, strict=True):
             total = table(n).total()
-            f1 = recurrences.oo_poly(n)(1)
-            g1 = recurrences.eo_poly(n)(1)
+            f1, g1 = f(1), g(1)
             closed = factorial((n - 1) // 2) * factorial(n // 2)
             if not total == f1 == g1 == closed:
                 raise CheckFailure(
@@ -157,8 +157,8 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
         return detail
 
     marginals = (
-        ("oo", "odd-odd", enumerator.StatTable.oo_marginal, recurrences.oo_poly),
-        ("eo", "even-odd", enumerator.StatTable.eo_marginal, recurrences.eo_poly),
+        ("oo", "odd-odd", enumerator.StatTable.oo_marginal, recurrences.oo_polys),
+        ("eo", "even-odd", enumerator.StatTable.eo_marginal, recurrences.eo_polys),
     )
     return [
         _run("table-vs-tree", check_table_vs_tree),
@@ -180,19 +180,18 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
             built[build] = build(top)
         return built[build]
 
-    # per statistic: its words, its series and recurrence, and the least of
-    # the lengths n, n + 2, ... at which every cycle has a drop of its kind
+    # per statistic: its words, its series and recurrence walk, and the least
+    # of the lengths n, n + 2, ... at which every cycle has a drop of its kind
     stats = (
-        ("oo", "odd-odd", series.oo_series, recurrences.oo_poly, 3),
-        ("eo", "even-odd", series.eo_series, recurrences.eo_poly, 2),
+        ("oo", "odd-odd", series.oo_series, recurrences.oo_polys, 3),
+        ("eo", "even-odd", series.eo_series, recurrences.eo_polys, 2),
     )
 
-    def check_vs_recurrence(label, build, recurrence):
+    def check_vs_recurrence(label, build, walk):
         def body():
             s = full(build)
-            for n in range(1, top + 1):
+            for n, want in zip(range(1, top + 1), walk(top), strict=True):
                 got = s.coeff(n)
-                want = recurrence(n)
                 if got != want:
                     raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
             return f"{label} series matches recurrence for n=1..{top}"
@@ -211,8 +210,8 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
 
     return [
         *(
-            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence(label, build, recurrence))
-            for stat, label, build, recurrence, _ in stats
+            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence(label, build, walk))
+            for stat, label, build, walk, _ in stats
         ),
         _run("forced-drops-vanish", check_constant_terms),
     ]
@@ -232,7 +231,7 @@ def suite_genocchi(
     pinned = (GENOCCHI_VALUES, MEDIAN_VALUES)
     sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
     term = (series.genocchi, lambda m: series.genocchi_median(m - 2))
-    recurrence = (recurrences.oo_poly, recurrences.eo_poly)
+    walk = (recurrences.oo_polys, recurrences.eo_polys)
     count = (enumerator.count_even_odd_only, enumerator.count_odd_odd_only)
 
     def check_values(odd):
@@ -251,10 +250,12 @@ def suite_genocchi(
         def body():
             lo = 1 + odd
             values = sequence[odd](series_order - odd)
-            for m in range(lo, series_order + 1):
-                want = recurrence[odd](2 * m - odd)(0)
-                if values[m - lo] != want:
-                    raise CheckFailure(f"m={m}: {values[m - lo]} != recurrence {want}")
+            # one walk to the top length, read at lengths 2m - odd, m >= lo
+            polys = islice(walk[odd](2 * series_order - odd), 2 * lo - odd - 1, None, 2)
+            for m, value, poly in zip(range(lo, series_order + 1), values, polys, strict=True):
+                want = poly(0)
+                if value != want:
+                    raise CheckFailure(f"m={m}: {value} != recurrence {want}")
             claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
             return f"{claim} recurrence count for m={lo}..{series_order}"
 

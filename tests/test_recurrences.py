@@ -1,12 +1,15 @@
 """Single-variable recurrences for the two marginal polynomial families."""
 
 import math
+from itertools import islice
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from oddcycles import recurrences
+from oddcycles import cli, recurrences, verify
 from oddcycles.polynomials import BigPoly
-from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
+from oddcycles.recurrences import eo_poly, eo_polys, forced_step, free_step, oo_poly, oo_polys
 
 
 class TestStepPlan:
@@ -22,6 +25,12 @@ class TestStepPlan:
         oo_step, eo_step = (free_step, forced_step) if parity == "even" else (forced_step, free_step)
         assert oo_poly(target) == oo_step(oo_poly(target - 1), k)
         assert eo_poly(target) == eo_step(eo_poly(target - 1), k)
+        # every length of this parity in one walk to 40 follows the same rule
+        oo_walk, eo_walk = list(oo_polys(40)), list(eo_polys(40))
+        assert len(oo_walk) == len(eo_walk) == 40
+        for n in range(target, 41, 2):
+            assert oo_walk[n - 1] == oo_step(oo_walk[n - 2], n // 2)
+            assert eo_walk[n - 1] == eo_step(eo_walk[n - 2], n // 2)
 
     @pytest.mark.parametrize("bad", [1, 0, -3])
     def test_rejects_small_targets(self, bad, monkeypatch):
@@ -35,11 +44,17 @@ class TestStepPlan:
         if bad == 1:
             assert oo_poly(bad) == 1
             assert eo_poly(bad) == 1
+            assert list(oo_polys(bad)) == list(eo_polys(bad)) == [1]
         else:
             with pytest.raises(ValueError):
                 oo_poly(bad)
             with pytest.raises(ValueError):
                 eo_poly(bad)
+            # refused at the call, before the walk is read
+            with pytest.raises(ValueError):
+                oo_polys(bad)
+            with pytest.raises(ValueError):
+                eo_polys(bad)
 
 
 class TestPinnedPolynomials:
@@ -114,3 +129,143 @@ class TestFamilyInvariants:
         # polynomial is divisible by x
         if n % 2 == 1:
             assert oo_poly(n).coeff(0) == 0
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts the steps the walks apply, by parameter k.
+
+    Every step runs free_step once, directly or inside forced_step, so the
+    free list holds every step and the forced list the forced ones.
+    """
+    counted = {"free": [], "forced": []}
+    for name, fn in (("free", free_step), ("forced", forced_step)):
+
+        def count(poly, k, fn=fn, seen=counted[name]):
+            seen.append(k)
+            return fn(poly, k)
+
+        monkeypatch.setattr(recurrences, f"{name}_step", count)
+    return counted
+
+
+class TestOneWalk:
+    """Each caller that needs every length reads one walk per statistic."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_poly_walks_once(self, steps, n):
+        oo_poly(n)
+        # one step into each length 2..n, forced into the odd ones
+        assert steps["free"] == [target // 2 for target in range(2, n + 1)]
+        assert steps["forced"] == [target // 2 for target in range(3, n + 1, 2)]
+
+    def test_walk_is_lazy(self, steps):
+        oo_head = list(islice(oo_polys(10**9), 3))
+        eo_head = list(islice(eo_polys(10**9), 3))
+        # reading three lengths ran two steps per walk
+        assert steps["free"] == [1, 1, 1, 1]
+        assert oo_head == [oo_poly(1), oo_poly(2), oo_poly(3)]
+        assert eo_head == [eo_poly(1), eo_poly(2), eo_poly(3)]
+
+    def test_series_suite(self, steps):
+        assert all(c.passed for c in verify.suite_series(10))
+        # lengths 1..20 of each statistic: 19 steps, forced into odd lengths
+        # 3..19 for odd-odd and into even lengths 2..20 for even-odd
+        assert len(steps["free"]) == 2 * 19
+        assert len(steps["forced"]) == 9 + 10
+
+    def test_genocchi_suite(self, steps):
+        assert all(c.passed for c in verify.suite_genocchi(10, max_n=4))
+        # odd-odd to length 20 for the Genocchi numbers, even-odd to length 19
+        # for the medians
+        assert len(steps["free"]) == 19 + 18
+
+    def test_oracle_suite(self, steps):
+        assert all(c.passed for c in verify.suite_oracle(7))
+        # each marginal check walks its statistic to 7, and the count check
+        # walks both
+        assert len(steps["free"]) == 4 * 6
+
+    def test_cno_count_sequence(self, steps, capsys):
+        assert cli.main(["sequence", "--kind", "cno_count", "--limit", "30"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 31
+        assert len(steps["free"]) == 29
+
+
+def _walk_with_a_skipped_step(monkeypatch, length):
+    """Patch the walk to yield `length` twice: every later length is one step
+    behind, and the walk still yields n polynomials."""
+    walk = recurrences._walk
+
+    def skipping(n, even_step, odd_step):
+        def polys():
+            for i, poly in enumerate(walk(n, even_step, odd_step), 1):
+                yield poly
+                if i == length:
+                    yield poly
+
+        return islice(polys(), n)
+
+    monkeypatch.setattr(recurrences, "_walk", skipping)
+
+
+def test_series_suite_catches_a_walk_that_skips_a_step(monkeypatch):
+    _walk_with_a_skipped_step(monkeypatch, 5)
+    results = {c.name: c for c in verify.suite_series(10)}
+    for stat in ("oo", "eo"):
+        result = results[f"{stat}-series-vs-recurrence"]
+        assert not result.passed
+        assert result.detail.startswith("t^6: ")
+
+
+def test_oracle_suite_catches_a_walk_that_skips_a_step(monkeypatch):
+    _walk_with_a_skipped_step(monkeypatch, 5)
+    results = {c.name: c for c in verify.suite_oracle(7)}
+    for stat in ("oo", "eo"):
+        result = results[f"{stat}-marginal-vs-recurrence"]
+        assert not result.passed
+        assert result.detail.startswith("n=6: ")
+
+
+# -- the fused step against the ring-operation formula ----------------------
+
+
+@st.composite
+def step_input(draw):
+    """A random polynomial, zero and negative coefficients included, and k >= 0."""
+    coeffs = draw(st.lists(st.integers(-(10**20), 10**20), max_size=8))
+    return BigPoly(coeffs), draw(st.integers(0, 12))
+
+
+def _ring_step(poly: BigPoly, k: int) -> BigPoly:
+    # reference: k*p + (1-v)*p' with one ring operation at a time
+    d = poly.derivative()
+    return poly * k + d - d.shift(1)
+
+
+def _fused_agrees(case, step=free_step) -> bool:
+    poly, k = case
+    return step(poly, k) == _ring_step(poly, k) and forced_step(poly, k) == _ring_step(poly, k).shift(1)
+
+
+NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(step_input())
+def test_fused_step_equals_ring_formula(case):
+    assert _fused_agrees(case)
+
+
+def test_fused_step_property_catches_an_off_by_one_weight():
+    def off_by_one(poly, k):
+        p = poly.coeffs
+        if not p:
+            return poly
+        deg = len(p) - 1
+        return BigPoly(
+            [(k - i - 1) * p[i] + (i + 1) * p[i + 1] for i in range(deg)] + [(k - deg - 1) * p[deg]]
+        )
+
+    # raises NoSuchExample if the property cannot tell the broken step apart
+    find(step_input(), lambda case: not _fused_agrees(case, off_by_one), settings=NO_SHRINK)
