@@ -28,6 +28,7 @@ and no caller holds more than one polynomial of it at a time.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterator
 
 from .polynomials import BigPoly
@@ -53,22 +54,16 @@ def _walk(n: int, even_step, odd_step) -> Iterator[BigPoly]:
     # checked here, not in the generator, so a bad n fails at the call
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return _lengths(n, even_step, odd_step)
 
-
-def _lengths(n: int, even_step, odd_step) -> Iterator[BigPoly]:
-    poly = BigPoly.one()
-    yield poly
-    for target in range(2, n + 1):
-        step = odd_step if target & 1 else even_step
-        poly = step(poly, target // 2)
+    def lengths():
+        poly = BigPoly.one()
         yield poly
+        for target in range(2, n + 1):
+            step = odd_step if target & 1 else even_step
+            poly = step(poly, target // 2)
+            yield poly
 
-
-def _last(polys: Iterator[BigPoly]) -> BigPoly:
-    for poly in polys:
-        pass
-    return poly
+    return lengths()
 
 
 def oo_polys(n: int) -> Iterator[BigPoly]:
@@ -83,9 +78,9 @@ def eo_polys(n: int) -> Iterator[BigPoly]:
 
 def oo_poly(n: int) -> BigPoly:
     """Odd-odd drop distribution over odd-drop cycles on [n], in x."""
-    return _last(oo_polys(n))
+    return deque(oo_polys(n), maxlen=1)[0]
 
 
 def eo_poly(n: int) -> BigPoly:
     """Even-odd drop distribution over odd-drop cycles on [n], in y."""
-    return _last(eo_polys(n))
+    return deque(eo_polys(n), maxlen=1)[0]

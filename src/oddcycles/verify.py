@@ -69,6 +69,21 @@ def _run(name: str, fn) -> CheckResult:
         return CheckResult(name, True, str(exc), time.perf_counter() - start, skipped=True)
 
 
+def _walked(walk, top: int):
+    """Number the lengths 1..top of a recurrence walk as (n, poly).
+
+    A walk that yields fewer or more than top lengths fails the check, so a
+    short walk cannot pass by comparing less.
+    """
+    n = 0
+    for n, poly in enumerate(walk, 1):
+        if n > top:
+            raise CheckFailure(f"recurrence walk yields more than {top} lengths")
+        yield n, poly
+    if n < top:
+        raise CheckFailure(f"recurrence walk stops at length {n} of {top}")
+
+
 def _first_bipoly_diff(a: BiPoly, b: BiPoly) -> str:
     keys = sorted(set(a.terms) | set(b.terms), key=lambda k: (k[0] + k[1], k))
     for i, j in keys:
@@ -112,7 +127,7 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
 
     def check_marginal(label, marginal, walk):
         def body():
-            for n, want in zip(range(1, max_n + 1), walk(max_n), strict=True):
+            for n, want in _walked(walk(max_n), max_n):
                 got = marginal(table(n))
                 if got != want:
                     raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
@@ -122,7 +137,9 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
 
     def check_totals():
         walks = (recurrences.oo_polys(max_n), recurrences.eo_polys(max_n))
-        for n, f, g in zip(range(1, max_n + 1), *walks, strict=True):
+        # strict: once one walk ends, the other is read once more, so a
+        # longer second walk fails in _walked
+        for (n, f), (_, g) in zip(*(_walked(w, max_n) for w in walks), strict=True):
             total = table(n).total()
             f1, g1 = f(1), g(1)
             closed = factorial((n - 1) // 2) * factorial(n // 2)
@@ -190,7 +207,7 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     def check_vs_recurrence(label, build, walk):
         def body():
             s = full(build)
-            for n, want in zip(range(1, top + 1), walk(top), strict=True):
+            for n, want in _walked(walk(top), top):
                 got = s.coeff(n)
                 if got != want:
                     raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
@@ -250,9 +267,12 @@ def suite_genocchi(
         def body():
             lo = 1 + odd
             values = sequence[odd](series_order - odd)
-            # one walk to the top length, read at lengths 2m - odd, m >= lo
-            polys = islice(walk[odd](2 * series_order - odd), 2 * lo - odd - 1, None, 2)
-            for m, value, poly in zip(range(lo, series_order + 1), values, polys, strict=True):
+            # one walk to the top length, read at lengths 2m - odd, m >= lo;
+            # the walk comes first in zip so that it is read to its end
+            top = 2 * series_order - odd
+            polys = islice(_walked(walk[odd](top), top), 2 * lo - odd - 1, None, 2)
+            for (n, poly), value in zip(polys, values):
+                m = (n + odd) // 2
                 want = poly(0)
                 if value != want:
                     raise CheckFailure(f"m={m}: {value} != recurrence {want}")

@@ -25,10 +25,14 @@ class TestStepPlan:
         oo_step, eo_step = (free_step, forced_step) if parity == "even" else (forced_step, free_step)
         assert oo_poly(target) == oo_step(oo_poly(target - 1), k)
         assert eo_poly(target) == eo_step(eo_poly(target - 1), k)
-        # every length of this parity in one walk to 40 follows the same rule
+
+    def test_mapping_along_one_walk(self):
+        # every length 2..40 of one walk follows the same rule
         oo_walk, eo_walk = list(oo_polys(40)), list(eo_polys(40))
         assert len(oo_walk) == len(eo_walk) == 40
-        for n in range(target, 41, 2):
+        assert oo_walk[0] == eo_walk[0] == 1
+        for n in range(2, 41):
+            oo_step, eo_step = (forced_step, free_step) if n & 1 else (free_step, forced_step)
             assert oo_walk[n - 1] == oo_step(oo_walk[n - 2], n // 2)
             assert eo_walk[n - 1] == eo_step(eo_walk[n - 2], n // 2)
 
@@ -225,6 +229,71 @@ def test_oracle_suite_catches_a_walk_that_skips_a_step(monkeypatch):
         result = results[f"{stat}-marginal-vs-recurrence"]
         assert not result.passed
         assert result.detail.startswith("n=6: ")
+
+
+def _walk_of_wrong_length(monkeypatch, extra):
+    """Patch the walk to stop one length early (extra=-1) or to yield its
+    last length twice (extra=1)."""
+    walk = recurrences._walk
+
+    def wrong_length(n, even_step, odd_step):
+        polys = list(walk(n, even_step, odd_step))
+        return iter(polys[:-1] if extra < 0 else polys + polys[-1:])
+
+    monkeypatch.setattr(recurrences, "_walk", wrong_length)
+
+
+WRONG_LENGTH = [
+    pytest.param(-1, "recurrence walk stops at length {top_less_one} of {top}", id="short"),
+    pytest.param(1, "recurrence walk yields more than {top} lengths", id="long"),
+]
+
+
+@pytest.mark.parametrize("extra,detail", WRONG_LENGTH)
+def test_suites_fail_a_walk_of_the_wrong_length(monkeypatch, extra, detail):
+    _walk_of_wrong_length(monkeypatch, extra)
+    series_checks = {c.name: c for c in verify.suite_series(10)}
+    oracle_checks = {c.name: c for c in verify.suite_oracle(7)}
+    genocchi_checks = {c.name: c for c in verify.suite_genocchi(10, max_n=4)}
+    failing = [
+        (series_checks["oo-series-vs-recurrence"], 20),
+        (series_checks["eo-series-vs-recurrence"], 20),
+        (oracle_checks["oo-marginal-vs-recurrence"], 7),
+        (oracle_checks["eo-marginal-vs-recurrence"], 7),
+        (oracle_checks["counts-all-routes"], 7),
+        (genocchi_checks["genocchi-vs-recurrence"], 20),
+        (genocchi_checks["median-vs-recurrence"], 19),
+    ]
+    for result, top in failing:
+        assert not result.passed, result.name
+        assert result.detail == detail.format(top=top, top_less_one=top - 1), result.name
+
+
+def test_count_check_reads_the_second_walk_to_its_end(monkeypatch):
+    # only the even-odd walk, read second, runs one length long
+    eo_walk = recurrences.eo_polys
+
+    def one_long(n):
+        polys = list(eo_walk(n))
+        return iter(polys + polys[-1:])
+
+    monkeypatch.setattr(recurrences, "eo_polys", one_long)
+    result = {c.name: c for c in verify.suite_oracle(7)}["counts-all-routes"]
+    assert not result.passed
+    assert result.detail == "recurrence walk yields more than 7 lengths"
+
+
+@pytest.mark.parametrize("extra,detail", WRONG_LENGTH)
+def test_verify_reports_a_walk_of_the_wrong_length_as_a_failed_check(
+    monkeypatch, capsys, extra, detail
+):
+    _walk_of_wrong_length(monkeypatch, extra)
+    argv = ["verify", "--suite", "series", "--max-n", "4", "--series-order", "10", "--format", "csv"]
+    status = cli.main(argv)
+    out = capsys.readouterr().out
+    # a failed check, exit 1, not a usage error
+    assert status == 1
+    assert detail.format(top=20, top_less_one=19) in out
 
 
 # -- the fused step against the ring-operation formula ----------------------

@@ -1,17 +1,17 @@
 """Per-layer benchmark of the marginal recurrences (oo_poly / eo_poly).
 
-Times fixed-size cases on one or more copies of the package and writes the
-medians to a JSON record.  Each case runs in its own child process with the
-side's ``src`` directory on PYTHONPATH; the child times only the case, in
-process time, after the package is imported.  Sides alternate which runs
-first from repeat to repeat, so a drift in host speed hits both alike.
+Times fixed-size cases on two copies of the package, before and after a
+change, and writes the medians to BENCH_recurrences.json at the root of the
+repository.  Each case runs in its own child process with the copy's ``src``
+directory on PYTHONPATH; the child times only the case, in process time,
+after the package is imported.  The two copies alternate which runs first
+from repeat to repeat, so a drift in host speed hits both alike.
 
-    python3 tools/bench_recurrences.py --side parent=../parent/src --side change=src
+    python3 tools/bench_recurrences.py ../before/src src
 
-The first side is the "before", the last the "after".  A case that calls
-a function a side's package lacks (the one-walk case needs ``oo_polys``)
-is recorded as null.  Standard library only; neither the package nor its
-tests import it.
+A case that needs a function the copy's package lacks (the one-walk case
+needs ``oo_polys``/``eo_polys``) is recorded as null; any other error fails
+the run.  Standard library only; neither the package nor its tests import it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ import platform
 import statistics
 import subprocess
 import sys
+
+REPEATS = 5
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_recurrences.json")
 
 # name -> code run in the child; `R` is oddcycles.recurrences
 CASES = {
@@ -37,28 +40,29 @@ CASES = {
     ),
 }
 
+# name -> the functions of `R` a case needs beyond those every copy has
+NEEDS = {"marginals n=1..160, one walk": ("oo_polys", "eo_polys")}
+
 CHILD = """
 import contextlib, io, json, resource, sys, time
 from oddcycles import cli
 from oddcycles import recurrences as R
+if not all(hasattr(R, name) for name in sys.argv[2:]):
+    print(json.dumps(None))
+    raise SystemExit
 with contextlib.redirect_stdout(io.StringIO()):
     start = time.process_time()
-    try:
-        exec(sys.argv[1])
-    except AttributeError:  # a function this copy of the package lacks
-        print(json.dumps(None), file=sys.__stdout__)
-        raise SystemExit
+    exec(sys.argv[1])
     seconds = time.process_time() - start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "max_rss_mb": rss_mb}))
 """
 
 
-def run_case(src: str, code: str) -> dict | None:
+def run_case(src: str, name: str) -> dict | None:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, code], env=env, check=True, capture_output=True, text=True
-    ).stdout
+    argv = [sys.executable, "-c", CHILD, CASES[name], *NEEDS.get(name, ())]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
@@ -76,26 +80,17 @@ def summarize(samples: list[dict | None]) -> dict | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--side", action="append", required=True, metavar="LABEL=SRC",
-        help="a label and the src directory of one copy of the package; repeat per side",
-    )
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default="BENCH_recurrences.json")
+    parser.add_argument("before", help="src directory of the package before the change")
+    parser.add_argument("after", help="src directory of the package after the change")
     args = parser.parse_args(argv)
-    sides = [tuple(side.split("=", 1)) for side in args.side]
-    if any(len(side) != 2 for side in sides):
-        parser.error("--side takes LABEL=SRC")
-    if args.repeats < 1:
-        parser.error("--repeats must be positive")
+    sides = [("before", args.before), ("after", args.after)]
 
     samples = {label: {name: [] for name in CASES} for label, _ in sides}
-    for rep in range(args.repeats):
-        for name, code in CASES.items():
-            order = sides if rep % 2 == 0 else sides[::-1]
-            for label, src in order:
-                samples[label][name].append(run_case(src, code))
-        print(f"repeat {rep + 1}/{args.repeats} done", file=sys.stderr)
+    for rep in range(REPEATS):
+        for name in CASES:
+            for label, src in sides if rep % 2 == 0 else sides[::-1]:
+                samples[label][name].append(run_case(src, name))
+        print(f"repeat {rep + 1}/{REPEATS} done", file=sys.stderr)
 
     record = {
         "layer": "recurrences",
@@ -105,14 +100,13 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
         },
-        "repeats": args.repeats,
-        "sides": [label for label, _ in sides],
+        "repeats": REPEATS,
         "cases": {
             name: {label: summarize(samples[label][name]) for label, _ in sides}
             for name in CASES
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print(json.dumps(record["cases"], indent=2))
