@@ -32,6 +32,10 @@ from .polynomials import BiPoly
 
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
+# Caps on the inputs that take any size, each a few seconds of work at the
+# cap: joint_poly(400) takes about 4 s and oo_poly(2000) about 2 s.
+MAX_JOINT_N = 400
+MAX_MARGINAL_N = 2000  # poly --kind f|g --n, and sequence --kind cno_count --limit
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
 
 CONFIG_KEYS = ("max_bruteforce_n", "series_order", "format")
@@ -41,22 +45,28 @@ class UsageError(Exception):
     pass
 
 
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise UsageError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise UsageError(f"{name} must be at most {high}, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    max_bruteforce_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX
-    series_order: int = series.DEFAULT_ORDER
+    """The run's limits with their defaults, checked here and nowhere else.
+
+    The identities suite needs a series order of at least 4; the top order,
+    160, takes about 16 s in verify --max-n 8.
+    """
+
+    max_bruteforce_n: int = 12
+    series_order: int = 40
     output_format: str = "table"
 
     def __post_init__(self):
-        if not 1 <= self.max_bruteforce_n <= 14:
-            raise UsageError(
-                f"max_bruteforce_n must be in 1..14, got {self.max_bruteforce_n}"
-            )
-        if self.series_order < self.max_bruteforce_n:
-            raise UsageError(
-                f"series_order {self.series_order} below max_bruteforce_n "
-                f"{self.max_bruteforce_n}"
-            )
+        _check_range("max_bruteforce_n", self.max_bruteforce_n, 1, enumerator.MAX_N)
+        _check_range("series_order", self.series_order, 4, 160)
         if self.output_format not in FORMATS:
             raise UsageError(f"format must be one of {', '.join(FORMATS)}")
 
@@ -91,18 +101,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.format is not None:
         merged["format"] = args.format
     try:
-        ints = {
+        fields = {
             key: int(merged[key])
             for key in ("max_bruteforce_n", "series_order")
             if key in merged
         }
     except ValueError as exc:
         raise UsageError(f"non-integer config value: {exc}") from exc
-    return RunConfig(
-        max_bruteforce_n=ints.get("max_bruteforce_n", enumerator.DEFAULT_BRUTEFORCE_MAX),
-        series_order=ints.get("series_order", series.DEFAULT_ORDER),
-        output_format=str(merged.get("format", "table")),
-    )
+    if "format" in merged:
+        fields["output_format"] = str(merged["format"])
+    return RunConfig(**fields)
 
 
 # -- polynomial serialization ----------------------------------------------
@@ -164,13 +172,16 @@ def _params(cfg: RunConfig, **extra) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
+def _check_enumerable(cfg: RunConfig, n: int) -> None:
+    if not 1 <= n <= cfg.max_bruteforce_n:
+        raise UsageError(f"n must be in 1..{cfg.max_bruteforce_n}, got {n}")
+
+
 def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
     if n is None:
         raise UsageError("enumerate requires --n")
-    try:
-        members = list(enumerator.iter_odd_drop_cycles(n, max_n=cfg.max_bruteforce_n))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _check_enumerable(cfg, n)
+    members = list(enumerator.iter_odd_drop_cycles(n))
     rows = [(c, drop_stats(c)) for c in members]
     if cfg.output_format == "json":
         results = {
@@ -202,8 +213,7 @@ def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
 def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
     if kind is None or n is None:
         raise UsageError("poly requires --kind and --n")
-    if n < 1:
-        raise UsageError(f"n must be positive, got {n}")
+    _check_range("n", n, 1, MAX_JOINT_N if kind == "joint" else MAX_MARGINAL_N)
     poly, variables = _poly_for(kind, n)
     if cfg.output_format == "json":
         results = {
@@ -220,14 +230,7 @@ def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
-    try:
-        checks = verify.run_suites(
-            suite,
-            max_n=cfg.max_bruteforce_n,
-            series_order=cfg.series_order,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    checks = verify.run_suites(suite, max_n=cfg.max_bruteforce_n, series_order=cfg.series_order)
     failed = sum(not c.passed for c in checks)
     skipped = sum(c.skipped for c in checks)
     passed = len(checks) - failed - skipped
@@ -255,6 +258,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
     if kind == "cno_count":
+        _check_range("limit", limit, 1, MAX_MARGINAL_N)
         return [(n, poly(1)) for n, poly in enumerate(recurrences.oo_polys(limit), 1)], "recurrence"
     if kind in ("even_odd_only", "odd_odd_only"):
         # lengths 2m for even-odd-only cycles, 2m+1 for odd-odd-only ones
@@ -266,7 +270,7 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
                 f"max_bruteforce_n {cfg.max_bruteforce_n}"
             )
         return [
-            (2 * m + odd, count(2 * m + odd, max_n=cfg.max_bruteforce_n))
+            (2 * m + odd, count(2 * m + odd))
             for m in range(1, limit + 1)
         ], "enumeration"
     if limit > cfg.series_order:
@@ -304,12 +308,10 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
     if limit is not None and limit < 1:
         raise UsageError(f"limit must be positive, got {limit}")
     ns = [n] if n is not None else list(range(1, limit + 1))
+    _check_enumerable(cfg, ns[-1])
     rows: list[list[int]] = []
     for m in ns:
-        try:
-            table = enumerator.joint_table(m, max_n=cfg.max_bruteforce_n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        table = enumerator.joint_table(m)
         for (oo, eo), c in sorted(table.counts.items()):
             rows.append([m, oo, eo, c])
     if cfg.output_format == "json":

@@ -50,9 +50,9 @@ class _Star:
 
 STAR = _Star()
 
-#: Largest cycle length accepted at the API edge; n! representatives make
+#: Largest cycle length canonicalize accepts; n! representatives make
 #: anything much beyond this uncomputable anyway.
-DEFAULT_MAX_N = 20
+MAX_N = 20
 
 
 class DropKind(Enum):
@@ -123,19 +123,19 @@ class Drop:
             raise ValueError(f"not a drop: {self.former} <= {self.latter}")
 
 
-def canonicalize(perm: Sequence[int], max_n: int | None = DEFAULT_MAX_N) -> Cycle:
+def canonicalize(perm: Sequence[int]) -> Cycle:
     """Rotate a permutation of {1, ..., n} to start with 1.
 
     All rotations of the same word map to the same Cycle.  Rejects input
     that is not a permutation of a contiguous range starting at 1, and
-    lengths beyond max_n (pass None to lift the bound).
+    lengths beyond MAX_N.
     """
     word = tuple(perm)
     n = len(word)
     if n == 0:
         raise ValueError("empty input")
-    if max_n is not None and n > max_n:
-        raise ValueError(f"length {n} exceeds the configured maximum {max_n}")
+    if n > MAX_N:
+        raise ValueError(f"length {n} exceeds the maximum {MAX_N}")
     if set(word) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {word}")
     pivot = word.index(1)

@@ -9,9 +9,9 @@ larger) lands on an odd entry.
 Two methods share that definition.  ``joint_table`` counts members by
 their (odd-odd, even-odd) drop pair with a dynamic program over the state
 (set of used values, last value), the transfer-matrix / Held-Karp subset
-method: it takes about 2^n * n^2 steps rather than (n-1)!, so tables
-through n = 14 take well under a second.  ``iter_odd_drop_cycles`` lists
-the members themselves by a depth-first walk over tails in lexicographic
+method: it takes about 2^n * n^2 steps rather than (n-1)!, so tables up to
+MAX_N take well under a second.  ``iter_odd_drop_cycles`` lists the
+members themselves by a depth-first walk over tails in lexicographic
 order.  The walk enters a prefix only if it completes to a member: its
 drops land on odd entries, and the smallest unused value is odd or larger
 than its last entry.  That test is exact.  If the smallest unused value is
@@ -36,12 +36,9 @@ from typing import Iterator
 from .cycles import Cycle
 from .polynomials import BigPoly, BiPoly
 
-#: Default ceiling for enumeration work.  The table at n=12 takes hundredths
-#: of a second; the listing walk, which yields each of the 5!*6! = 86 400
-#: members at n=12 one by one, is what this bound keeps short: about 0.23 s
-#: as plain words, and about twice that as Cycle objects, half of it
-#: validating them.
-DEFAULT_BRUTEFORCE_MAX = 12
+#: Largest n any function here accepts.  The table's work grows like
+#: 2^n * n^2: it takes 0.55 s at n = 14 and 3.9 s at n = 16.
+MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -77,52 +74,43 @@ class StatTable:
         return self.as_bipoly().marginal("y")
 
 
-def _check_n(n: int, max_n: int) -> None:
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
 
 
-def _iter_tails(n: int) -> Iterator[tuple[int, ...]]:
-    """Tails (a_2, ..., a_n) of the members on [n], n >= 2, in lexicographic order."""
-    # Stack of (last entry, unused values in increasing order, tail so far),
-    # children pushed in reverse.  The exact prune of the module docstring
-    # holds for every entry, so an even smallest unused value is larger than
-    # the last entry and must come next: any other choice leaves it even and
-    # below the new last entry.  An odd smallest value never trips the prune.
-    stack = [(1, tuple(range(2, n + 1)), ())]
-    while stack:
-        prev, rest, tail = stack.pop()
-        if len(rest) == 1:
-            yield tail + rest
-            continue
-        low = rest[0]
-        if not low & 1:
-            stack.append((low, rest[1:], tail + (low,)))
-            continue
-        for i in range(len(rest) - 1, -1, -1):
-            v = rest[i]
-            if v < prev and not v & 1:
-                continue  # a drop onto an even entry
-            stack.append((v, rest[:i] + rest[i + 1:], tail + (v,)))
-
-
-def iter_odd_drop_words(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> Iterator[tuple[int, ...]]:
+def iter_odd_drop_words(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical word of every odd-drop cycle on [n] once, in lex order.
 
     The words are plain tuples: each is built from a valid permutation, so
     it is not re-validated as a Cycle.
     """
-    _check_n(n, max_n)
-    if n == 1:
-        yield (1,)
-        return
-    for tail in _iter_tails(n):
-        yield (1,) + tail
+    _check_n(n)
+    # Stack of (last entry, unused values in increasing order, word so far),
+    # children pushed in reverse.  The exact prune of the module docstring
+    # holds for every entry, so an even smallest unused value is larger than
+    # the last entry and must come next: any other choice leaves it even and
+    # below the new last entry.  An odd smallest value never trips the prune.
+    stack = [(1, tuple(range(2, n + 1)), (1,))]
+    while stack:
+        prev, rest, word = stack.pop()
+        if len(rest) <= 1:
+            yield word + rest
+            continue
+        low = rest[0]
+        if not low & 1:
+            stack.append((low, rest[1:], word + (low,)))
+            continue
+        for i in range(len(rest) - 1, -1, -1):
+            v = rest[i]
+            if v < prev and not v & 1:
+                continue  # a drop onto an even entry
+            stack.append((v, rest[:i] + rest[i + 1:], word + (v,)))
 
 
-def iter_odd_drop_cycles(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> Iterator[Cycle]:
+def iter_odd_drop_cycles(n: int) -> Iterator[Cycle]:
     """Yield every odd-drop cycle on [n] exactly once, tails in lex order."""
-    yield from map(Cycle, iter_odd_drop_words(n, max_n=max_n))
+    yield from map(Cycle, iter_odd_drop_words(n))
 
 
 def _with_drop(dist: dict[tuple[int, int], int], former: int) -> dict[tuple[int, int], int]:
@@ -130,14 +118,14 @@ def _with_drop(dist: dict[tuple[int, int], int], former: int) -> dict[tuple[int,
     return {((oo + 1, eo) if former & 1 else (oo, eo + 1)): c for (oo, eo), c in dist.items()}
 
 
-def joint_table(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> StatTable:
+def joint_table(n: int) -> StatTable:
     """Count odd-drop cycles on [n] by their (odd-odd, even-odd) pair.
 
     Dynamic program over the tails of (1, ...): a state is the set of values
     placed so far (bit v for value v) and the last of them, and it carries
     the drop pairs of the prefixes that reach it, with their counts.
     """
-    _check_n(n, max_n)
+    _check_n(n)
     if n == 1:
         return StatTable(1, {(0, 0): 1})
     values = range(2, n + 1)
@@ -174,27 +162,26 @@ def joint_table(n: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> StatTable:
     return StatTable(n, counts)
 
 
-def _count_only(length: int, max_n: int, other: int) -> int:
+def _count_only(length: int, other: int) -> int:
     # members with no drop of the other kind, read off the joint table
-    _check_n(length, max_n)
+    table = joint_table(length)
     if length == 1:
         return 0
-    table = joint_table(length, max_n=max_n)
     return sum(c for pair, c in table.counts.items() if pair[other] == 0)
 
 
-def count_even_odd_only(length: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> int:
+def count_even_odd_only(length: int) -> int:
     """Number of cycles on [length] all of whose drops are even-odd.
 
     The one-element cycle's formal drop has no parity, so it is not
     even-odd and the count for length 1 is 0.
     """
-    return _count_only(length, max_n, 0)
+    return _count_only(length, 0)
 
 
-def count_odd_odd_only(length: int, *, max_n: int = DEFAULT_BRUTEFORCE_MAX) -> int:
+def count_odd_odd_only(length: int) -> int:
     """Number of cycles on [length] all of whose drops are odd-odd.
 
     Zero for length 1, for the same reason as count_even_odd_only.
     """
-    return _count_only(length, max_n, 1)
+    return _count_only(length, 1)

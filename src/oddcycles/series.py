@@ -51,8 +51,6 @@ from typing import Callable
 
 from .polynomials import BigPoly, _as_bigpoly
 
-DEFAULT_ORDER = 40
-
 
 def _join(a: str | None, b: str | None) -> str | None:
     """The variable of a sum or product of an a-series and a b-series."""

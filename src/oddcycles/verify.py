@@ -109,12 +109,12 @@ def _series_nonzero_detail(s: series.TruncSeries) -> str:
 # -- oracle suite ----------------------------------------------------------
 
 
-def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckResult]:
+def suite_oracle(max_n: int) -> list[CheckResult]:
     tables = {}
 
     def table(n):
         if n not in tables:
-            tables[n] = enumerator.joint_table(n, max_n=max_n)
+            tables[n] = enumerator.joint_table(n)
         return tables[n]
 
     def check_table_vs_tree():
@@ -157,13 +157,13 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)
-        level = list(enumerator.iter_odd_drop_words(1, max_n=max_n))
+        level = list(enumerator.iter_odd_drop_words(1))
         for n in range(1, max_n):
             level, problems = gentree.verify_level(level)
             if problems:
                 raise CheckFailure(f"n={n}: {problems[0]}")
             level.sort()
-            want = list(enumerator.iter_odd_drop_words(n + 1, max_n=max_n))
+            want = list(enumerator.iter_odd_drop_words(n + 1))
             if level != want:
                 grown, listed = set(level), set(want)
                 if len(level) != len(grown):
@@ -188,7 +188,7 @@ def suite_oracle(max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX) -> list[CheckRe
 # -- series suite ----------------------------------------------------------
 
 
-def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
+def suite_series(series_order: int) -> list[CheckResult]:
     top = 2 * series_order
     built = {}
 
@@ -237,10 +237,7 @@ def suite_series(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
 # -- genocchi suite ---------------------------------------------------------
 
 
-def suite_genocchi(
-    series_order: int = series.DEFAULT_ORDER,
-    max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX,
-) -> list[CheckResult]:
+def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
     # Both sequences, indexed by the parity odd of the lengths 2m - odd they
     # count: the Genocchi numbers (odd = 0) count the cycles on [2m], m >= 1,
     # with only even-odd drops, the medians (odd = 1) those on [2m - 1],
@@ -266,6 +263,10 @@ def suite_genocchi(
     def check_vs_recurrence(odd):
         def body():
             lo = 1 + odd
+            claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
+            detail = f"{claim} recurrence count for m={lo}..{series_order}"
+            if lo > series_order:
+                raise NothingCompared(detail)
             values = sequence[odd](series_order - odd)
             # one walk to the top length, read at lengths 2m - odd, m >= lo;
             # the walk comes first in zip so that it is read to its end
@@ -276,8 +277,7 @@ def suite_genocchi(
                 want = poly(0)
                 if value != want:
                     raise CheckFailure(f"m={m}: {value} != recurrence {want}")
-            claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
-            return f"{claim} recurrence count for m={lo}..{series_order}"
+            return detail
 
         return body
 
@@ -289,7 +289,7 @@ def suite_genocchi(
             if top < 1 + odd:
                 raise NothingCompared(detail)
             for m in range(1 + odd, top + 1):
-                got = count[odd](2 * m - odd, max_n=max_n)
+                got = count[odd](2 * m - odd)
                 want = term[odd](m)
                 if got != want:
                     raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
@@ -312,7 +312,7 @@ def suite_genocchi(
 # -- identities suite --------------------------------------------------------
 
 
-def suite_identities(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
+def suite_identities(series_order: int) -> list[CheckResult]:
     bound = max(2, min(15, series_order // 2))
 
     def residual_check(fn):
@@ -344,7 +344,7 @@ def suite_identities(series_order: int = series.DEFAULT_ORDER) -> list[CheckResu
 # -- pde suite ----------------------------------------------------------------
 
 
-def suite_pde(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
+def suite_pde(series_order: int) -> list[CheckResult]:
     def residual_check(which):
         def body():
             res = series.pde_residual(which, series_order)
@@ -372,12 +372,7 @@ def suite_pde(series_order: int = series.DEFAULT_ORDER) -> list[CheckResult]:
     return checks
 
 
-def run_suites(
-    suite: str,
-    *,
-    max_n: int = enumerator.DEFAULT_BRUTEFORCE_MAX,
-    series_order: int = series.DEFAULT_ORDER,
-) -> list[CheckResult]:
+def run_suites(suite: str, *, max_n: int, series_order: int) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
     if suite == "all":
         names = SUITES

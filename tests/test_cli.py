@@ -1,13 +1,18 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from oddcycles import cli, verify
+from oddcycles import cli, enumerator, recurrences, verify
+from oddcycles.cycles import Cycle
 from oddcycles.gentree import joint_poly
-from oddcycles.polynomials import BiPoly
+from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.recurrences import oo_poly
 from oddcycles.verify import CheckResult
 
@@ -16,6 +21,18 @@ def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Every heavy call of the command line replaced by one that costs nothing."""
+    monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
+    monkeypatch.setattr(recurrences, "oo_polys", lambda n: (BigPoly.one() for _ in range(n)))
+    monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", lambda n: iter([Cycle((1,))]))
+    monkeypatch.setattr(
+        verify, "run_suites",
+        lambda suite, *, max_n, series_order: [CheckResult("stub", True, "stubbed", 0.0)],
+    )
 
 
 class TestEnumerate:
@@ -98,6 +115,34 @@ class TestPolynomialText:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             cli.parse_bipoly(bad)
+
+
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-50, 50).filter(bool),
+    max_size=8,
+).map(BiPoly)
+
+
+def round_trips(p: BiPoly, units: bool, render=BiPoly.format) -> bool:
+    return cli.parse_bipoly(render(p, units)) == p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bipolys, st.booleans())
+def test_parse_bipoly_inverts_format(p, units):
+    assert round_trips(p, units)
+
+
+def test_round_trip_property_catches_a_dropped_term():
+    def without_last_term(p, units):
+        return p.format(units).rpartition(" + ")[0] or "0"
+
+    find(
+        st.tuples(bipolys, st.booleans()),
+        lambda case: not round_trips(*case, render=without_last_term),
+        settings=settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate]),
+    )
 
 
 class TestSequence:
@@ -289,8 +334,71 @@ class TestConfig:
         assert run(capsys, "enumerate", "--n", "4", "--config", str(tmp_path / "nope"))[0] == 2
 
     def test_series_order_floor(self, capsys):
-        # the series order may not undercut the brute-force ceiling
-        assert run(capsys, "sequence", "--kind", "genocchi", "--limit", "3", "--series-order", "5")[0] == 2
+        # the identities suite needs order 4; the order is not read against --max-n
+        status, out, err = run(capsys, "verify", "--suite", "identities", "--series-order", "3")
+        assert (status, out) == (2, "")
+        assert err == "error: series_order must be at least 4, got 3\n"
+        status, out, _ = run(
+            capsys, "sequence", "--kind", "genocchi", "--limit", "3", "--series-order", "4",
+            "--format", "csv",
+        )
+        assert status == 0
+        assert out.splitlines() == ["n,value", "1,1", "2,1", "3,3"]
+
+
+# each capped input: its command line without the value, its name in the
+# message, and its cap
+LIMITS = [
+    pytest.param(["poly", "--kind", "joint", "--n"], "n", 400, id="poly-joint"),
+    pytest.param(["poly", "--kind", "f", "--n"], "n", 2000, id="poly-f"),
+    pytest.param(["poly", "--kind", "g", "--n"], "n", 2000, id="poly-g"),
+    pytest.param(["sequence", "--kind", "cno_count", "--limit"], "limit", 2000, id="cno-count"),
+    pytest.param(["verify", "--series-order"], "series_order", 160, id="series-order"),
+    pytest.param(["verify", "--max-n"], "max_bruteforce_n", 14, id="max-n"),
+]
+
+
+class TestLimits:
+    @pytest.mark.parametrize("argv, name, cap", LIMITS)
+    def test_cap_is_accepted(self, capsys, stubbed, argv, name, cap):
+        assert run(capsys, *argv, str(cap))[0] == 0
+
+    @pytest.mark.parametrize("argv, name, cap", LIMITS)
+    def test_beyond_cap_exits_two(self, capsys, stubbed, argv, name, cap):
+        status, out, err = run(capsys, *argv, str(cap + 1))
+        assert (status, out) == (2, "")
+        assert err == f"error: {name} must be at most {cap}, got {cap + 1}\n"
+
+    def test_config_file_is_checked_alike(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("series_order = 161\n")
+        status, _, err = run(capsys, "table", "--n", "3", "--config", str(cfg))
+        assert status == 2
+        assert err == "error: series_order must be at most 160, got 161\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "table"])
+    def test_enumeration_stops_at_max_n(self, capsys, command):
+        status, _, err = run(capsys, command, "--n", "6", "--max-n", "5")
+        assert status == 2
+        assert err == "error: n must be in 1..5, got 6\n"
+
+
+def _benchmark_commands():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.all_commands()
+
+
+@pytest.mark.parametrize("argv", _benchmark_commands(), ids=" ".join)
+def test_benchmark_commands_are_within_the_limits(capsys, stubbed, argv):
+    # a limit that refused a benchmark command would turn it into a failure
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:  # --version
+        status = exc.code
+    assert status != 2, capsys.readouterr().err
 
 
 class TestParser:

@@ -5,6 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles.cycles import (
+    MAX_N,
     STAR,
     Cycle,
     Drop,
@@ -40,10 +41,10 @@ class TestCanonicalize:
             canonicalize(bad)
 
     def test_length_bound(self):
-        long = tuple(range(1, 7))
-        with pytest.raises(ValueError):
-            canonicalize(long, max_n=5)
-        assert canonicalize(long, max_n=None).n == 6
+        top = tuple(range(MAX_N, 0, -1))
+        assert canonicalize(top).n == MAX_N
+        with pytest.raises(ValueError, match=f"length {MAX_N + 1} exceeds the maximum {MAX_N}"):
+            canonicalize(tuple(range(1, MAX_N + 2)))
 
     def test_cycle_requires_canonical_form(self):
         with pytest.raises(ValueError):

@@ -77,9 +77,17 @@ class TestIteration:
         with pytest.raises(ValueError):
             list(iter_odd_drop_cycles(0))
         with pytest.raises(ValueError):
-            list(iter_odd_drop_cycles(13, max_n=12))
-        # the guard is configurable, not hard-wired
-        assert sum(1 for _ in iter_odd_drop_cycles(3, max_n=3)) == 1
+            list(iter_odd_drop_cycles(enumerator.MAX_N + 1))
+        # the ceiling itself is accepted; the first word is the increasing one
+        top = next(iter_odd_drop_cycles(enumerator.MAX_N))
+        assert top.entries == tuple(range(1, enumerator.MAX_N + 1))
+
+    @pytest.mark.parametrize("count", [joint_table, count_even_odd_only, count_odd_odd_only])
+    def test_counts_stop_at_the_ceiling(self, count):
+        with pytest.raises(ValueError, match=f"n must be in 1..{enumerator.MAX_N}, got 0"):
+            count(0)
+        with pytest.raises(ValueError, match=f"got {enumerator.MAX_N + 1}"):
+            count(enumerator.MAX_N + 1)
 
 
 class TestStatTable:
@@ -114,7 +122,8 @@ class TestJointTable:
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_matches_tree_beyond_default_ceiling(self, n):
-        assert joint_table(n, max_n=14).as_bipoly() == joint_poly(n)
+        # beyond the command line's default --max-n of 12, up to MAX_N
+        assert joint_table(n).as_bipoly() == joint_poly(n)
 
     def test_oracle_suite_catches_a_broken_table(self, monkeypatch):
         # negative control: a table that scores the wrap pair (a_n, 1) as no
@@ -126,7 +135,7 @@ class TestJointTable:
                 return oo, eo
             return (oo - 1, eo) if c.entries[-1] & 1 else (oo, eo - 1)
 
-        def broken(n, *, max_n=enumerator.DEFAULT_BRUTEFORCE_MAX):
+        def broken(n):
             return StatTable(n, tally(members_by_definition(n), without_wrap))
 
         monkeypatch.setattr(enumerator, "joint_table", broken)

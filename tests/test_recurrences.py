@@ -283,6 +283,20 @@ def test_count_check_reads_the_second_walk_to_its_end(monkeypatch):
     assert result.detail == "recurrence walk yields more than 7 lengths"
 
 
+@pytest.mark.parametrize(
+    "series_order, status, detail",
+    [
+        (1, "SKIP", "medians equal odd-odd-only recurrence count for m=2..1"),
+        # negative control: one median to compare
+        (2, "PASS", "medians equal odd-odd-only recurrence count for m=2..2"),
+    ],
+)
+def test_median_recurrence_check_skips_an_empty_range(series_order, status, detail):
+    checks = verify.run_suites("genocchi", max_n=4, series_order=series_order)
+    result = {c.name: c for c in checks}["median-vs-recurrence"]
+    assert (result.status, result.detail) == (status, detail)
+
+
 @pytest.mark.parametrize("extra,detail", WRONG_LENGTH)
 def test_verify_reports_a_walk_of_the_wrong_length_as_a_failed_check(
     monkeypatch, capsys, extra, detail
