@@ -22,7 +22,6 @@ from .cycles import (
     is_odd_drop_cycle,
 )
 from .enumerator import (
-    StatTable,
     count_even_odd_only,
     count_odd_odd_only,
     iter_odd_drop_cycles,
@@ -32,7 +31,6 @@ from .gentree import children, insertion_delta, joint_poly, joint_step_even, joi
 from .polynomials import BigPoly, BiPoly
 from .recurrences import eo_poly, eo_polys, oo_poly, oo_polys
 from .series import (
-    ClosedFormSummand,
     TruncSeries,
     eo_series,
     genocchi,
@@ -43,10 +41,6 @@ from .series import (
     identity_residual_2,
     oo_series,
     pde_residual,
-    series_eo_even,
-    series_eo_odd,
-    series_oo_even,
-    series_oo_odd,
     summand_recurrence_check,
 )
 from .verify import CheckResult, run_suites
@@ -58,11 +52,9 @@ __all__ = [
     "BiPoly",
     "BigPoly",
     "CheckResult",
-    "ClosedFormSummand",
     "Cycle",
     "Drop",
     "DropKind",
-    "StatTable",
     "StatVector",
     "TruncSeries",
     "canonicalize",
@@ -93,10 +85,6 @@ __all__ = [
     "oo_series",
     "pde_residual",
     "run_suites",
-    "series_eo_even",
-    "series_eo_odd",
-    "series_oo_even",
-    "series_oo_odd",
     "summand_recurrence_check",
     "__version__",
 ]

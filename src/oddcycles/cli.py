@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import __version__, enumerator, gentree, recurrences, series, verify
 from .cycles import drop_stats
@@ -152,7 +153,7 @@ def _emit_json(command: str, params: dict, results: dict, checks: list[dict]) ->
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
+def _emit_csv(header: list[str], rows: Iterable[list]) -> str:
     # values here never contain commas or quotes, so plain joins do
     lines = [",".join(header)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
@@ -181,25 +182,17 @@ def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
     if n is None:
         raise UsageError("enumerate requires --n")
     _check_enumerable(cfg, n)
-    members = list(enumerator.iter_odd_drop_cycles(n))
-    rows = [(c, drop_stats(c)) for c in members]
+    # members are read one at a time; no list of them is built
+    rows = ((c.entries, drop_stats(c)) for c in enumerator.iter_odd_drop_cycles(n))
     if cfg.output_format == "json":
-        results = {
-            "count": len(rows),
-            "cycles": [
-                {"entries": list(c.entries), "oo": s.oo, "eo": s.eo} for c, s in rows
-            ],
-        }
+        cycles = [{"entries": list(e), "oo": s.oo, "eo": s.eo} for e, s in rows]
+        results = {"count": len(cycles), "cycles": cycles}
         return 0, _emit_json("enumerate", _params(cfg, n=n), results, [])
     if cfg.output_format == "csv":
-        body = [
-            [n, " ".join(map(str, c.entries)), s.oo, s.eo] for c, s in rows
-        ]
+        body = ([n, " ".join(map(str, e)), s.oo, s.eo] for e, s in rows)
         return 0, _emit_csv(["n", "entries", "oo", "eo"], body)
-    lines = [
-        f"{' '.join(map(str, c.entries))}   oo={s.oo} eo={s.eo}" for c, s in rows
-    ]
-    lines.append(f"total {len(rows)}")
+    lines = [f"{' '.join(map(str, e))}   oo={s.oo} eo={s.eo}" for e, s in rows]
+    lines.append(f"total {len(lines)}")
     return 0, "\n".join(lines)
 
 
@@ -312,7 +305,7 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
     rows: list[list[int]] = []
     for m in ns:
         table = enumerator.joint_table(m)
-        for (oo, eo), c in sorted(table.counts.items()):
+        for (oo, eo), c in sorted(table.terms.items()):
             rows.append([m, oo, eo, c])
     if cfg.output_format == "json":
         results = {

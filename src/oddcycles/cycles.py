@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class _Star:
@@ -63,24 +63,11 @@ class DropKind(Enum):
     STAR = "star"
 
 
-class StatVector(tuple):
+class StatVector(NamedTuple):
     """Pair (oo, eo): counts of odd-odd and even-odd drops."""
 
-    __slots__ = ()
-
-    def __new__(cls, oo: int, eo: int):
-        return super().__new__(cls, (oo, eo))
-
-    @property
-    def oo(self) -> int:
-        return self[0]
-
-    @property
-    def eo(self) -> int:
-        return self[1]
-
-    def __repr__(self) -> str:
-        return f"StatVector(oo={self[0]}, eo={self[1]})"
+    oo: int
+    eo: int
 
 
 @dataclass(frozen=True)

@@ -29,49 +29,15 @@ which is what the API edge hands out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterator
 
 from .cycles import Cycle
-from .polynomials import BigPoly, BiPoly
+from .polynomials import BiPoly
 
 #: Largest n any function here accepts.  The table's work grows like
 #: 2^n * n^2: it takes 0.55 s at n = 14 and 3.9 s at n = 16.
 MAX_N = 14
-
-
-@dataclass(frozen=True)
-class StatTable:
-    """Counts of odd-drop cycles on [n] by (odd-odd, even-odd) drop pair."""
-
-    n: int
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        bound = ceil(self.n / 2)
-        for (oo, eo), c in self.counts.items():
-            if oo < 0 or eo < 0 or c < 0:
-                raise ValueError(f"negative entry at {(oo, eo)}: {c}")
-            if oo + eo > bound:
-                raise ValueError(f"stat pair {(oo, eo)} exceeds bound {bound} for n={self.n}")
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def as_bipoly(self) -> BiPoly:
-        """The table read as the joint polynomial sum of x^oo * y^eo."""
-        return BiPoly(self.counts)
-
-    def oo_marginal(self) -> BigPoly:
-        """Polynomial in x counting members by odd-odd drops (y set to 1)."""
-        return self.as_bipoly().marginal("x")
-
-    def eo_marginal(self) -> BigPoly:
-        """Polynomial in y counting members by even-odd drops (x set to 1)."""
-        return self.as_bipoly().marginal("y")
 
 
 def _check_n(n: int) -> None:
@@ -118,8 +84,11 @@ def _with_drop(dist: dict[tuple[int, int], int], former: int) -> dict[tuple[int,
     return {((oo + 1, eo) if former & 1 else (oo, eo + 1)): c for (oo, eo), c in dist.items()}
 
 
-def joint_table(n: int) -> StatTable:
+def joint_table(n: int) -> BiPoly:
     """Count odd-drop cycles on [n] by their (odd-odd, even-odd) pair.
+
+    The result is the joint polynomial: the coefficient of x^oo * y^eo is the
+    number of members with oo odd-odd and eo even-odd drops.
 
     Dynamic program over the tails of (1, ...): a state is the set of values
     placed so far (bit v for value v) and the last of them, and it carries
@@ -127,7 +96,7 @@ def joint_table(n: int) -> StatTable:
     """
     _check_n(n)
     if n == 1:
-        return StatTable(1, {(0, 0): 1})
+        return BiPoly.one()
     values = range(2, n + 1)
     # the pair (1, a_2) is never a drop
     layer = {(1 << v, v): {(0, 0): 1} for v in values}
@@ -159,7 +128,12 @@ def joint_table(n: int) -> StatTable:
         # the wrap pair (last, 1) is always a drop, and it lands on 1
         for pair, c in _with_drop(dist, last).items():
             counts[pair] = counts.get(pair, 0) + c
-    return StatTable(n, counts)
+    # a drop lands on an odd entry, and no two drops share one
+    bound = ceil(n / 2)
+    for pair in counts:
+        if sum(pair) > bound:
+            raise ValueError(f"stat pair {pair} exceeds bound {bound} for n={n}")
+    return BiPoly(counts)
 
 
 def _count_only(length: int, other: int) -> int:
@@ -167,7 +141,7 @@ def _count_only(length: int, other: int) -> int:
     table = joint_table(length)
     if length == 1:
         return 0
-    return sum(c for pair, c in table.counts.items() if pair[other] == 0)
+    return sum(c for pair, c in table.terms.items() if pair[other] == 0)
 
 
 def count_even_odd_only(length: int) -> int:

@@ -310,41 +310,6 @@ def _check_family(which: str) -> _Family:
     return FAMILIES[which]
 
 
-@dataclass(frozen=True)
-class ClosedFormSummand:
-    """The m-th term of one closed-form family.
-
-    In the original variables the term is
-        numerator * t^m / prod_{k=1..m} (1 + a_k*(1-v)*t)
-    and substituting s = (1-v)*t makes it a univariate series in s whose
-    term-to-term quotient is the first-order recurrence that
-    summand_recurrence_check verifies.
-    """
-
-    family: str
-    m: int
-
-    def __post_init__(self):
-        _check_family(self.family)
-        if self.m < 1:
-            raise ValueError(f"summand index must be positive, got {self.m}")
-
-    def numerator(self) -> int:
-        return FAMILIES[self.family].numerator(self.m)
-
-    def variable(self) -> str:
-        return FAMILIES[self.family].var
-
-    def series(self, order: int) -> TruncSeries:
-        """Expansion in t with polynomial coefficients in the family variable."""
-        fam = FAMILIES[self.family]
-        return _summand_series(fam, self.m, order, fam.var)
-
-    def eta_series(self, order: int) -> TruncSeries:
-        """Expansion in the substituted variable s = (1-v)*t; integer coeffs."""
-        return _summand_series(FAMILIES[self.family], self.m, order, None)
-
-
 def _one_minus(var: str | None) -> int | BigPoly:
     """u = 1 - var, the factor multiplying a_k in each denominator; 1 for the
     integer series (var None), which stand for v = 0 or for s = (1-v)*t."""
@@ -352,6 +317,11 @@ def _one_minus(var: str | None) -> int | BigPoly:
 
 
 def _summand_series(fam: _Family, m: int, order: int, var: str | None) -> TruncSeries:
+    """The m-th summand numerator(m) * t^m / prod_{k=1..m} (1 + a_k*(1-v)*t)
+    of a family, in var; with var None it is the series in s = (1-v)*t,
+    with integer coefficients."""
+    if m < 1:
+        raise ValueError(f"summand index must be positive, got {m}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if m > order:
@@ -394,31 +364,6 @@ def closed_form_series(which: str, order: int) -> TruncSeries:
     fam = _check_family(which)
     total = _closed_form_sum(fam, order, fam.var)
     return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U, fam.var)
-
-
-def series_oo_even(order: int) -> TruncSeries:
-    """Odd-odd drop distribution series for even lengths: the coefficient of
-    t^m is the polynomial in x for cycles on [2m]."""
-    return closed_form_series("oo_even", order)
-
-
-def series_oo_odd(order: int) -> TruncSeries:
-    """Odd-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
-    return closed_form_series("oo_odd", order)
-
-
-def series_eo_even(order: int) -> TruncSeries:
-    """Even-odd distribution for even lengths: t^m holds the cycles on [2m].
-
-    Carries the extra (y-1)*t term; without it the t^1 coefficient would be
-    1 instead of the single cycle on [2] with its one even-odd drop.
-    """
-    return closed_form_series("eo_even", order)
-
-
-def series_eo_odd(order: int) -> TruncSeries:
-    """Even-odd distribution for odd lengths: t^m holds the cycles on [2m-1]."""
-    return closed_form_series("eo_odd", order)
 
 
 def _interleave(even: str, odd: str, order: int) -> TruncSeries:
@@ -591,12 +536,12 @@ def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     stated_zeroth = {"oo_even": 0, "oo_odd": 0, "eo_even": -1, "eo_odd": 0}
     if fam.zeroth != stated_zeroth[which]:
         return False
-    base = ClosedFormSummand(which, 1).eta_series(order)
+    base = _summand_series(fam, 1, order, None)
     if base != _geometric_base(fam.denom(1), fam.numerator(1), order):
         return False
     prev = base
     for m in range(2, bound + 1):
-        cur = ClosedFormSummand(which, m).eta_series(order)
+        cur = _summand_series(fam, m, order, None)
         lhs = cur + (cur * fam.denom(m)).shift_up(1).truncate(order)
         rhs = (prev * fam.ratio(m)).shift_up(1).truncate(order)
         if lhs != rhs:

@@ -119,16 +119,16 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
 
     def check_table_vs_tree():
         for n in range(1, max_n + 1):
-            got = table(n).as_bipoly()
+            got = table(n)
             want = gentree.joint_poly(n)
             if got != want:
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
-    def check_marginal(label, marginal, walk):
+    def check_marginal(label, var, walk):
         def body():
             for n, want in _walked(walk(max_n), max_n):
-                got = marginal(table(n))
+                got = table(n).marginal(var)
                 if got != want:
                     raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
             return f"{label} marginal equals recurrence for n=1..{max_n}"
@@ -140,7 +140,7 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
         # strict: once one walk ends, the other is read once more, so a
         # longer second walk fails in _walked
         for (n, f), (_, g) in zip(*(_walked(w, max_n) for w in walks), strict=True):
-            total = table(n).total()
+            total = sum(table(n).terms.values())
             f1, g1 = f(1), g(1)
             closed = factorial((n - 1) // 2) * factorial(n // 2)
             if not total == f1 == g1 == closed:
@@ -174,8 +174,8 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
         return detail
 
     marginals = (
-        ("oo", "odd-odd", enumerator.StatTable.oo_marginal, recurrences.oo_polys),
-        ("eo", "even-odd", enumerator.StatTable.eo_marginal, recurrences.eo_polys),
+        ("oo", "odd-odd", "x", recurrences.oo_polys),
+        ("eo", "even-odd", "y", recurrences.eo_polys),
     )
     return [
         _run("table-vs-tree", check_table_vs_tree),
@@ -244,7 +244,6 @@ def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
     # m >= 2, with only odd-odd drops.
     pinned = (GENOCCHI_VALUES, MEDIAN_VALUES)
     sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
-    term = (series.genocchi, lambda m: series.genocchi_median(m - 2))
     walk = (recurrences.oo_polys, recurrences.eo_polys)
     count = (enumerator.count_even_odd_only, enumerator.count_odd_odd_only)
 
@@ -288,9 +287,9 @@ def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
             detail = f"enumeration confirms {label} for lengths {2 + odd}..{2 * top - odd}"
             if top < 1 + odd:
                 raise NothingCompared(detail)
-            for m in range(1 + odd, top + 1):
+            values = sequence[odd](top - odd)
+            for m, want in zip(range(1 + odd, top + 1), values, strict=True):
                 got = count[odd](2 * m - odd)
-                want = term[odd](m)
                 if got != want:
                     raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
             return detail
@@ -359,9 +358,8 @@ def suite_pde(series_order: int) -> list[CheckResult]:
         return body
 
     def negative_control():
-        tainted = series.series_oo_even(series_order) + series.TruncSeries.t_monomial(
-            3, series_order
-        )
+        perturbation = series.TruncSeries.t_monomial(3, series_order)
+        tainted = series.closed_form_series("oo_even", series_order) + perturbation
         res = series.pde_residual_of(tainted, "oo_even")
         if res.is_zero():
             raise CheckFailure("perturbed series still satisfies the equation")

@@ -27,6 +27,7 @@ from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
     TruncSeries,
+    closed_form_series,
     eo_series,
     genocchi,
     genocchi_median,
@@ -37,7 +38,6 @@ from oddcycles.series import (
     oo_series,
     pde_residual,
     pde_residual_of,
-    series_oo_even,
     summand_recurrence_check,
 )
 
@@ -62,9 +62,9 @@ def test_criterion_01_routes_agree(emit_line):
         for n in range(1, 13):
             table = joint_table(n)
             jp = joint_poly(n)
-            assert table.as_bipoly() == jp
-            assert table.oo_marginal() == oo_poly(n)
-            assert table.eo_marginal() == eo_poly(n)
+            assert table == jp
+            assert table.marginal("x") == oo_poly(n)
+            assert table.marginal("y") == eo_poly(n)
             assert jp.marginal("x") == oo_poly(n)
             assert jp.marginal("y") == eo_poly(n)
         assert time.perf_counter() - start <= 60.0
@@ -119,7 +119,7 @@ def test_criterion_07_pde_residuals(emit_line):
             # one order is lost to the division by t on the source side
             assert res.order == 19
             assert res.is_zero()
-        tainted = series_oo_even(20) + TruncSeries.t_monomial(3, 20)
+        tainted = closed_form_series("oo_even", 20) + TruncSeries.t_monomial(3, 20)
         assert not pde_residual_of(tainted, "oo_even").is_zero()
 
 

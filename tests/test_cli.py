@@ -57,6 +57,31 @@ class TestEnumerate:
         status, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "csv")
         assert out.splitlines() == ["n,entries,oo,eo", "3,1 2 3,1,0"]
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_members_are_read_one_at_a_time(self, capsys, monkeypatch, fmt):
+        # the first member's statistics are read before the walk yields a
+        # second one; a listing that collects all 86 400 members at n = 12
+        # first would show 86 400 here
+        yielded = []
+        walk = enumerator.iter_odd_drop_cycles
+
+        def counted(n):
+            for c in walk(n):
+                yielded.append(c)
+                yield c
+
+        class Seen(Exception):
+            pass
+
+        def first_stats(c):
+            raise Seen(len(yielded))
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", counted)
+        monkeypatch.setattr(cli, "drop_stats", first_stats)
+        with pytest.raises(Seen) as seen:
+            cli.main(["enumerate", "--n", "12", "--format", fmt])
+        assert seen.value.args == (1,)
+
     def test_requires_n(self, capsys):
         status, _, err = run(capsys, "enumerate")
         assert status == 2

@@ -121,6 +121,8 @@ class TestStats:
         assert v.oo == 2
         assert v.eo == 1
         assert v == (2, 1)
+        assert repr(v) == "StatVector(oo=2, eo=1)"
+        assert hash(v) == hash((2, 1))
 
     def test_singleton_counts_nothing(self):
         # the formal drop has no parity, so neither statistic moves

@@ -8,7 +8,6 @@ import pytest
 from oddcycles import enumerator, verify
 from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle
 from oddcycles.enumerator import (
-    StatTable,
     count_even_odd_only,
     count_odd_odd_only,
     iter_odd_drop_cycles,
@@ -93,37 +92,40 @@ class TestIteration:
 class TestStatTable:
     def test_total_and_polynomial(self):
         t = joint_table(4)
-        assert t.total() == 2
-        assert t.as_bipoly() == BiPoly({(0, 1): 1, (1, 1): 1})
+        assert sum(t.terms.values()) == 2
+        assert t == BiPoly({(0, 1): 1, (1, 1): 1})
 
     def test_known_table_five(self):
         t = joint_table(5)
-        assert t.counts == {(1, 0): 1, (1, 1): 2, (2, 0): 1}
+        assert t.terms == {(1, 0): 1, (1, 1): 2, (2, 0): 1}
 
     def test_marginals(self):
         t = joint_table(6)
-        assert t.oo_marginal() == oo_poly(6)
-        assert t.eo_marginal() == eo_poly(6)
+        assert t.marginal("x") == oo_poly(6)
+        assert t.marginal("y") == eo_poly(6)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        # negative control: oo + eo may never exceed the drop budget
+        # ceil(n/2), so a step that scores every drop twice must trip it
+        with_drop = enumerator._with_drop
+        monkeypatch.setattr(
+            enumerator, "_with_drop", lambda dist, former: with_drop(with_drop(dist, former), former)
+        )
+        with pytest.raises(ValueError, match="exceeds bound 1 for n=2"):
+            joint_table(2)
         with pytest.raises(ValueError):
-            StatTable(3, {(0, 1): -1})
-        with pytest.raises(ValueError):
-            # oo + eo may never exceed the drop budget ceil(n/2)
-            StatTable(3, {(2, 1): 1})
-        with pytest.raises(ValueError):
-            StatTable(0, {})
+            joint_table(0)
 
 
 class TestJointTable:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_direct_tally(self, n):
-        assert joint_table(n).counts == tally(members_by_definition(n))
+        assert joint_table(n).terms == tally(members_by_definition(n))
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_matches_tree_beyond_default_ceiling(self, n):
         # beyond the command line's default --max-n of 12, up to MAX_N
-        assert joint_table(n).as_bipoly() == joint_poly(n)
+        assert joint_table(n) == joint_poly(n)
 
     def test_oracle_suite_catches_a_broken_table(self, monkeypatch):
         # negative control: a table that scores the wrap pair (a_n, 1) as no
@@ -136,7 +138,7 @@ class TestJointTable:
             return (oo - 1, eo) if c.entries[-1] & 1 else (oo, eo - 1)
 
         def broken(n):
-            return StatTable(n, tally(members_by_definition(n), without_wrap))
+            return BiPoly(tally(members_by_definition(n), without_wrap))
 
         monkeypatch.setattr(enumerator, "joint_table", broken)
         result = {c.name: c for c in verify.suite_oracle(max_n=6)}["table-vs-tree"]
@@ -145,7 +147,7 @@ class TestJointTable:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_total_is_member_count(self, n):
-        assert joint_table(n).total() == member_count(n)
+        assert sum(joint_table(n).terms.values()) == member_count(n)
 
 
 class TestParityRestrictedCounts:

@@ -296,7 +296,7 @@ class TestJointPolynomial:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_enumeration(self, n):
-        assert joint_poly(n) == joint_table(n).as_bipoly()
+        assert joint_poly(n) == joint_table(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_marginals_match_recurrences(self, n):
@@ -309,7 +309,7 @@ class TestJointPolynomial:
             joint_poly(0)
 
     def test_builds_one_bipoly(self, monkeypatch):
-        expected = joint_table(12).as_bipoly()
+        expected = joint_table(12)
         built = []
         init = BiPoly.__init__
 

@@ -12,8 +12,8 @@ from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
-    ClosedFormSummand,
     TruncSeries,
+    _summand_series,
     closed_form_series,
     eo_series,
     genocchi,
@@ -27,10 +27,6 @@ from oddcycles.series import (
     oo_series,
     pde_residual,
     pde_residual_of,
-    series_eo_even,
-    series_eo_odd,
-    series_oo_even,
-    series_oo_odd,
     summand_recurrence_check,
 )
 
@@ -193,7 +189,7 @@ class TestClosedFormSummands:
         ],
     )
     def test_numerators(self, which, m, num):
-        assert ClosedFormSummand(which, m).numerator() == num
+        assert FAMILIES[which].numerator(m) == num
 
     def test_denominator_factors(self):
         def factors(which):
@@ -204,30 +200,31 @@ class TestClosedFormSummands:
         assert factors("eo_odd") == [0, 2, 6]
 
     def test_variables(self):
-        assert ClosedFormSummand("oo_even", 1).variable() == "x"
-        assert ClosedFormSummand("eo_odd", 1).variable() == "y"
+        assert FAMILIES["oo_even"].var == "x"
+        assert FAMILIES["eo_odd"].var == "y"
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            ClosedFormSummand("oo", 1)
+            closed_form_series("oo", 4)
         with pytest.raises(ValueError):
-            ClosedFormSummand("oo_even", 0)
+            _summand_series(FAMILIES["oo_even"], 0, 4, "x")
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_summand_starts_at_degree_m(self, which, m):
-        s = ClosedFormSummand(which, m).series(8)
+        fam = FAMILIES[which]
+        s = _summand_series(fam, m, 8, fam.var)
         assert s.valuation() == m
         # below its own degree the summand contributes nothing at all
-        assert ClosedFormSummand(which, m).series(m - 1).is_zero()
+        assert _summand_series(fam, m, m - 1, fam.var).is_zero()
 
     @pytest.mark.parametrize("which", ["oo_even", "oo_odd"])
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_eta_series_is_x_zero_specialization(self, which, m):
         # with v = 0 the factor (1 - v) is 1, so s = t and both expansions agree
-        summand = ClosedFormSummand(which, m)
-        specialized = summand.series(9).substitute(0)
-        assert specialized == summand.eta_series(9)
+        fam = FAMILIES[which]
+        specialized = _summand_series(fam, m, 9, fam.var).substitute(0)
+        assert specialized == _summand_series(fam, m, 9, None)
 
 
 class TestSeriesAgainstRecurrences:
@@ -244,13 +241,13 @@ class TestSeriesAgainstRecurrences:
         assert s.coeff(n) == eo_poly(n)
 
     def test_even_length_slice(self):
-        s = series_oo_even(6)
+        s = closed_form_series("oo_even", 6)
         assert s.coeff(1) == BigPoly((1,))
         assert s.coeff(2) == BigPoly((1, 1))
         assert s.coeff(3) == oo_poly(6)
 
     def test_odd_length_slice(self):
-        s = series_oo_odd(6)
+        s = closed_form_series("oo_odd", 6)
         assert s.coeff(1) == BigPoly((1,))
         assert s.coeff(2) == BigPoly((0, 1))
         assert s.coeff(3) == oo_poly(5)
@@ -258,13 +255,13 @@ class TestSeriesAgainstRecurrences:
     def test_eo_even_prefix_term(self):
         # the correction term (y - 1)t cancels the telescoped sum's lone t,
         # turning the constant 1 at t^1 into the true coefficient y
-        s = series_eo_even(5)
+        s = closed_form_series("eo_even", 5)
         assert s.coeff(1) == X
         assert s.coeff(2) == eo_poly(4)
         assert s.coeff(3) == eo_poly(6)
 
     def test_eo_odd_slice(self):
-        s = series_eo_odd(5)
+        s = closed_form_series("eo_odd", 5)
         assert s.coeff(1) == BigPoly((1,))
         assert s.coeff(3) == eo_poly(5)
 
@@ -310,18 +307,18 @@ class TestSpecialValues:
             genocchi_median(-1)
 
     def test_genocchi_series_is_x_zero_slice(self):
-        assert genocchi_series(10) == series_oo_even(10).substitute(0)
+        assert genocchi_series(10) == closed_form_series("oo_even", 10).substitute(0)
 
     def test_median_series_is_y_zero_slice(self):
-        assert median_series(10) == series_eo_odd(10).substitute(0)
+        assert median_series(10) == closed_form_series("eo_odd", 10).substitute(0)
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
         # cancels the lone t that the telescoped sum contributes
-        assert series_eo_even(12).substitute(0).is_zero()
+        assert closed_form_series("eo_even", 12).substitute(0).is_zero()
 
     def test_oo_odd_at_x_zero_is_t(self):
-        s = series_oo_odd(12).substitute(0)
+        s = closed_form_series("oo_odd", 12).substitute(0)
         assert s == TruncSeries.t_monomial(1, 12)
 
 
@@ -343,13 +340,13 @@ class TestPdeResiduals:
         assert res.is_zero()
 
     def test_negative_control(self):
-        tainted = series_oo_even(12) + TruncSeries.t_monomial(3, 12)
+        tainted = closed_form_series("oo_even", 12) + TruncSeries.t_monomial(3, 12)
         res = pde_residual_of(tainted, "oo_even")
         assert not res.is_zero()
 
     def test_wrong_variable_rejected(self):
         with pytest.raises(ValueError):
-            pde_residual_of(series_eo_odd(8), "oo_even")
+            pde_residual_of(closed_form_series("eo_odd", 8), "oo_even")
 
     def test_integer_series_read_in_family_variable(self):
         res = pde_residual_of(TruncSeries.t_monomial(1, 8), "eo_odd")
@@ -359,7 +356,7 @@ class TestPdeResiduals:
     def test_failure_detail_names_the_series_variable(self):
         # the perturbation y*t^3 first shows as y at t^2; a detail that
         # formats every coefficient in x would print "t^2: x"
-        tainted = series_eo_odd(12) + TruncSeries.t_monomial(3, 12, X, "y")
+        tainted = closed_form_series("eo_odd", 12) + TruncSeries.t_monomial(3, 12, X, "y")
         res = pde_residual_of(tainted, "eo_odd")
         assert verify._series_nonzero_detail(res) == "t^2: y"
 
