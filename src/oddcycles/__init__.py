@@ -9,25 +9,14 @@ recurrences, and closed-form generating functions (whose integer
 specializations are the Genocchi numbers and their medians).
 """
 
-from .cycles import (
-    STAR,
-    Cycle,
-    Drop,
-    DropKind,
-    StatVector,
-    canonicalize,
-    classify,
-    drop_stats,
-    drops,
-    is_odd_drop_cycle,
-)
+from .cycles import Cycle, StatVector, canonicalize, drop_stats
 from .enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
     iter_odd_drop_cycles,
     joint_table,
 )
-from .gentree import children, insertion_delta, joint_poly, joint_step_even, joint_step_odd
+from .gentree import joint_poly
 from .polynomials import BigPoly, BiPoly
 from .recurrences import eo_poly, eo_polys, oo_poly, oo_polys
 from .series import (
@@ -48,22 +37,16 @@ from .verify import CheckResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "STAR",
     "BiPoly",
     "BigPoly",
     "CheckResult",
     "Cycle",
-    "Drop",
-    "DropKind",
     "StatVector",
     "TruncSeries",
     "canonicalize",
-    "children",
-    "classify",
     "count_even_odd_only",
     "count_odd_odd_only",
     "drop_stats",
-    "drops",
     "eo_poly",
     "eo_polys",
     "eo_series",
@@ -73,12 +56,8 @@ __all__ = [
     "genocchi_sequence",
     "identity_residual_1",
     "identity_residual_2",
-    "insertion_delta",
-    "is_odd_drop_cycle",
     "iter_odd_drop_cycles",
     "joint_poly",
-    "joint_step_even",
-    "joint_step_odd",
     "joint_table",
     "oo_poly",
     "oo_polys",

@@ -114,37 +114,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-# -- polynomial serialization ----------------------------------------------
-
-
-def parse_bipoly(text: str) -> BiPoly:
-    """Inverse of the emitted polynomial strings (unit coefficients optional)."""
-    text = text.strip()
-    if text == "0":
-        return BiPoly()
-    terms: dict[tuple[int, int], int] = {}
-    for part in text.split(" + "):
-        coeff = None
-        degrees = {"x": 0, "y": 0}
-        for factor in part.split("*"):
-            if factor.lstrip("-").isdigit():
-                if coeff is not None:
-                    raise ValueError(f"two coefficients in term {part!r}")
-                coeff = int(factor)
-            else:
-                name, _, exp = factor.partition("^")
-                if name not in degrees or (exp and not exp.isdigit()):
-                    raise ValueError(f"bad factor {factor!r} in term {part!r}")
-                if degrees[name]:
-                    raise ValueError(f"repeated variable in term {part!r}")
-                degrees[name] = int(exp) if exp else 1
-        key = (degrees["x"], degrees["y"])
-        if key in terms:
-            raise ValueError(f"repeated monomial in {text!r}")
-        terms[key] = 1 if coeff is None else coeff
-    return BiPoly(terms)
-
-
 # -- emission ---------------------------------------------------------------
 
 

@@ -7,12 +7,10 @@ must land odd; deleting the maximum inverts the step).  Inserting before
 the leading 1 means appending at the end of the canonical word, so children
 are canonical by construction.
 
-``children``, ``child_at``, ``insertion_positions`` and ``insertion_delta``
-take and return validated ``Cycle`` values.  Each is a wrapper over a body
-on the plain canonical word, and ``verify_level``, which grows a whole
-level for the tree-partition check, runs those bodies on words: every word
-it builds comes from a valid permutation, so a ``Cycle`` per child would
-only re-check what insertion already guarantees.
+The tree runs on plain canonical words: ``verify_level`` grows a whole
+level for the tree-partition check, and every word it builds comes from a
+valid permutation, so a validated ``Cycle`` per child would only re-check
+what insertion already guarantees.
 
 Polynomial level: the same step acts on the joint polynomial
 sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
@@ -25,45 +23,45 @@ step is the even step with x and y exchanged, on its input and on its
 output, which on the grid is the body conjugated by a transpose.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
-insertion lands in; insertion_delta exposes that case analysis so tests can
-assert it against statistics recomputed from scratch.
+insertion lands in (see _word_delta); verify_level asserts that case
+analysis against statistics recomputed from scratch, and the tests assert
+it against the drop definition in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from math import ceil
 
-from .cycles import Cycle, is_odd_drop_cycle, is_odd_drop_word, word_drop_stats
+from .cycles import is_odd_drop_word, word_drop_stats
 from .polynomials import BiPoly
 
 Word = tuple[int, ...]
 
 
 def _odd_positions(word: Word) -> list[int]:
-    return [i for i, v in enumerate(word) if v & 1]
-
-
-def insertion_positions(cycle: Cycle) -> list[int]:
     """Indices of odd entries, each a legal spot for the next maximum.
 
     Index 0 (the leading 1) stands for appending at the end of the word.
     """
-    return _odd_positions(cycle.entries)
+    return [i for i, v in enumerate(word) if v & 1]
 
 
 def _child_word(word: Word, pos: int) -> Word:
+    """Insert n+1 immediately before the entry at pos (pos 0: append)."""
     new = len(word) + 1
     if pos == 0:
         return word + (new,)
     return word[:pos] + (new,) + word[pos:]
 
 
-def child_at(cycle: Cycle, pos: int) -> Cycle:
-    """Insert n+1 immediately before the entry at pos (pos 0: append)."""
-    return Cycle(_child_word(cycle.entries, pos))
-
-
 def _word_delta(word: Word, pos: int) -> tuple[int, int]:
+    """Predicted change of (oo, eo) when the next maximum lands before pos.
+
+    Three cases each way: the insertion either splits an existing drop of
+    one kind or another, or sits where there was no drop.  n = 1 is the
+    lone special case: the formal drop onto 1 counts as no drop, and
+    appending 2 creates the even-odd wrap drop (2, 1).
+    """
     n = len(word)
     new = n + 1
     former = word[pos - 1] if pos else word[-1]
@@ -80,62 +78,6 @@ def _word_delta(word: Word, pos: int) -> tuple[int, int]:
     if former & 1:
         return (-1, 1)  # odd-odd drop replaced by even-odd (new, latter)
     return (0, 0)  # even-odd drop replaced by even-odd
-
-
-def insertion_delta(cycle: Cycle, pos: int) -> tuple[int, int]:
-    """Predicted change of (oo, eo) when the next maximum lands before pos.
-
-    Three cases each way: the insertion either splits an existing drop of
-    one kind or another, or sits where there was no drop.  n = 1 is the
-    lone special case: the formal (STAR, 1) drop counts as no drop, and
-    appending 2 creates the even-odd wrap drop (2, 1).
-    """
-    return _word_delta(cycle.entries, pos)
-
-
-def children(cycle: Cycle) -> list[Cycle]:
-    """All odd-drop cycles obtained by inserting the next maximum.
-
-    The input must itself be an odd-drop cycle; the children partition the
-    next level, ceil(n/2) of them per parent (one per odd entry).
-    """
-    if not is_odd_drop_cycle(cycle):
-        raise ValueError(f"not an odd-drop cycle: {cycle}")
-    return [child_at(cycle, pos) for pos in insertion_positions(cycle)]
-
-
-def _check_joint_input(poly: BiPoly, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"step parameter must be positive, got {n}")
-    for (i, j), c in poly.terms.items():
-        if i + j > n:
-            raise ValueError(f"term x^{i}*y^{j} violates the degree bound i+j <= {n}")
-        if c < 0:
-            raise ValueError(f"negative coefficient {c} at x^{i}*y^{j}")
-
-
-def joint_step_even(poly: BiPoly, n: int) -> BiPoly:
-    """Transfer the joint polynomial from length 2n-1 to length 2n.
-
-    Each monomial c*x^i*y^j contributes
-    c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)).
-    """
-    _check_joint_input(poly, n)
-    return _to_bipoly(_step(_to_grid(poly.terms, n), n))
-
-
-def joint_step_odd(poly: BiPoly, n: int) -> BiPoly:
-    """Transfer the joint polynomial from length 2n to length 2n+1.
-
-    Each monomial c*x^i*y^j contributes
-    c * (i*x^i*y^j + j*x^(i+1)*y^(j-1) + (n-i-j)*x^(i+1)*y^j),
-    which is the even step's contribution with x and y (and i and j)
-    exchanged term by term, so the odd step is the even step conjugated by
-    that swap.  The input check runs on the caller's polynomial so that its
-    messages name the caller's terms.
-    """
-    _check_joint_input(poly, n)
-    return _to_bipoly(_odd_step(_to_grid(poly.terms, n), n))
 
 
 def _to_grid(terms: dict[tuple[int, int], int], n: int) -> list[list[int]]:
@@ -155,9 +97,11 @@ def _odd_step(grid: list[list[int]], n: int) -> list[list[int]]:
 
 
 def _step(grid: list[list[int]], n: int) -> list[list[int]]:
-    # the even step on a square grid of side at least n + 1; checking each
-    # nonzero entry's degree and sign keeps every image inside the grid and
-    # nonnegative.  The messages hold on the transposed grid too.
+    # the even step, length 2n-1 to 2n, on a square grid of side at least
+    # n + 1: each c*x^i*y^j contributes
+    # c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)).  Checking
+    # each nonzero entry's degree and sign keeps every image inside the grid
+    # and nonnegative.  The messages hold on the transposed grid too.
     side = len(grid)
     out = [[0] * side for _ in range(side)]
     for i, row in enumerate(grid):

@@ -7,9 +7,10 @@ BigPoly coefficients in a single named variable, or integer coefficients
 when it names none.  A TruncSeries knows the order through which its
 coefficients are trustworthy, and every operation recomputes that bound
 honestly (differentiating in t loses one order, multiplying by t gains one,
-dividing by t spends a known-zero low coefficient, and products combine the
-factors' orders with their valuations).  Residual checks read their valid
-order off the result instead of guessing it.
+dividing by t spends a known-zero low coefficient, and a sum is exact to
+the lower of its terms' orders).  No series is multiplied by another; a
+product scales each coefficient by an integer or a polynomial.  Residual
+checks read their valid order off the result instead of guessing it.
 
 The module builds four closed-form generating functions whose t^m coefficients
 are the drop-statistic polynomials of odd-drop cycles:
@@ -19,7 +20,7 @@ are the drop-statistic polynomials of odd-drop cycles:
   eo_even (variable y, lengths 2m):    (y-1)t + sum of m!(m-1)! t^m / prod(1+k(k+1)(1-y)t)
   eo_odd  (variable y, lengths 2m-1):  sum of ((m-1)!)^2 t^m / prod(1+k(k-1)(1-y)t)
 
-with products over k = 1..m.  The m-th summand has valuation m, so partial
+with products over k = 1..m.  The m-th summand starts at t^m, so partial
 sums through m = N give the series exactly to order N; the m = N+1 summand
 contributing nothing at order N is asserted by a test, not assumed.
 Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2) yields
@@ -53,7 +54,7 @@ from .polynomials import BigPoly, _as_bigpoly
 
 
 def _join(a: str | None, b: str | None) -> str | None:
-    """The variable of a sum or product of an a-series and a b-series."""
+    """The variable of the sum of an a-series and a b-series."""
     if a is None or a == b:
         return b
     if b is None:
@@ -124,13 +125,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def valuation(self) -> int:
-        """Lowest t-degree with nonzero coefficient; order+1 if none stored."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return self.order + 1
-
     def first_nonzero(self) -> tuple[int, BigPoly] | None:
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
@@ -177,27 +171,11 @@ class TruncSeries:
     def __sub__(self, other) -> "TruncSeries":
         return self + (-other if isinstance(other, TruncSeries) else -_as_bigpoly(other))
 
-    def __rsub__(self, other) -> "TruncSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return TruncSeries([c * other for c in self.coeffs], self.order, self.var)
-        # unknown coefficients of one factor first pollute the product at
-        # (order+1) + valuation of the other factor
-        order = min(
-            self.order + other.valuation(), other.order + self.valuation()
-        )
-        out = [BigPoly.zero()] * (order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero() or i > order:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > order:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(out, order, _join(self.var, other.var))
+        """Each coefficient times an int or a BigPoly in the series' variable."""
+        if isinstance(other, TruncSeries):
+            return NotImplemented
+        return TruncSeries([c * other for c in self.coeffs], self.order, self.var)
 
     __rmul__ = __mul__
 
@@ -250,22 +228,9 @@ class TruncSeries:
         """Evaluate the series' variable at an integer: an integer series."""
         return TruncSeries([c(value) for c in self.coeffs], self.order)
 
-    def reciprocal(self) -> "TruncSeries":
-        """Inverse of a unit series with constant coefficient exactly 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError(f"reciprocal needs constant term 1, got {self._show(self.coeffs[0])}")
-        out = [BigPoly.one()] + [BigPoly.zero()] * self.order
-        for n in range(1, self.order + 1):
-            acc = BigPoly.zero()
-            for i in range(1, n + 1):
-                if not self.coeffs[i].is_zero():
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out[n] = -acc
-        return TruncSeries(out, self.order, self.var)
-
     def divide_linear(self, c) -> "TruncSeries":
-        """Exact division by the unit factor (1 + c*t) without building its
-        reciprocal: out_j = self_j - c*out_(j-1)."""
+        """Exact division by the unit factor (1 + c*t), coefficient by
+        coefficient: out_j = self_j - c*out_(j-1)."""
         out = [self.coeffs[0]]
         for j in range(1, self.order + 1):
             out.append(self.coeffs[j] - c * out[j - 1])

@@ -125,12 +125,17 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
-    def check_marginal(label, var, walk):
+    def check_marginal(label, var, walk, last):
+        # the walk at every length, and the single polynomial that
+        # poly --kind f|g prints at the top one
         def body():
             for n, want in _walked(walk(max_n), max_n):
                 got = table(n).marginal(var)
                 if got != want:
                     raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
+            got, want = table(max_n).marginal(var), last(max_n)
+            if got != want:
+                raise CheckFailure(f"n={max_n}: {_first_bigpoly_diff(got, want)}")
             return f"{label} marginal equals recurrence for n=1..{max_n}"
 
         return body
@@ -174,8 +179,8 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
         return detail
 
     marginals = (
-        ("oo", "odd-odd", "x", recurrences.oo_polys),
-        ("eo", "even-odd", "y", recurrences.eo_polys),
+        ("oo", "odd-odd", "x", recurrences.oo_polys, recurrences.oo_poly),
+        ("eo", "even-odd", "y", recurrences.eo_polys, recurrences.eo_poly),
     )
     return [
         _run("table-vs-tree", check_table_vs_tree),

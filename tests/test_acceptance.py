@@ -8,21 +8,13 @@ are asserted, not just measured.
 import time
 from contextlib import contextmanager
 
-from oddcycles.cycles import Cycle, drop_stats
 from oddcycles.enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
-    iter_odd_drop_cycles,
+    iter_odd_drop_words,
     joint_table,
 )
-from oddcycles.gentree import (
-    child_at,
-    children,
-    children_count,
-    insertion_delta,
-    insertion_positions,
-    joint_poly,
-)
+from oddcycles.gentree import children_count, joint_poly, verify_level
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
@@ -125,24 +117,17 @@ def test_criterion_07_pde_residuals(emit_line):
 
 def test_criterion_08_generating_tree(emit_line):
     with criterion(emit_line, 8, "maximum insertion partitions each level and predicts the statistics"):
-        level = [Cycle((1,))]
+        # verify_level checks every child's membership and its statistics
+        # against the insertion case analysis; the listing walk is strictly
+        # increasing, so a sorted level equal to it has no child grown twice
+        level = [(1,)]
         for n in range(1, 12):
-            seen: set[Cycle] = set()
-            nxt: list[Cycle] = []
-            for parent in level:
-                kids = children(parent)
-                # every odd entry is an insertion spot, so ceil(n/2) children
-                assert len(kids) == children_count(n) == (n + 1) // 2
-                assert seen.isdisjoint(kids)
-                seen.update(kids)
-                nxt.extend(kids)
-                base = drop_stats(parent)
-                for pos in insertion_positions(parent):
-                    doo, deo = insertion_delta(parent, pos)
-                    kid = child_at(parent, pos)
-                    assert drop_stats(kid) == (base.oo + doo, base.eo + deo)
-            assert seen == set(iter_odd_drop_cycles(n + 1))
-            level = nxt
+            grown, problems = verify_level(level)
+            assert problems == []
+            # every odd entry is an insertion spot, so ceil(n/2) children each
+            assert len(grown) == len(level) * children_count(n) == len(level) * ((n + 1) // 2)
+            level = sorted(grown)
+            assert level == list(iter_odd_drop_words(n + 1))
 
 
 def test_criterion_09_summand_recurrences(emit_line):

@@ -6,14 +6,11 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, find, given, settings
-from hypothesis import strategies as st
 
 from oddcycles import cli, enumerator, recurrences, verify
 from oddcycles.cycles import Cycle
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BigPoly, BiPoly
-from oddcycles.recurrences import oo_poly
 from oddcycles.verify import CheckResult
 
 
@@ -115,59 +112,11 @@ class TestPoly:
     def test_json_round_trips_through_parser(self, capsys):
         _, out, _ = run(capsys, "poly", "--kind", "joint", "--n", "7", "--format", "json")
         doc = json.loads(out)
-        assert cli.parse_bipoly(doc["results"]["polynomial"]) == joint_poly(7)
+        assert doc["results"]["polynomial"] == joint_poly(7).format(explicit_units=True)
 
     def test_rejects_bad_input(self, capsys):
         assert run(capsys, "poly", "--kind", "f")[0] == 2
         assert run(capsys, "poly", "--kind", "f", "--n", "0")[0] == 2
-
-
-class TestPolynomialText:
-    @pytest.mark.parametrize("n", [1, 4, 5, 8, 9])
-    def test_bipoly_round_trip(self, n):
-        p = joint_poly(n)
-        assert cli.parse_bipoly(p.format()) == p
-        assert cli.parse_bipoly(p.format(explicit_units=True)) == p
-
-    def test_bigpoly_round_trip(self):
-        p = oo_poly(8)
-        assert cli.parse_bipoly(p.format()) == p.to_bipoly("x")
-
-    def test_zero(self):
-        assert cli.parse_bipoly("0") == BiPoly()
-
-    @pytest.mark.parametrize("bad", ["x + x", "2*3*x", "z^2", "x^y", "x*x"])
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            cli.parse_bipoly(bad)
-
-
-bipolys = st.dictionaries(
-    st.tuples(st.integers(0, 6), st.integers(0, 6)),
-    st.integers(-50, 50).filter(bool),
-    max_size=8,
-).map(BiPoly)
-
-
-def round_trips(p: BiPoly, units: bool, render=BiPoly.format) -> bool:
-    return cli.parse_bipoly(render(p, units)) == p
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(bipolys, st.booleans())
-def test_parse_bipoly_inverts_format(p, units):
-    assert round_trips(p, units)
-
-
-def test_round_trip_property_catches_a_dropped_term():
-    def without_last_term(p, units):
-        return p.format(units).rpartition(" + ")[0] or "0"
-
-    find(
-        st.tuples(bipolys, st.booleans()),
-        lambda case: not round_trips(*case, render=without_last_term),
-        settings=settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate]),
-    )
 
 
 class TestSequence:
@@ -319,6 +268,19 @@ class TestVerifyCommand:
         assert status == 0
         assert doc["results"] == {"failed": 0, "passed": 4}
         assert [c["status"] for c in doc["checks"]] == ["PASS"] * 4 + ["SKIP"]
+
+    @pytest.mark.parametrize(
+        "stat, name, diff", [("oo", "oo_poly", "3 != 0"), ("eo", "eo_poly", "0 != 2")]
+    )
+    def test_oracle_suite_checks_the_printed_marginal(self, capsys, monkeypatch, stat, name, diff):
+        # poly --kind f|g prints oo_poly/eo_poly; one that returns the
+        # polynomial a length short must fail its marginal check
+        short = getattr(recurrences, name)
+        monkeypatch.setattr(recurrences, name, lambda n: short(n - 1))
+        status, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "6", "--format", "csv")
+        assert status == 1
+        failed = [line for line in out.splitlines() if ",FAIL," in line]
+        assert failed == [f"{stat}-marginal-vs-recurrence,FAIL,n=6: degree 0: {diff}"]
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         def fake(suite, *, max_n, series_order):

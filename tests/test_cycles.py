@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 
 from oddcycles.cycles import (
     MAX_N,
-    STAR,
     Cycle,
-    Drop,
-    DropKind,
     StatVector,
     canonicalize,
-    classify,
     drop_stats,
-    drops,
-    is_odd_drop_cycle,
+    is_odd_drop_word,
 )
+from reference import drops_by_definition, is_member_by_definition, stats_by_definition
 
 
 class TestCanonicalize:
@@ -42,7 +38,7 @@ class TestCanonicalize:
 
     def test_length_bound(self):
         top = tuple(range(MAX_N, 0, -1))
-        assert canonicalize(top).n == MAX_N
+        assert len(canonicalize(top).entries) == MAX_N
         with pytest.raises(ValueError, match=f"length {MAX_N + 1} exceeds the maximum {MAX_N}"):
             canonicalize(tuple(range(1, MAX_N + 2)))
 
@@ -54,51 +50,27 @@ class TestCanonicalize:
 
 
 class TestDrops:
+    """The reference definition the property tests below rest on."""
+
     def test_increasing_cycle_has_only_wrap_drop(self):
-        found = drops(Cycle((1, 2, 3, 4)))
-        assert found == [Drop(4, 1, 4)]
+        assert drops_by_definition((1, 2, 3, 4)) == [(4, 1)]
 
     def test_interior_and_wrap(self):
-        found = drops(Cycle((1, 2, 4, 3)))
-        assert found == [Drop(4, 3, 3), Drop(3, 1, 4)]
+        assert drops_by_definition((1, 2, 4, 3)) == [(4, 3), (3, 1)]
 
     def test_singleton_formal_drop(self):
-        found = drops(Cycle((1,)))
-        assert found == [Drop(STAR, 1, 1)]
+        # a formal drop onto 1 with a former entry of no parity
+        assert drops_by_definition((1,)) == [(None, 1)]
+        assert stats_by_definition((1,)) == (0, 0)
+        assert is_member_by_definition((1,))
 
     def test_every_longer_cycle_has_a_drop(self):
-        assert len(drops(Cycle((1, 2)))) >= 1
-
-    def test_drop_validates_descent(self):
-        with pytest.raises(ValueError):
-            Drop(2, 3, 1)
-        with pytest.raises(ValueError):
-            Drop(2, 2, 1)
-
-
-class TestClassify:
-    @pytest.mark.parametrize(
-        "former,latter,kind",
-        [
-            (3, 1, DropKind.ODD_ODD),
-            (2, 1, DropKind.EVEN_ODD),
-            (3, 2, DropKind.ODD_EVEN),
-            (4, 2, DropKind.EVEN_EVEN),
-        ],
-    )
-    def test_parity_classes(self, former, latter, kind):
-        assert classify(Drop(former, latter, 1)) is kind
-
-    def test_star_class(self):
-        assert classify(Drop(STAR, 1, 1)) is DropKind.STAR
-
-    def test_star_is_singleton(self):
-        assert type(STAR)() is STAR
+        assert len(drops_by_definition((1, 2))) >= 1
 
 
 class TestMembership:
     def test_singleton_qualifies(self):
-        assert is_odd_drop_cycle(Cycle((1,)))
+        assert is_odd_drop_word((1,))
 
     @pytest.mark.parametrize(
         "entries,member",
@@ -112,7 +84,7 @@ class TestMembership:
         ],
     )
     def test_small_cases(self, entries, member):
-        assert is_odd_drop_cycle(Cycle(entries)) is member
+        assert is_odd_drop_word(entries) is member
 
 
 class TestStats:
@@ -169,22 +141,17 @@ def cycles(draw):
     return canonicalize(word[shift:] + word[:shift])
 
 
-def stats_by_definition(cycle: Cycle) -> tuple[int, int]:
-    kinds = [classify(d) for d in drops(cycle)]
-    return kinds.count(DropKind.ODD_ODD), kinds.count(DropKind.EVEN_ODD)
-
-
 def stats_agree(cycle: Cycle, stats=drop_stats) -> bool:
-    return tuple(stats(cycle)) == stats_by_definition(cycle)
+    return tuple(stats(cycle)) == stats_by_definition(cycle.entries)
 
 
-def membership_agrees(cycle: Cycle, member=is_odd_drop_cycle) -> bool:
-    return member(cycle) == all(d.latter % 2 == 1 for d in drops(cycle))
+def membership_agrees(cycle: Cycle, member=is_odd_drop_word) -> bool:
+    return member(cycle.entries) == is_member_by_definition(cycle.entries)
 
 
 def rotations_agree(cycle: Cycle, canon=canonicalize) -> bool:
     word = cycle.entries
-    return all(canon(word[s:] + word[:s]) == cycle for s in range(cycle.n))
+    return all(canon(word[s:] + word[:s]) == cycle for s in range(len(word)))
 
 
 _property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -238,10 +205,10 @@ def test_stats_property_catches_a_counted_even_even_drop():
 
 
 def test_membership_property_catches_a_skipped_pair():
-    def without_last_pair(cycle):
+    def without_last_pair(word):
         # off by one: never looks at the pair (a_(n-1), a_n)
-        prev = cycle.entries[-1]
-        for v in cycle.entries[:-1]:
+        prev = word[-1]
+        for v in word[:-1]:
             if v < prev and not v & 1:
                 return False
             prev = v

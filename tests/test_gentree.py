@@ -5,67 +5,63 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import Cycle, drop_stats, is_odd_drop_cycle, word_drop_stats
-from oddcycles.enumerator import iter_odd_drop_cycles, joint_table
+from oddcycles.cycles import canonicalize, word_drop_stats
+from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import (
-    child_at,
-    children,
+    _child_word,
+    _odd_positions,
+    _word_delta,
     children_count,
-    insertion_delta,
-    insertion_positions,
     joint_poly,
-    joint_step_even,
-    joint_step_odd,
     verify_level,
 )
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
+from reference import is_member_by_definition, stats_by_definition
 
 
-def levels(top: int) -> list[list[Cycle]]:
+def children(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The children verify_level grows from one parent, which it finds sound."""
+    kids, problems = verify_level([word])
+    assert problems == []
+    return kids
+
+
+def levels(top: int) -> list[list[tuple[int, ...]]]:
     """Tree levels 1..top grown by repeated child expansion."""
-    out = [[Cycle((1,))]]
+    out = [[(1,)]]
     while len(out) < top:
-        nxt = []
-        for parent in out[-1]:
-            nxt.extend(children(parent))
-        out.append(nxt)
+        out.append([kid for parent in out[-1] for kid in children(parent)])
     return out
 
 
 class TestChildren:
     def test_root_child(self):
-        assert children(Cycle((1,))) == [Cycle((1, 2))]
+        assert children((1,)) == [(1, 2)]
 
     def test_two_cycle_child(self):
         # inserting 3 before the even entry 2 would create the drop (3, 2),
         # so the only insertion spot is before the leading 1, i.e. appending
-        assert children(Cycle((1, 2))) == [Cycle((1, 2, 3))]
+        assert children((1, 2)) == [(1, 2, 3)]
 
     def test_three_cycle_children(self):
-        got = children(Cycle((1, 2, 3)))
-        assert got == [Cycle((1, 2, 3, 4)), Cycle((1, 2, 4, 3))]
+        assert children((1, 2, 3)) == [(1, 2, 3, 4), (1, 2, 4, 3)]
 
     def test_positions_are_odd_entries(self):
-        assert insertion_positions(Cycle((1, 2, 4, 3))) == [0, 3]
+        assert _odd_positions((1, 2, 4, 3)) == [0, 3]
 
     def test_child_at_append_and_split(self):
-        c = Cycle((1, 2, 4, 3))
-        assert child_at(c, 0).entries == (1, 2, 4, 3, 5)
-        assert child_at(c, 3).entries == (1, 2, 4, 5, 3)
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ValueError):
-            children(Cycle((1, 3, 2)))
+        assert _child_word((1, 2, 4, 3), 0) == (1, 2, 4, 3, 5)
+        assert _child_word((1, 2, 4, 3), 3) == (1, 2, 4, 5, 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_stay_members_and_count(self, n):
-        for parent in iter_odd_drop_cycles(n):
+        for parent in iter_odd_drop_words(n):
             kids = children(parent)
             assert len(kids) == children_count(n)
             for kid in kids:
-                assert kid.n == n + 1
-                assert is_odd_drop_cycle(kid)
+                assert len(kid) == n + 1
+                assert is_member_by_definition(kid)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11])
     def test_children_count_value(self, n):
@@ -77,21 +73,21 @@ class TestPartition:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_levels_partition_next_level(self, n):
         lvl = levels(n)[-1]
-        seen: set[Cycle] = set()
+        seen: set[tuple[int, ...]] = set()
         for parent in lvl:
             kids = children(parent)
             assert seen.isdisjoint(kids)
             seen.update(kids)
-        assert seen == set(iter_odd_drop_cycles(n + 1))
+        assert seen == set(iter_odd_drop_words(n + 1))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_delta_predicts_statistics(self, n):
-        for parent in iter_odd_drop_cycles(n):
-            base = drop_stats(parent)
-            for pos in insertion_positions(parent):
-                doo, deo = insertion_delta(parent, pos)
-                kid = child_at(parent, pos)
-                assert drop_stats(kid) == (base.oo + doo, base.eo + deo)
+        for parent in iter_odd_drop_words(n):
+            oo, eo = stats_by_definition(parent)
+            for pos in _odd_positions(parent):
+                doo, deo = _word_delta(parent, pos)
+                kid = _child_word(parent, pos)
+                assert stats_by_definition(kid) == (oo + doo, eo + deo)
 
     def test_verify_level_clean_walk(self):
         level = [(1,)]
@@ -149,9 +145,9 @@ class TestPartition:
     def test_delta_cases_cover_all_six(self):
         seen = set()
         for n in range(1, 8):
-            for parent in iter_odd_drop_cycles(n):
-                for pos in insertion_positions(parent):
-                    seen.add(((n + 1) & 1, insertion_delta(parent, pos)))
+            for parent in iter_odd_drop_words(n):
+                for pos in _odd_positions(parent):
+                    seen.add(((n + 1) & 1, _word_delta(parent, pos)))
         assert seen == {
             (1, (1, 0)),
             (1, (0, 0)),
@@ -162,45 +158,47 @@ class TestPartition:
         }
 
 
+def joint_step(poly: BiPoly, n: int, odd: bool) -> BiPoly:
+    """The even (or odd) transfer step on a polynomial, through the grid body."""
+    body = gentree._odd_step if odd else gentree._step
+    return gentree._to_bipoly(body(gentree._to_grid(poly.terms, n), n))
+
+
 class TestTransferSteps:
     def test_even_step_examples(self):
-        assert joint_step_even(BiPoly.one(), 1) == BiPoly({(0, 1): 1})
-        assert joint_step_even(BiPoly({(1, 0): 1}), 2) == BiPoly({(0, 1): 1, (1, 1): 1})
+        assert joint_step(BiPoly.one(), 1, odd=False) == BiPoly({(0, 1): 1})
+        assert joint_step(BiPoly({(1, 0): 1}), 2, odd=False) == BiPoly({(0, 1): 1, (1, 1): 1})
 
     def test_odd_step_examples(self):
-        assert joint_step_odd(BiPoly({(0, 1): 1}), 1) == BiPoly({(1, 0): 1})
-        got = joint_step_odd(BiPoly({(0, 1): 1, (1, 1): 1}), 2)
+        assert joint_step(BiPoly({(0, 1): 1}), 1, odd=True) == BiPoly({(1, 0): 1})
+        got = joint_step(BiPoly({(0, 1): 1, (1, 1): 1}), 2, odd=True)
         assert got == BiPoly({(1, 0): 1, (1, 1): 2, (2, 0): 1})
 
     def test_steps_are_linear_in_zero(self):
-        assert joint_step_even(BiPoly(), 3) == BiPoly()
-        assert joint_step_odd(BiPoly(), 3) == BiPoly()
+        assert joint_step(BiPoly(), 3, odd=False) == BiPoly()
+        assert joint_step(BiPoly(), 3, odd=True) == BiPoly()
 
     def test_degree_bound_enforced(self):
-        with pytest.raises(ValueError):
-            joint_step_even(BiPoly({(2, 2): 1}), 3)
-        with pytest.raises(ValueError):
-            joint_step_odd(BiPoly({(3, 1): 1}), 3)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            joint_step(BiPoly({(2, 2): 1}), 3, odd=False)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            joint_step(BiPoly({(3, 1): 1}), 3, odd=True)
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            joint_step_even(BiPoly({(0, 1): -1}), 5)
-
-    def test_step_parameter_positive(self):
-        with pytest.raises(ValueError):
-            joint_step_even(BiPoly.one(), 0)
+        with pytest.raises(ValueError, match="negative coefficient"):
+            joint_step(BiPoly({(0, 1): -1}), 5, odd=False)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_even_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k - 1)
-        q = joint_step_even(p, k)
+        q = joint_step(p, k, odd=False)
         assert q.marginal("x") == free_step(p.marginal("x"), k)
         assert q.marginal("y") == forced_step(p.marginal("y"), k)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_odd_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k)
-        q = joint_step_odd(p, k)
+        q = joint_step(p, k, odd=True)
         assert q.marginal("x") == forced_step(p.marginal("x"), k)
         assert q.marginal("y") == free_step(p.marginal("y"), k)
 
@@ -226,8 +224,8 @@ def _steps_match_marginal_steps(case) -> bool:
     # that even lengths force
     p, n = case
     px, py = _marginals(p)
-    even_ok = _marginals(joint_step_even(p, n)) == (free_step(px, n), forced_step(py, n))
-    odd_ok = _marginals(joint_step_odd(p, n)) == (forced_step(px, n), free_step(py, n))
+    even_ok = _marginals(joint_step(p, n, odd=False)) == (free_step(px, n), forced_step(py, n))
+    odd_ok = _marginals(joint_step(p, n, odd=True)) == (forced_step(px, n), free_step(py, n))
     return even_ok and odd_ok
 
 
@@ -264,10 +262,12 @@ def member_and_position(draw):
 
 
 def _word_child_is_the_cycle_child(case, build=gentree._child_word) -> bool:
+    # the next maximum inserted before word[pos] in the cyclic order: the
+    # rotation starting at word[pos] with the maximum put in front of it
     word, pos = case
     kid = build(word, pos)
-    cycle = Cycle(kid)  # raises if the word is no canonical permutation
-    return is_odd_drop_cycle(cycle) and kid == child_at(Cycle(word), pos).entries
+    inserted = canonicalize((len(word) + 1,) + word[pos:] + word[:pos]).entries
+    return is_member_by_definition(kid) and kid == inserted
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

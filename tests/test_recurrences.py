@@ -186,9 +186,10 @@ class TestOneWalk:
 
     def test_oracle_suite(self, steps):
         assert all(c.passed for c in verify.suite_oracle(7))
-        # each marginal check walks its statistic to 7, and the count check
-        # walks both
-        assert len(steps["free"]) == 4 * 6
+        # each marginal check walks its statistic to 7 twice, once for every
+        # length and once for the single polynomial poly --kind f|g prints,
+        # and the count check walks both
+        assert len(steps["free"]) == 6 * 6
 
     def test_cno_count_sequence(self, steps, capsys):
         assert cli.main(["sequence", "--kind", "cno_count", "--limit", "30"]) == 0

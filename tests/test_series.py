@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcycles import series, verify
@@ -70,8 +70,8 @@ class TestTruncSeriesBasics:
             s.coeff_int(0)
 
     def test_valuation(self):
-        assert TruncSeries([0, 0, 5], order=4).valuation() == 2
-        assert TruncSeries.zero(3).valuation() == 4
+        assert TruncSeries([0, 0, 5], order=4).first_nonzero() == (2, BigPoly((5,)))
+        assert TruncSeries.zero(3).first_nonzero() is None
         assert TruncSeries.zero(3).is_zero()
 
     def test_t_monomial_bounds(self):
@@ -95,21 +95,14 @@ class TestTruncSeriesArithmetic:
         a = TruncSeries([1, 1], order=5)
         assert (a + 2).order == 5
         assert (3 * a).order == 5
-        assert (2 - a).coeff(0) == BigPoly.one()
+        assert (a - 2).coeff(0) == -BigPoly.one()
 
-    def test_mul_order_uses_valuation(self):
-        # multiplying by t^3 pushes usable information three orders up
-        a = TruncSeries([1, 1], order=4)
-        t3 = TruncSeries.t_monomial(3, 7)
-        assert (a * t3).order == 7
-        assert (t3 * a).order == 7
-        assert (a * t3).coeff(4) == BigPoly.one()
-
-    def test_mul_value(self):
-        # (1 + t)(1 - t) = 1 - t^2
-        a = TruncSeries([1, 1], order=6)
-        b = TruncSeries([1, -1], order=6)
-        assert a * b == TruncSeries([1, 0, -1], order=6)
+    def test_mul_scales_each_coefficient(self):
+        a = TruncSeries([1, 2], order=3, var="x")
+        assert a * X == TruncSeries([X, 2 * X], order=3, var="x")
+        # no series multiplies another
+        with pytest.raises(TypeError):
+            a * TruncSeries.one(3)
 
     def test_shift_up_down_roundtrip(self):
         a = TruncSeries([1, 2, 3], order=4)
@@ -149,33 +142,20 @@ class TestTruncSeriesArithmetic:
         b = TruncSeries([1, X], order=3, var="y")
         with pytest.raises(ValueError):
             a + b
-        with pytest.raises(ValueError):
-            a * b
         # an integer series combines with either
-        assert (a * TruncSeries.one(3)).var == "x"
+        assert (a + TruncSeries.one(3)).var == "x"
         assert (TruncSeries.one(3) + b).var == "y"
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
             TruncSeries.one(2).truncate(5)
 
-    def test_reciprocal_inverts(self):
-        s = TruncSeries([1, 4, 9, 16, 25], order=8)
-        assert s * s.reciprocal() == TruncSeries.one(8)
-
-    def test_reciprocal_with_polynomial_coefficients(self):
-        s = TruncSeries([1, 2 * (1 - X)], order=6, var="x")
-        assert s * s.reciprocal() == TruncSeries.one(6, var="x")
-
-    def test_reciprocal_needs_unit_constant(self):
-        with pytest.raises(ValueError):
-            TruncSeries([2, 1], order=3).reciprocal()
-
-    def test_divide_linear_matches_reciprocal(self):
+    def test_divide_linear_multiplies_back(self):
         s = TruncSeries([1, 1, 1, 1], order=6)
-        lin = TruncSeries([1, 5], order=6)
-        assert s.divide_linear(5) == s * lin.reciprocal()
-        assert s.divide_linear(5) * lin == s.truncate(6)
+        q = s.divide_linear(5)
+        # q * (1 + 5t), through the order q is exact to
+        assert q + (q * 5).shift_up(1).truncate(6) == s
+        assert q.coeff(3) == BigPoly((1 - 5 + 25 - 125,))
 
 
 class TestClosedFormSummands:
@@ -214,7 +194,7 @@ class TestClosedFormSummands:
     def test_summand_starts_at_degree_m(self, which, m):
         fam = FAMILIES[which]
         s = _summand_series(fam, m, 8, fam.var)
-        assert s.valuation() == m
+        assert s.first_nonzero()[0] == m
         # below its own degree the summand contributes nothing at all
         assert _summand_series(fam, m, m - 1, fam.var).is_zero()
 
@@ -421,7 +401,7 @@ _small = st.integers(-20, 20)
 def wide_series(draw, var=None):
     """(narrow, wide): a random series exact through N, and the same series
     known SLACK orders further.  var None draws an integer series or an
-    x-series; leading zero coefficients give it a valuation."""
+    x-series; it may start with zero coefficients."""
     if var is None:
         var = draw(st.sampled_from([None, "x"]))
     coeff = _small if var is None else st.lists(_small, max_size=4).map(BigPoly)
@@ -441,24 +421,15 @@ def agrees(narrow_result, wide_result) -> bool:
     )
 
 
-def mul_agrees(a, b) -> bool:
-    return agrees(a[0] * b[0], a[1] * b[1])
-
-
 _property = settings(max_examples=50, deadline=None, derandomize=True, database=None)
-
-
-@_property
-@given(wide_series(), wide_series(var="x"))
-def test_mul_order_is_honest(a, b):
-    assert mul_agrees(a, b)
 
 
 @_property
 @given(wide_series(), st.integers(0, 4))
 def test_shift_down_order_is_honest(a, k):
     narrow, wide = a
-    if k > narrow.order or narrow.valuation() < k:
+    lowest = narrow.first_nonzero()
+    if k > narrow.order or lowest is not None and lowest[0] < k:
         with pytest.raises(ValueError):
             narrow.shift_down(k)
         return
@@ -481,19 +452,3 @@ def test_divide_linear_order_is_honest(a, c, poly):
     # a polynomial divisor needs a series in a variable
     divisor = c if narrow.var is None else BigPoly(poly)
     assert agrees(narrow.divide_linear(divisor), wide.divide_linear(divisor))
-
-
-def test_order_property_catches_an_overclaiming_product(monkeypatch):
-    honest = TruncSeries.__mul__
-
-    def overclaiming(self, other):
-        # treats each factor's first unknown coefficient as zero
-        if not isinstance(other, TruncSeries):
-            return honest(self, other)
-        widen = lambda s: TruncSeries(s.coeffs, s.order + 1, s.var)
-        return honest(widen(self), widen(other))
-
-    monkeypatch.setattr(TruncSeries, "__mul__", overclaiming)
-    no_shrink = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
-    # raises NoSuchExample if the property cannot tell the broken product apart
-    find(st.tuples(wide_series(), wide_series(var="x")), lambda ab: not mul_agrees(*ab), settings=no_shrink)
