@@ -9,11 +9,11 @@ recurrences, and closed-form generating functions (whose integer
 specializations are the Genocchi numbers and their medians).
 """
 
-from .cycles import Cycle, StatVector, canonicalize, drop_stats
+from .cycles import canonicalize, drop_stats
 from .enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
-    iter_odd_drop_cycles,
+    iter_odd_drop_words,
     joint_table,
 )
 from .gentree import joint_poly
@@ -26,8 +26,6 @@ from .series import (
     genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
-    identity_residual_1,
-    identity_residual_2,
     oo_series,
     pde_residual,
     summand_recurrence_check,
@@ -40,8 +38,6 @@ __all__ = [
     "BiPoly",
     "BigPoly",
     "CheckResult",
-    "Cycle",
-    "StatVector",
     "TruncSeries",
     "canonicalize",
     "count_even_odd_only",
@@ -54,9 +50,7 @@ __all__ = [
     "genocchi_median",
     "genocchi_median_sequence",
     "genocchi_sequence",
-    "identity_residual_1",
-    "identity_residual_2",
-    "iter_odd_drop_cycles",
+    "iter_odd_drop_words",
     "joint_poly",
     "joint_table",
     "oo_poly",

@@ -152,15 +152,15 @@ def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
         raise UsageError("enumerate requires --n")
     _check_enumerable(cfg, n)
     # members are read one at a time; no list of them is built
-    rows = ((c.entries, drop_stats(c)) for c in enumerator.iter_odd_drop_cycles(n))
+    rows = ((word, *drop_stats(word)) for word in enumerator.iter_odd_drop_words(n))
     if cfg.output_format == "json":
-        cycles = [{"entries": list(e), "oo": s.oo, "eo": s.eo} for e, s in rows]
+        cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]
         results = {"count": len(cycles), "cycles": cycles}
         return 0, _emit_json("enumerate", _params(cfg, n=n), results, [])
     if cfg.output_format == "csv":
-        body = ([n, " ".join(map(str, e)), s.oo, s.eo] for e, s in rows)
+        body = ([n, " ".join(map(str, w)), oo, eo] for w, oo, eo in rows)
         return 0, _emit_csv(["n", "entries", "oo", "eo"], body)
-    lines = [f"{' '.join(map(str, e))}   oo={s.oo} eo={s.eo}" for e, s in rows]
+    lines = [f"{' '.join(map(str, w))}   oo={oo} eo={eo}" for w, oo, eo in rows]
     lines.append(f"total {len(lines)}")
     return 0, "\n".join(lines)
 

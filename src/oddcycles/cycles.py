@@ -18,55 +18,27 @@ drops are the two statistics everything else in this package is built on.
 The tests check the one-pass functions here against a literal
 transcription of this definition in ``tests/reference.py``.
 
-``Cycle`` validates its entries, which is what the API edge wants.  Code
-that builds its words from permutations it already knows to be valid, as
-the generating-tree check does for hundreds of thousands of them, reads
-the statistics off the plain word with ``word_drop_stats`` and
-``is_odd_drop_word``; ``drop_stats`` is the wrapper over the first.
+A cycle is its canonical word, a plain tuple.  ``canonicalize`` is the one
+check at the API edge; the functions that read a word do not re-check it,
+since the enumerator and the generating tree build theirs from
+permutations they already know to be valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 #: Largest cycle length canonicalize accepts; n! representatives make
 #: anything much beyond this uncomputable anyway.
 MAX_N = 20
 
 
-class StatVector(NamedTuple):
-    """Pair (oo, eo): counts of odd-odd and even-odd drops."""
+def canonicalize(perm: Sequence[int]) -> tuple[int, ...]:
+    """Rotate a permutation of {1, ..., n} to start with 1: the canonical word.
 
-    oo: int
-    eo: int
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Canonical representative of a cycle: entries[0] is always 1."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("cycle must be nonempty")
-        if self.entries[0] != 1:
-            raise ValueError(f"canonical cycle must start with 1, got {self.entries}")
-        if set(self.entries) != set(range(1, n + 1)):
-            raise ValueError(f"entries must be a permutation of 1..{n}, got {self.entries}")
-
-    def __repr__(self) -> str:
-        return f"Cycle{self.entries}"
-
-
-def canonicalize(perm: Sequence[int]) -> Cycle:
-    """Rotate a permutation of {1, ..., n} to start with 1.
-
-    All rotations of the same word map to the same Cycle.  Rejects input
-    that is not a permutation of a contiguous range starting at 1, and
-    lengths beyond MAX_N.
+    All rotations of the same word map to the same tuple.  Rejects entries
+    that are not ints, input that is not a permutation of a contiguous range
+    starting at 1, and lengths beyond MAX_N.
     """
     word = tuple(perm)
     n = len(word)
@@ -74,10 +46,10 @@ def canonicalize(perm: Sequence[int]) -> Cycle:
         raise ValueError("empty input")
     if n > MAX_N:
         raise ValueError(f"length {n} exceeds the maximum {MAX_N}")
-    if set(word) != set(range(1, n + 1)):
+    if any(type(v) is not int for v in word) or set(word) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {word}")
     pivot = word.index(1)
-    return Cycle(word[pivot:] + word[:pivot])
+    return word[pivot:] + word[:pivot]
 
 
 def is_odd_drop_word(word: tuple[int, ...]) -> bool:
@@ -95,13 +67,13 @@ def is_odd_drop_word(word: tuple[int, ...]) -> bool:
     return True
 
 
-def word_drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
-    """``drop_stats`` on a canonical word, which is not re-validated.
+def drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
+    """Counts (oo, eo) of odd-odd and even-odd drops of a canonical word.
 
-    One pass over the cyclic pairs, the wrap pair first (for n = 1 that pair
-    is (1, 1), no drop, so the formal drop counts toward neither statistic);
-    tested against the tally in ``tests/reference.py``, which is the
-    definition.
+    The word is not re-validated.  One pass over the cyclic pairs, the wrap
+    pair first (for n = 1 that pair is (1, 1), no drop, so the formal drop
+    counts toward neither statistic); tested against the tally in
+    ``tests/reference.py``, which is the definition.
     """
     oo = 0
     eo = 0
@@ -114,8 +86,3 @@ def word_drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
                 eo += 1
         prev = v
     return oo, eo
-
-
-def drop_stats(cycle: Cycle) -> StatVector:
-    """Counts of odd-odd and even-odd drops of a cycle."""
-    return StatVector(*word_drop_stats(cycle.entries))

@@ -7,24 +7,19 @@ representative (1, a_2, ..., a_n), and it is a member when every drop
 larger) lands on an odd entry.
 
 Two methods share that definition.  ``joint_table`` counts members by
-their (odd-odd, even-odd) drop pair with a dynamic program over the state
-(set of used values, last value), the transfer-matrix / Held-Karp subset
-method: it takes about 2^n * n^2 steps rather than (n-1)!, so tables up to
-MAX_N take well under a second.  ``iter_odd_drop_cycles`` lists the
-members themselves by a depth-first walk over tails in lexicographic
-order.  The walk enters a prefix only if it completes to a member: its
-drops land on odd entries, and the smallest unused value is odd or larger
-than its last entry.  That test is exact.  If the smallest unused value is
-even and below the last entry, everything that could precede it is larger,
-so some drop lands on it.  Otherwise the unused values in increasing order
-complete the prefix: the only drops they add land on that smallest value,
-which is then odd, and on the leading 1.
-
-The walk builds each member's canonical word from a valid permutation.
-``iter_odd_drop_words`` yields those words as plain tuples, for the
-generating tree's partition check, which compares hundreds of thousands
-of them; ``iter_odd_drop_cycles`` wraps each in a validated ``Cycle``,
-which is what the API edge hands out.
+their (odd-odd, even-odd) drop pair with a dynamic program over the
+state (set of used values, last value), the transfer-matrix / Held-Karp
+subset method: it takes about 2^n * n^2 steps rather than (n-1)!, so
+tables up to MAX_N take well under a second.  ``iter_odd_drop_words``
+lists the members themselves, as canonical words, by a depth-first walk
+over tails in lexicographic order.  The walk enters a prefix only if it
+completes to a member: its drops land on odd entries, and the smallest
+unused value is odd or larger than its last entry.  That test is exact.
+If the smallest unused value is even and below the last entry,
+everything that could precede it is larger, so some drop lands on it.
+Otherwise the unused values in increasing order complete the prefix: the
+only drops they add land on that smallest value, which is then odd, and
+on the leading 1.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from __future__ import annotations
 from math import ceil
 from typing import Iterator
 
-from .cycles import Cycle
 from .polynomials import BiPoly
 
 #: Largest n any function here accepts.  The table's work grows like
@@ -46,11 +40,7 @@ def _check_n(n: int) -> None:
 
 
 def iter_odd_drop_words(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the canonical word of every odd-drop cycle on [n] once, in lex order.
-
-    The words are plain tuples: each is built from a valid permutation, so
-    it is not re-validated as a Cycle.
-    """
+    """Yield the canonical word of every odd-drop cycle on [n] once, in lex order."""
     _check_n(n)
     # Stack of (last entry, unused values in increasing order, word so far),
     # children pushed in reverse.  The exact prune of the module docstring
@@ -72,11 +62,6 @@ def iter_odd_drop_words(n: int) -> Iterator[tuple[int, ...]]:
             if v < prev and not v & 1:
                 continue  # a drop onto an even entry
             stack.append((v, rest[:i] + rest[i + 1:], word + (v,)))
-
-
-def iter_odd_drop_cycles(n: int) -> Iterator[Cycle]:
-    """Yield every odd-drop cycle on [n] exactly once, tails in lex order."""
-    yield from map(Cycle, iter_odd_drop_words(n))
 
 
 def _with_drop(dist: dict[tuple[int, int], int], former: int) -> dict[tuple[int, int], int]:

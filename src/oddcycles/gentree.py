@@ -7,11 +7,6 @@ must land odd; deleting the maximum inverts the step).  Inserting before
 the leading 1 means appending at the end of the canonical word, so children
 are canonical by construction.
 
-The tree runs on plain canonical words: ``verify_level`` grows a whole
-level for the tree-partition check, and every word it builds comes from a
-valid permutation, so a validated ``Cycle`` per child would only re-check
-what insertion already guarantees.
-
 Polynomial level: the same step acts on the joint polynomial
 sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
 only on the parity of the new length.  Alternating the two operators from
@@ -32,7 +27,7 @@ from __future__ import annotations
 
 from math import ceil
 
-from .cycles import is_odd_drop_word, word_drop_stats
+from .cycles import drop_stats, is_odd_drop_word
 from .polynomials import BiPoly
 
 Word = tuple[int, ...]
@@ -158,12 +153,12 @@ def verify_level(parents: list[Word]) -> tuple[list[Word], list[str]]:
     time: every child it grows is checked for membership.  Returns the
     children of all parents plus a list of discrepancy messages (statistics
     recomputed from scratch not matching the predicted deltas, a wrong
-    child count, or a non-member child), which name the parent as a Cycle.
+    child count, or a non-member child), which write each word as Cycle(...).
     """
     next_level: list[Word] = []
     problems: list[str] = []
     for parent in parents:
-        oo, eo = word_drop_stats(parent)
+        oo, eo = drop_stats(parent)
         positions = _odd_positions(parent)
         expected = children_count(len(parent))
         if len(positions) != expected:
@@ -174,7 +169,7 @@ def verify_level(parents: list[Word]) -> tuple[list[Word], list[str]]:
                 problems.append(f"Cycle{parent} pos {pos}: child Cycle{kid} not an odd-drop cycle")
             doo, deo = _word_delta(parent, pos)
             predicted = (oo + doo, eo + deo)
-            actual = word_drop_stats(kid)
+            actual = drop_stats(kid)
             if predicted != actual:
                 problems.append(f"Cycle{parent} pos {pos}: predicted stats {predicted}, got {actual}")
             next_level.append(kid)

@@ -32,10 +32,10 @@ zeroth of the prefix zeroth*(1-v)*t (-1 for eo_even's (y-1)t, 0 elsewhere)
 and the two first-order coefficients of the family's PDE.  One builder,
 closed_form_series, reads a row; no code branches on the family name.
 
-Specializing the variable to 0 turns the oo_even family into the Genocchi
-number generating function and the eo_odd family into the Genocchi median
-one; the other two specializations collapse to t exactly, which is what the
-two identity_residual operations check.
+Specializing the variable to 0 (closed_form_at_zero) turns the oo_even
+family's summands into the Genocchi number generating function and the
+eo_odd family's into the Genocchi median one; the other two families'
+summands collapse to t exactly, which the identities suite checks.
 
 Each closed form satisfies a second-order PDE in its original variables;
 the four share their second-order part, and the row's zeroth also fixes the
@@ -96,10 +96,6 @@ class TruncSeries:
     @classmethod
     def zero(cls, order: int, var: str | None = None) -> "TruncSeries":
         return cls((), order, var)
-
-    @classmethod
-    def one(cls, order: int, var: str | None = None) -> "TruncSeries":
-        return cls((1,), order, var)
 
     @classmethod
     def t_monomial(cls, k: int, order: int, coeff=1, var: str | None = None) -> "TruncSeries":
@@ -357,55 +353,37 @@ def eo_series(order: int) -> TruncSeries:
 # -- integer specializations ---------------------------------------------
 
 
-def genocchi_series(order: int) -> TruncSeries:
-    """Generating function of the Genocchi numbers:
-    sum of m!(m-1)! t^m / prod(1+k^2 t), integer coefficients."""
-    return _closed_form_sum(FAMILIES["oo_even"], order, None)
+def closed_form_at_zero(which: str, order: int) -> TruncSeries:
+    """The family's summands through m = order at v = 0: an integer series."""
+    return _closed_form_sum(_check_family(which), order, None)
+
+
+def genocchi_sequence(count: int) -> list[int]:
+    """The first count Genocchi numbers, starting at index 1: the t^n
+    coefficients of sum of m!(m-1)! t^m / prod(1+k^2 t)."""
+    series = closed_form_at_zero("oo_even", count)
+    return [series.coeff_int(n) for n in range(1, count + 1)]
 
 
 def genocchi(n: int) -> int:
     """n-th Genocchi number (1, 1, 3, 17, 155, ...), n >= 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return genocchi_series(n).coeff_int(n)
+    return genocchi_sequence(n)[-1]
 
 
-def genocchi_sequence(count: int) -> list[int]:
-    """The first count Genocchi numbers, starting at index 1."""
-    series = genocchi_series(count)
-    return [series.coeff_int(n) for n in range(1, count + 1)]
-
-
-def median_series(order: int) -> TruncSeries:
-    """Generating function whose t^(n+2) coefficient is the n-th Genocchi
-    median: sum of ((m-1)!)^2 t^m / prod(1+k(k-1) t)."""
-    return _closed_form_sum(FAMILIES["eo_odd"], order, None)
+def genocchi_median_sequence(count: int) -> list[int]:
+    """The first count Genocchi medians, starting at index 0: the t^(n+2)
+    coefficients of sum of ((m-1)!)^2 t^m / prod(1+k(k-1) t)."""
+    series = closed_form_at_zero("eo_odd", count + 1)
+    return [series.coeff_int(n + 2) for n in range(count)]
 
 
 def genocchi_median(n: int) -> int:
     """n-th Genocchi median (1, 2, 8, 56, 608, ...), n >= 0."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return median_series(n + 2).coeff_int(n + 2)
-
-
-def genocchi_median_sequence(count: int) -> list[int]:
-    """The first count Genocchi medians, starting at index 0."""
-    series = median_series(count + 1)
-    return [series.coeff_int(n + 2) for n in range(count)]
-
-
-def identity_residual_1(order: int) -> TruncSeries:
-    """sum of ((m-1)!)^2 t^m / prod(1+k^2 t)  minus  t.
-
-    The sum telescopes to t exactly; the residual is the zero series.
-    """
-    return _closed_form_sum(FAMILIES["oo_odd"], order, None) - TruncSeries.t_monomial(1, order)
-
-
-def identity_residual_2(order: int) -> TruncSeries:
-    """sum of m!(m-1)! t^m / prod(1+k(k+1) t)  minus  t; again zero."""
-    return _closed_form_sum(FAMILIES["eo_even"], order, None) - TruncSeries.t_monomial(1, order)
+    return genocchi_median_sequence(n + 1)[-1]
 
 
 # -- PDE residuals --------------------------------------------------------

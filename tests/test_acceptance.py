@@ -19,14 +19,13 @@ from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
     TruncSeries,
+    closed_form_at_zero,
     closed_form_series,
     eo_series,
     genocchi,
     genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
-    identity_residual_1,
-    identity_residual_2,
     oo_series,
     pde_residual,
     pde_residual_of,
@@ -100,8 +99,9 @@ def test_criterion_05_series_coefficients(emit_line):
 
 def test_criterion_06_telescoping_identities(emit_line):
     with criterion(emit_line, 6, "both telescoping sums equal t through order 30"):
-        assert identity_residual_1(30).is_zero()
-        assert identity_residual_2(30).is_zero()
+        t = TruncSeries.t_monomial(1, 30)
+        assert closed_form_at_zero("oo_odd", 30) == t
+        assert closed_form_at_zero("eo_even", 30) == t
 
 
 def test_criterion_07_pde_residuals(emit_line):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from oddcycles import cli, enumerator, recurrences, verify
-from oddcycles.cycles import Cycle
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.verify import CheckResult
@@ -25,7 +24,7 @@ def stubbed(monkeypatch):
     """Every heavy call of the command line replaced by one that costs nothing."""
     monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
     monkeypatch.setattr(recurrences, "oo_polys", lambda n: (BigPoly.one() for _ in range(n)))
-    monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", lambda n: iter([Cycle((1,))]))
+    monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(1,)]))
     monkeypatch.setattr(
         verify, "run_suites",
         lambda suite, *, max_n, series_order: [CheckResult("stub", True, "stubbed", 0.0)],
@@ -60,20 +59,20 @@ class TestEnumerate:
         # second one; a listing that collects all 86 400 members at n = 12
         # first would show 86 400 here
         yielded = []
-        walk = enumerator.iter_odd_drop_cycles
+        walk = enumerator.iter_odd_drop_words
 
         def counted(n):
-            for c in walk(n):
-                yielded.append(c)
-                yield c
+            for w in walk(n):
+                yielded.append(w)
+                yield w
 
         class Seen(Exception):
             pass
 
-        def first_stats(c):
+        def first_stats(w):
             raise Seen(len(yielded))
 
-        monkeypatch.setattr(enumerator, "iter_odd_drop_cycles", counted)
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", counted)
         monkeypatch.setattr(cli, "drop_stats", first_stats)
         with pytest.raises(Seen) as seen:
             cli.main(["enumerate", "--n", "12", "--format", fmt])

@@ -6,11 +6,11 @@ from itertools import permutations
 import pytest
 
 from oddcycles import enumerator, verify
-from oddcycles.cycles import Cycle, drop_stats
+from oddcycles.cycles import drop_stats
 from oddcycles.enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
-    iter_odd_drop_cycles,
+    iter_odd_drop_words,
     joint_table,
 )
 from oddcycles.gentree import joint_poly
@@ -23,64 +23,66 @@ def member_count(n: int) -> int:
     return math.factorial((n - 1) // 2) * math.factorial(n // 2)
 
 
-def members_by_definition(n: int) -> list[Cycle]:
+def members_by_definition(n: int) -> list[tuple[int, ...]]:
     """Every tail of (1, ...) in lexicographic order, filtered by membership."""
-    cycles = (Cycle((1,) + tail) for tail in permutations(range(2, n + 1)))
-    return [c for c in cycles if is_member_by_definition(c.entries)]
+    words = ((1,) + tail for tail in permutations(range(2, n + 1)))
+    return [w for w in words if is_member_by_definition(w)]
 
 
-def tally(cycles, stats=drop_stats) -> dict[tuple[int, int], int]:
+def tally(words, stats=drop_stats) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for c in cycles:
-        key = tuple(stats(c))
+    for w in words:
+        key = stats(w)
         out[key] = out.get(key, 0) + 1
     return out
 
 
 class TestIteration:
     def test_smallest_levels(self):
-        assert [c.entries for c in iter_odd_drop_cycles(1)] == [(1,)]
-        assert [c.entries for c in iter_odd_drop_cycles(2)] == [(1, 2)]
-        assert [c.entries for c in iter_odd_drop_cycles(3)] == [(1, 2, 3)]
+        assert list(iter_odd_drop_words(1)) == [(1,)]
+        assert list(iter_odd_drop_words(2)) == [(1, 2)]
+        assert list(iter_odd_drop_words(3)) == [(1, 2, 3)]
 
     def test_level_four(self):
-        got = [c.entries for c in iter_odd_drop_cycles(4)]
+        got = list(iter_odd_drop_words(4))
         assert got == [(1, 2, 3, 4), (1, 2, 4, 3)]
 
     def test_lexicographic_order(self):
-        tails = [c.entries[1:] for c in iter_odd_drop_cycles(7)]
+        tails = [w[1:] for w in iter_odd_drop_words(7)]
         assert tails == sorted(tails)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_match_closed_formula(self, n):
-        assert sum(1 for _ in iter_odd_drop_cycles(n)) == member_count(n)
+        assert sum(1 for _ in iter_odd_drop_words(n)) == member_count(n)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pruned_walk_matches_full_scan(self, n):
-        assert list(iter_odd_drop_cycles(n)) == members_by_definition(n)
+        assert list(iter_odd_drop_words(n)) == members_by_definition(n)
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_walk_is_the_member_set_in_order(self, n):
-        # beyond the full-scan reference: strictly increasing tails (lex order,
-        # no repeats), all of them members, as many as there are members
-        cycles = list(iter_odd_drop_cycles(n))
-        tails = [c.entries[1:] for c in cycles]
-        assert all(a < b for a, b in zip(tails, tails[1:]))
-        assert all(is_member_by_definition(c.entries) for c in cycles)
-        assert len(cycles) == member_count(n)
+        # beyond the full-scan reference: permutations of 1..n that start
+        # with 1, strictly increasing (lex order, no repeats), all of them
+        # members, as many as there are members
+        words = list(iter_odd_drop_words(n))
+        values = list(range(1, n + 1))
+        assert all(w[0] == 1 and sorted(w) == values for w in words)
+        assert all(a < b for a, b in zip(words, words[1:]))
+        assert all(is_member_by_definition(w) for w in words)
+        assert len(words) == member_count(n)
 
     def test_membership_of_output(self):
-        for c in iter_odd_drop_cycles(6):
-            assert is_member_by_definition(c.entries)
+        for w in iter_odd_drop_words(6):
+            assert is_member_by_definition(w)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            list(iter_odd_drop_cycles(0))
+            list(iter_odd_drop_words(0))
         with pytest.raises(ValueError):
-            list(iter_odd_drop_cycles(enumerator.MAX_N + 1))
+            list(iter_odd_drop_words(enumerator.MAX_N + 1))
         # the ceiling itself is accepted; the first word is the increasing one
-        top = next(iter_odd_drop_cycles(enumerator.MAX_N))
-        assert top.entries == tuple(range(1, enumerator.MAX_N + 1))
+        top = next(iter_odd_drop_words(enumerator.MAX_N))
+        assert top == tuple(range(1, enumerator.MAX_N + 1))
 
     @pytest.mark.parametrize("count", [joint_table, count_even_odd_only, count_odd_odd_only])
     def test_counts_stop_at_the_ceiling(self, count):
@@ -132,11 +134,11 @@ class TestJointTable:
         # negative control: a table that scores the wrap pair (a_n, 1) as no
         # drop must fail table-vs-tree at its first differing coefficient;
         # max_n=6 keeps the permutation tally cheap in the checks that pass
-        def without_wrap(c):
-            oo, eo = drop_stats(c)
-            if len(c.entries) == 1:
+        def without_wrap(w):
+            oo, eo = drop_stats(w)
+            if len(w) == 1:
                 return oo, eo
-            return (oo - 1, eo) if c.entries[-1] & 1 else (oo, eo - 1)
+            return (oo - 1, eo) if w[-1] & 1 else (oo, eo - 1)
 
         def broken(n):
             return BiPoly(tally(members_by_definition(n), without_wrap))

@@ -5,7 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import canonicalize, word_drop_stats
+from oddcycles.cycles import canonicalize, drop_stats
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import (
     _child_word,
@@ -116,13 +116,13 @@ class TestPartition:
     def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
         def wrap_as_odd_odd(word):
             # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
-            oo, eo = word_drop_stats(word)
+            oo, eo = drop_stats(word)
             if len(word) > 1 and not word[-1] & 1:
                 return (oo + 1, eo - 1)
             return (oo, eo)
 
-        # gentree imports word_drop_stats by name
-        monkeypatch.setattr(gentree, "word_drop_stats", wrap_as_odd_odd)
+        # gentree imports drop_stats by name
+        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd)
         result = self.tree_partition()
         assert not result.passed
         assert result.detail == "n=1: Cycle(1,) pos 0: predicted stats (0, 1), got (1, 0)"
@@ -266,7 +266,7 @@ def _word_child_is_the_cycle_child(case, build=gentree._child_word) -> bool:
     # rotation starting at word[pos] with the maximum put in front of it
     word, pos = case
     kid = build(word, pos)
-    inserted = canonicalize((len(word) + 1,) + word[pos:] + word[:pos]).entries
+    inserted = canonicalize((len(word) + 1,) + word[pos:] + word[:pos])
     return is_member_by_definition(kid) and kid == inserted
 
 

@@ -16,7 +16,7 @@ import oddcycles
 PACKAGE = Path(oddcycles.__file__).parent
 
 ALLOWED = {
-    "enumerator": {"cycles", "polynomials"},
+    "enumerator": {"polynomials"},
     "gentree": {"cycles", "polynomials"},
     "recurrences": {"polynomials"},
     "series": {"polynomials"},

@@ -14,16 +14,13 @@ from oddcycles.series import (
     FAMILIES,
     TruncSeries,
     _summand_series,
+    closed_form_at_zero,
     closed_form_series,
     eo_series,
     genocchi,
     genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
-    genocchi_series,
-    identity_residual_1,
-    identity_residual_2,
-    median_series,
     oo_series,
     pde_residual,
     pde_residual_of,
@@ -79,7 +76,7 @@ class TestTruncSeriesBasics:
             TruncSeries.t_monomial(5, 4)
 
     def test_immutable(self):
-        s = TruncSeries.one(2)
+        s = TruncSeries.t_monomial(0, 2)
         with pytest.raises(AttributeError):
             s.order = 5
 
@@ -102,7 +99,7 @@ class TestTruncSeriesArithmetic:
         assert a * X == TruncSeries([X, 2 * X], order=3, var="x")
         # no series multiplies another
         with pytest.raises(TypeError):
-            a * TruncSeries.one(3)
+            a * TruncSeries.t_monomial(0, 3)
 
     def test_shift_up_down_roundtrip(self):
         a = TruncSeries([1, 2, 3], order=4)
@@ -119,7 +116,7 @@ class TestTruncSeriesArithmetic:
         assert d.order == 1
         assert d == TruncSeries([1, 6], order=1)
         with pytest.raises(ValueError):
-            TruncSeries.one(0).differentiate_t()
+            TruncSeries.t_monomial(0, 0).differentiate_t()
 
     def test_differentiate_variable(self):
         a = TruncSeries([X * X], order=2, var="y")
@@ -143,12 +140,12 @@ class TestTruncSeriesArithmetic:
         with pytest.raises(ValueError):
             a + b
         # an integer series combines with either
-        assert (a + TruncSeries.one(3)).var == "x"
-        assert (TruncSeries.one(3) + b).var == "y"
+        assert (a + TruncSeries.t_monomial(0, 3)).var == "x"
+        assert (TruncSeries.t_monomial(0, 3) + b).var == "y"
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
-            TruncSeries.one(2).truncate(5)
+            TruncSeries.t_monomial(0, 2).truncate(5)
 
     def test_divide_linear_multiplies_back(self):
         s = TruncSeries([1, 1, 1, 1], order=6)
@@ -287,10 +284,10 @@ class TestSpecialValues:
             genocchi_median(-1)
 
     def test_genocchi_series_is_x_zero_slice(self):
-        assert genocchi_series(10) == closed_form_series("oo_even", 10).substitute(0)
+        assert closed_form_at_zero("oo_even", 10) == closed_form_series("oo_even", 10).substitute(0)
 
     def test_median_series_is_y_zero_slice(self):
-        assert median_series(10) == closed_form_series("eo_odd", 10).substitute(0)
+        assert closed_form_at_zero("eo_odd", 10) == closed_form_series("eo_odd", 10).substitute(0)
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
@@ -305,11 +302,11 @@ class TestSpecialValues:
 class TestIdentities:
     @pytest.mark.parametrize("order", [1, 2, 5, 30])
     def test_squares_telescope(self, order):
-        assert identity_residual_1(order).is_zero()
+        assert closed_form_at_zero("oo_odd", order) == TruncSeries.t_monomial(1, order)
 
     @pytest.mark.parametrize("order", [1, 2, 5, 30])
     def test_products_telescope(self, order):
-        assert identity_residual_2(order).is_zero()
+        assert closed_form_at_zero("eo_even", order) == TruncSeries.t_monomial(1, order)
 
 
 class TestPdeResiduals:
