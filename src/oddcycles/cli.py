@@ -269,10 +269,10 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
         raise UsageError("table requires exactly one of --n or --limit")
     if limit is not None and limit < 1:
         raise UsageError(f"limit must be positive, got {limit}")
-    ns = [n] if n is not None else list(range(1, limit + 1))
-    _check_enumerable(cfg, ns[-1])
+    # checked before the lengths are listed, so a huge --limit builds nothing
+    _check_enumerable(cfg, n if n is not None else limit)
     rows: list[list[int]] = []
-    for m in ns:
+    for m in [n] if n is not None else range(1, limit + 1):
         table = enumerator.joint_table(m)
         for (oo, eo), c in sorted(table.terms.items()):
             rows.append([m, oo, eo, c])

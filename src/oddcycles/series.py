@@ -2,15 +2,16 @@
 
 Everything here is exact integer arithmetic; there is no floating point and
 no tolerance anywhere.  Each generating function marks one statistic with
-one variable (x for odd-odd drops, y for even-odd drops), so a series holds
-BigPoly coefficients in a single named variable, or integer coefficients
-when it names none.  A TruncSeries knows the order through which its
-coefficients are trustworthy, and every operation recomputes that bound
-honestly (differentiating in t loses one order, multiplying by t gains one,
-dividing by t spends a known-zero low coefficient, and a sum is exact to
-the lower of its terms' orders).  No series is multiplied by another; a
-product scales each coefficient by an integer or a polynomial.  Residual
-checks read their valid order off the result instead of guessing it.
+one variable (x for odd-odd drops, y for even-odd drops).  That variable
+belongs to the family and is named once, in its FAMILIES row; a series
+holds only BigPoly coefficients and an order.  A TruncSeries knows the
+order through which its coefficients are trustworthy, and every operation
+recomputes that bound honestly (differentiating in t loses one order,
+multiplying by t gains one, dividing by t spends a known-zero low
+coefficient, and a sum is exact to the lower of its terms' orders).  No
+series is multiplied by another; a product scales each coefficient by an
+integer or a polynomial.  Residual checks read their valid order off the
+result instead of guessing it.
 
 The module builds four closed-form generating functions whose t^m coefficients
 are the drop-statistic polynomials of odd-drop cycles:
@@ -53,27 +54,17 @@ from typing import Callable
 from .polynomials import BigPoly, _as_bigpoly
 
 
-def _join(a: str | None, b: str | None) -> str | None:
-    """The variable of the sum of an a-series and a b-series."""
-    if a is None or a == b:
-        return b
-    if b is None:
-        return a
-    raise ValueError(f"cannot combine a series in {a} with a series in {b}")
-
-
 class TruncSeries:
     """Power series in t, exact through self.order.
 
-    coeffs has length order+1 and holds BigPoly coefficients in the variable
-    var ("x" or "y"); var None marks a series with integer coefficients,
-    which combines with a series in either variable.  Scalar operands, ints
-    or BigPolys, are read in the series' own variable.
+    coeffs has length order+1 and holds BigPoly coefficients.  The series
+    names no variable: a family's variable lives in its FAMILIES row, and
+    an integer series is one whose coefficients are all constant.
     """
 
-    __slots__ = ("coeffs", "order", "var")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs=(), order: int | None = None, var: str | None = None):
+    def __init__(self, coeffs=(), order: int | None = None):
         cs = [_as_bigpoly(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
@@ -81,28 +72,23 @@ class TruncSeries:
             raise ValueError("series order must be nonnegative")
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        if var not in (None, "x", "y"):
-            raise ValueError(f"unknown series variable {var!r}")
-        if var is None and any(c.degree() > 0 for c in cs):
-            raise ValueError("a series without a variable needs constant coefficients")
         cs.extend([BigPoly.zero()] * (order + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int, var: str | None = None) -> "TruncSeries":
-        return cls((), order, var)
+    def zero(cls, order: int) -> "TruncSeries":
+        return cls((), order)
 
     @classmethod
-    def t_monomial(cls, k: int, order: int, coeff=1, var: str | None = None) -> "TruncSeries":
+    def t_monomial(cls, k: int, order: int, coeff=1) -> "TruncSeries":
         """The series coeff * t^k."""
         if not 0 <= k <= order:
             raise ValueError(f"exponent {k} outside order {order}")
-        return cls([0] * k + [coeff], order, var)
+        return cls([0] * k + [coeff], order)
 
     # -- inspection ------------------------------------------------------
 
@@ -115,7 +101,7 @@ class TruncSeries:
         """Coefficient of t^n as an integer; requires a constant coefficient."""
         c = self.coeff(n)
         if c.degree() > 0:
-            raise ValueError(f"coefficient of t^{n} is not constant: {self._show(c)}")
+            raise ValueError(f"coefficient of t^{n} is not constant: {c.format()}")
         return c.coeff(0)
 
     def is_zero(self) -> bool:
@@ -130,58 +116,45 @@ class TruncSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.order, self.var, self.coeffs) == (other.order, other.var, other.coeffs)
-
-    def _show(self, c: BigPoly) -> str:
-        return c.format(self.var or "x")
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
 
     def __repr__(self) -> str:
-        head = ", ".join(self._show(c) for c in self.coeffs[:4])
+        head = ", ".join(c.format() for c in self.coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
-        return f"TruncSeries(order={self.order}, var={self.var!r}, coeffs=[{head}{tail}])"
+        return f"TruncSeries(order={self.order}, coeffs=[{head}{tail}])"
 
     # -- ring operations -------------------------------------------------
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncSeries(self.coeffs[: order + 1], order, self.var)
+        return TruncSeries(self.coeffs[: order + 1], order)
 
     def __add__(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            order = min(self.order, other.order)
-            coeffs = [
-                self.coeffs[i] + other.coeffs[i] for i in range(order + 1)
-            ]
-            return TruncSeries(coeffs, order, _join(self.var, other.var))
-        # scalars are exact at every order
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        order = min(self.order, other.order)
         return TruncSeries(
-            (self.coeffs[0] + other,) + self.coeffs[1:], self.order, self.var
+            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs], self.order, self.var)
+        return TruncSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other) -> "TruncSeries":
-        return self + (-other if isinstance(other, TruncSeries) else -_as_bigpoly(other))
+        return self + -other
 
     def __mul__(self, other) -> "TruncSeries":
-        """Each coefficient times an int or a BigPoly in the series' variable."""
+        """Each coefficient times an int or a BigPoly."""
         if isinstance(other, TruncSeries):
             return NotImplemented
-        return TruncSeries([c * other for c in self.coeffs], self.order, self.var)
-
-    __rmul__ = __mul__
+        return TruncSeries([c * other for c in self.coeffs], self.order)
 
     def shift_up(self, k: int = 1) -> "TruncSeries":
         """Multiply by t^k; the k new low coefficients are exactly zero."""
         if k < 0:
             raise ValueError("shift_up needs k >= 0")
-        return TruncSeries(
-            (BigPoly.zero(),) * k + self.coeffs, self.order + k, self.var
-        )
+        return TruncSeries((BigPoly.zero(),) * k + self.coeffs, self.order + k)
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by t^k; requires the k lowest coefficients to vanish."""
@@ -192,9 +165,9 @@ class TruncSeries:
         for i in range(k):
             if not self.coeffs[i].is_zero():
                 raise ValueError(
-                    f"cannot divide by t^{k}: coefficient of t^{i} is {self._show(self.coeffs[i])}"
+                    f"cannot divide by t^{k}: coefficient of t^{i} is {self.coeffs[i].format()}"
                 )
-        return TruncSeries(self.coeffs[k:], self.order - k, self.var)
+        return TruncSeries(self.coeffs[k:], self.order - k)
 
     def differentiate_t(self) -> "TruncSeries":
         """Formal d/dt; the top coefficient would need t^(order+1), so one
@@ -202,15 +175,13 @@ class TruncSeries:
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series in t")
         return TruncSeries(
-            [i * self.coeffs[i] for i in range(1, self.order + 1)],
-            self.order - 1,
-            self.var,
+            [i * self.coeffs[i] for i in range(1, self.order + 1)], self.order - 1
         )
 
     def differentiate(self) -> "TruncSeries":
-        """Formal coefficientwise derivative in the series' variable;
+        """Formal coefficientwise derivative in the coefficients' variable;
         t-orders untouched."""
-        return TruncSeries([c.derivative() for c in self.coeffs], self.order, self.var)
+        return TruncSeries([c.derivative() for c in self.coeffs], self.order)
 
     def substitute_t_squared(self) -> "TruncSeries":
         """t -> t^2.  Odd coefficients of the image are exactly zero, so the
@@ -218,19 +189,19 @@ class TruncSeries:
         out = [BigPoly.zero()] * (2 * self.order + 2)
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
-        return TruncSeries(out, 2 * self.order + 1, self.var)
+        return TruncSeries(out, 2 * self.order + 1)
 
     def substitute(self, value: int) -> "TruncSeries":
-        """Evaluate the series' variable at an integer: an integer series."""
+        """Evaluate the coefficients' variable at an integer: an integer series."""
         return TruncSeries([c(value) for c in self.coeffs], self.order)
 
     def divide_linear(self, c) -> "TruncSeries":
-        """Exact division by the unit factor (1 + c*t), coefficient by
-        coefficient: out_j = self_j - c*out_(j-1)."""
+        """Exact division by the unit factor (1 + c*t), an int or BigPoly c,
+        coefficient by coefficient: out_j = self_j - c*out_(j-1)."""
         out = [self.coeffs[0]]
         for j in range(1, self.order + 1):
             out.append(self.coeffs[j] - c * out[j - 1])
-        return TruncSeries(out, self.order, self.var)
+        return TruncSeries(out, self.order)
 
 
 # -- closed forms --------------------------------------------------------
@@ -271,24 +242,18 @@ def _check_family(which: str) -> _Family:
     return FAMILIES[which]
 
 
-def _one_minus(var: str | None) -> int | BigPoly:
-    """u = 1 - var, the factor multiplying a_k in each denominator; 1 for the
-    integer series (var None), which stand for v = 0 or for s = (1-v)*t."""
-    return 1 if var is None else BigPoly((1, -1))
-
-
-def _summand_series(fam: _Family, m: int, order: int, var: str | None) -> TruncSeries:
-    """The m-th summand numerator(m) * t^m / prod_{k=1..m} (1 + a_k*(1-v)*t)
-    of a family, in var; with var None it is the series in s = (1-v)*t,
-    with integer coefficients."""
+def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> TruncSeries:
+    """The m-th summand numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of
+    a family.  With u = 1 - v it is the series in the family variable v;
+    with u = 1 it is the integer series at v = 0, which is also the series
+    in s = (1-v)*t."""
     if m < 1:
         raise ValueError(f"summand index must be positive, got {m}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if m > order:
-        return TruncSeries.zero(order, var)
-    u = _one_minus(var)
-    s = TruncSeries.t_monomial(m, order, fam.numerator(m), var)
+        return TruncSeries.zero(order)
+    s = TruncSeries.t_monomial(m, order, fam.numerator(m))
     for k in range(1, m + 1):
         a = fam.denom(k)
         if a:
@@ -296,19 +261,16 @@ def _summand_series(fam: _Family, m: int, order: int, var: str | None) -> TruncS
     return s
 
 
-def _closed_form_sum(fam: _Family, order: int, var: str | None) -> TruncSeries:
-    """Sum of the family's summands through m = order, in var (None: v = 0).
+def _closed_form_sum(fam: _Family, order: int, u: int | BigPoly) -> TruncSeries:
+    """Sum of the family's summands through m = order, with the factor u as
+    in _summand_series.
 
     Built incrementally: the m-th summand is the (m-1)-st times
     ratio(m) * t / (1 + a_m*u*t), so each step costs one linear division.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    u = _one_minus(var)
-    summand = TruncSeries.t_monomial(1, order, fam.numerator(1), var)
-    a1 = fam.denom(1)
-    if a1:
-        summand = summand.divide_linear(u * a1)
+    summand = _summand_series(fam, 1, order, u)
     total = summand
     for m in range(2, order + 1):
         summand = (summand * fam.ratio(m)).shift_up(1).truncate(order)
@@ -320,11 +282,11 @@ def _closed_form_sum(fam: _Family, order: int, var: str | None) -> TruncSeries:
 
 
 def closed_form_series(which: str, order: int) -> TruncSeries:
-    """The full series of one family: its summands through m = order plus
-    the prefix zeroth*(1-v)*t."""
+    """The full series of one family, in its variable v: its summands
+    through m = order plus the prefix zeroth*(1-v)*t."""
     fam = _check_family(which)
-    total = _closed_form_sum(fam, order, fam.var)
-    return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U, fam.var)
+    total = _closed_form_sum(fam, order, _U)
+    return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U)
 
 
 def _interleave(even: str, odd: str, order: int) -> TruncSeries:
@@ -355,7 +317,7 @@ def eo_series(order: int) -> TruncSeries:
 
 def closed_form_at_zero(which: str, order: int) -> TruncSeries:
     """The family's summands through m = order at v = 0: an integer series."""
-    return _closed_form_sum(_check_family(which), order, None)
+    return _closed_form_sum(_check_family(which), order, 1)
 
 
 def genocchi_sequence(count: int) -> list[int]:
@@ -392,6 +354,8 @@ def genocchi_median(n: int) -> int:
 def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     """Residual of the second-order PDE the family satisfies, evaluated on an
     arbitrary series (so a perturbed input serves as a negative control).
+    The input's coefficients are read as polynomials in the family's
+    variable v, the one its FAMILIES row names.
 
     The returned series' .order states how far the residual is meaningful:
     one order below the input's, lost to the t division on the source side.
@@ -413,12 +377,6 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     fam = _check_family(which)
     if series.order < 3:
         raise ValueError(f"order {series.order} too small for a PDE residual")
-    if series.var not in (None, fam.var):
-        raise ValueError(
-            f"series in {series.var} fed to the {which} equation ({fam.var})"
-        )
-    # an integer series is read in the family variable, where v has degree 1
-    series = TruncSeries(series.coeffs, series.order, fam.var)
     v, u = _V, _U
     s_v = series.differentiate()
     s_vv = s_v.differentiate()
@@ -430,7 +388,7 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
         + s_vt.shift_up() * (2 * v * u)
         + s_tt.shift_up(2) * v
     )
-    source = TruncSeries.t_monomial(1, series.order, 1 + fam.zeroth * u, fam.var)
+    source = TruncSeries.t_monomial(1, series.order, 1 + fam.zeroth * u)
     lhs = (series - source).shift_down()
     rhs = common + s_v * fam.pde_v + s_t.shift_up() * fam.pde_t
     return lhs - rhs
@@ -479,12 +437,12 @@ def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     stated_zeroth = {"oo_even": 0, "oo_odd": 0, "eo_even": -1, "eo_odd": 0}
     if fam.zeroth != stated_zeroth[which]:
         return False
-    base = _summand_series(fam, 1, order, None)
+    base = _summand_series(fam, 1, order, 1)
     if base != _geometric_base(fam.denom(1), fam.numerator(1), order):
         return False
     prev = base
     for m in range(2, bound + 1):
-        cur = _summand_series(fam, m, order, None)
+        cur = _summand_series(fam, m, order, 1)
         lhs = cur + (cur * fam.denom(m)).shift_up(1).truncate(order)
         rhs = (prev * fam.ratio(m)).shift_up(1).truncate(order)
         if lhs != rhs:

@@ -99,11 +99,12 @@ def _first_bigpoly_diff(a: BigPoly, b: BigPoly) -> str:
     return "no differing coefficient"
 
 
-def _series_nonzero_detail(s: series.TruncSeries) -> str:
+def _series_nonzero_detail(s: series.TruncSeries, var: str) -> str:
+    """The first nonzero coefficient of s, written in the variable var."""
     hit = s.first_nonzero()
     if hit is None:
         return "zero"
-    return f"t^{hit[0]}: {hit[1].format(s.var or 'x')}"
+    return f"t^{hit[0]}: {hit[1].format(var)}"
 
 
 # -- oracle suite ----------------------------------------------------------
@@ -325,7 +326,7 @@ def suite_identities(series_order: int) -> list[CheckResult]:
             t = series.TruncSeries.t_monomial(1, series_order)
             res = series.closed_form_at_zero(which, series_order) - t
             if not res.is_zero():
-                raise CheckFailure(_series_nonzero_detail(res))
+                raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
             return f"zero series through order {res.order}"
 
         return body
@@ -359,7 +360,7 @@ def suite_pde(series_order: int) -> list[CheckResult]:
                     f"expected residual order {series_order - 1}, got {res.order}"
                 )
             if not res.is_zero():
-                raise CheckFailure(_series_nonzero_detail(res))
+                raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
             return f"zero residual through order {res.order}"
 
         return body
@@ -370,7 +371,8 @@ def suite_pde(series_order: int) -> list[CheckResult]:
         res = series.pde_residual_of(tainted, "oo_even")
         if res.is_zero():
             raise CheckFailure("perturbed series still satisfies the equation")
-        return f"perturbation detected at {_series_nonzero_detail(res)}"
+        detail = _series_nonzero_detail(res, series.FAMILIES["oo_even"].var)
+        return f"perturbation detected at {detail}"
 
     checks = [_run(f"pde-{which}", residual_check(which)) for which in series.FAMILIES]
     checks.append(_run("pde-negative-control", negative_control))

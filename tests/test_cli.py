@@ -368,16 +368,29 @@ class TestLimits:
         assert status == 2
         assert err == "error: n must be in 1..5, got 6\n"
 
+    def test_huge_table_limit_is_refused_before_listing(self, capsys):
+        # the limit is checked before any list of lengths is built
+        status, out, err = run(capsys, "table", "--limit", "1000000000000")
+        assert (status, out) == (2, "")
+        assert err == "error: n must be in 1..12, got 1000000000000\n"
 
-def _benchmark_commands():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_module(name):
+    """A module of the benchmark, loaded from its file; it is only read."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.all_commands()
+    return module
 
 
-@pytest.mark.parametrize("argv", _benchmark_commands(), ids=" ".join)
+workloads = _benchmark_module("workloads")
+gate = _benchmark_module("gate")
+
+
+@pytest.mark.parametrize("argv", workloads.all_commands(), ids=" ".join)
 def test_benchmark_commands_are_within_the_limits(capsys, stubbed, argv):
     # a limit that refused a benchmark command would turn it into a failure
     try:
@@ -385,6 +398,36 @@ def test_benchmark_commands_are_within_the_limits(capsys, stubbed, argv):
     except SystemExit as exc:  # --version
         status = exc.code
     assert status != 2, capsys.readouterr().err
+
+
+SYMBOLIC_VERIFY = [
+    argv for argv in workloads.WORKLOADS["symbolic-deep"]["commands"] if argv[0] == "verify"
+]
+
+
+class TestBenchmarkReferences:
+    """The benchmark's symbolic verify commands, run in this process, give
+    the outputs its stored references fingerprint."""
+
+    @staticmethod
+    def output(capsys, argv):
+        ref = gate.load(BENCHMARK / "references.json")[gate.key(argv)]
+        status = cli.main(list(argv))
+        return ref, capsys.readouterr().out.encode(), status
+
+    @pytest.mark.parametrize("argv", SYMBOLIC_VERIFY, ids=" ".join)
+    def test_output_matches_reference(self, capsys, argv):
+        assert gate.check(*self.output(capsys, argv)) == []
+
+    @pytest.mark.parametrize("argv", SYMBOLIC_VERIFY, ids=" ".join)
+    def test_one_changed_byte_fails(self, capsys, argv):
+        # negative control: flip the last byte of the first check's detail
+        ref, out, status = self.output(capsys, argv)
+        changed = bytearray(out)
+        changed[out.index(b"\n") - 1] ^= 0x01
+        assert gate.check(ref, bytes(changed), status) == [
+            "verify-table output differs from the reference"
+        ]
 
 
 class TestParser:

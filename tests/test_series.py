@@ -13,6 +13,7 @@ from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
     TruncSeries,
+    _closed_form_sum,
     _summand_series,
     closed_form_at_zero,
     closed_form_series,
@@ -31,6 +32,7 @@ GENOCCHI = [1, 1, 3, 17, 155, 2073, 38227, 929569]
 MEDIANS = [1, 2, 8, 56, 608, 9440, 198272, 5410688]
 
 X = BigPoly.variable()
+U = 1 - X
 
 
 class TestTruncSeriesBasics:
@@ -48,13 +50,8 @@ class TestTruncSeriesBasics:
             TruncSeries([], order=-1)
         with pytest.raises(ValueError):
             TruncSeries([1, 2, 3], order=1)
-        with pytest.raises(ValueError):
-            TruncSeries([1], order=1, var="t")
-        # a series naming no variable holds integers only
-        with pytest.raises(ValueError):
-            TruncSeries([1, X], order=1)
         with pytest.raises(TypeError):
-            TruncSeries([BiPoly({(1, 0): 1})], order=1, var="x")
+            TruncSeries([BiPoly({(1, 0): 1})], order=1)
 
     def test_coeff_beyond_order_raises(self):
         s = TruncSeries([1], order=2)
@@ -62,7 +59,7 @@ class TestTruncSeriesBasics:
             s.coeff(3)
 
     def test_coeff_int_requires_constant(self):
-        s = TruncSeries([X], order=0, var="x")
+        s = TruncSeries([X], order=0)
         with pytest.raises(ValueError):
             s.coeff_int(0)
 
@@ -90,13 +87,24 @@ class TestTruncSeriesArithmetic:
 
     def test_scalar_ops_keep_order(self):
         a = TruncSeries([1, 1], order=5)
-        assert (a + 2).order == 5
-        assert (3 * a).order == 5
-        assert (a - 2).coeff(0) == -BigPoly.one()
+        assert (a * 3).order == 5
+        assert (a * X).order == 5
+
+    @pytest.mark.parametrize("scalar", [2, X])
+    def test_add_takes_only_a_series(self, scalar):
+        a = TruncSeries([1, 1], order=5)
+        for combine in (
+            lambda: a + scalar,
+            lambda: scalar + a,
+            lambda: a - scalar,
+            lambda: scalar * a,
+        ):
+            with pytest.raises(TypeError):
+                combine()
 
     def test_mul_scales_each_coefficient(self):
-        a = TruncSeries([1, 2], order=3, var="x")
-        assert a * X == TruncSeries([X, 2 * X], order=3, var="x")
+        a = TruncSeries([1, 2], order=3)
+        assert a * X == TruncSeries([X, 2 * X], order=3)
         # no series multiplies another
         with pytest.raises(TypeError):
             a * TruncSeries.t_monomial(0, 3)
@@ -119,9 +127,9 @@ class TestTruncSeriesArithmetic:
             TruncSeries.t_monomial(0, 0).differentiate_t()
 
     def test_differentiate_variable(self):
-        a = TruncSeries([X * X], order=2, var="y")
+        a = TruncSeries([X * X], order=2)
         assert a.differentiate().coeff(0) == 2 * X
-        assert a.differentiate().var == "y"
+        assert a.differentiate().order == 2
 
     def test_substitute_t_squared(self):
         a = TruncSeries([1, 2, 3], order=2)
@@ -130,18 +138,9 @@ class TestTruncSeriesArithmetic:
         assert [b.coeff_int(i) for i in range(6)] == [1, 0, 2, 0, 3, 0]
 
     def test_substitute_variable(self):
-        a = TruncSeries([X + 1], order=1, var="x")
+        a = TruncSeries([X + 1], order=1)
         assert a.substitute(0).coeff_int(0) == 1
-        assert a.substitute(2).var is None
-
-    def test_mixing_variables_raises(self):
-        a = TruncSeries([1, X], order=3, var="x")
-        b = TruncSeries([1, X], order=3, var="y")
-        with pytest.raises(ValueError):
-            a + b
-        # an integer series combines with either
-        assert (a + TruncSeries.t_monomial(0, 3)).var == "x"
-        assert (TruncSeries.t_monomial(0, 3) + b).var == "y"
+        assert a.substitute(2).coeff_int(0) == 3
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError):
@@ -184,37 +183,35 @@ class TestClosedFormSummands:
         with pytest.raises(ValueError):
             closed_form_series("oo", 4)
         with pytest.raises(ValueError):
-            _summand_series(FAMILIES["oo_even"], 0, 4, "x")
+            _summand_series(FAMILIES["oo_even"], 0, 4, U)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_summand_starts_at_degree_m(self, which, m):
         fam = FAMILIES[which]
-        s = _summand_series(fam, m, 8, fam.var)
+        s = _summand_series(fam, m, 8, U)
         assert s.first_nonzero()[0] == m
         # below its own degree the summand contributes nothing at all
-        assert _summand_series(fam, m, m - 1, fam.var).is_zero()
+        assert _summand_series(fam, m, m - 1, U).is_zero()
 
     @pytest.mark.parametrize("which", ["oo_even", "oo_odd"])
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_eta_series_is_x_zero_specialization(self, which, m):
         # with v = 0 the factor (1 - v) is 1, so s = t and both expansions agree
         fam = FAMILIES[which]
-        specialized = _summand_series(fam, m, 9, fam.var).substitute(0)
-        assert specialized == _summand_series(fam, m, 9, None)
+        specialized = _summand_series(fam, m, 9, U).substitute(0)
+        assert specialized == _summand_series(fam, m, 9, 1)
 
 
 class TestSeriesAgainstRecurrences:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_oo_series_coefficients(self, n):
         s = oo_series(25)
-        assert s.var == "x"
         assert s.coeff(n) == oo_poly(n)
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_eo_series_coefficients(self, n):
         s = eo_series(25)
-        assert s.var == "y"
         assert s.coeff(n) == eo_poly(n)
 
     def test_even_length_slice(self):
@@ -283,11 +280,17 @@ class TestSpecialValues:
         with pytest.raises(ValueError):
             genocchi_median(-1)
 
-    def test_genocchi_series_is_x_zero_slice(self):
-        assert closed_form_at_zero("oo_even", 10) == closed_form_series("oo_even", 10).substitute(0)
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_at_zero_is_the_v_zero_slice(self, which):
+        # the two builds differ only in the factor u: 1 - v, or 1 at v = 0
+        prefix = TruncSeries.t_monomial(1, 10, FAMILIES[which].zeroth * U)
+        full = closed_form_series(which, 10) - prefix
+        assert closed_form_at_zero(which, 10) == full.substitute(0)
 
-    def test_median_series_is_y_zero_slice(self):
-        assert closed_form_at_zero("eo_odd", 10) == closed_form_series("eo_odd", 10).substitute(0)
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_at_zero_depends_on_u(self, which):
+        # negative control: another factor builds another series
+        assert _closed_form_sum(FAMILIES[which], 10, 2) != closed_form_at_zero(which, 10)
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
@@ -321,21 +324,19 @@ class TestPdeResiduals:
         res = pde_residual_of(tainted, "oo_even")
         assert not res.is_zero()
 
-    def test_wrong_variable_rejected(self):
-        with pytest.raises(ValueError):
-            pde_residual_of(closed_form_series("eo_odd", 8), "oo_even")
-
     def test_integer_series_read_in_family_variable(self):
         res = pde_residual_of(TruncSeries.t_monomial(1, 8), "eo_odd")
-        assert res.var == "y"
         assert res.order == 7
+        # t alone is no solution: its t*S_t term is left over at t^1
+        assert res.first_nonzero() == (1, BigPoly((-1,)))
 
-    def test_failure_detail_names_the_series_variable(self):
-        # the perturbation y*t^3 first shows as y at t^2; a detail that
-        # formats every coefficient in x would print "t^2: x"
-        tainted = closed_form_series("eo_odd", 12) + TruncSeries.t_monomial(3, 12, X, "y")
-        res = pde_residual_of(tainted, "eo_odd")
-        assert verify._series_nonzero_detail(res) == "t^2: y"
+    def test_failure_detail_names_the_series_variable(self, monkeypatch):
+        # eo_odd's t*S_t coefficient one v too large leaves -y*t on the
+        # right-hand side; a detail that formatted it in x would read -1*x
+        row = FAMILIES["eo_odd"]
+        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=row.pde_t + X)
+        details = {c.name: (c.status, c.detail) for c in verify.suite_pde(8)}
+        assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*y")
 
     def test_order_floor(self):
         with pytest.raises(ValueError):
@@ -392,21 +393,20 @@ class TestSummandRecurrences:
 
 SLACK = 3
 _small = st.integers(-20, 20)
+_poly = st.lists(_small, max_size=4).map(BigPoly)
 
 
 @st.composite
-def wide_series(draw, var=None):
+def wide_series(draw):
     """(narrow, wide): a random series exact through N, and the same series
-    known SLACK orders further.  var None draws an integer series or an
-    x-series; it may start with zero coefficients."""
-    if var is None:
-        var = draw(st.sampled_from([None, "x"]))
-    coeff = _small if var is None else st.lists(_small, max_size=4).map(BigPoly)
+    known SLACK orders further.  Its coefficients are all integers or all
+    polynomials; it may start with zero coefficients."""
+    coeff = draw(st.sampled_from([_small, _poly]))
     n = draw(st.integers(0, 7))
     cs = draw(st.lists(coeff, min_size=n + SLACK + 1, max_size=n + SLACK + 1))
     zeros = draw(st.integers(0, n + SLACK + 1))
     cs[:zeros] = [0] * zeros
-    wide = TruncSeries(cs, n + SLACK, var)
+    wide = TruncSeries(cs, n + SLACK)
     return wide.truncate(n), wide
 
 
@@ -443,9 +443,7 @@ def test_differentiate_t_order_is_honest(a):
 
 
 @_property
-@given(wide_series(), _small, st.lists(_small, max_size=3))
-def test_divide_linear_order_is_honest(a, c, poly):
+@given(wide_series(), st.one_of(_small, _poly))
+def test_divide_linear_order_is_honest(a, divisor):
     narrow, wide = a
-    # a polynomial divisor needs a series in a variable
-    divisor = c if narrow.var is None else BigPoly(poly)
     assert agrees(narrow.divide_linear(divisor), wide.divide_linear(divisor))
