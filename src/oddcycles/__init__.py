@@ -27,7 +27,6 @@ from .series import (
     genocchi_median_sequence,
     genocchi_sequence,
     oo_series,
-    pde_residual,
     summand_recurrence_check,
 )
 from .verify import CheckResult, run_suites
@@ -56,7 +55,6 @@ __all__ = [
     "oo_poly",
     "oo_polys",
     "oo_series",
-    "pde_residual",
     "run_suites",
     "summand_recurrence_check",
     "__version__",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -332,8 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits()
     try:
         cfg = _build_config(args)
+        # input is read under the limit on integer digits, output is not
+        sys.set_int_max_str_digits(0)
         if args.command == "enumerate":
             status, text = cmd_enumerate(cfg, args.n)
         elif args.command == "poly":
@@ -347,7 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head -1`); the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

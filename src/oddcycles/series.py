@@ -6,12 +6,11 @@ one variable (x for odd-odd drops, y for even-odd drops).  That variable
 belongs to the family and is named once, in its FAMILIES row; a series
 holds only BigPoly coefficients and an order.  A TruncSeries knows the
 order through which its coefficients are trustworthy, and every operation
-recomputes that bound honestly (differentiating in t loses one order,
-multiplying by t gains one, dividing by t spends a known-zero low
-coefficient, and a sum is exact to the lower of its terms' orders).  No
-series is multiplied by another; a product scales each coefficient by an
-integer or a polynomial.  Residual checks read their valid order off the
-result instead of guessing it.
+recomputes that bound honestly (multiplying by t gains one order, and a sum
+is exact to the lower of its terms' orders).  No series is multiplied by
+another; a product scales each coefficient by an integer or a polynomial.
+Residual checks read their valid order off the result instead of guessing
+it.
 
 The module builds four closed-form generating functions whose t^m coefficients
 are the drop-statistic polynomials of odd-drop cycles:
@@ -24,8 +23,9 @@ are the drop-statistic polynomials of odd-drop cycles:
 with products over k = 1..m.  The m-th summand starts at t^m, so partial
 sums through m = N give the series exactly to order N; the m = N+1 summand
 contributing nothing at order N is asserted by a test, not assumed.
-Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2) yields
-the full-distribution series oo_series and eo_series.
+Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2), one
+coefficient at a time, yields the full-distribution series oo_series and
+eo_series.
 
 What differs between the four families is data, one FAMILIES row each: the
 variable, the summand numerators and denominator factors, the coefficient
@@ -40,9 +40,10 @@ summands collapse to t exactly, which the identities suite checks.
 
 Each closed form satisfies a second-order PDE in its original variables;
 the four share their second-order part, and the row's zeroth also fixes the
-source term t*(1 + zeroth*(1-v)).  pde_residual substitutes the truncated
-series and returns the residual, whose tracked order states exactly how far
-the zero check is meaningful.
+source term t*(1 + zeroth*(1-v)).  pde_residual_of substitutes a truncated
+series coefficient by coefficient, sharing only BigPoly arithmetic with the
+builder it checks, and returns the residual, whose tracked order states
+exactly how far the zero check is meaningful.
 """
 
 from __future__ import annotations
@@ -150,46 +151,9 @@ class TruncSeries:
             return NotImplemented
         return TruncSeries([c * other for c in self.coeffs], self.order)
 
-    def shift_up(self, k: int = 1) -> "TruncSeries":
-        """Multiply by t^k; the k new low coefficients are exactly zero."""
-        if k < 0:
-            raise ValueError("shift_up needs k >= 0")
-        return TruncSeries((BigPoly.zero(),) * k + self.coeffs, self.order + k)
-
-    def shift_down(self, k: int = 1) -> "TruncSeries":
-        """Divide by t^k; requires the k lowest coefficients to vanish."""
-        if k < 0:
-            raise ValueError("shift_down needs k >= 0")
-        if self.order - k < 0:
-            raise ValueError(f"order {self.order} too small to drop t^{k}")
-        for i in range(k):
-            if not self.coeffs[i].is_zero():
-                raise ValueError(
-                    f"cannot divide by t^{k}: coefficient of t^{i} is {self.coeffs[i].format()}"
-                )
-        return TruncSeries(self.coeffs[k:], self.order - k)
-
-    def differentiate_t(self) -> "TruncSeries":
-        """Formal d/dt; the top coefficient would need t^(order+1), so one
-        order is lost."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series in t")
-        return TruncSeries(
-            [i * self.coeffs[i] for i in range(1, self.order + 1)], self.order - 1
-        )
-
-    def differentiate(self) -> "TruncSeries":
-        """Formal coefficientwise derivative in the coefficients' variable;
-        t-orders untouched."""
-        return TruncSeries([c.derivative() for c in self.coeffs], self.order)
-
-    def substitute_t_squared(self) -> "TruncSeries":
-        """t -> t^2.  Odd coefficients of the image are exactly zero, so the
-        image is exact through 2*order+1."""
-        out = [BigPoly.zero()] * (2 * self.order + 2)
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = c
-        return TruncSeries(out, 2 * self.order + 1)
+    def shift_up(self) -> "TruncSeries":
+        """Multiply by t; the new constant coefficient is exactly zero."""
+        return TruncSeries((BigPoly.zero(),) + self.coeffs, self.order + 1)
 
     def substitute(self, value: int) -> "TruncSeries":
         """Evaluate the coefficients' variable at an integer: an integer series."""
@@ -273,7 +237,7 @@ def _closed_form_sum(fam: _Family, order: int, u: int | BigPoly) -> TruncSeries:
     summand = _summand_series(fam, 1, order, u)
     total = summand
     for m in range(2, order + 1):
-        summand = (summand * fam.ratio(m)).shift_up(1).truncate(order)
+        summand = (summand * fam.ratio(m)).shift_up().truncate(order)
         a = fam.denom(m)
         if a:
             summand = summand.divide_linear(u * a)
@@ -290,14 +254,15 @@ def closed_form_series(which: str, order: int) -> TruncSeries:
 
 
 def _interleave(even: str, odd: str, order: int) -> TruncSeries:
-    """even(t^2) + odd(t^2)/t for two families, through t^order; the division
-    by t is exact because the odd-length series has no constant term."""
+    """even(t^2) + odd(t^2)/t for two families, through t^order: t^n is the
+    even family's t^(n/2) for even n, the odd family's t^((n+1)/2) for odd n.
+    The odd-length series has no constant term for the division to drop."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    half = order // 2 + 1
-    evens = closed_form_series(even, half).substitute_t_squared()
-    odds = closed_form_series(odd, half).substitute_t_squared().shift_down()
-    return (evens + odds).truncate(order)
+    half = (order + 1) // 2
+    evens, odds = closed_form_series(even, half), closed_form_series(odd, half)
+    cs = [odds.coeff((n + 1) // 2) if n % 2 else evens.coeff(n // 2) for n in range(order + 1)]
+    return TruncSeries(cs, order)
 
 
 def oo_series(order: int) -> TruncSeries:
@@ -373,32 +338,29 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     The second-order part is common to all four; the family table supplies
     the rest: the coefficients of S_v (pde_v) and of t*S_t (pde_t), and
     zeroth, which makes the source term t*(1 + zeroth*u).
+
+    With S_n the t^n coefficient of S and ' the derivative in v, the
+    residual's t^n coefficient, n = 0..order-1, is read off directly; the
+    division by t needs S_0 = 0:
+
+      S_(n+1) - [n=0]*(1 + zeroth*u)
+        - (v*u^2*S_n'' + (2n*v*u + pde_v)*S_n' + (n(n-1)*v + n*pde_t)*S_n)
     """
     fam = _check_family(which)
     if series.order < 3:
         raise ValueError(f"order {series.order} too small for a PDE residual")
-    v, u = _V, _U
-    s_v = series.differentiate()
-    s_vv = s_v.differentiate()
-    s_t = series.differentiate_t()
-    s_vt = s_v.differentiate_t()
-    s_tt = s_t.differentiate_t()
-    common = (
-        s_vv * (v * u * u)
-        + s_vt.shift_up() * (2 * v * u)
-        + s_tt.shift_up(2) * v
-    )
-    source = TruncSeries.t_monomial(1, series.order, 1 + fam.zeroth * u)
-    lhs = (series - source).shift_down()
-    rhs = common + s_v * fam.pde_v + s_t.shift_up() * fam.pde_t
-    return lhs - rhs
-
-
-def pde_residual(which: str, order: int) -> TruncSeries:
-    """PDE residual of the family's own closed form; zero through order-1."""
-    if order < 3:
-        raise ValueError(f"order must be at least 3, got {order}")
-    return pde_residual_of(closed_form_series(which, order), which)
+    if not series.coeffs[0].is_zero():
+        raise ValueError(f"cannot divide by t^1: coefficient of t^0 is {series.coeffs[0].format()}")
+    vuu, vu = _V * _U * _U, _V * _U
+    out = []
+    for n in range(series.order):
+        s = series.coeffs[n]
+        ds = s.derivative()
+        rhs = vuu * ds.derivative() + (2 * n * vu + fam.pde_v) * ds
+        rhs = rhs + (n * (n - 1) * _V + n * fam.pde_t) * s
+        out.append(series.coeffs[n + 1] - rhs)
+    out[0] = out[0] - (1 + fam.zeroth * _U)
+    return TruncSeries(out, series.order - 1)
 
 
 # -- summand recurrences ---------------------------------------------------
@@ -443,8 +405,8 @@ def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     prev = base
     for m in range(2, bound + 1):
         cur = _summand_series(fam, m, order, 1)
-        lhs = cur + (cur * fam.denom(m)).shift_up(1).truncate(order)
-        rhs = (prev * fam.ratio(m)).shift_up(1).truncate(order)
+        lhs = cur + (cur * fam.denom(m)).shift_up().truncate(order)
+        rhs = (prev * fam.ratio(m)).shift_up().truncate(order)
         if lhs != rhs:
             return False
         prev = cur

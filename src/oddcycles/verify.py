@@ -58,10 +58,10 @@ class NothingCompared(Exception):
     """Raised inside a check body whose range is empty, with its usual detail."""
 
 
-def _run(name: str, fn) -> CheckResult:
+def _run(name: str, check, *args) -> CheckResult:
     start = time.perf_counter()
     try:
-        detail = fn()
+        detail = check(*args)
         return CheckResult(name, True, detail, time.perf_counter() - start)
     except CheckFailure as exc:
         return CheckResult(name, False, str(exc), time.perf_counter() - start)
@@ -129,17 +129,14 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
     def check_marginal(label, var, walk, last):
         # the walk at every length, and the single polynomial that
         # poly --kind f|g prints at the top one
-        def body():
-            for n, want in _walked(walk(max_n), max_n):
-                got = table(n).marginal(var)
-                if got != want:
-                    raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
-            got, want = table(max_n).marginal(var), last(max_n)
+        for n, want in _walked(walk(max_n), max_n):
+            got = table(n).marginal(var)
             if got != want:
-                raise CheckFailure(f"n={max_n}: {_first_bigpoly_diff(got, want)}")
-            return f"{label} marginal equals recurrence for n=1..{max_n}"
-
-        return body
+                raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
+        got, want = table(max_n).marginal(var), last(max_n)
+        if got != want:
+            raise CheckFailure(f"n={max_n}: {_first_bigpoly_diff(got, want)}")
+        return f"{label} marginal equals recurrence for n=1..{max_n}"
 
     def check_totals():
         walks = (recurrences.oo_polys(max_n), recurrences.eo_polys(max_n))
@@ -185,7 +182,7 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
     )
     return [
         _run("table-vs-tree", check_table_vs_tree),
-        *(_run(f"{stat}-marginal-vs-recurrence", check_marginal(*row)) for stat, *row in marginals),
+        *(_run(f"{stat}-marginal-vs-recurrence", check_marginal, *row) for stat, *row in marginals),
         _run("counts-all-routes", check_totals),
         _run("tree-partition", check_tree_partition),
     ]
@@ -211,15 +208,12 @@ def suite_series(series_order: int) -> list[CheckResult]:
     )
 
     def check_vs_recurrence(label, build, walk):
-        def body():
-            s = full(build)
-            for n, want in _walked(walk(top), top):
-                got = s.coeff(n)
-                if got != want:
-                    raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
-            return f"{label} series matches recurrence for n=1..{top}"
-
-        return body
+        s = full(build)
+        for n, want in _walked(walk(top), top):
+            got = s.coeff(n)
+            if got != want:
+                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
+        return f"{label} series matches recurrence for n=1..{top}"
 
     def check_constant_terms():
         # no odd length >= 3 avoids odd-odd drops; no even length avoids
@@ -233,7 +227,7 @@ def suite_series(series_order: int) -> list[CheckResult]:
 
     return [
         *(
-            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence(label, build, walk))
+            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence, label, build, walk)
             for stat, label, build, walk, _ in stats
         ),
         _run("forced-drops-vanish", check_constant_terms),
@@ -254,53 +248,44 @@ def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
     count = (enumerator.count_even_odd_only, enumerator.count_odd_odd_only)
 
     def check_values(odd):
-        def body():
-            want, first = pinned[odd], 1 - odd
-            got = sequence[odd](len(want))
-            if got != want:
-                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-                raise CheckFailure(f"index {i + first}: {got[i]} != {want[i]}")
-            label = ("Genocchi numbers", "Genocchi medians")[odd]
-            return f"{label} {first}..{len(want) - 1 + first} match"
-
-        return body
+        want, first = pinned[odd], 1 - odd
+        got = sequence[odd](len(want))
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise CheckFailure(f"index {i + first}: {got[i]} != {want[i]}")
+        label = ("Genocchi numbers", "Genocchi medians")[odd]
+        return f"{label} {first}..{len(want) - 1 + first} match"
 
     def check_vs_recurrence(odd):
-        def body():
-            lo = 1 + odd
-            claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
-            detail = f"{claim} recurrence count for m={lo}..{series_order}"
-            if lo > series_order:
-                raise NothingCompared(detail)
-            values = sequence[odd](series_order - odd)
-            # one walk to the top length, read at lengths 2m - odd, m >= lo;
-            # the walk comes first in zip so that it is read to its end
-            top = 2 * series_order - odd
-            polys = islice(_walked(walk[odd](top), top), 2 * lo - odd - 1, None, 2)
-            for (n, poly), value in zip(polys, values):
-                m = (n + odd) // 2
-                want = poly(0)
-                if value != want:
-                    raise CheckFailure(f"m={m}: {value} != recurrence {want}")
-            return detail
-
-        return body
+        lo = 1 + odd
+        claim = ("Genocchi equals even-odd-only", "medians equal odd-odd-only")[odd]
+        detail = f"{claim} recurrence count for m={lo}..{series_order}"
+        if lo > series_order:
+            raise NothingCompared(detail)
+        values = sequence[odd](series_order - odd)
+        # one walk to the top length, read at lengths 2m - odd, m >= lo;
+        # the walk comes first in zip so that it is read to its end
+        top = 2 * series_order - odd
+        polys = islice(_walked(walk[odd](top), top), 2 * lo - odd - 1, None, 2)
+        for (n, poly), value in zip(polys, values):
+            m = (n + odd) // 2
+            want = poly(0)
+            if value != want:
+                raise CheckFailure(f"m={m}: {value} != recurrence {want}")
+        return detail
 
     def check_vs_enumeration(odd):
-        def body():
-            top = (max_n + odd) // 2
-            label = ("Genocchi", "medians")[odd]
-            detail = f"enumeration confirms {label} for lengths {2 + odd}..{2 * top - odd}"
-            if top < 1 + odd:
-                raise NothingCompared(detail)
-            values = sequence[odd](top - odd)
-            for m, want in zip(range(1 + odd, top + 1), values, strict=True):
-                got = count[odd](2 * m - odd)
-                if got != want:
-                    raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
-            return detail
-
-        return body
+        top = (max_n + odd) // 2
+        label = ("Genocchi", "medians")[odd]
+        detail = f"enumeration confirms {label} for lengths {2 + odd}..{2 * top - odd}"
+        if top < 1 + odd:
+            raise NothingCompared(detail)
+        values = sequence[odd](top - odd)
+        for m, want in zip(range(1 + odd, top + 1), values, strict=True):
+            got = count[odd](2 * m - odd)
+            if got != want:
+                raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
+        return detail
 
     checks = (
         ("values", check_values),
@@ -308,7 +293,7 @@ def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
         ("vs-enumeration", check_vs_enumeration),
     )
     return [
-        _run(f"{name}-{kind}", check(odd))
+        _run(f"{name}-{kind}", check, odd)
         for kind, check in checks
         for odd, name in enumerate(("genocchi", "median"))
     ]
@@ -322,29 +307,23 @@ def suite_identities(series_order: int) -> list[CheckResult]:
 
     def residual_check(which):
         # the family's summands at v = 0 telescope to t exactly
-        def body():
-            t = series.TruncSeries.t_monomial(1, series_order)
-            res = series.closed_form_at_zero(which, series_order) - t
-            if not res.is_zero():
-                raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
-            return f"zero series through order {res.order}"
-
-        return body
+        t = series.TruncSeries.t_monomial(1, series_order)
+        res = series.closed_form_at_zero(which, series_order) - t
+        if not res.is_zero():
+            raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
+        return f"zero series through order {res.order}"
 
     def summand_check(which):
-        def body():
-            if not series.summand_recurrence_check(which, bound, series_order):
-                raise CheckFailure(f"recurrence broken for some m <= {bound}")
-            return f"term ratios and bases hold for m<={bound}"
-
-        return body
+        if not series.summand_recurrence_check(which, bound, series_order):
+            raise CheckFailure(f"recurrence broken for some m <= {bound}")
+        return f"term ratios and bases hold for m<={bound}"
 
     checks = [
-        _run("identity-squares-telescopes", residual_check("oo_odd")),
-        _run("identity-products-telescopes", residual_check("eo_even")),
+        _run("identity-squares-telescopes", residual_check, "oo_odd"),
+        _run("identity-products-telescopes", residual_check, "eo_even"),
     ]
     for which in series.FAMILIES:
-        checks.append(_run(f"summand-recurrence-{which}", summand_check(which)))
+        checks.append(_run(f"summand-recurrence-{which}", summand_check, which))
     return checks
 
 
@@ -352,29 +331,28 @@ def suite_identities(series_order: int) -> list[CheckResult]:
 
 
 def suite_pde(series_order: int) -> list[CheckResult]:
-    def residual_check(which):
-        def body():
-            res = series.pde_residual(which, series_order)
-            if res.order != series_order - 1:
-                raise CheckFailure(
-                    f"expected residual order {series_order - 1}, got {res.order}"
-                )
-            if not res.is_zero():
-                raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
-            return f"zero residual through order {res.order}"
+    # each closed form is built once; the negative control perturbs the
+    # build that oo_even's residual check read
+    built = {}
 
-        return body
+    def residual_check(which):
+        built[which] = series.closed_form_series(which, series_order)
+        res = series.pde_residual_of(built[which], which)
+        if res.order != series_order - 1:
+            raise CheckFailure(f"expected residual order {series_order - 1}, got {res.order}")
+        if not res.is_zero():
+            raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
+        return f"zero residual through order {res.order}"
 
     def negative_control():
         perturbation = series.TruncSeries.t_monomial(3, series_order)
-        tainted = series.closed_form_series("oo_even", series_order) + perturbation
-        res = series.pde_residual_of(tainted, "oo_even")
+        res = series.pde_residual_of(built["oo_even"] + perturbation, "oo_even")
         if res.is_zero():
             raise CheckFailure("perturbed series still satisfies the equation")
         detail = _series_nonzero_detail(res, series.FAMILIES["oo_even"].var)
         return f"perturbation detected at {detail}"
 
-    checks = [_run(f"pde-{which}", residual_check(which)) for which in series.FAMILIES]
+    checks = [_run(f"pde-{which}", residual_check, which) for which in series.FAMILIES]
     checks.append(_run("pde-negative-control", negative_control))
     return checks
 

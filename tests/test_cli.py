@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -373,6 +376,57 @@ class TestLimits:
         status, out, err = run(capsys, "table", "--limit", "1000000000000")
         assert (status, out) == (2, "")
         assert err == "error: n must be in 1..12, got 1000000000000\n"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def spawn(*argv):
+    """The command line in a process of its own, on this package's source."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "oddcycles", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+class TestOutput:
+    def test_reader_leaving_early_is_no_error(self):
+        # 446 KB of csv, more than a pipe holds; the reader takes the header
+        # and closes the pipe, as `| head -1` does
+        proc = spawn("enumerate", "--n", "11", "--format", "csv")
+        assert proc.stdout.readline() == b"n,entries,oo,eo\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (0, b"")
+
+    def test_values_past_the_digit_limit_print(self):
+        # the count on [1720] is 859!*860!, longer than the 4300 digits that
+        # int-to-str converts by default
+        proc = spawn("sequence", "--kind", "cno_count", "--limit", "1720", "--format", "csv")
+        out, err = proc.communicate()
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = f"1720,{math.factorial(859) * math.factorial(860)}"
+        finally:
+            sys.set_int_max_str_digits(digits)
+        assert err == b""
+        assert out.decode().splitlines()[-1] == want
+
+    def test_config_file_is_read_under_the_digit_limit(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"series_order = {'9' * 5000}\n")
+        status, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: non-integer config value: Exceeds the limit")
+
+    def test_digit_limit_is_restored(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        assert run(capsys, "sequence", "--kind", "genocchi", "--limit", "3")[0] == 0
+        assert sys.get_int_max_str_digits() == digits
 
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"

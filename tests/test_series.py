@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import SECOND_ORDER, pde_residual_by_operators
 
 from oddcycles import series, verify
 from oddcycles.polynomials import BigPoly, BiPoly
@@ -23,7 +24,6 @@ from oddcycles.series import (
     genocchi_median_sequence,
     genocchi_sequence,
     oo_series,
-    pde_residual,
     pde_residual_of,
     summand_recurrence_check,
 )
@@ -109,34 +109,6 @@ class TestTruncSeriesArithmetic:
         with pytest.raises(TypeError):
             a * TruncSeries.t_monomial(0, 3)
 
-    def test_shift_up_down_roundtrip(self):
-        a = TruncSeries([1, 2, 3], order=4)
-        assert a.shift_up(2).order == 6
-        assert a.shift_up(2).shift_down(2) == a
-
-    def test_shift_down_requires_zero_low_coeffs(self):
-        with pytest.raises(ValueError):
-            TruncSeries([1, 2], order=3).shift_down()
-
-    def test_differentiate_t(self):
-        a = TruncSeries([5, 1, 3], order=2)
-        d = a.differentiate_t()
-        assert d.order == 1
-        assert d == TruncSeries([1, 6], order=1)
-        with pytest.raises(ValueError):
-            TruncSeries.t_monomial(0, 0).differentiate_t()
-
-    def test_differentiate_variable(self):
-        a = TruncSeries([X * X], order=2)
-        assert a.differentiate().coeff(0) == 2 * X
-        assert a.differentiate().order == 2
-
-    def test_substitute_t_squared(self):
-        a = TruncSeries([1, 2, 3], order=2)
-        b = a.substitute_t_squared()
-        assert b.order == 5
-        assert [b.coeff_int(i) for i in range(6)] == [1, 0, 2, 0, 3, 0]
-
     def test_substitute_variable(self):
         a = TruncSeries([X + 1], order=1)
         assert a.substitute(0).coeff_int(0) == 1
@@ -150,7 +122,7 @@ class TestTruncSeriesArithmetic:
         s = TruncSeries([1, 1, 1, 1], order=6)
         q = s.divide_linear(5)
         # q * (1 + 5t), through the order q is exact to
-        assert q + (q * 5).shift_up(1).truncate(6) == s
+        assert q + (q * 5).shift_up().truncate(6) == s
         assert q.coeff(3) == BigPoly((1 - 5 + 25 - 125,))
 
 
@@ -315,9 +287,19 @@ class TestIdentities:
 class TestPdeResiduals:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_residual_vanishes_with_tracked_order(self, which):
-        res = pde_residual(which, 12)
+        res = pde_residual_of(closed_form_series(which, 12), which)
         assert res.order == 11
         assert res.is_zero()
+
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_operator_form_agrees_on_the_closed_form(self, which):
+        closed = closed_form_series(which, 10)
+        s = [list(c.coeffs) for c in closed.coeffs]
+        got = [list(c.coeffs) for c in pde_residual_of(closed, which).coeffs]
+        assert pde_residual_by_operators(s, which) == got == [[]] * 10
+        # negative control: half the S_vt coefficient, v*u for 2*v*u
+        wrong = {**SECOND_ORDER, "vt": [0, 1, -1]}
+        assert pde_residual_by_operators(s, which, wrong) != got
 
     def test_negative_control(self):
         tainted = closed_form_series("oo_even", 12) + TruncSeries.t_monomial(3, 12)
@@ -339,8 +321,26 @@ class TestPdeResiduals:
         assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*y")
 
     def test_order_floor(self):
-        with pytest.raises(ValueError):
-            pde_residual("oo_even", 2)
+        with pytest.raises(ValueError, match="order 2 too small"):
+            pde_residual_of(closed_form_series("oo_even", 2), "oo_even")
+
+    def test_nonzero_constant_term_raises(self):
+        s = closed_form_series("oo_even", 6) + TruncSeries([1 + X], 6)
+        message = "cannot divide by t\\^1: coefficient of t\\^0 is 1 \\+ x"
+        with pytest.raises(ValueError, match=message):
+            pde_residual_of(s, "oo_even")
+
+    def test_suite_builds_each_closed_form_once(self, monkeypatch):
+        built = []
+        build = series.closed_form_series
+
+        def counted(which, order):
+            built.append(which)
+            return build(which, order)
+
+        monkeypatch.setattr(series, "closed_form_series", counted)
+        assert all(c.passed for c in verify.suite_pde(8))
+        assert sorted(built) == sorted(FAMILIES)
 
 
 class TestFamilyTable:
@@ -422,24 +422,10 @@ _property = settings(max_examples=50, deadline=None, derandomize=True, database=
 
 
 @_property
-@given(wide_series(), st.integers(0, 4))
-def test_shift_down_order_is_honest(a, k):
-    narrow, wide = a
-    lowest = narrow.first_nonzero()
-    if k > narrow.order or lowest is not None and lowest[0] < k:
-        with pytest.raises(ValueError):
-            narrow.shift_down(k)
-        return
-    assert agrees(narrow.shift_down(k), wide.shift_down(k))
-
-
-@_property
 @given(wide_series())
-def test_differentiate_t_order_is_honest(a):
+def test_shift_up_order_is_honest(a):
     narrow, wide = a
-    if narrow.order == 0:
-        return
-    assert agrees(narrow.differentiate_t(), wide.differentiate_t())
+    assert agrees(narrow.shift_up(), wide.shift_up())
 
 
 @_property
@@ -447,3 +433,23 @@ def test_differentiate_t_order_is_honest(a):
 def test_divide_linear_order_is_honest(a, divisor):
     narrow, wide = a
     assert agrees(narrow.divide_linear(divisor), wide.divide_linear(divisor))
+
+
+# -- the PDE residual against its operator form ----------------------------
+
+
+@st.composite
+def series_without_constant_term(draw):
+    """A polynomial series of order 3..8 whose t^0 coefficient is zero."""
+    order = draw(st.integers(3, 8))
+    tail = draw(st.lists(st.lists(_small, max_size=4), min_size=order, max_size=order))
+    return [[]] + tail
+
+
+@pytest.mark.parametrize("which", sorted(FAMILIES))
+@_property
+@given(series_without_constant_term())
+def test_residual_matches_the_operator_form(which, s):
+    res = pde_residual_of(TruncSeries([BigPoly(c) for c in s]), which)
+    assert res.order == len(s) - 2
+    assert [list(c.coeffs) for c in res.coeffs] == pde_residual_by_operators(s, which)
