@@ -14,6 +14,14 @@ four keys command/params/results/checks, with sorted keys and a fixed
 indent, so parsing and re-emitting is byte-identical.  Machine formats
 contain no timings; the human verify report shows per-check seconds.
 
+Each cmd_* checks all of its input first and then returns its exit status
+with an iterable of text chunks; main writes the chunks as they come, so
+every usage error is reported before any output.  enumerate streams its
+listing in every format, one member at a time, in bounded memory: its JSON
+is written member by member, byte-identical to json.dumps of the whole
+document, with the count taken from a first walk.  The other commands
+return their text as one chunk.
+
 Limits come from flags, falling back to a key=value config file given with
 --config, falling back to defaults.  Exit codes: 0 success, 1 verification
 failure, 2 usage or validation error.
@@ -26,7 +34,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__, enumerator, gentree, recurrences, series, verify
 from .cycles import drop_stats
@@ -59,7 +67,7 @@ class RunConfig:
     """The run's limits with their defaults, checked here and nowhere else.
 
     The identities suite needs a series order of at least 4; the top order,
-    160, takes about 16 s in verify --max-n 8.
+    160, takes about 2 s in verify --max-n 8.
     """
 
     max_bruteforce_n: int = 12
@@ -148,22 +156,48 @@ def _check_enumerable(cfg: RunConfig, n: int) -> None:
         raise UsageError(f"n must be in 1..{cfg.max_bruteforce_n}, got {n}")
 
 
-def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, str]:
+def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, Iterator[str]]:
     if n is None:
         raise UsageError("enumerate requires --n")
     _check_enumerable(cfg, n)
+    return 0, _listing(cfg, n)
+
+
+# one member of the JSON listing, at its depth in the document: the members
+# sit at indent 6, their keys at 8 and the entries at 10
+_MEMBER_JSON = (
+    '{{\n        "entries": [\n          {}\n        ],\n'
+    '        "eo": {},\n        "oo": {}\n      }}'
+)
+_ENTRY_SEP = ",\n          "
+_HOLE = "\0"  # stands for the members while the rest of the document is rendered
+
+
+def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
     # members are read one at a time; no list of them is built
     rows = ((word, *drop_stats(word)) for word in enumerator.iter_odd_drop_words(n))
     if cfg.output_format == "json":
-        cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]
-        results = {"count": len(cycles), "cycles": cycles}
-        return 0, _emit_json("enumerate", _params(cfg, n=n), results, [])
-    if cfg.output_format == "csv":
-        body = ([n, " ".join(map(str, w)), oo, eo] for w, oo, eo in rows)
-        return 0, _emit_csv(["n", "entries", "oo", "eo"], body)
-    lines = [f"{' '.join(map(str, w))}   oo={oo} eo={eo}" for w, oo, eo in rows]
-    lines.append(f"total {len(lines)}")
-    return 0, "\n".join(lines)
+        # "count" sorts before "cycles", so a first walk counts the members
+        count = sum(1 for _ in enumerator.iter_odd_drop_words(n))
+        results = {"count": count, "cycles": [_HOLE]}
+        text = _emit_json("enumerate", _params(cfg, n=n), results, [])
+        head, tail = text.split(json.dumps(_HOLE))
+        yield head
+        sep = ""
+        for w, oo, eo in rows:
+            yield sep + _MEMBER_JSON.format(_ENTRY_SEP.join(map(str, w)), eo, oo)
+            sep = ",\n      "
+        yield tail
+    elif cfg.output_format == "csv":
+        yield "n,entries,oo,eo"
+        for w, oo, eo in rows:
+            yield f"\n{n},{' '.join(map(str, w))},{oo},{eo}"
+    else:
+        count = 0
+        for w, oo, eo in rows:
+            count += 1
+            yield f"{' '.join(map(str, w))}   oo={oo} eo={eo}\n"
+        yield f"total {count}"
 
 
 def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
@@ -173,7 +207,7 @@ def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
     return recurrence(n).to_bipoly(var), var
 
 
-def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
+def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, list[str]]:
     if kind is None or n is None:
         raise UsageError("poly requires --kind and --n")
     _check_range("n", n, 1, MAX_JOINT_N if kind == "joint" else MAX_MARGINAL_N)
@@ -185,14 +219,14 @@ def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, str]:
             "variables": variables,
             "polynomial": poly.format(explicit_units=True),
         }
-        return 0, _emit_json("poly", _params(cfg, kind=kind, n=n), results, [])
+        return 0, [_emit_json("poly", _params(cfg, kind=kind, n=n), results, [])]
     if cfg.output_format == "csv":
         rows = [[i, j, c] for (i, j), c in poly.sorted_terms()]
-        return 0, _emit_csv(["x_degree", "y_degree", "coefficient"], rows)
-    return 0, poly.format()
+        return 0, [_emit_csv(["x_degree", "y_degree", "coefficient"], rows)]
+    return 0, [poly.format()]
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
+def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, list[str]]:
     checks = verify.run_suites(suite, max_n=cfg.max_bruteforce_n, series_order=cfg.series_order)
     failed = sum(not c.passed for c in checks)
     skipped = sum(c.skipped for c in checks)
@@ -203,10 +237,10 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
             {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
         ]
         results = {"failed": failed, "passed": passed}
-        return status, _emit_json("verify", _params(cfg, suite=suite), results, payload)
+        return status, [_emit_json("verify", _params(cfg, suite=suite), results, payload)]
     if cfg.output_format == "csv":
         rows = [[c.name, c.status, c.detail] for c in checks]
-        return status, _emit_csv(["name", "status", "detail"], rows)
+        return status, [_emit_csv(["name", "status", "detail"], rows)]
     width = max(len(c.name) for c in checks)
     lines = [
         f"{c.status:4} {c.name:<{width}} {c.seconds:8.3f}s  {c.detail}" for c in checks
@@ -216,7 +250,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, str]:
         + (f", {skipped} skipped" if skipped else "")
         + (f", {failed} FAILED" if failed else "")
     )
-    return status, "\n".join(lines)
+    return status, ["\n".join(lines)]
 
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
@@ -245,7 +279,7 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
     return list(enumerate(values, first)), "generating function"
 
 
-def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, str]:
+def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, list[str]]:
     if kind is None or limit is None:
         raise UsageError("sequence requires --kind and --limit")
     if limit < 1:
@@ -257,15 +291,15 @@ def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, str]:
             "source": source,
             "values": [{"n": n, "value": v} for n, v in rows],
         }
-        return 0, _emit_json("sequence", _params(cfg, kind=kind, limit=limit), results, [])
+        return 0, [_emit_json("sequence", _params(cfg, kind=kind, limit=limit), results, [])]
     if cfg.output_format == "csv":
-        return 0, _emit_csv(["n", "value"], [[n, v] for n, v in rows])
+        return 0, [_emit_csv(["n", "value"], [[n, v] for n, v in rows])]
     lines = [f"# source: {source}"]
     lines.extend(f"{n}\t{v}" for n, v in rows)
-    return 0, "\n".join(lines)
+    return 0, ["\n".join(lines)]
 
 
-def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, str]:
+def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, list[str]]:
     if (n is None) == (limit is None):
         raise UsageError("table requires exactly one of --n or --limit")
     if limit is not None and limit < 1:
@@ -284,12 +318,12 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, st
             ]
         }
         params = _params(cfg, n=n, limit=limit)
-        return 0, _emit_json("table", params, results, [])
+        return 0, [_emit_json("table", params, results, [])]
     if cfg.output_format == "csv":
-        return 0, _emit_csv(["n", "oo", "eo", "count"], rows)
+        return 0, [_emit_csv(["n", "oo", "eo", "count"], rows)]
     lines = [f"{'n':>3} {'oo':>3} {'eo':>3} {'count':>12}"]
     lines.extend(f"{m:>3} {oo:>3} {eo:>3} {c:>12}" for m, oo, eo, c in rows)
-    return 0, "\n".join(lines)
+    return 0, ["\n".join(lines)]
 
 
 # -- driver -------------------------------------------------------------------
@@ -335,31 +369,51 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     digits = sys.get_int_max_str_digits()
     try:
-        cfg = _build_config(args)
-        # input is read under the limit on integer digits, output is not
-        sys.set_int_max_str_digits(0)
-        if args.command == "enumerate":
-            status, text = cmd_enumerate(cfg, args.n)
-        elif args.command == "poly":
-            status, text = cmd_poly(cfg, args.kind, args.n)
-        elif args.command == "verify":
-            status, text = cmd_verify(cfg, args.suite)
-        elif args.command == "sequence":
-            status, text = cmd_sequence(cfg, args.kind, args.limit)
-        else:
-            status, text = cmd_table(cfg, args.n, args.limit)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            cfg = _build_config(args)
+            # input is read under the limit on integer digits, output is not
+            sys.set_int_max_str_digits(0)
+            if args.command == "enumerate":
+                status, chunks = cmd_enumerate(cfg, args.n)
+            elif args.command == "poly":
+                status, chunks = cmd_poly(cfg, args.kind, args.n)
+            elif args.command == "verify":
+                status, chunks = cmd_verify(cfg, args.suite)
+            elif args.command == "sequence":
+                status, chunks = cmd_sequence(cfg, args.kind, args.limit)
+            else:
+                status, chunks = cmd_table(cfg, args.n, args.limit)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # chunks are turned into text here, so the limit stays lifted
+        _write(chunks)
     finally:
         sys.set_int_max_str_digits(digits)
+    return status
+
+
+# chunks are joined into writes of this many characters or a few more: a
+# reader on a pipe pays for every write, and stdout's own buffer is 8 KiB
+_WRITE_SIZE = 1 << 16
+
+
+def _write(chunks: Iterable[str]) -> None:
+    write = sys.stdout.write
     try:
-        print(text)
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _WRITE_SIZE:
+                write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        write("".join(batch))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head -1`); the rest goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return status
 
 
 if __name__ == "__main__":

@@ -121,12 +121,12 @@ def joint_table(n: int) -> BiPoly:
     return BiPoly(counts)
 
 
-def _count_only(length: int, other: int) -> int:
-    # members with no drop of the other kind, read off the joint table
-    table = joint_table(length)
-    if length == 1:
-        return 0
-    return sum(c for pair, c in table.terms.items() if pair[other] == 0)
+def count_only(table: BiPoly, kind: int) -> int:
+    """Number of members, read off a joint table, all of whose drops are of
+    one kind: odd-odd for kind 0, even-odd for kind 1.  A member counts when
+    it has a drop of that kind and none of the other, so the one-element
+    cycle, whose formal drop has no parity, counts for neither."""
+    return sum(c for pair, c in table.terms.items() if pair[kind] and not pair[1 - kind])
 
 
 def count_even_odd_only(length: int) -> int:
@@ -135,7 +135,7 @@ def count_even_odd_only(length: int) -> int:
     The one-element cycle's formal drop has no parity, so it is not
     even-odd and the count for length 1 is 0.
     """
-    return _count_only(length, 0)
+    return count_only(joint_table(length), 1)
 
 
 def count_odd_odd_only(length: int) -> int:
@@ -143,4 +143,4 @@ def count_odd_odd_only(length: int) -> int:
 
     Zero for length 1, for the same reason as count_even_odd_only.
     """
-    return _count_only(length, 1)
+    return count_only(joint_table(length), 0)

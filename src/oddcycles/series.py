@@ -22,7 +22,12 @@ are the drop-statistic polynomials of odd-drop cycles:
 
 with products over k = 1..m.  The m-th summand starts at t^m, so partial
 sums through m = N give the series exactly to order N; the m = N+1 summand
-contributing nothing at order N is asserted by a test, not assumed.
+contributing nothing at order N is asserted by a test, not assumed.  The
+builder reads each coefficient of that sum off a triangle of integers, the
+complete homogeneous symmetric polynomials in the factors' a_k, as a
+polynomial in u = 1 - v, and then rewrites it in v.  Only the
+summand-recurrence check builds summands one at a time, by series
+division, so it shares no series code with the builder it checks.
 Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2), one
 coefficient at a time, yields the full-distribution series oo_series and
 eo_series.
@@ -225,31 +230,47 @@ def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> Trunc
     return s
 
 
-def _closed_form_sum(fam: _Family, order: int, u: int | BigPoly) -> TruncSeries:
-    """Sum of the family's summands through m = order, with the factor u as
-    in _summand_series.
+def _summand_sum_in_u(fam: _Family, order: int) -> list[list[int]]:
+    """The family's summands through m = order, summed, as polynomials in
+    u: entry n lists the coefficients of t^n * u^j, j = 0..n-1.
 
-    Built incrementally: the m-th summand is the (m-1)-st times
-    ratio(m) * t / (1 + a_m*u*t), so each step costs one linear division.
+    Expanding 1/prod_{k<=m} (1 + a_k*u*t) as sum_j (-u*t)^j * h_j(a_1..a_m),
+    with h_j the complete homogeneous symmetric polynomial, puts
+    (-1)^j * numerator(m) * h_j(a_1..a_m) at t^(m+j) * u^j.  The triangle
+    H[m][j] = h_j(a_1..a_m) fills by H[m][j] = H[m-1][j] + a_m*H[m][j-1]
+    from H[0][j] = [j == 0], one row at a time, through m + j = order.  It
+    reads only the row's numerator and denom: no series division, and not
+    the ratio that the summand-recurrence check tests.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    summand = _summand_series(fam, 1, order, u)
-    total = summand
-    for m in range(2, order + 1):
-        summand = (summand * fam.ratio(m)).shift_up().truncate(order)
+    out = [[0] * n for n in range(order + 1)]
+    row = [1] + [0] * (order - 1)  # H[m][j] for j < order, updated in place
+    for m in range(1, order + 1):
         a = fam.denom(m)
-        if a:
-            summand = summand.divide_linear(u * a)
-        total = total + summand
-    return total
+        for j in range(1, order - m + 1):
+            row[j] += a * row[j - 1]
+        num = fam.numerator(m)
+        for j in range(order - m + 1):
+            out[m + j][j] = -num * row[j] if j & 1 else num * row[j]
+    return out
+
+
+def _u_to_v(coeffs: list[int]) -> BigPoly:
+    """sum of coeffs[j] * u^j at u = 1 - v: a Taylor shift by 1, by repeated
+    synthetic division (additions only), then the odd powers negated."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += c[k + 1]
+    return BigPoly(-x if k & 1 else x for k, x in enumerate(c))
 
 
 def closed_form_series(which: str, order: int) -> TruncSeries:
     """The full series of one family, in its variable v: its summands
     through m = order plus the prefix zeroth*(1-v)*t."""
     fam = _check_family(which)
-    total = _closed_form_sum(fam, order, _U)
+    total = TruncSeries([_u_to_v(c) for c in _summand_sum_in_u(fam, order)], order)
     return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U)
 
 
@@ -281,8 +302,9 @@ def eo_series(order: int) -> TruncSeries:
 
 
 def closed_form_at_zero(which: str, order: int) -> TruncSeries:
-    """The family's summands through m = order at v = 0: an integer series."""
-    return _closed_form_sum(_check_family(which), order, 1)
+    """The family's summands through m = order at v = 0, where u = 1: an
+    integer series."""
+    return TruncSeries([sum(c) for c in _summand_sum_in_u(_check_family(which), order)], order)
 
 
 def genocchi_sequence(count: int) -> list[int]:

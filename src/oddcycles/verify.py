@@ -107,20 +107,25 @@ def _series_nonzero_detail(s: series.TruncSeries, var: str) -> str:
     return f"t^{hit[0]}: {hit[1].format(var)}"
 
 
+class JointTables(dict):
+    """The enumerator's joint tables by length, each built on first use.
+    run_suites makes one per run, so the oracle suite and the genocchi
+    suite's counts read the same tables."""
+
+    def __missing__(self, n: int) -> BiPoly:
+        table = self[n] = enumerator.joint_table(n)
+        return table
+
+
 # -- oracle suite ----------------------------------------------------------
 
 
-def suite_oracle(max_n: int) -> list[CheckResult]:
-    tables = {}
-
-    def table(n):
-        if n not in tables:
-            tables[n] = enumerator.joint_table(n)
-        return tables[n]
+def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckResult]:
+    tables = JointTables() if tables is None else tables
 
     def check_table_vs_tree():
         for n in range(1, max_n + 1):
-            got = table(n)
+            got = tables[n]
             want = gentree.joint_poly(n)
             if got != want:
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
@@ -130,10 +135,10 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
         # the walk at every length, and the single polynomial that
         # poly --kind f|g prints at the top one
         for n, want in _walked(walk(max_n), max_n):
-            got = table(n).marginal(var)
+            got = tables[n].marginal(var)
             if got != want:
                 raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
-        got, want = table(max_n).marginal(var), last(max_n)
+        got, want = tables[max_n].marginal(var), last(max_n)
         if got != want:
             raise CheckFailure(f"n={max_n}: {_first_bigpoly_diff(got, want)}")
         return f"{label} marginal equals recurrence for n=1..{max_n}"
@@ -143,7 +148,7 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
         # strict: once one walk ends, the other is read once more, so a
         # longer second walk fails in _walked
         for (n, f), (_, g) in zip(*(_walked(w, max_n) for w in walks), strict=True):
-            total = sum(table(n).terms.values())
+            total = sum(tables[n].terms.values())
             f1, g1 = f(1), g(1)
             closed = factorial((n - 1) // 2) * factorial(n // 2)
             if not total == f1 == g1 == closed:
@@ -237,15 +242,17 @@ def suite_series(series_order: int) -> list[CheckResult]:
 # -- genocchi suite ---------------------------------------------------------
 
 
-def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
+def suite_genocchi(
+    series_order: int, max_n: int, tables: JointTables | None = None
+) -> list[CheckResult]:
     # Both sequences, indexed by the parity odd of the lengths 2m - odd they
     # count: the Genocchi numbers (odd = 0) count the cycles on [2m], m >= 1,
-    # with only even-odd drops, the medians (odd = 1) those on [2m - 1],
-    # m >= 2, with only odd-odd drops.
+    # with only even-odd drops (kind 1 of the pair (oo, eo)), the medians
+    # (odd = 1) those on [2m - 1], m >= 2, with only odd-odd drops (kind 0).
     pinned = (GENOCCHI_VALUES, MEDIAN_VALUES)
     sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
     walk = (recurrences.oo_polys, recurrences.eo_polys)
-    count = (enumerator.count_even_odd_only, enumerator.count_odd_odd_only)
+    tables = JointTables() if tables is None else tables
 
     def check_values(odd):
         want, first = pinned[odd], 1 - odd
@@ -282,7 +289,7 @@ def suite_genocchi(series_order: int, max_n: int) -> list[CheckResult]:
             raise NothingCompared(detail)
         values = sequence[odd](top - odd)
         for m, want in zip(range(1 + odd, top + 1), values, strict=True):
-            got = count[odd](2 * m - odd)
+            got = enumerator.count_only(tables[2 * m - odd], 1 - odd)
             if got != want:
                 raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
         return detail
@@ -365,11 +372,13 @@ def run_suites(suite: str, *, max_n: int, series_order: int) -> list[CheckResult
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    # each suite_<name> is looked up when it runs, so a patched one is called
+    # each suite_<name> is looked up when it runs, so a patched one is called;
+    # the genocchi suite's counts read the tables the oracle suite built
+    tables = JointTables()
     runners = {
-        "oracle": lambda: suite_oracle(max_n),
+        "oracle": lambda: suite_oracle(max_n, tables),
         "series": lambda: suite_series(series_order),
-        "genocchi": lambda: suite_genocchi(series_order, max_n),
+        "genocchi": lambda: suite_genocchi(series_order, max_n, tables),
         "identities": lambda: suite_identities(series_order),
         "pde": lambda: suite_pde(series_order),
     }

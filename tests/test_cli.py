@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oddcycles import cli, enumerator, recurrences, verify
+from oddcycles.cycles import drop_stats
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BigPoly, BiPoly
 from oddcycles.verify import CheckResult
@@ -58,28 +60,31 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_members_are_read_one_at_a_time(self, capsys, monkeypatch, fmt):
-        # the first member's statistics are read before the walk yields a
-        # second one; a listing that collects all 86 400 members at n = 12
-        # first would show 86 400 here
-        yielded = []
+        # the first member's statistics are read before the walk that lists
+        # it yields a second one; a listing that collects all 86 400 members
+        # at n = 12 first would show 86 400 there.  JSON walks once more,
+        # only to count, so the members are counted per walk.
+        walks = []
         walk = enumerator.iter_odd_drop_words
 
         def counted(n):
+            k = len(walks)
+            walks.append(0)
             for w in walk(n):
-                yielded.append(w)
+                walks[k] += 1
                 yield w
 
         class Seen(Exception):
             pass
 
         def first_stats(w):
-            raise Seen(len(yielded))
+            raise Seen(sorted(walks))
 
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", counted)
         monkeypatch.setattr(cli, "drop_stats", first_stats)
         with pytest.raises(Seen) as seen:
             cli.main(["enumerate", "--n", "12", "--format", fmt])
-        assert seen.value.args == (1,)
+        assert seen.value.args == ([1, 86400] if fmt == "json" else [1],)
 
     def test_requires_n(self, capsys):
         status, _, err = run(capsys, "enumerate")
@@ -91,6 +96,88 @@ class TestEnumerate:
         assert status == 2
         status, _, _ = run(capsys, "enumerate", "--n", "5", "--max-n", "5")
         assert status == 0
+
+
+def whole_listing(n, fmt):
+    """enumerate's output as one string, built the way the command built it
+    before it streamed: one list of members, json.dumps of the document."""
+    rows = [(w, *drop_stats(w)) for w in enumerator.iter_odd_drop_words(n)]
+    if fmt == "json":
+        params = {"format": fmt, "max_bruteforce_n": 12, "n": n, "series_order": 40}
+        cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]
+        results = {"count": len(cycles), "cycles": cycles}
+        doc = {"command": "enumerate", "params": params, "results": results, "checks": []}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["n,entries,oo,eo"]
+        body = ([n, " ".join(map(str, w)), oo, eo] for w, oo, eo in rows)
+        lines.extend(",".join(str(v) for v in row) for row in body)
+    else:
+        lines = [f"{' '.join(map(str, w))}   oo={oo} eo={eo}" for w, oo, eo in rows]
+        lines.append(f"total {len(rows)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedListing:
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_same_bytes_as_the_whole_document(self, capsys, n, fmt):
+        status, out, err = run(capsys, "enumerate", "--n", str(n), "--format", fmt)
+        assert (status, err) == (0, "")
+        assert out == whole_listing(n, fmt)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_swapped_statistics_differ(self, capsys, monkeypatch, fmt):
+        # negative control: each member's oo and eo trade places in the output
+        want = whole_listing(5, fmt)
+        monkeypatch.setattr(cli, "drop_stats", lambda w: drop_stats(w)[::-1])
+        assert run(capsys, "enumerate", "--n", "5", "--format", fmt)[1] != want
+
+    def test_json_listing_runs_in_bounded_memory(self):
+        # the 14 400 members at n = 11, written to a sink that keeps nothing.
+        # A listing that builds the whole document first peaks at about
+        # 27 MiB here (171 MiB at n = 12, which tracing makes 8 s long).
+        tracemalloc.start()
+        try:
+            status, chunks = cli.cmd_enumerate(cli.RunConfig(output_format="json"), 11)
+            for _ in chunks:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 2**20
+
+    def test_digit_limit_stays_lifted_while_writing(self, capsys, monkeypatch):
+        # a chunk that turns a 5001-digit integer into text as it is written
+        big = 10**5000
+        monkeypatch.setattr(cli, "cmd_poly", lambda cfg, kind, n: (0, (str(v) for v in [big])))
+        status, out, err = run(capsys, "poly", "--kind", "f", "--n", "3")
+        assert (status, err) == (0, "")
+        assert out == "1" + "0" * 5000 + "\n"
+
+
+# one bad command line per subcommand, each refused before any output
+USAGE_ERRORS = [
+    ["enumerate"],
+    ["enumerate", "--n", "13"],
+    ["enumerate", "--n", "4", "--format", "json", "--max-n", "3"],
+    ["poly", "--kind", "f"],
+    ["poly", "--kind", "joint", "--n", "401", "--format", "csv"],
+    ["verify", "--series-order", "3"],
+    ["sequence", "--kind", "genocchi"],
+    ["sequence", "--kind", "median", "--limit", "41", "--format", "json"],
+    ["sequence", "--kind", "odd_odd_only", "--limit", "6"],
+    ["table", "--n", "3", "--limit", "3"],
+    ["table", "--limit", "0", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_is_reported_before_any_output(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 class TestPoly:
@@ -398,6 +485,15 @@ class TestOutput:
         # and closes the pipe, as `| head -1` does
         proc = spawn("enumerate", "--n", "11", "--format", "csv")
         assert proc.stdout.readline() == b"n,entries,oo,eo\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (0, b"")
+
+    def test_reader_leaving_a_streamed_listing_is_no_error(self):
+        # the JSON listing is written member by member; the reader closes
+        # the pipe after the first line, while members are still coming
+        proc = spawn("enumerate", "--n", "11", "--format", "json")
+        assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(), err) == (0, b"")

@@ -37,6 +37,18 @@ def tally(words, stats=drop_stats) -> dict[tuple[int, int], int]:
     return out
 
 
+def table_without_wrap(n):
+    """A broken joint table: it scores the wrap pair (a_n, 1) as no drop."""
+
+    def stats(w):
+        oo, eo = drop_stats(w)
+        if len(w) == 1:
+            return oo, eo
+        return (oo - 1, eo) if w[-1] & 1 else (oo, eo - 1)
+
+    return BiPoly(tally(members_by_definition(n), stats))
+
+
 class TestIteration:
     def test_smallest_levels(self):
         assert list(iter_odd_drop_words(1)) == [(1,)]
@@ -134,23 +146,49 @@ class TestJointTable:
         # negative control: a table that scores the wrap pair (a_n, 1) as no
         # drop must fail table-vs-tree at its first differing coefficient;
         # max_n=6 keeps the permutation tally cheap in the checks that pass
-        def without_wrap(w):
-            oo, eo = drop_stats(w)
-            if len(w) == 1:
-                return oo, eo
-            return (oo - 1, eo) if w[-1] & 1 else (oo, eo - 1)
-
-        def broken(n):
-            return BiPoly(tally(members_by_definition(n), without_wrap))
-
-        monkeypatch.setattr(enumerator, "joint_table", broken)
+        monkeypatch.setattr(enumerator, "joint_table", table_without_wrap)
         result = {c.name: c for c in verify.suite_oracle(max_n=6)}["table-vs-tree"]
         assert not result.passed
         assert result.detail == "n=2: x^0*y^0: 1 != 0"
 
+    def test_genocchi_suite_catches_a_broken_table(self, monkeypatch):
+        # the same table read through the counts, in a run of both suites
+        monkeypatch.setattr(enumerator, "joint_table", table_without_wrap)
+        checks = verify.run_suites("all", max_n=6, series_order=4)
+        failed = {c.name: c.detail for c in checks if not c.passed}
+        assert failed["table-vs-tree"] == "n=2: x^0*y^0: 1 != 0"
+        assert failed["genocchi-vs-enumeration"] == "length 2: enumerated 0 != 1"
+        assert failed["median-vs-enumeration"] == "length 3: enumerated 0 != 1"
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_total_is_member_count(self, n):
         assert sum(joint_table(n).terms.values()) == member_count(n)
+
+
+class TestSharedTables:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        lengths = []
+
+        def counted(n):
+            lengths.append(n)
+            return joint_table(n)
+
+        monkeypatch.setattr(enumerator, "joint_table", counted)
+        return lengths
+
+    def test_a_verify_run_builds_each_table_once(self, built):
+        # the oracle suite builds n = 1..8 and the genocchi suite's counts
+        # read those tables
+        checks = verify.run_suites("all", max_n=8, series_order=4)
+        assert all(c.passed for c in checks)
+        assert built == list(range(1, 9))
+
+    def test_suites_run_apart_build_again(self, built):
+        # negative control: outside one run the counts build their own tables
+        verify.suite_oracle(8)
+        verify.suite_genocchi(4, 8)
+        assert built == list(range(1, 9)) + [2, 4, 6, 8, 3, 5, 7]
 
 
 class TestParityRestrictedCounts:

@@ -14,8 +14,9 @@ from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
     TruncSeries,
-    _closed_form_sum,
     _summand_series,
+    _summand_sum_in_u,
+    _u_to_v,
     closed_form_at_zero,
     closed_form_series,
     eo_series,
@@ -175,6 +176,43 @@ class TestClosedFormSummands:
         assert specialized == _summand_series(fam, m, 9, 1)
 
 
+def summands_summed(fam, order, u):
+    """The summands m = 1..order of a family, each built by series division."""
+    total = _summand_series(fam, 1, order, u)
+    for m in range(2, order + 1):
+        total = total + _summand_series(fam, m, order, u)
+    return total
+
+
+def flip_odd_powers(p):
+    return BigPoly(-c if k & 1 else c for k, c in enumerate(p.coeffs))
+
+
+class TestTriangleBuild:
+    """closed_form_series and closed_form_at_zero read the summands' sum off
+    an integer triangle; here it is summed one divided summand at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 14))
+    def test_triangle_is_the_sum_of_the_summands(self, which, order):
+        fam = FAMILIES[which]
+        prefix = TruncSeries.t_monomial(1, order, fam.zeroth * U)
+        assert closed_form_series(which, order) - prefix == summands_summed(fam, order, U)
+        assert closed_form_at_zero(which, order) == summands_summed(fam, order, 1)
+
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_odd_powers_left_unnegated_disagree(self, monkeypatch, which):
+        # negative control: the Taylor shift alone gives the sum at u = 1 + v
+        fam = FAMILIES[which]
+        prefix = TruncSeries.t_monomial(1, 6, fam.zeroth * U)
+        monkeypatch.setattr(series, "_u_to_v", lambda c: flip_odd_powers(_u_to_v(c)))
+        assert closed_form_series(which, 6) - prefix != summands_summed(fam, 6, U)
+
+    def test_order_floor(self):
+        with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+            _summand_sum_in_u(FAMILIES["oo_even"], 0)
+
+
 class TestSeriesAgainstRecurrences:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_oo_series_coefficients(self, n):
@@ -261,8 +299,9 @@ class TestSpecialValues:
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_at_zero_depends_on_u(self, which):
-        # negative control: another factor builds another series
-        assert _closed_form_sum(FAMILIES[which], 10, 2) != closed_form_at_zero(which, 10)
+        # negative control: the sum in u read at u = 2 is another series
+        at_two = [BigPoly(c)(2) for c in _summand_sum_in_u(FAMILIES[which], 10)]
+        assert at_two != [closed_form_at_zero(which, 10).coeff_int(n) for n in range(11)]
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t

@@ -1,0 +1,161 @@
+"""Per-layer benchmark: fixed-size cases of one layer, before and after a change.
+
+Times each case of a layer on two copies of the package and writes the
+medians to BENCH_<layer>.json at the root of the repository.  Each case runs
+in its own child process with the copy's ``src`` directory on PYTHONPATH;
+the child times only the case, in process time, after the package is
+imported, and writes the case's output to a sink that keeps nothing.  The
+two copies alternate which runs first from repeat to repeat, so a drift in
+host speed hits both alike.
+
+    python3 tools/bench.py --layer series ../before/src src
+
+Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds)
+and cli (the enumerate listing through its emitters).  A case that needs a
+function the copy's package lacks (the one-walk case needs
+``recurrences.oo_polys``/``eo_polys``) is recorded as null; any other error
+fails the run.  Standard library only; the package does not import it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from typing import NamedTuple
+
+REPEATS = 5
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+#: the names a case's code reads, each a module of the package
+MODULES = {"R": "recurrences", "S": "series", "cli": "cli"}
+
+
+class Case(NamedTuple):
+    code: str  # run in the child, with the names of MODULES bound
+    needs: tuple[str, ...] = ()  # "module.function" beyond what every copy has
+
+
+LAYERS = {
+    "recurrences": {
+        "oo_poly(1500)": Case("R.oo_poly(1500)"),
+        "eo_poly(1500)": Case("R.eo_poly(1500)"),
+        "marginals n=1..160, one n at a time": Case(
+            "[(R.oo_poly(n), R.eo_poly(n)) for n in range(1, 161)]"
+        ),
+        "marginals n=1..160, one walk": Case(
+            "list(R.oo_polys(160)), list(R.eo_polys(160))",
+            ("recurrences.oo_polys", "recurrences.eo_polys"),
+        ),
+        "sequence --kind cno_count --limit 400": Case(
+            "cli.main(['sequence', '--kind', 'cno_count', '--limit', '400', '--format', 'csv'])"
+        ),
+    },
+    "series": {
+        "closed_form_series('oo_even', 81)": Case(
+            "S.closed_form_series('oo_even', 81)", ("series.closed_form_series",)
+        ),
+        "closed_form_series('oo_even', 161)": Case(
+            "S.closed_form_series('oo_even', 161)", ("series.closed_form_series",)
+        ),
+        "genocchi_sequence(160)": Case("S.genocchi_sequence(160)"),
+    },
+    "cli": {
+        "enumerate --n 11 --format json": Case(
+            "cli.main(['enumerate', '--n', '11', '--format', 'json'])"
+        ),
+        "enumerate --n 11 --format csv": Case(
+            "cli.main(['enumerate', '--n', '11', '--format', 'csv'])"
+        ),
+    },
+}
+
+CHILD = """
+import contextlib, importlib, io, json, resource, sys, time
+from oddcycles import cli
+from oddcycles import recurrences as R
+from oddcycles import series as S
+
+def has(need):
+    module, _, name = need.rpartition(".")
+    return hasattr(importlib.import_module("oddcycles." + module), name)
+
+if not all(has(need) for need in sys.argv[2:]):
+    print(json.dumps(None))
+    raise SystemExit
+
+class Sink(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+with contextlib.redirect_stdout(Sink()):
+    start = time.process_time()
+    exec(sys.argv[1])
+    seconds = time.process_time() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "max_rss_mb": rss_mb}))
+"""
+
+
+def run_case(src: str, case: Case) -> dict | None:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-c", CHILD, case.code, *case.needs]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def summarize(samples: list[dict | None]) -> dict | None:
+    if any(s is None for s in samples):
+        return None
+    seconds = sorted(s["seconds"] for s in samples)
+    return {
+        "median_s": round(statistics.median(seconds), 4),
+        "min_s": round(seconds[0], 4),
+        "max_s": round(seconds[-1], 4),
+        "max_rss_mb": round(max(s["max_rss_mb"] for s in samples), 1),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--layer", choices=sorted(LAYERS), required=True)
+    parser.add_argument("before", help="src directory of the package before the change")
+    parser.add_argument("after", help="src directory of the package after the change")
+    args = parser.parse_args(argv)
+    cases = LAYERS[args.layer]
+    sides = [("before", args.before), ("after", args.after)]
+
+    samples = {label: {name: [] for name in cases} for label, _ in sides}
+    for rep in range(REPEATS):
+        for name, case in cases.items():
+            for label, src in sides if rep % 2 == 0 else sides[::-1]:
+                samples[label][name].append(run_case(src, case))
+        print(f"repeat {rep + 1}/{REPEATS} done", file=sys.stderr)
+
+    record = {
+        "layer": args.layer,
+        "metric": "process time of the case alone, median over repeats, seconds",
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+        },
+        "repeats": REPEATS,
+        "cases": {
+            name: {label: summarize(samples[label][name]) for label, _ in sides}
+            for name in cases
+        },
+    }
+    with open(os.path.join(ROOT, f"BENCH_{args.layer}.json"), "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(record["cases"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
