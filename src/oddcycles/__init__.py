@@ -7,55 +7,69 @@ even, and cross-checks the resulting counting polynomials along four
 independent routes: brute force, a generating tree, differential
 recurrences, and closed-form generating functions (whose integer
 specializations are the Genocchi numbers and their medians).
+
+Importing the package loads none of its modules.  Each public name is
+listed once, in _HOMES, with the module that defines it, and that module is
+imported the first time the name is read (PEP 562), as is a module read as
+``oddcycles.series``.  So ``from oddcycles import joint_poly`` loads the
+generating tree and what it imports, and nothing else.
 """
 
-from .cycles import canonicalize, drop_stats
-from .enumerator import (
-    count_even_odd_only,
-    count_odd_odd_only,
-    iter_odd_drop_words,
-    joint_table,
-)
-from .gentree import joint_poly
-from .polynomials import BigPoly, BiPoly
-from .recurrences import eo_poly, eo_polys, oo_poly, oo_polys
-from .series import (
-    TruncSeries,
-    eo_series,
-    genocchi,
-    genocchi_median,
-    genocchi_median_sequence,
-    genocchi_sequence,
-    oo_series,
-    summand_recurrence_check,
-)
-from .verify import CheckResult, run_suites
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "BigPoly",
-    "CheckResult",
-    "TruncSeries",
-    "canonicalize",
-    "count_even_odd_only",
-    "count_odd_odd_only",
-    "drop_stats",
-    "eo_poly",
-    "eo_polys",
-    "eo_series",
-    "genocchi",
-    "genocchi_median",
-    "genocchi_median_sequence",
-    "genocchi_sequence",
-    "iter_odd_drop_words",
-    "joint_poly",
-    "joint_table",
-    "oo_poly",
-    "oo_polys",
-    "oo_series",
-    "run_suites",
-    "summand_recurrence_check",
-    "__version__",
-]
+# the verify suites, in the order `verify --suite all` runs them; kept here
+# so that the command line can list them without loading the suites
+SUITES = ("oracle", "series", "genocchi", "identities", "pde")
+
+# each public name and the module that defines it
+_HOMES = {
+    "canonicalize": "cycles",
+    "drop_stats": "cycles",
+    "count_even_odd_only": "enumerator",
+    "count_odd_odd_only": "enumerator",
+    "iter_odd_drop_words": "enumerator",
+    "joint_table": "enumerator",
+    "joint_poly": "gentree",
+    "BigPoly": "polynomials",
+    "BiPoly": "polynomials",
+    "eo_poly": "recurrences",
+    "eo_polys": "recurrences",
+    "oo_poly": "recurrences",
+    "oo_polys": "recurrences",
+    "TruncSeries": "series",
+    "eo_series": "series",
+    "genocchi": "series",
+    "genocchi_median": "series",
+    "genocchi_median_sequence": "series",
+    "genocchi_sequence": "series",
+    "oo_series": "series",
+    "summand_recurrence_check": "series",
+    "CheckResult": "verify",
+    "run_suites": "verify",
+}
+
+__all__ = [*sorted(_HOMES), "__version__"]
+
+
+def _load(module: str):
+    # the import statement's own machinery, which -X importtime reports;
+    # importlib.import_module would load the module unreported
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        value = getattr(_load(_HOMES[name]), name)
+    elif name in _HOMES.values():
+        value = _load(name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

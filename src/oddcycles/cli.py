@@ -22,6 +22,13 @@ is written member by member, byte-identical to json.dumps of the whole
 document, with the count taken from a first walk.  The other commands
 return their text as one chunk.
 
+At start-up this module loads only the package's cycles module: each cmd_*
+imports the routes it runs (enumerate and table the enumerator, poly the
+generating tree or the recurrences, verify the suites, sequence the module
+its kind reads), and reaches them through module attributes such as
+enumerator.iter_odd_drop_words, so `oddcycles --version` and `--help` load
+no route.  RunConfig loads the enumerator for its limit on n.
+
 Limits come from flags, falling back to a key=value config file given with
 --config, falling back to defaults.  Exit codes: 0 success, 1 verification
 failure, 2 usage or validation error.
@@ -33,12 +40,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from . import __version__, enumerator, gentree, recurrences, series, verify
+from . import SUITES, __version__
 from .cycles import drop_stats
-from .polynomials import BiPoly
+
+if TYPE_CHECKING:
+    from .polynomials import BiPoly
 
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
@@ -62,23 +70,30 @@ def _check_range(name: str, value: int, low: int, high: int) -> None:
         raise UsageError(f"{name} must be at most {high}, got {value}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _Limits(NamedTuple):
+    max_bruteforce_n: int = 12
+    series_order: int = 40
+    output_format: str = "table"
+
+
+class RunConfig(_Limits):
     """The run's limits with their defaults, checked here and nowhere else.
 
     The identities suite needs a series order of at least 4; the top order,
     160, takes about 2 s in verify --max-n 8.
     """
 
-    max_bruteforce_n: int = 12
-    series_order: int = 40
-    output_format: str = "table"
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_range("max_bruteforce_n", self.max_bruteforce_n, 1, enumerator.MAX_N)
-        _check_range("series_order", self.series_order, 4, 160)
-        if self.output_format not in FORMATS:
+    def __new__(cls, *args, **kwargs):
+        from . import enumerator
+
+        cfg = super().__new__(cls, *args, **kwargs)
+        _check_range("max_bruteforce_n", cfg.max_bruteforce_n, 1, enumerator.MAX_N)
+        _check_range("series_order", cfg.series_order, 4, 160)
+        if cfg.output_format not in FORMATS:
             raise UsageError(f"format must be one of {', '.join(FORMATS)}")
+        return cfg
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -174,6 +189,8 @@ _HOLE = "\0"  # stands for the members while the rest of the document is rendere
 
 
 def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
+    from . import enumerator
+
     # members are read one at a time; no list of them is built
     rows = ((word, *drop_stats(word)) for word in enumerator.iter_odd_drop_words(n))
     if cfg.output_format == "json":
@@ -202,7 +219,11 @@ def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
 
 def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
     if kind == "joint":
+        from . import gentree
+
         return gentree.joint_poly(n), "xy"
+    from . import recurrences
+
     recurrence, var = (recurrences.oo_poly, "x") if kind == "f" else (recurrences.eo_poly, "y")
     return recurrence(n).to_bipoly(var), var
 
@@ -227,6 +248,8 @@ def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, list[str]]:
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, list[str]]:
+    from . import verify
+
     checks = verify.run_suites(suite, max_n=cfg.max_bruteforce_n, series_order=cfg.series_order)
     failed = sum(not c.passed for c in checks)
     skipped = sum(c.skipped for c in checks)
@@ -255,9 +278,13 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, list[str]]:
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
     if kind == "cno_count":
+        from . import recurrences
+
         _check_range("limit", limit, 1, MAX_MARGINAL_N)
         return [(n, poly(1)) for n, poly in enumerate(recurrences.oo_polys(limit), 1)], "recurrence"
     if kind in ("even_odd_only", "odd_odd_only"):
+        from . import enumerator
+
         # lengths 2m for even-odd-only cycles, 2m+1 for odd-odd-only ones
         odd = kind == "odd_odd_only"
         count = enumerator.count_odd_odd_only if odd else enumerator.count_even_odd_only
@@ -272,6 +299,8 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
         ], "enumeration"
     if limit > cfg.series_order:
         raise UsageError(f"limit {limit} beyond series_order {cfg.series_order}")
+    from . import series
+
     if kind == "genocchi":
         values, first = series.genocchi_sequence(limit), 1
     else:
@@ -306,6 +335,8 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, li
         raise UsageError(f"limit must be positive, got {limit}")
     # checked before the lengths are listed, so a huge --limit builds nothing
     _check_enumerable(cfg, n if n is not None else limit)
+    from . import enumerator
+
     rows: list[list[int]] = []
     for m in [n] if n is not None else range(1, limit + 1):
         table = enumerator.joint_table(m)
@@ -351,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
 
     p = sub.add_parser("verify", parents=[shared], help="run verification suites")
-    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
 
     p = sub.add_parser("sequence", parents=[shared], help="print an integer sequence")
     p.add_argument("--kind", choices=SEQUENCE_KINDS, default=None)

@@ -25,6 +25,7 @@ it against the drop definition in ``tests/reference.py``.
 
 from __future__ import annotations
 
+from itertools import count
 from math import ceil
 
 from .cycles import drop_stats, is_odd_drop_word
@@ -94,26 +95,30 @@ def _odd_step(grid: list[list[int]], n: int) -> list[list[int]]:
 def _step(grid: list[list[int]], n: int) -> list[list[int]]:
     # the even step, length 2n-1 to 2n, on a square grid of side at least
     # n + 1: each c*x^i*y^j contributes
-    # c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)).  Checking
-    # each nonzero entry's degree and sign keeps every image inside the grid
-    # and nonnegative.  The messages hold on the transposed grid too.
+    # c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)), so output
+    # entry (i, j) gathers j*g[i][j] + (n-i-j+1)*g[i][j-1] + (i+1)*g[i+1][j-1],
+    # nonzero only for 1 <= j <= n - i.  Row i of the input must be zero past
+    # its first n - i + 1 entries (degree at most n) and nonnegative on
+    # them; checking that first keeps every image inside the grid and
+    # nonnegative.  The messages hold on the transposed grid too.
     side = len(grid)
-    out = [[0] * side for _ in range(side)]
     for i, row in enumerate(grid):
-        kept, lowered = out[i], out[i - 1]
-        for j, c in enumerate(row):
-            if not c:
-                continue
-            fresh = n - i - j
-            if fresh < 0:
-                raise ValueError(f"transfer step {n}: a term of degree {i + j} exceeds the bound {n}")
-            if c < 0:
-                raise ValueError(f"transfer step {n}: negative coefficient {c}")
-            if i:
-                lowered[j + 1] += c * i
-            kept[j] += c * j
-            if fresh:
-                kept[j + 1] += c * fresh
+        live = max(n - i + 1, 0)
+        if live and min(row[:live]) < 0:
+            c = next(c for c in row if c < 0)
+            raise ValueError(f"transfer step {n}: negative coefficient {c}")
+        if any(row[live:]):
+            j = next(j for j in range(live, side) if row[j])
+            raise ValueError(f"transfer step {n}: a term of degree {i + j} exceeds the bound {n}")
+    out = []
+    for i, (row, below) in enumerate(zip(grid, [*grid[1:], [0] * side])):
+        live = max(n - i + 1, 1)
+        up = i + 1
+        gathered = [
+            j * here + fresh * left + up * low
+            for left, low, here, j, fresh in zip(row, below, row[1:live], count(1), range(n - i, 0, -1))
+        ]
+        out.append([0, *gathered, *[0] * (side - live)])
     return out
 
 

@@ -53,9 +53,8 @@ exactly how far the zero check is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .polynomials import BigPoly, _as_bigpoly
 
@@ -176,8 +175,7 @@ class TruncSeries:
 # -- closed forms --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     var: str  # polynomial variable v of the full series
     numerator: Callable[[int], int]  # of the m-th summand
     ratio: Callable[[int], int]  # numerator(m) / numerator(m-1)

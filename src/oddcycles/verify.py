@@ -19,21 +19,18 @@ Suites:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import islice
 from math import factorial
+from typing import NamedTuple
 
-from . import enumerator, gentree, recurrences, series
+from . import SUITES, enumerator, gentree, recurrences, series
 from .polynomials import BiPoly, BigPoly
 
 GENOCCHI_VALUES = [1, 1, 3, 17, 155, 2073, 38227, 929569]
 MEDIAN_VALUES = [1, 2, 8, 56, 608, 9440, 198272, 5410688]
 
-SUITES = ("oracle", "series", "genocchi", "identities", "pde")
 
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome.  A skipped check compared nothing; it counts as
     passed for the exit status but reports SKIP, not PASS."""
 

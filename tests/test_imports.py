@@ -1,0 +1,116 @@
+"""Each command loads only the modules it runs; the package's names load lazily.
+
+The boundary tests run the command line in a child, as ``python -m
+oddcycles`` does, and list the package modules it loaded and whether it
+loaded ``dataclasses``.  The surface tests check that every public name
+read from the package is the object its home module defines.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+import oddcycles
+
+SRC = Path(oddcycles.__file__).resolve().parents[1]
+
+PROBE = """
+import runpy, sys
+{prelude}
+try:
+    runpy.run_module("oddcycles", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(*sorted(m for m in sys.modules if m.startswith("oddcycles.") or m == "dataclasses"),
+      sep="\\n", file=sys.stderr)
+"""
+
+ROUTES = {"oddcycles.gentree", "oddcycles.recurrences", "oddcycles.series", "oddcycles.verify"}
+
+
+@lru_cache(maxsize=None)
+def loaded(argv: tuple[str, ...], prelude: str = "") -> frozenset[str]:
+    """The package modules, and dataclasses, that one command loads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(prelude=prelude), *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return frozenset(proc.stderr.split())
+
+
+def crossed(modules: frozenset[str], forbidden: set[str]) -> set[str]:
+    """The forbidden modules that a command loaded; dataclasses is always one."""
+    return modules & (forbidden | {"dataclasses"})
+
+
+# each command and the modules it must not load
+BOUNDARIES = [
+    (("enumerate", "--n", "3"), ROUTES),
+    (("poly", "--kind", "f", "--n", "3"), ROUTES - {"oddcycles.recurrences"}),
+    (("verify", "--max-n", "3", "--series-order", "4", "--format", "csv"), set()),
+]
+
+
+@pytest.mark.parametrize(("argv", "forbidden"), BOUNDARIES, ids=[" ".join(a) for a, _ in BOUNDARIES])
+def test_command_loads_only_its_routes(argv, forbidden):
+    assert crossed(loaded(argv), forbidden) == set()
+
+
+def test_version_loads_the_command_line_and_cycles_only():
+    assert loaded(("--version",)) == {"oddcycles.cli", "oddcycles.cycles"}
+
+
+def test_each_command_loads_the_route_it_runs():
+    assert "oddcycles.enumerator" in loaded(("enumerate", "--n", "3"))
+    assert "oddcycles.recurrences" in loaded(("poly", "--kind", "f", "--n", "3"))
+    assert ROUTES <= loaded(BOUNDARIES[-1][0])
+
+
+def test_boundary_check_sees_a_loaded_route():
+    # negative control: a route loaded before the command crosses the boundary
+    modules = loaded(("--version",), prelude="import oddcycles.verify")
+    assert "oddcycles.verify" in crossed(modules, ROUTES)
+    modules = loaded(("--version",), prelude="import dataclasses")
+    assert crossed(modules, set()) == {"dataclasses"}
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name, home in oddcycles._HOMES.items():
+        module = importlib.import_module(f"oddcycles.{home}")
+        value = getattr(oddcycles, name)
+        assert value is getattr(module, name), name
+        assert value.__module__ == module.__name__, name
+    assert set(oddcycles.__all__) == {*oddcycles._HOMES, "__version__"}
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(oddcycles.__all__) <= set(dir(oddcycles))
+    namespace: dict = {}
+    exec("from oddcycles import *", namespace)
+    assert set(oddcycles.__all__) <= set(namespace)
+
+
+def test_submodules_are_package_attributes():
+    for home in set(oddcycles._HOMES.values()):
+        assert getattr(oddcycles, home) is sys.modules[f"oddcycles.{home}"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        oddcycles.no_such_name  # noqa: B018
+    assert not hasattr(oddcycles, "cli_main")
+
+
+def test_suite_names_have_one_home():
+    from oddcycles import verify
+
+    assert verify.SUITES is oddcycles.SUITES

@@ -1,6 +1,5 @@
 """Truncated series arithmetic and the closed-form generating functions."""
 
-import dataclasses
 import math
 
 import pytest
@@ -387,7 +386,7 @@ class TestFamilyTable:
 
     @staticmethod
     def replace_row(monkeypatch, which, **fields):
-        row = dataclasses.replace(series.FAMILIES[which], **fields)
+        row = series.FAMILIES[which]._replace(**fields)
         monkeypatch.setitem(series.FAMILIES, which, row)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))

@@ -10,8 +10,9 @@ host speed hits both alike.
 
     python3 tools/bench.py --layer series ../before/src src
 
-Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds)
-and cli (the enumerate listing through its emitters).  A case that needs a
+Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds),
+gentree (the joint transfer steps and the tree levels) and cli (the
+enumerate listing through its emitters).  A case that needs a
 function the copy's package lacks (the one-walk case needs
 ``recurrences.oo_polys``/``eo_polys``) is recorded as null; any other error
 fails the run.  Standard library only; the package does not import it.
@@ -32,7 +33,7 @@ REPEATS = 5
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 #: the names a case's code reads, each a module of the package
-MODULES = {"R": "recurrences", "S": "series", "cli": "cli"}
+MODULES = {"G": "gentree", "R": "recurrences", "S": "series", "cli": "cli"}
 
 
 class Case(NamedTuple):
@@ -64,6 +65,12 @@ LAYERS = {
         ),
         "genocchi_sequence(160)": Case("S.genocchi_sequence(160)"),
     },
+    "gentree": {
+        "joint_poly(300)": Case("G.joint_poly(300)"),
+        "verify_level, levels 1..12": Case(
+            "level = [(1,)]\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
+        ),
+    },
     "cli": {
         "enumerate --n 11 --format json": Case(
             "cli.main(['enumerate', '--n', '11', '--format', 'json'])"
@@ -77,6 +84,7 @@ LAYERS = {
 CHILD = """
 import contextlib, importlib, io, json, resource, sys, time
 from oddcycles import cli
+from oddcycles import gentree as G
 from oddcycles import recurrences as R
 from oddcycles import series as S
 
