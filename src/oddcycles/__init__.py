@@ -23,6 +23,11 @@ __version__ = "0.1.0"
 # so that the command line can list them without loading the suites
 SUITES = ("oracle", "series", "genocchi", "identities", "pde")
 
+# the largest n the enumerator accepts, kept here so that the command line
+# can check --max-n without loading it.  The enumerator's table grows like
+# 2^n * n^2: it takes 0.55 s at n = 14 and 3.9 s at n = 16.
+MAX_N = 14
+
 # each public name and the module that defines it
 _HOMES = {
     "canonicalize": "cycles",

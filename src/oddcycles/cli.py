@@ -27,7 +27,8 @@ imports the routes it runs (enumerate and table the enumerator, poly the
 generating tree or the recurrences, verify the suites, sequence the module
 its kind reads), and reaches them through module attributes such as
 enumerator.iter_odd_drop_words, so `oddcycles --version` and `--help` load
-no route.  RunConfig loads the enumerator for its limit on n.
+no route.  RunConfig reads its limit on n from the package, not from the
+enumerator.
 
 Limits come from flags, falling back to a key=value config file given with
 --config, falling back to defaults.  Exit codes: 0 success, 1 verification
@@ -42,7 +43,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from . import SUITES, __version__
+from . import MAX_N, SUITES, __version__
 from .cycles import drop_stats
 
 if TYPE_CHECKING:
@@ -51,7 +52,8 @@ if TYPE_CHECKING:
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
 # Caps on the inputs that take any size, each a few seconds of work at the
-# cap: joint_poly(400) takes about 4 s and oo_poly(2000) about 2 s.
+# cap: joint_poly(400) takes about 1.7 s (the poly command 1.8-2.1 s, CSV
+# included) and oo_poly(2000) about 2 s.
 MAX_JOINT_N = 400
 MAX_MARGINAL_N = 2000  # poly --kind f|g --n, and sequence --kind cno_count --limit
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
@@ -86,10 +88,8 @@ class RunConfig(_Limits):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        from . import enumerator
-
         cfg = super().__new__(cls, *args, **kwargs)
-        _check_range("max_bruteforce_n", cfg.max_bruteforce_n, 1, enumerator.MAX_N)
+        _check_range("max_bruteforce_n", cfg.max_bruteforce_n, 1, MAX_N)
         _check_range("series_order", cfg.series_order, 4, 160)
         if cfg.output_format not in FORMATS:
             raise UsageError(f"format must be one of {', '.join(FORMATS)}")

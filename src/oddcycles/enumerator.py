@@ -27,11 +27,8 @@ from __future__ import annotations
 from math import ceil
 from typing import Iterator
 
+from . import MAX_N  # the largest n any function here accepts
 from .polynomials import BiPoly
-
-#: Largest n any function here accepts.  The table's work grows like
-#: 2^n * n^2: it takes 0.55 s at n = 14 and 3.9 s at n = 16.
-MAX_N = 14
 
 
 def _check_n(n: int) -> None:

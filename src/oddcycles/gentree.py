@@ -7,15 +7,13 @@ must land odd; deleting the maximum inverts the step).  Inserting before
 the leading 1 means appending at the end of the canonical word, so children
 are canonical by construction.
 
-Polynomial level: the same step acts on the joint polynomial
-sum of x^oo * y^eo as a linear transfer operator whose coefficients depend
-only on the parity of the new length.  Alternating the two operators from
-the one-element cycle rebuilds the joint polynomial of any length without
-touching cycles at all.  The walk carries the coefficients as one dense
-square grid, grid[i][j] being the coefficient of x^i*y^j, and wraps them in
-a BiPoly once, at the end.  The two operators are one grid body: the odd
-step is the even step with x and y exchanged, on its input and on its
-output, which on the grid is the body conjugated by a transpose.
+Polynomial level: the same step acts on the joint polynomial f, the sum
+of x^oo * y^eo, as f -> k*y*f + y*(1-x)*f_x + y*(1-y)*f_y into length 2k and
+as its mirror in x and y into length 2k+1.  In F(a, b) = f(1+a, 1+b) these
+read F -> (1+b)*(k-deg)*F and (1+a)*(k-deg)*F, deg the total degree, so the
+walk from the one-element cycle holds F as one integer per total degree d, a
+shell, with the coefficient of a^i*b^(d-i) at bit W*i and a guard bit to
+spare, and at the end two Taylor shifts by -1 turn F back into f.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
 insertion lands in (see _word_delta); verify_level asserts that case
@@ -25,8 +23,7 @@ it against the drop definition in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from itertools import count
-from math import ceil
+from math import ceil, prod
 
 from .cycles import drop_stats, is_odd_drop_word
 from .polynomials import BiPoly
@@ -76,57 +73,59 @@ def _word_delta(word: Word, pos: int) -> tuple[int, int]:
     return (0, 0)  # even-odd drop replaced by even-odd
 
 
-def _to_grid(terms: dict[tuple[int, int], int], n: int) -> list[list[int]]:
-    # terms within the degree bound i + j <= n fit a side of n + 1
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for (i, j), c in terms.items():
-        grid[i][j] = c
-    return grid
+def _step(shells: list[int], k: int, shift: int) -> list[int]:
+    # in place, into length 2k (shift 0: times 1+b) or 2k+1 (shift W: times
+    # 1+a, a slot up): shell d scaled by k-d feeds shells d and d+1.  A shell
+    # beyond degree k, or a negative one, would break the packing.
+    for d, shell in enumerate(shells):
+        if shell < 0:
+            raise ValueError(f"transfer step {k}: negative coefficient in the shell of degree {d}")
+        if shell and d > k:
+            raise ValueError(f"transfer step {k}: a term of degree {d} exceeds the bound {k}")
+    shells[:] = [*shells, 0][: k + 1]
+    for d in range(k, 0, -1):
+        below = (k - d + 1) * shells[d - 1]
+        shells[d] = (k - d) * shells[d] + (below << shift if shift else below)
+    shells[0] *= k
+    return shells
 
 
-def _transpose(grid: list[list[int]]) -> list[list[int]]:
-    return [list(column) for column in zip(*grid)]
+def _slots(packed: int, length: int, size: int) -> list[bytes]:
+    # a negative term sets a guard bit: it borrows from the slot above, or is the sign
+    raw = packed.to_bytes(length * size, "little", signed=True)
+    slots = [raw[at : at + size] for at in range(0, len(raw), size)]
+    if any(slot[-1] & 0x80 for slot in slots):
+        raise ValueError("transfer steps produced a negative coefficient")
+    return slots
 
 
-def _odd_step(grid: list[list[int]], n: int) -> list[list[int]]:
-    return _transpose(_step(_transpose(grid), n))
+def _transpose(packed: list[int], lengths: range, size: int) -> list[int]:
+    # slot s of each integer, in turn, goes to integer s; packed is emptied
+    out = [bytearray() for _ in packed]
+    for length in lengths:
+        for s, slot in enumerate(_slots(packed.pop(0), length, size)):
+            out[s] += slot
+    return [int.from_bytes(b, "little") for b in out]
 
 
-def _step(grid: list[list[int]], n: int) -> list[list[int]]:
-    # the even step, length 2n-1 to 2n, on a square grid of side at least
-    # n + 1: each c*x^i*y^j contributes
-    # c * (i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)), so output
-    # entry (i, j) gathers j*g[i][j] + (n-i-j+1)*g[i][j-1] + (i+1)*g[i+1][j-1],
-    # nonzero only for 1 <= j <= n - i.  Row i of the input must be zero past
-    # its first n - i + 1 entries (degree at most n) and nonnegative on
-    # them; checking that first keeps every image inside the grid and
-    # nonnegative.  The messages hold on the transposed grid too.
-    side = len(grid)
-    for i, row in enumerate(grid):
-        live = max(n - i + 1, 0)
-        if live and min(row[:live]) < 0:
-            c = next(c for c in row if c < 0)
-            raise ValueError(f"transfer step {n}: negative coefficient {c}")
-        if any(row[live:]):
-            j = next(j for j in range(live, side) if row[j])
-            raise ValueError(f"transfer step {n}: a term of degree {i + j} exceeds the bound {n}")
-    out = []
-    for i, (row, below) in enumerate(zip(grid, [*grid[1:], [0] * side])):
-        live = max(n - i + 1, 1)
-        up = i + 1
-        gathered = [
-            j * here + fresh * left + up * low
-            for left, low, here, j, fresh in zip(row, below, row[1:live], count(1), range(n - i, 0, -1))
-        ]
-        out.append([0, *gathered, *[0] * (side - live)])
-    return out
+def _shift_down(packed: list[int]) -> list[int]:
+    # p(t) -> p(t - 1) in place by synthetic division, slots side by side
+    for low in range(len(packed) - 1):
+        for i in range(len(packed) - 2, low - 1, -1):
+            packed[i] -= packed[i + 1]
+    return packed
 
 
-def _to_bipoly(grid: list[list[int]]) -> BiPoly:
-    terms = {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row) if c}
-    for (i, j), c in terms.items():
-        if c < 0:
-            raise ValueError(f"transfer steps produced a negative coefficient {c} at x^{i}*y^{j}")
+def _decode(shells: list[int], width: int) -> BiPoly:
+    # f(x, y) = F(x - 1, y - 1): the shells regrouped into rows (slot j of
+    # row i holds a^i*b^j) shift in x, the rows regrouped into columns in y
+    size, top = width // 8, len(shells) - 1
+    rows = _shift_down(_transpose(shells, range(1, top + 2), size))
+    columns = _shift_down(_transpose(rows, range(top + 1, 0, -1), size))
+    terms = {}
+    for j in range(top + 1):
+        for i, c in enumerate(_slots(columns.pop(0), top + 1 - j, size)):
+            terms[i, j] = int.from_bytes(c, "little")
     return BiPoly(terms)
 
 
@@ -139,11 +138,12 @@ def joint_poly(n: int) -> BiPoly:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    grid = _to_grid({(0, 0): 1}, n // 2)
+    # W, whole bytes: F's terms are at most f(2, 2) <= 2^(n//2) * f(1, 1), plus a guard bit
+    members = prod(children_count(m) for m in range(1, n))
+    width, shells = ((members << n // 2).bit_length() + 8) // 8 * 8, [1]
     for target in range(2, n + 1):
-        step = _odd_step if target & 1 else _step
-        grid = step(grid, target // 2)
-    return _to_bipoly(grid)
+        shells = _step(shells, target // 2, width if target & 1 else 0)
+    return _decode(shells, width)
 
 
 def children_count(n: int) -> int:

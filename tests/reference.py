@@ -8,8 +8,12 @@ the parities of their two entries.
 
 The module also writes out each closed form's PDE in operator form, on
 plain coefficient lists with no BigPoly or TruncSeries, for the series
-tests to check pde_residual_of against.
+tests to check pde_residual_of against, and the joint transfer step term by
+term on plain dicts {(i, j): coefficient}, for the generating-tree tests to
+check the packed walk against.
 """
+
+from math import comb
 
 
 def drops_by_definition(word: tuple[int, ...]) -> list[tuple[int | None, int]]:
@@ -32,6 +36,37 @@ def stats_by_definition(word: tuple[int, ...]) -> tuple[int, int]:
 
 def is_member_by_definition(word: tuple[int, ...]) -> bool:
     return all(latter % 2 == 1 for _, latter in drops_by_definition(word))
+
+
+# -- the joint transfer step, term by term -------------------------------
+
+
+def joint_step_by_definition(terms: dict, n: int, odd: bool) -> dict:
+    """The transfer step with parameter n on {(i, j): c}, c*x^i*y^j each.
+
+    The even step sends c*x^i*y^j to
+    c*(i*x^(i-1)*y^(j+1) + j*x^i*y^j + (n-i-j)*x^i*y^(j+1)); the odd step is
+    the even step with x and y exchanged.
+    """
+    out: dict = {}
+    for (i, j), c in terms.items():
+        if odd:
+            i, j = j, i
+        for (p, q), times in (((i - 1, j + 1), i), ((i, j), j), ((i, j + 1), n - i - j)):
+            if times:
+                key = (q, p) if odd else (p, q)
+                out[key] = out.get(key, 0) + c * times
+    return {key: c for key, c in out.items() if c}
+
+
+def at_one_plus(terms: dict) -> dict:
+    """f(x, y) -> f(1 + a, 1 + b), as {(i, j): the coefficient of a^i*b^j}."""
+    out: dict = {}
+    for (i, j), c in terms.items():
+        for p in range(i + 1):
+            for q in range(j + 1):
+                out[p, q] = out.get((p, q), 0) + c * comb(i, p) * comb(j, q)
+    return {key: c for key, c in out.items() if c}
 
 
 # -- the PDE of each closed form, in operator form ------------------------

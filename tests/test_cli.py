@@ -553,11 +553,13 @@ def test_benchmark_commands_are_within_the_limits(capsys, stubbed, argv):
 SYMBOLIC_VERIFY = [
     argv for argv in workloads.WORKLOADS["symbolic-deep"]["commands"] if argv[0] == "verify"
 ]
+# the symbolic verify commands and the joint transfer walk at its benchmark size
+GATED = [*SYMBOLIC_VERIFY, ["poly", "--kind", "joint", "--n", "300", "--format", "csv"]]
 
 
 class TestBenchmarkReferences:
-    """The benchmark's symbolic verify commands, run in this process, give
-    the outputs its stored references fingerprint."""
+    """The benchmark's symbolic verify commands and its joint polynomial,
+    run in this process, give the outputs its stored references fingerprint."""
 
     @staticmethod
     def output(capsys, argv):
@@ -565,18 +567,19 @@ class TestBenchmarkReferences:
         status = cli.main(list(argv))
         return ref, capsys.readouterr().out.encode(), status
 
-    @pytest.mark.parametrize("argv", SYMBOLIC_VERIFY, ids=" ".join)
+    @pytest.mark.parametrize("argv", GATED, ids=" ".join)
     def test_output_matches_reference(self, capsys, argv):
         assert gate.check(*self.output(capsys, argv)) == []
 
-    @pytest.mark.parametrize("argv", SYMBOLIC_VERIFY, ids=" ".join)
+    @pytest.mark.parametrize("argv", GATED, ids=" ".join)
     def test_one_changed_byte_fails(self, capsys, argv):
-        # negative control: flip the last byte of the first check's detail
+        # negative control: flip the last byte of the first line (the verify
+        # table's first check detail, the CSV header)
         ref, out, status = self.output(capsys, argv)
         changed = bytearray(out)
         changed[out.index(b"\n") - 1] ^= 0x01
         assert gate.check(ref, bytes(changed), status) == [
-            "verify-table output differs from the reference"
+            f"{ref['kind']} output differs from the reference"
         ]
 
 

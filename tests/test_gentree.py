@@ -17,7 +17,7 @@ from oddcycles.gentree import (
 )
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
-from reference import is_member_by_definition, stats_by_definition
+from reference import at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
 
 
 def children(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -158,10 +158,23 @@ class TestPartition:
         }
 
 
+# slot width of the step tests: their terms stay far below 2^127
+WIDTH = 128
+
+
+def shells_of(poly: BiPoly, n: int) -> list[int]:
+    """F(a, b) = poly(1+a, 1+b) packed as the walk holds it: shell d packs the
+    coefficient of a^i*b^(d-i) at bit WIDTH*i, for d up to n or beyond."""
+    terms = at_one_plus(poly.terms)
+    shells = [0] * (max([n, *(i + j for i, j in terms)]) + 1)
+    for (i, j), c in terms.items():
+        shells[i + j] += c << WIDTH * i
+    return shells
+
+
 def joint_step(poly: BiPoly, n: int, odd: bool) -> BiPoly:
-    """The even (or odd) transfer step on a polynomial, through the grid body."""
-    body = gentree._odd_step if odd else gentree._step
-    return gentree._to_bipoly(body(gentree._to_grid(poly.terms, n), n))
+    """The even (or odd) transfer step on a polynomial, through the shell body."""
+    return gentree._decode(gentree._step(shells_of(poly, n), n, WIDTH if odd else 0), WIDTH)
 
 
 class TestTransferSteps:
@@ -235,20 +248,59 @@ def test_merged_steps_specialize_to_marginal_steps(case):
     assert _steps_match_marginal_steps(case)
 
 
-def test_step_property_catches_a_dropped_term(monkeypatch):
-    def without_kept_drops(grid, n):
-        # the grid body without its j*x^i*y^j contribution
-        out = [[0] * len(grid) for _ in grid]
-        for i, row in enumerate(grid):
-            for j, c in enumerate(row):
-                if c and i:
-                    out[i - 1][j + 1] += c * i
-                if c and n - i - j:
-                    out[i][j + 1] += c * (n - i - j)
-        return out
+def _shell_step_is_the_reference_step(case) -> bool:
+    p, n = case
+    return all(
+        joint_step(p, n, odd) == BiPoly(joint_step_by_definition(p.terms, n, odd)) for odd in (False, True)
+    )
 
-    monkeypatch.setattr(gentree, "_step", without_kept_drops)
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(joint_input())
+def test_shell_step_is_the_reference_step(case):
+    assert _shell_step_is_the_reference_step(case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(joint_input())
+def test_decode_inverts_the_forward_map(case):
+    p, n = case
+    assert gentree._decode(shells_of(p, n), WIDTH) == p
+
+
+def _shell_body(scale: int, feed: int):
+    """A step body with shell d scaled by k-d+scale and fed by feed*(k-d+1+scale)
+    times the shell below; scale 0, feed 1 is the real body."""
+
+    def body(shells, k, shift):
+        here = [*shells, 0][: k + 1]
+        return [
+            (k - d + scale) * s + (feed * (k - d + 1 + scale) * t << shift)
+            for d, (s, t) in enumerate(zip(here, [0, *here]))
+        ]
+
+    return body
+
+
+def test_shell_body_control_is_the_real_body(monkeypatch):
+    # the controls below break this body, so unbroken it must pass
+    monkeypatch.setattr(gentree, "_step", _shell_body(0, 1))
+    test_shell_step_is_the_reference_step()
+    assert joint_poly(12) == joint_table(12)
+
+
+def test_step_property_catches_a_dropped_term(monkeypatch):
+    # the body without the term each shell feeds up: F -> (k-deg)*F, no 1+b
+    monkeypatch.setattr(gentree, "_step", _shell_body(0, 0))
     # raises NoSuchExample if the property cannot tell the broken step apart
+    find(joint_input(), lambda case: not _shell_step_is_the_reference_step(case), settings=NO_SHRINK)
+    find(joint_input(), lambda case: not _steps_match_marginal_steps(case), settings=NO_SHRINK)
+
+
+def test_step_property_catches_a_scale_off_by_one(monkeypatch):
+    # shell d scaled by k-d+1 instead of k-d, as if deg counted from 1
+    monkeypatch.setattr(gentree, "_step", _shell_body(1, 1))
+    find(joint_input(), lambda case: not _shell_step_is_the_reference_step(case), settings=NO_SHRINK)
     find(joint_input(), lambda case: not _steps_match_marginal_steps(case), settings=NO_SHRINK)
 
 
@@ -323,47 +375,70 @@ class TestJointPolynomial:
 
 
 def _spoil_call(calls: int, spoil, monkeypatch) -> list[int]:
-    """Patch the grid body so that spoil edits its output on the given call."""
+    """Patch the shell step so that spoil edits its output on the given call."""
     real = gentree._step
     seen = []
 
-    def spoiled(grid, n):
-        out = real(grid, n)
+    def spoiled(shells, n, shift):
+        out = real(shells, n, shift)
         seen.append(n)
         if len(seen) == calls:
-            spoil(out)
+            spoil(out, shift)
         return out
 
     monkeypatch.setattr(gentree, "_step", spoiled)
     return seen
 
 
-def _negate_first(grid):
-    i, j = next((i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if c)
-    grid[i][j] = -grid[i][j]
+def _negate_first(shells, shift):
+    d = next(d for d, shell in enumerate(shells) if shell)
+    shells[d] = -shells[d]
 
 
-def _fill_corner(grid):
-    grid[-1][-1] = 1
+def _grow_past_the_bound(shells, shift):
+    shells.append(1)
+
+
+def _borrow_below_the_top(shells, shift):
+    # shell 1 holds b (slot 0) and a (slot 1); slot 0 set to -1 borrows from
+    # slot 1, which leaves the integer positive and slot 0's guard bit set
+    shells[1] -= (shells[1] & (1 << shift) - 1) + 1
+    assert shells[1] > 0
 
 
 def test_walk_check_catches_a_negative_coefficient_mid_walk(monkeypatch):
     seen = _spoil_call(3, _negate_first, monkeypatch)
-    with pytest.raises(ValueError, match="negative coefficient"):
+    with pytest.raises(ValueError, match="transfer step 2: negative coefficient"):
         joint_poly(9)
-    # the fourth step's own loop refused its input; no later step ran
+    # the fourth step refused its input; no later step ran
     assert seen == [1, 1, 2]
 
 
 def test_walk_check_catches_a_term_beyond_the_degree_bound(monkeypatch):
-    seen = _spoil_call(3, _fill_corner, monkeypatch)
-    with pytest.raises(ValueError, match="exceeds the bound"):
+    seen = _spoil_call(3, _grow_past_the_bound, monkeypatch)
+    with pytest.raises(ValueError, match="a term of degree 3 exceeds the bound 2"):
         joint_poly(9)
     assert seen == [1, 1, 2]
 
 
 def test_final_scan_catches_a_negative_coefficient_from_the_last_step(monkeypatch):
     seen = _spoil_call(8, _negate_first, monkeypatch)
-    with pytest.raises(ValueError, match="negative coefficient"):
+    with pytest.raises(ValueError, match="transfer steps produced a negative coefficient"):
         joint_poly(9)
     assert len(seen) == 8
+
+
+def test_final_scan_catches_a_slot_with_its_guard_bit_set(monkeypatch):
+    seen = _spoil_call(8, _borrow_below_the_top, monkeypatch)
+    with pytest.raises(ValueError, match="transfer steps produced a negative coefficient"):
+        joint_poly(9)
+    assert len(seen) == 8
+
+
+def test_walk_is_the_reference_walk():
+    # joint_poly(n) against the literal (x, y) steps on a dict, n = 1..60
+    terms = {(0, 0): 1}
+    for n in range(1, 61):
+        if n > 1:
+            terms = joint_step_by_definition(terms, n // 2, odd=bool(n & 1))
+        assert joint_poly(n) == BiPoly(terms), n

@@ -31,6 +31,7 @@ print(*sorted(m for m in sys.modules if m.startswith("oddcycles.") or m == "data
 """
 
 ROUTES = {"oddcycles.gentree", "oddcycles.recurrences", "oddcycles.series", "oddcycles.verify"}
+ENUMERATOR = {"oddcycles.enumerator"}
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +56,10 @@ def crossed(modules: frozenset[str], forbidden: set[str]) -> set[str]:
 # each command and the modules it must not load
 BOUNDARIES = [
     (("enumerate", "--n", "3"), ROUTES),
-    (("poly", "--kind", "f", "--n", "3"), ROUTES - {"oddcycles.recurrences"}),
+    (("poly", "--kind", "f", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR),
+    (("poly", "--kind", "g", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR),
+    (("poly", "--kind", "joint", "--n", "3"), ROUTES - {"oddcycles.gentree"} | ENUMERATOR),
+    (("sequence", "--kind", "genocchi", "--limit", "3"), ROUTES - {"oddcycles.series"} | ENUMERATOR),
     (("verify", "--max-n", "3", "--series-order", "4", "--format", "csv"), set()),
 ]
 
@@ -114,3 +118,9 @@ def test_suite_names_have_one_home():
     from oddcycles import verify
 
     assert verify.SUITES is oddcycles.SUITES
+
+
+def test_enumerator_limit_has_one_home():
+    from oddcycles import cli, enumerator
+
+    assert enumerator.MAX_N is oddcycles.MAX_N is cli.MAX_N

@@ -67,6 +67,7 @@ LAYERS = {
     },
     "gentree": {
         "joint_poly(300)": Case("G.joint_poly(300)"),
+        "joint_poly(400)": Case("G.joint_poly(400)"),
         "verify_level, levels 1..12": Case(
             "level = [(1,)]\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
         ),
