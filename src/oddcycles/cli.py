@@ -52,8 +52,8 @@ if TYPE_CHECKING:
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
 # Caps on the inputs that take any size, each a few seconds of work at the
-# cap: joint_poly(400) takes about 1.7 s (the poly command 1.8-2.1 s, CSV
-# included) and oo_poly(2000) about 2 s.
+# cap: joint_poly(400) takes about 1.3-1.5 s (the poly command 1.5-1.8 s, CSV
+# included) and oo_poly(2000) about 1 s (the poly command 1.4-1.6 s).
 MAX_JOINT_N = 400
 MAX_MARGINAL_N = 2000  # poly --kind f|g --n, and sequence --kind cno_count --limit
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")

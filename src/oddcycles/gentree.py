@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import ceil, prod
 
 from .cycles import drop_stats, is_odd_drop_word
-from .polynomials import BiPoly
+from .polynomials import BiPoly, _shift_down
 
 Word = tuple[int, ...]
 
@@ -83,10 +83,11 @@ def _step(shells: list[int], k: int, shift: int) -> list[int]:
         if shell and d > k:
             raise ValueError(f"transfer step {k}: a term of degree {d} exceeds the bound {k}")
     shells[:] = [*shells, 0][: k + 1]
-    for d in range(k, 0, -1):
-        below = (k - d + 1) * shells[d - 1]
-        shells[d] = (k - d) * shells[d] + (below << shift if shift else below)
-    shells[0] *= k
+    below = 0
+    for d, shell in enumerate(shells):
+        scaled = (k - d) * shell
+        shells[d] = scaled + (below << shift if shift else below)
+        below = scaled
     return shells
 
 
@@ -106,14 +107,6 @@ def _transpose(packed: list[int], lengths: range, size: int) -> list[int]:
         for s, slot in enumerate(_slots(packed.pop(0), length, size)):
             out[s] += slot
     return [int.from_bytes(b, "little") for b in out]
-
-
-def _shift_down(packed: list[int]) -> list[int]:
-    # p(t) -> p(t - 1) in place by synthetic division, slots side by side
-    for low in range(len(packed) - 1):
-        for i in range(len(packed) - 2, low - 1, -1):
-            packed[i] -= packed[i + 1]
-    return packed
 
 
 def _decode(shells: list[int], width: int) -> BiPoly:

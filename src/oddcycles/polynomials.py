@@ -155,6 +155,15 @@ class BigPoly:
         return f"BigPoly({self.format()!r})"
 
 
+def _shift_down(coeffs: list[int]) -> list[int]:
+    # p(t) -> p(t - 1) in place by synthetic division; each entry may be a
+    # plain coefficient or several packed side by side in one integer
+    for low in range(len(coeffs) - 1):
+        for i in range(len(coeffs) - 2, low - 1, -1):
+            coeffs[i] -= coeffs[i + 1]
+    return coeffs
+
+
 def _as_bigpoly(value) -> BigPoly:
     if isinstance(value, BigPoly):
         return value
@@ -172,9 +181,9 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         cleaned = {}
-        for (i, j), c in dict(terms).items():
+        for (i, j), c in (terms or {}).items():
             if c == 0:
                 continue
             if i < 0 or j < 0:

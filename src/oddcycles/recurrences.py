@@ -15,23 +15,35 @@ lengths for the odd-odd statistic, even lengths for the even-odd one.  So
 oo_poly alternates (even: free, odd: forced) and eo_poly the same steps with
 the phases swapped.
 
+Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
+parameter k, so a walk picks the step by the parity of the target length
+and passes k = target // 2.  There are two walks.
+
+The walk over every length runs in v: oo_polys(n)/eo_polys(n) hand out the
+polynomials of lengths 1..n lazily, one step at a time, so a caller that
+needs every length runs one walk and holds one polynomial of it at a time.
 The free step is fused into one pass over the coefficients: coefficient i
 of k*p + p' - v*p' is (k-i)*p[i] + (i+1)*p[i+1].
 
-Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
-parameter k, so the walk picks the step by the parity of the target length
-and passes k = target // 2.  The walk yields every length 1..n in turn:
-oo_polys(n)/eo_polys(n) hand it out lazily, and oo_poly(n)/eo_poly(n) keep
-only its last element, so a caller that needs every length runs one walk,
-and no caller holds more than one polynomial of it at a time.
+The walk to one length, behind oo_poly(n)/eo_poly(n), runs in the
+eigenbasis a = v - 1 of the free step.  There P(a) = p(1 + a), the free step
+is P_i -> (k-i)*P_i and the forced step also multiplies by 1 + a.  Each free
+step's factor is held until the forced step after it, so a pair of lengths
+costs one multiply by the small integer (k-i)*(k'-i) and one add per
+coefficient, and one Taylor shift by -1 at the end gives back p(v).
+
+The walk over every length stays in v for two reasons.  Handing out each
+length from the basis a would take a Taylor shift per length, more work
+than the steps it saves.  And the checks that compare every length against
+the series and the enumeration read that walk, so they set the series'
+triangle and Taylor shift against a route that has neither.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
-from .polynomials import BigPoly
+from .polynomials import BigPoly, _shift_down
 
 
 def free_step(poly: BigPoly, k: int) -> BigPoly:
@@ -76,11 +88,40 @@ def eo_polys(n: int) -> Iterator[BigPoly]:
     return _walk(n, forced_step, free_step)
 
 
+def _lift(coeffs: list[int], k: int, held: int) -> None:
+    # in place: the held free step (none if 0) and the forced step k, that
+    # is coefficient i times (held-i)*(k-i), then the whole times 1 + a
+    below = 0
+    for i, c in enumerate(coeffs):
+        c *= (held - i) * (k - i) if held else k - i
+        coeffs[i] = c + below
+        below = c
+    coeffs.append(below)
+
+
+def _eigen_walk(n: int, forced: int) -> BigPoly:
+    # the walk to length n alone, in a = v - 1; forced is the parity of the
+    # lengths the forced step goes into
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    coeffs, held = [1], 0
+    for target in range(2, n + 1):
+        if target & 1 == forced:
+            _lift(coeffs, target // 2, held)
+            held = 0
+        else:
+            held = target // 2
+    if held:  # the walk ends on a free step
+        for i, c in enumerate(coeffs):
+            coeffs[i] = (held - i) * c
+    return BigPoly(_shift_down(coeffs))
+
+
 def oo_poly(n: int) -> BigPoly:
     """Odd-odd drop distribution over odd-drop cycles on [n], in x."""
-    return deque(oo_polys(n), maxlen=1)[0]
+    return _eigen_walk(n, 1)
 
 
 def eo_poly(n: int) -> BigPoly:
     """Even-odd drop distribution over odd-drop cycles on [n], in y."""
-    return deque(eo_polys(n), maxlen=1)[0]
+    return _eigen_walk(n, 0)

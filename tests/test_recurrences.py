@@ -4,10 +4,10 @@ import math
 from itertools import islice
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from oddcycles import cli, recurrences, verify
+from oddcycles import cli, polynomials, recurrences, verify
 from oddcycles.polynomials import BigPoly
 from oddcycles.recurrences import eo_poly, eo_polys, forced_step, free_step, oo_poly, oo_polys
 
@@ -158,8 +158,12 @@ class TestOneWalk:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_poly_walks_once(self, steps, n):
+        # the single length walks in a = v - 1 and runs no step in v
         oo_poly(n)
-        # one step into each length 2..n, forced into the odd ones
+        assert steps == {"free": [], "forced": []}
+        # the walk over every length: one step into each length 2..n,
+        # forced into the odd ones
+        list(oo_polys(n))
         assert steps["free"] == [target // 2 for target in range(2, n + 1)]
         assert steps["forced"] == [target // 2 for target in range(3, n + 1, 2)]
 
@@ -186,10 +190,10 @@ class TestOneWalk:
 
     def test_oracle_suite(self, steps):
         assert all(c.passed for c in verify.suite_oracle(7))
-        # each marginal check walks its statistic to 7 twice, once for every
-        # length and once for the single polynomial poly --kind f|g prints,
-        # and the count check walks both
-        assert len(steps["free"]) == 6 * 6
+        # each marginal check walks its statistic to 7 once in v, for every
+        # length (the single polynomial poly --kind f|g prints runs no step in
+        # v), and the count check walks both
+        assert len(steps["free"]) == 4 * 6
 
     def test_cno_count_sequence(self, steps, capsys):
         assert cli.main(["sequence", "--kind", "cno_count", "--limit", "30"]) == 0
@@ -353,3 +357,76 @@ def test_fused_step_property_catches_an_off_by_one_weight():
 
     # raises NoSuchExample if the property cannot tell the broken step apart
     find(step_input(), lambda case: not _fused_agrees(case, off_by_one), settings=NO_SHRINK)
+
+
+# -- the walk to one length, in a = v - 1, against the walk over every length --
+
+
+def _single_walk_agrees(n: int) -> bool:
+    return oo_poly(n) == list(oo_polys(n))[-1] and eo_poly(n) == list(eo_polys(n))[-1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 400))
+@example(1)
+@example(2)
+@example(399)
+@example(400)
+def test_single_walk_equals_the_last_length(n):
+    assert _single_walk_agrees(n)
+
+
+def _lift_off_by_one(coeffs, k, held):
+    # the real body, but the forced step scales coefficient i by k-i+1
+    below = 0
+    for i, c in enumerate(coeffs):
+        c *= (held - i) * (k - i + 1) if held else k - i + 1
+        coeffs[i] = c + below
+        below = c
+    coeffs.append(below)
+
+
+def _walk_dropping_the_last_free_step(n, forced):
+    # the real walk, but a free step that ends it is never applied
+    coeffs, held = [1], 0
+    for target in range(2, n + 1):
+        if target & 1 == forced:
+            recurrences._lift(coeffs, target // 2, held)
+            held = 0
+        else:
+            held = target // 2
+    return BigPoly(polynomials._shift_down(coeffs))
+
+
+def _marginal_checks(max_n):
+    checks = {c.name: c for c in verify.suite_oracle(max_n)}
+    return checks["oo-marginal-vs-recurrence"], checks["eo-marginal-vs-recurrence"]
+
+
+def test_single_walk_property_catches_a_scale_off_by_one(monkeypatch):
+    monkeypatch.setattr(recurrences, "_lift", _lift_off_by_one)
+    # raises NoSuchExample if the property cannot tell the broken walk apart
+    find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
+    for result in _marginal_checks(7):
+        assert not result.passed
+        assert result.detail.startswith("n=7: ")
+
+
+def test_single_walk_property_catches_a_dropped_last_free_step(monkeypatch):
+    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_dropping_the_last_free_step)
+    find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
+    # odd-odd ends on a free step at even lengths, even-odd at odd ones
+    oo, eo = _marginal_checks(6)
+    assert (oo.passed, eo.passed) == (False, True)
+    assert oo.detail.startswith("n=6: ")
+    oo, eo = _marginal_checks(7)
+    assert (oo.passed, eo.passed) == (True, False)
+    assert eo.detail.startswith("n=7: ")
+
+
+def test_single_walk_controls_break_only_what_they_name(monkeypatch):
+    # unbroken, the dropping walk's body is the real walk wherever no free
+    # step ends it, so the controls above fail for the fault they name
+    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_dropping_the_last_free_step)
+    assert all(oo_poly(n) == list(oo_polys(n))[-1] for n in range(1, 40, 2))
+    assert all(eo_poly(n) == list(eo_polys(n))[-1] for n in range(2, 40, 2))
