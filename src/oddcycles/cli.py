@@ -82,7 +82,7 @@ class RunConfig(_Limits):
     """The run's limits with their defaults, checked here and nowhere else.
 
     The identities suite needs a series order of at least 4; the top order,
-    160, takes about 2 s in verify --max-n 8.
+    160, takes about 1.5 s in verify --max-n 8.
     """
 
     __slots__ = ()

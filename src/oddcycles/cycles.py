@@ -52,19 +52,24 @@ def canonicalize(perm: Sequence[int]) -> tuple[int, ...]:
     return word[pivot:] + word[:pivot]
 
 
-def is_odd_drop_word(word: tuple[int, ...]) -> bool:
-    """True when every drop of a canonical word lands on an odd entry.
+def odd_drop_stats(word: tuple[int, ...]) -> tuple[int, int] | None:
+    """drop_stats of a word, or None when a drop lands on an even entry.
 
-    The word is not re-validated.  One pass over the cyclic pairs, the wrap
-    pair first; the one-element word qualifies, its formal drop landing on 1.
-    Tested against ``tests/reference.py``, which is the definition.
+    One pass like drop_stats; the one-element word is a member, its formal
+    drop landing on 1.  Membership is tested against ``tests/reference.py``.
     """
+    oo = eo = 0
     prev = word[-1]
     for v in word:
-        if v < prev and not v & 1:
-            return False
+        if v < prev:
+            if not v & 1:
+                return None
+            if prev & 1:
+                oo += 1
+            else:
+                eo += 1
         prev = v
-    return True
+    return oo, eo
 
 
 def drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
@@ -75,8 +80,7 @@ def drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
     counts toward neither statistic); tested against the tally in
     ``tests/reference.py``, which is the definition.
     """
-    oo = 0
-    eo = 0
+    oo = eo = 0
     prev = word[-1]
     for v in word:
         if v < prev and v & 1:

@@ -19,7 +19,10 @@ If the smallest unused value is even and below the last entry,
 everything that could precede it is larger, so some drop lands on it.
 Otherwise the unused values in increasing order complete the prefix: the
 only drops they add land on that smallest value, which is then odd, and
-on the leading 1.
+on the leading 1.  With two values left, low < high, the walk finishes
+the prefix itself instead of entering two more prefixes: low then high
+always completes it, and high then low exactly when low is odd (the drop
+onto it) and high is odd or above the last entry.
 """
 
 from __future__ import annotations
@@ -47,8 +50,12 @@ def iter_odd_drop_words(n: int) -> Iterator[tuple[int, ...]]:
     stack = [(1, tuple(range(2, n + 1)), (1,))]
     while stack:
         prev, rest, word = stack.pop()
-        if len(rest) <= 1:
+        if len(rest) <= 2:
             yield word + rest
+            # high then low: (high, low) drops onto low, and (prev, high)
+            # drops onto high unless high is above prev
+            if len(rest) == 2 and rest[0] & 1 and (rest[1] > prev or rest[1] & 1):
+                yield word + rest[::-1]
             continue
         low = rest[0]
         if not low & 1:

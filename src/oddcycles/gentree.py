@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import ceil, prod
 
-from .cycles import drop_stats, is_odd_drop_word
+from .cycles import drop_stats, odd_drop_stats
 from .polynomials import BiPoly, _shift_down
 
 Word = tuple[int, ...]
@@ -163,11 +163,12 @@ def verify_level(parents: list[Word]) -> tuple[list[Word], list[str]]:
             problems.append(f"Cycle{parent}: {len(positions)} children, expected {expected}")
         for pos in positions:
             kid = _child_word(parent, pos)
-            if not is_odd_drop_word(kid):
+            actual = odd_drop_stats(kid)
+            if actual is None:
                 problems.append(f"Cycle{parent} pos {pos}: child Cycle{kid} not an odd-drop cycle")
+                actual = drop_stats(kid)
             doo, deo = _word_delta(parent, pos)
             predicted = (oo + doo, eo + deo)
-            actual = drop_stats(kid)
             if predicted != actual:
                 problems.append(f"Cycle{parent} pos {pos}: predicted stats {predicted}, got {actual}")
             next_level.append(kid)

@@ -6,9 +6,9 @@ one variable (x for odd-odd drops, y for even-odd drops).  That variable
 belongs to the family and is named once, in its FAMILIES row; a series
 holds only BigPoly coefficients and an order.  A TruncSeries knows the
 order through which its coefficients are trustworthy, and every operation
-recomputes that bound honestly (multiplying by t gains one order, and a sum
-is exact to the lower of its terms' orders).  No series is multiplied by
-another; a product scales each coefficient by an integer or a polynomial.
+recomputes that bound honestly (a sum is exact to the lower of its terms'
+orders).  No series is multiplied by another; a product scales each
+coefficient by an integer or a polynomial.
 Residual checks read their valid order off the result instead of guessing
 it.
 
@@ -26,8 +26,8 @@ contributing nothing at order N is asserted by a test, not assumed.  The
 builder reads each coefficient of that sum off a triangle of integers, the
 complete homogeneous symmetric polynomials in the factors' a_k, as a
 polynomial in u = 1 - v, and then rewrites it in v.  Only the
-summand-recurrence check builds summands one at a time, by series
-division, so it shares no series code with the builder it checks.
+summand-recurrence check builds summands one at a time, as integer lists
+by its own list division, so it shares no code with the builder it checks.
 Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2), one
 coefficient at a time, yields the full-distribution series oo_series and
 eo_series.
@@ -85,10 +85,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls((), order)
-
-    @classmethod
     def t_monomial(cls, k: int, order: int, coeff=1) -> "TruncSeries":
         """The series coeff * t^k."""
         if not 0 <= k <= order:
@@ -130,11 +126,6 @@ class TruncSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncSeries(self.coeffs[: order + 1], order)
-
     def __add__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -155,21 +146,9 @@ class TruncSeries:
             return NotImplemented
         return TruncSeries([c * other for c in self.coeffs], self.order)
 
-    def shift_up(self) -> "TruncSeries":
-        """Multiply by t; the new constant coefficient is exactly zero."""
-        return TruncSeries((BigPoly.zero(),) + self.coeffs, self.order + 1)
-
     def substitute(self, value: int) -> "TruncSeries":
         """Evaluate the coefficients' variable at an integer: an integer series."""
         return TruncSeries([c(value) for c in self.coeffs], self.order)
-
-    def divide_linear(self, c) -> "TruncSeries":
-        """Exact division by the unit factor (1 + c*t), an int or BigPoly c,
-        coefficient by coefficient: out_j = self_j - c*out_(j-1)."""
-        out = [self.coeffs[0]]
-        for j in range(1, self.order + 1):
-            out.append(self.coeffs[j] - c * out[j - 1])
-        return TruncSeries(out, self.order)
 
 
 # -- closed forms --------------------------------------------------------
@@ -209,23 +188,32 @@ def _check_family(which: str) -> _Family:
     return FAMILIES[which]
 
 
-def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> TruncSeries:
-    """The m-th summand numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of
-    a family.  With u = 1 - v it is the series in the family variable v;
-    with u = 1 it is the integer series at v = 0, which is also the series
-    in s = (1-v)*t."""
+def _divide_linear(coeffs: list, c) -> None:
+    """Divide a coefficient list by (1 + c*s) in place, an int or BigPoly c:
+    out_j = coeffs_j - c*out_(j-1)."""
+    for j in range(1, len(coeffs)):
+        coeffs[j] -= c * coeffs[j - 1]
+
+
+def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> list:
+    """The t^0..t^order coefficients of the m-th summand
+    numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of a family.  With
+    u = 1 - v they are polynomials in the family variable v; with u = 1
+    they are integers, the series at v = 0, which is also the series in
+    s = (1-v)*t."""
     if m < 1:
         raise ValueError(f"summand index must be positive, got {m}")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    out = [0] * (order + 1)
     if m > order:
-        return TruncSeries.zero(order)
-    s = TruncSeries.t_monomial(m, order, fam.numerator(m))
+        return out
+    out[m] = fam.numerator(m)
     for k in range(1, m + 1):
         a = fam.denom(k)
         if a:
-            s = s.divide_linear(u * a)
-    return s
+            _divide_linear(out, u * a)
+    return out
 
 
 def _summand_sum_in_u(fam: _Family, order: int) -> list[list[int]]:
@@ -386,30 +374,25 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
 # -- summand recurrences ---------------------------------------------------
 
 
-def _geometric_base(a: int, num: int, order: int) -> TruncSeries:
+def _geometric_base(a: int, num: int, order: int) -> list[int]:
     """num * s / (1 + a*s) expanded directly: coefficient of s^j is
-    num * (-a)^(j-1).  Independent of the division routines on purpose."""
-    coeffs = [0] * (order + 1)
-    power = num
-    for j in range(1, order + 1):
-        coeffs[j] = power
-        power *= -a
-    return TruncSeries(coeffs, order)
+    num * (-a)^(j-1).  Independent of the division routine on purpose."""
+    return [0] + [num * (-a) ** (j - 1) for j in range(1, order + 1)]
 
 
 def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     """Verify the first-order recurrence between consecutive summands.
 
-    Works in the single variable s standing for (1-v)*t.  Checks, for
-    m = 2..bound, the multiplied-out relation
+    Works in the single variable s standing for (1-v)*t, on integer lists:
+    each summand is built on its own by _divide_linear, not read off the
+    builder's triangle.  Checks, for m = 2..bound, the multiplied-out relation
 
         summand_m * (1 + a_m*s)  ==  ratio(m) * s * summand_(m-1)
 
-    with both sides built from the closed forms, plus the stated m=1 base
-    cases (s/(1+s) for the two oo families, s/(1+2s) and s for eo_even and
-    eo_odd) against an independent geometric expansion, plus the stated
-    constant-in-xi terms (0 except eo_even's -s, which in original variables
-    is exactly the (y-1)t prefix).
+    through s^order, plus the stated m=1 base cases (s/(1+s) for the two oo
+    families, s/(1+2s) and s for eo_even and eo_odd) against an independent
+    geometric expansion, plus the stated constant-in-xi terms (0 except
+    eo_even's -s, which in original variables is exactly the (y-1)t prefix).
     """
     fam = _check_family(which)
     if bound < 2:
@@ -419,15 +402,14 @@ def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     stated_zeroth = {"oo_even": 0, "oo_odd": 0, "eo_even": -1, "eo_odd": 0}
     if fam.zeroth != stated_zeroth[which]:
         return False
-    base = _summand_series(fam, 1, order, 1)
-    if base != _geometric_base(fam.denom(1), fam.numerator(1), order):
+    prev = _summand_series(fam, 1, order, 1)
+    if prev != _geometric_base(fam.denom(1), fam.numerator(1), order):
         return False
-    prev = base
     for m in range(2, bound + 1):
         cur = _summand_series(fam, m, order, 1)
-        lhs = cur + (cur * fam.denom(m)).shift_up().truncate(order)
-        rhs = (prev * fam.ratio(m)).shift_up().truncate(order)
-        if lhs != rhs:
+        a, ratio = fam.denom(m), fam.ratio(m)
+        # s^j of each side; s times a series has no s^0 term
+        if [c + a * d for c, d in zip(cur, [0, *cur])] != [ratio * d for d in [0, *prev[:-1]]]:
             return False
         prev = cur
     return True

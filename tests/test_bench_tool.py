@@ -4,17 +4,20 @@ The tool runs each case in a child process on a copy of the package; these
 tests start no child.  They read each case's code and check that every
 attribute it takes from a package module, and every function it lists as
 needed, exists in this package, so a renamed function cannot turn a case
-into a crash or a silent null record.
+into a crash or a silent null record, and that each committed
+BENCH_<layer>.json records the cases its layer times now.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
@@ -51,3 +54,26 @@ def test_a_missing_function_is_named():
     case = bench.Case("S.closed_form_series('oo_even', 4), R.no_such_walk(3)", ("series.gone",))
     assert missing_names(case) == ["series.gone", "recurrences.no_such_walk"]
 
+
+
+def test_verify_and_enumerator_layers_time_the_stated_runs():
+    # the sizes the committed BENCH_verify.json and BENCH_enumerator.json record
+    assert {name: case.code for name, case in bench.LAYERS["verify"].items()} == {
+        f"run_suites({args})": f"V.run_suites({args})"
+        for args in (
+            "'all', max_n=12, series_order=40",
+            "'identities', max_n=12, series_order=60",
+            "'all', max_n=8, series_order=160",
+        )
+    }
+    assert {name: case.code for name, case in bench.LAYERS["enumerator"].items()} == {
+        "iter_odd_drop_words(12), drained": "for _ in E.iter_odd_drop_words(12):\n    pass",
+        "joint_table(12)": "E.joint_table(12)",
+    }
+
+
+@pytest.mark.parametrize("layer", sorted(bench.LAYERS))
+def test_committed_record_names_the_layer_cases(layer):
+    record = json.loads((ROOT / f"BENCH_{layer}.json").read_text())
+    assert record["layer"] == layer
+    assert list(record["cases"]) == list(bench.LAYERS[layer])

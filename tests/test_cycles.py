@@ -8,7 +8,7 @@ from oddcycles.cycles import (
     MAX_N,
     canonicalize,
     drop_stats,
-    is_odd_drop_word,
+    odd_drop_stats,
 )
 from reference import drops_by_definition, is_member_by_definition, stats_by_definition
 
@@ -62,7 +62,7 @@ class TestDrops:
 
 class TestMembership:
     def test_singleton_qualifies(self):
-        assert is_odd_drop_word((1,))
+        assert odd_drop_stats((1,)) == (0, 0)
 
     @pytest.mark.parametrize(
         "entries,member",
@@ -76,7 +76,7 @@ class TestMembership:
         ],
     )
     def test_small_cases(self, entries, member):
-        assert is_odd_drop_word(entries) is member
+        assert odd_drop_stats(entries) == (drop_stats(entries) if member else None)
 
 
 class TestStats:
@@ -129,8 +129,10 @@ def stats_agree(word: tuple[int, ...], stats=drop_stats) -> bool:
     return stats(word) == stats_by_definition(word)
 
 
-def membership_agrees(word: tuple[int, ...], member=is_odd_drop_word) -> bool:
-    return member(word) == is_member_by_definition(word)
+def membership_agrees(word: tuple[int, ...], member_stats=odd_drop_stats) -> bool:
+    # the statistics of a member, None for any other word
+    want = stats_by_definition(word) if is_member_by_definition(word) else None
+    return member_stats(word) == want
 
 
 def rotations_agree(word: tuple[int, ...], canon=canonicalize) -> bool:
@@ -190,11 +192,20 @@ def test_stats_property_catches_a_counted_even_even_drop():
 def test_membership_property_catches_a_skipped_pair():
     def without_last_pair(word):
         # off by one: never looks at the pair (a_(n-1), a_n)
+        oo = eo = 0
         prev = word[-1]
         for v in word[:-1]:
-            if v < prev and not v & 1:
-                return False
+            if v < prev:
+                if not v & 1:
+                    return None
+                oo += prev & 1
+                eo += not prev & 1
             prev = v
-        return True
+        return oo, eo
 
     find(cycles(), lambda c: not membership_agrees(c, without_last_pair), settings=NO_SHRINK)
+
+
+def test_membership_property_catches_stats_for_a_non_member():
+    # the statistics right for every word, but never None
+    find(cycles(), lambda c: not membership_agrees(c, drop_stats), settings=NO_SHRINK)

@@ -49,6 +49,56 @@ def table_without_wrap(n):
     return BiPoly(tally(members_by_definition(n), stats))
 
 
+def walk_with_finish(n: int, finish):
+    """The listing walk written out again with its two-value finish as a
+    parameter: finish(prev, low, high) says whether high then low completes
+    a word whose last entry is prev."""
+    stack = [(1, tuple(range(2, n + 1)), (1,))]
+    while stack:
+        prev, rest, word = stack.pop()
+        if len(rest) <= 2:
+            yield word + rest
+            if len(rest) == 2 and finish(prev, *rest):
+                yield word + rest[::-1]
+            continue
+        low = rest[0]
+        if not low & 1:
+            stack.append((low, rest[1:], word + (low,)))
+            continue
+        for i in range(len(rest) - 1, -1, -1):
+            v = rest[i]
+            if v < prev and not v & 1:
+                continue
+            stack.append((v, rest[:i] + rest[i + 1:], word + (v,)))
+
+
+FINISH_RULES = {
+    "real": lambda prev, low, high: low & 1 and (high > prev or high & 1),
+    "always high-low": lambda prev, low, high: True,
+    "never high-low": lambda prev, low, high: False,
+}
+
+
+def finish_matches_full_scan(rule: str) -> bool:
+    return all(
+        list(walk_with_finish(n, FINISH_RULES[rule])) == members_by_definition(n)
+        for n in range(1, 10)
+    )
+
+
+class TestTwoValueFinish:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_test_walk_is_the_real_walk(self, n):
+        assert list(walk_with_finish(n, FINISH_RULES["real"])) == list(iter_odd_drop_words(n))
+
+    def test_real_rule_matches_the_full_scan(self):
+        assert finish_matches_full_scan("real")
+
+    @pytest.mark.parametrize("rule", ["always high-low", "never high-low"])
+    def test_full_scan_catches_a_broken_rule(self, rule):
+        assert not finish_matches_full_scan(rule)
+
+
 class TestIteration:
     def test_smallest_levels(self):
         assert list(iter_odd_drop_words(1)) == [(1,)]

@@ -5,7 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import canonicalize, drop_stats
+from oddcycles.cycles import canonicalize, drop_stats, odd_drop_stats
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import (
     _child_word,
@@ -114,18 +114,34 @@ class TestPartition:
         assert result.detail == "n=4: missing [], extra [(1, 2, 4, 3, 5)]"
 
     def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
-        def wrap_as_odd_odd(word):
+        def wrap_as_odd_odd(stats):
             # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
-            oo, eo = drop_stats(word)
-            if len(word) > 1 and not word[-1] & 1:
-                return (oo + 1, eo - 1)
-            return (oo, eo)
+            def miscounted(word):
+                counts = stats(word)
+                if counts is None or len(word) == 1 or word[-1] & 1:
+                    return counts
+                return (counts[0] + 1, counts[1] - 1)
 
-        # gentree imports drop_stats by name
-        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd)
+            return miscounted
+
+        # gentree imports both by name: parents' statistics come from
+        # drop_stats, children's from odd_drop_stats
+        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd(drop_stats))
+        monkeypatch.setattr(gentree, "odd_drop_stats", wrap_as_odd_odd(odd_drop_stats))
         result = self.tree_partition()
         assert not result.passed
         assert result.detail == "n=1: Cycle(1,) pos 0: predicted stats (0, 1), got (1, 0)"
+
+    def test_verify_level_names_a_non_member_child(self, monkeypatch):
+        # 4 inserted before the even 2 drops onto it; the child's statistics
+        # are then recomputed by drop_stats, which skips that drop
+        monkeypatch.setattr(gentree, "_odd_positions", lambda word: [0, 1])
+        kids, problems = verify_level([(1, 2, 3)])
+        assert kids == [(1, 2, 3, 4), (1, 4, 2, 3)]
+        assert problems == [
+            "Cycle(1, 2, 3) pos 1: child Cycle(1, 4, 2, 3) not an odd-drop cycle",
+            "Cycle(1, 2, 3) pos 1: predicted stats (1, 1), got (1, 0)",
+        ]
 
     def test_tree_partition_catches_a_child_grown_twice(self, monkeypatch):
         # 6 inserted before the 3 or before the 5 of (1, 2, 3, 4, 5) splits no

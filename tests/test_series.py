@@ -13,6 +13,7 @@ from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
     TruncSeries,
+    _divide_linear,
     _summand_series,
     _summand_sum_in_u,
     _u_to_v,
@@ -65,8 +66,8 @@ class TestTruncSeriesBasics:
 
     def test_valuation(self):
         assert TruncSeries([0, 0, 5], order=4).first_nonzero() == (2, BigPoly((5,)))
-        assert TruncSeries.zero(3).first_nonzero() is None
-        assert TruncSeries.zero(3).is_zero()
+        assert TruncSeries([], order=3).first_nonzero() is None
+        assert TruncSeries([], order=3).is_zero()
 
     def test_t_monomial_bounds(self):
         with pytest.raises(ValueError):
@@ -114,16 +115,15 @@ class TestTruncSeriesArithmetic:
         assert a.substitute(0).coeff_int(0) == 1
         assert a.substitute(2).coeff_int(0) == 3
 
-    def test_truncate_cannot_extend(self):
-        with pytest.raises(ValueError):
-            TruncSeries.t_monomial(0, 2).truncate(5)
-
     def test_divide_linear_multiplies_back(self):
-        s = TruncSeries([1, 1, 1, 1], order=6)
-        q = s.divide_linear(5)
-        # q * (1 + 5t), through the order q is exact to
-        assert q + (q * 5).shift_up().truncate(6) == s
-        assert q.coeff(3) == BigPoly((1 - 5 + 25 - 125,))
+        # the summands' list division, by an integer and by a polynomial
+        for c in (5, 2 - X):
+            s = [1, 1, 1, 1, 0, 0, 0]
+            q = list(s)
+            _divide_linear(q, c)
+            # q * (1 + c*t), through the order q is exact to
+            assert [a + c * b for a, b in zip(q, [0, *q])] == s
+            assert q[3] == 1 - c + c * c - c * c * c
 
 
 class TestClosedFormSummands:
@@ -161,25 +161,25 @@ class TestClosedFormSummands:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_summand_starts_at_degree_m(self, which, m):
         fam = FAMILIES[which]
-        s = _summand_series(fam, m, 8, U)
+        s = TruncSeries(_summand_series(fam, m, 8, U))
         assert s.first_nonzero()[0] == m
         # below its own degree the summand contributes nothing at all
-        assert _summand_series(fam, m, m - 1, U).is_zero()
+        assert TruncSeries(_summand_series(fam, m, m - 1, U)).is_zero()
 
     @pytest.mark.parametrize("which", ["oo_even", "oo_odd"])
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_eta_series_is_x_zero_specialization(self, which, m):
         # with v = 0 the factor (1 - v) is 1, so s = t and both expansions agree
         fam = FAMILIES[which]
-        specialized = _summand_series(fam, m, 9, U).substitute(0)
-        assert specialized == _summand_series(fam, m, 9, 1)
+        specialized = TruncSeries(_summand_series(fam, m, 9, U)).substitute(0)
+        assert specialized == TruncSeries(_summand_series(fam, m, 9, 1))
 
 
 def summands_summed(fam, order, u):
-    """The summands m = 1..order of a family, each built by series division."""
-    total = _summand_series(fam, 1, order, u)
+    """The summands m = 1..order of a family, each built by list division."""
+    total = TruncSeries(_summand_series(fam, 1, order, u))
     for m in range(2, order + 1):
-        total = total + _summand_series(fam, m, order, u)
+        total = total + TruncSeries(_summand_series(fam, m, order, u))
     return total
 
 
@@ -413,10 +413,30 @@ class TestFamilyTable:
         assert passed["pde-eo_even"]
 
 
+def _division_body(lag: int):
+    """A list division whose step reads coeffs[j - lag]; lag 1 is the real body."""
+
+    def divide(coeffs, c):
+        for j in range(1, len(coeffs)):
+            coeffs[j] -= c * coeffs[j - lag]
+
+    return divide
+
+
 class TestSummandRecurrences:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_families_satisfy_recurrence(self, which):
         assert summand_recurrence_check(which, 6, 14)
+
+    def test_division_body_control_is_the_real_body(self, monkeypatch):
+        # the control below breaks this body, so unbroken it must pass
+        monkeypatch.setattr(series, "_divide_linear", _division_body(1))
+        assert all(summand_recurrence_check(which, 6, 14) for which in FAMILIES)
+
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_check_catches_a_division_reading_two_back(self, monkeypatch, which):
+        monkeypatch.setattr(series, "_divide_linear", _division_body(2))
+        assert not summand_recurrence_check(which, 6, 14)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -427,7 +447,7 @@ class TestSummandRecurrences:
             summand_recurrence_check("nope", 5, 20)
 
 
-# -- order bookkeeping, against the same operation three orders wider -------
+# -- the list division's order, against the same division three orders wider --
 
 SLACK = 3
 _small = st.integers(-20, 20)
@@ -436,41 +456,28 @@ _poly = st.lists(_small, max_size=4).map(BigPoly)
 
 @st.composite
 def wide_series(draw):
-    """(narrow, wide): a random series exact through N, and the same series
-    known SLACK orders further.  Its coefficients are all integers or all
-    polynomials; it may start with zero coefficients."""
+    """(narrow, wide): the coefficients of a random series exact through N,
+    and of the same series known SLACK orders further.  Its coefficients are
+    all integers or all polynomials; it may start with zero coefficients."""
     coeff = draw(st.sampled_from([_small, _poly]))
     n = draw(st.integers(0, 7))
     cs = draw(st.lists(coeff, min_size=n + SLACK + 1, max_size=n + SLACK + 1))
     zeros = draw(st.integers(0, n + SLACK + 1))
     cs[:zeros] = [0] * zeros
-    wide = TruncSeries(cs, n + SLACK)
-    return wide.truncate(n), wide
-
-
-def agrees(narrow_result, wide_result) -> bool:
-    """Every coefficient the narrow result claims is the wide one's."""
-    return (
-        wide_result.order >= narrow_result.order
-        and wide_result.truncate(narrow_result.order) == narrow_result
-    )
+    return cs[: n + 1], cs
 
 
 _property = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 @_property
-@given(wide_series())
-def test_shift_up_order_is_honest(a):
-    narrow, wide = a
-    assert agrees(narrow.shift_up(), wide.shift_up())
-
-
-@_property
 @given(wide_series(), st.one_of(_small, _poly))
 def test_divide_linear_order_is_honest(a, divisor):
-    narrow, wide = a
-    assert agrees(narrow.divide_linear(divisor), wide.divide_linear(divisor))
+    # every coefficient the narrow quotient claims is the wide one's
+    narrow, wide = (list(cs) for cs in a)
+    _divide_linear(narrow, divisor)
+    _divide_linear(wide, divisor)
+    assert narrow == wide[: len(narrow)]
 
 
 # -- the PDE residual against its operator form ----------------------------

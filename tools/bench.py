@@ -11,8 +11,10 @@ host speed hits both alike.
     python3 tools/bench.py --layer series ../before/src src
 
 Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds),
-gentree (the joint transfer steps and the tree levels) and cli (the
-enumerate listing through its emitters).  A case that needs a
+gentree (the joint transfer steps and the tree levels), cli (the
+enumerate listing through its emitters), verify (whole suite runs, as
+the verify command makes them) and enumerator (the listing walk and the
+joint table).  A case that needs a
 function the copy's package lacks (the one-walk case needs
 ``recurrences.oo_polys``/``eo_polys``) is recorded as null; any other error
 fails the run.  Standard library only; the package does not import it.
@@ -33,7 +35,14 @@ REPEATS = 5
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 #: the names a case's code reads, each a module of the package
-MODULES = {"G": "gentree", "R": "recurrences", "S": "series", "cli": "cli"}
+MODULES = {
+    "E": "enumerator",
+    "G": "gentree",
+    "R": "recurrences",
+    "S": "series",
+    "V": "verify",
+    "cli": "cli",
+}
 
 
 class Case(NamedTuple):
@@ -72,6 +81,21 @@ LAYERS = {
             "level = [(1,)]\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
         ),
     },
+    "verify": {
+        "run_suites('all', max_n=12, series_order=40)": Case(
+            "V.run_suites('all', max_n=12, series_order=40)"
+        ),
+        "run_suites('identities', max_n=12, series_order=60)": Case(
+            "V.run_suites('identities', max_n=12, series_order=60)"
+        ),
+        "run_suites('all', max_n=8, series_order=160)": Case(
+            "V.run_suites('all', max_n=8, series_order=160)"
+        ),
+    },
+    "enumerator": {
+        "iter_odd_drop_words(12), drained": Case("for _ in E.iter_odd_drop_words(12):\n    pass"),
+        "joint_table(12)": Case("E.joint_table(12)"),
+    },
     "cli": {
         "enumerate --n 11 --format json": Case(
             "cli.main(['enumerate', '--n', '11', '--format', 'json'])"
@@ -85,9 +109,11 @@ LAYERS = {
 CHILD = """
 import contextlib, importlib, io, json, resource, sys, time
 from oddcycles import cli
+from oddcycles import enumerator as E
 from oddcycles import gentree as G
 from oddcycles import recurrences as R
 from oddcycles import series as S
+from oddcycles import verify as V
 
 def has(need):
     module, _, name = need.rpartition(".")
