@@ -22,7 +22,7 @@ is written member by member, byte-identical to json.dumps of the whole
 document, with the count taken from a first walk.  The other commands
 return their text as one chunk.
 
-At start-up this module loads only the package's cycles module: each cmd_*
+At start-up this module loads no other module of the package: each cmd_*
 imports the routes it runs (enumerate and table the enumerator, poly the
 generating tree or the recurrences, verify the suites, sequence the module
 its kind reads), and reaches them through module attributes such as
@@ -44,7 +44,6 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import MAX_N, SUITES, __version__
-from .cycles import drop_stats
 
 if TYPE_CHECKING:
     from .polynomials import BiPoly
@@ -191,8 +190,8 @@ _HOLE = "\0"  # stands for the members while the rest of the document is rendere
 def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
     from . import enumerator
 
-    # members are read one at a time; no list of them is built
-    rows = ((word, *drop_stats(word)) for word in enumerator.iter_odd_drop_words(n))
+    # (word, oo, eo) records are read one at a time; no list of them is built
+    rows = enumerator.iter_odd_drop_words(n)
     if cfg.output_format == "json":
         # "count" sorts before "cycles", so a first walk counts the members
         count = sum(1 for _ in enumerator.iter_odd_drop_words(n))

@@ -15,13 +15,15 @@ Drops are classified by the parities of their two entries.  The class of
 interest here consists of the cycles all of whose drops land on an odd
 entry ("odd-drop cycles"); within it the counts of odd-odd and even-odd
 drops are the two statistics everything else in this package is built on.
-The tests check the one-pass functions here against a literal
-transcription of this definition in ``tests/reference.py``.
+The tests check drop_stats, and the enumerator's records of the members,
+against a literal transcription of this definition in ``tests/reference.py``.
 
-A cycle is its canonical word, a plain tuple.  ``canonicalize`` is the one
-check at the API edge; the functions that read a word do not re-check it,
-since the enumerator and the generating tree build theirs from
-permutations they already know to be valid.
+A cycle is its canonical word: a ``bytes`` object with one byte per entry,
+which MAX_N keeps far below 256.  Slicing, joining, sorting and comparing
+words then run in C, and iterating over a word yields its entries as ints.
+``canonicalize`` is the one check at the API edge; the functions that read
+a word do not re-check it, since the enumerator and the generating tree
+build theirs from permutations they already know to be valid.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from typing import Sequence
 MAX_N = 20
 
 
-def canonicalize(perm: Sequence[int]) -> tuple[int, ...]:
+def canonicalize(perm: Sequence[int]) -> bytes:
     """Rotate a permutation of {1, ..., n} to start with 1: the canonical word.
 
-    All rotations of the same word map to the same tuple.  Rejects entries
+    All rotations of the same word map to the same bytes.  Rejects entries
     that are not ints, input that is not a permutation of a contiguous range
     starting at 1, and lengths beyond MAX_N.
     """
@@ -49,30 +51,10 @@ def canonicalize(perm: Sequence[int]) -> tuple[int, ...]:
     if any(type(v) is not int for v in word) or set(word) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {word}")
     pivot = word.index(1)
-    return word[pivot:] + word[:pivot]
+    return bytes(word[pivot:] + word[:pivot])
 
 
-def odd_drop_stats(word: tuple[int, ...]) -> tuple[int, int] | None:
-    """drop_stats of a word, or None when a drop lands on an even entry.
-
-    One pass like drop_stats; the one-element word is a member, its formal
-    drop landing on 1.  Membership is tested against ``tests/reference.py``.
-    """
-    oo = eo = 0
-    prev = word[-1]
-    for v in word:
-        if v < prev:
-            if not v & 1:
-                return None
-            if prev & 1:
-                oo += 1
-            else:
-                eo += 1
-        prev = v
-    return oo, eo
-
-
-def drop_stats(word: tuple[int, ...]) -> tuple[int, int]:
+def drop_stats(word: bytes) -> tuple[int, int]:
     """Counts (oo, eo) of odd-odd and even-odd drops of a canonical word.
 
     The word is not re-validated.  One pass over the cyclic pairs, the wrap

@@ -16,22 +16,20 @@ shell, with the coefficient of a^i*b^(d-i) at bit W*i and a guard bit to
 spare, and at the end two Taylor shifts by -1 turn F back into f.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
-insertion lands in (see _word_delta); verify_level asserts that case
-analysis against statistics recomputed from scratch, and the tests assert
-it against the drop definition in ``tests/reference.py``.
+insertion lands in (see _word_delta); verify_level predicts each child's
+pair with it, verify's tree-partition check compares the predictions with
+the enumerator's records, and the tests compare the case analysis with
+the drop definition in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from math import ceil, prod
 
-from .cycles import drop_stats, odd_drop_stats
 from .polynomials import BiPoly, _shift_down
 
-Word = tuple[int, ...]
 
-
-def _odd_positions(word: Word) -> list[int]:
+def _odd_positions(word: bytes) -> list[int]:
     """Indices of odd entries, each a legal spot for the next maximum.
 
     Index 0 (the leading 1) stands for appending at the end of the word.
@@ -39,38 +37,31 @@ def _odd_positions(word: Word) -> list[int]:
     return [i for i, v in enumerate(word) if v & 1]
 
 
-def _child_word(word: Word, pos: int) -> Word:
+def _child_word(word: bytes, pos: int) -> bytes:
     """Insert n+1 immediately before the entry at pos (pos 0: append)."""
-    new = len(word) + 1
+    new = bytes((len(word) + 1,))
     if pos == 0:
-        return word + (new,)
-    return word[:pos] + (new,) + word[pos:]
+        return word + new
+    return word[:pos] + new + word[pos:]
 
 
-def _word_delta(word: Word, pos: int) -> tuple[int, int]:
+def _word_delta(word: bytes, pos: int) -> tuple[int, int]:
     """Predicted change of (oo, eo) when the next maximum lands before pos.
 
     Three cases each way: the insertion either splits an existing drop of
-    one kind or another, or sits where there was no drop.  n = 1 is the
-    lone special case: the formal drop onto 1 counts as no drop, and
-    appending 2 creates the even-odd wrap drop (2, 1).
+    one kind or another, or sits where there was no drop.  n = 1 needs no
+    case of its own: the pair around the spot is (1, 1), no drop, so the
+    formal drop onto 1 counts as none, and appending 2 creates the
+    even-odd wrap drop (2, 1).
     """
-    n = len(word)
-    new = n + 1
-    former = word[pos - 1] if pos else word[-1]
-    latter = word[pos]
-    splits_drop = n > 1 and former > latter
-    if new & 1:
-        if not splits_drop:
-            return (1, 0)
-        if former & 1:
-            return (0, 0)  # odd-odd drop replaced by odd-odd (new, latter)
-        return (1, -1)  # even-odd drop replaced by odd-odd
-    if not splits_drop:
-        return (0, 1)
-    if former & 1:
-        return (-1, 1)  # odd-odd drop replaced by even-odd (new, latter)
-    return (0, 0)  # even-odd drop replaced by even-odd
+    former, latter = word[pos - 1], word[pos]  # pos 0: the wrap pair
+    if len(word) & 1:  # the new maximum is even
+        if former <= latter:
+            return (0, 1)
+        return (-1, 1) if former & 1 else (0, 0)  # a drop replaced by even-odd (new, latter)
+    if former <= latter:
+        return (1, 0)
+    return (0, 0) if former & 1 else (1, -1)  # a drop replaced by odd-odd (new, latter)
 
 
 def _step(shells: list[int], k: int, shift: int) -> list[int]:
@@ -144,32 +135,22 @@ def children_count(n: int) -> int:
     return ceil(n / 2)
 
 
-def verify_level(parents: list[Word]) -> tuple[list[Word], list[str]]:
-    """Grow one tree level of canonical words, checking the case analysis.
+def verify_level(parents: list[tuple[bytes, int, int]]) -> tuple[list[tuple], list[str]]:
+    """Grow one tree level of (word, oo, eo) records, words as in ``cycles``.
 
-    The parents are member words, such as the level this returned last
-    time: every child it grows is checked for membership.  Returns the
-    children of all parents plus a list of discrepancy messages (statistics
-    recomputed from scratch not matching the predicted deltas, a wrong
-    child count, or a non-member child), which write each word as Cycle(...).
+    The parents are member records, such as the level this returned last
+    time; each child's pair is its parent's plus _word_delta.  Returns the
+    children of all parents plus a list of discrepancy messages, one per
+    parent with a wrong child count, which write the word as Cycle(...).
     """
-    next_level: list[Word] = []
+    next_level: list[tuple] = []
     problems: list[str] = []
-    for parent in parents:
-        oo, eo = drop_stats(parent)
+    for parent, oo, eo in parents:
         positions = _odd_positions(parent)
         expected = children_count(len(parent))
         if len(positions) != expected:
-            problems.append(f"Cycle{parent}: {len(positions)} children, expected {expected}")
+            problems.append(f"Cycle{tuple(parent)}: {len(positions)} children, expected {expected}")
         for pos in positions:
-            kid = _child_word(parent, pos)
-            actual = odd_drop_stats(kid)
-            if actual is None:
-                problems.append(f"Cycle{parent} pos {pos}: child Cycle{kid} not an odd-drop cycle")
-                actual = drop_stats(kid)
             doo, deo = _word_delta(parent, pos)
-            predicted = (oo + doo, eo + deo)
-            if predicted != actual:
-                problems.append(f"Cycle{parent} pos {pos}: predicted stats {predicted}, got {actual}")
-            next_level.append(kid)
+            next_level.append((_child_word(parent, pos), oo + doo, eo + deo))
     return next_level, problems

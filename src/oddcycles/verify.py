@@ -155,10 +155,12 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         return f"cycle counts agree on all four routes for n=1..{max_n}"
 
     def check_tree_partition():
-        # On plain words, grown by the tree and listed by the walk.  The walk
-        # yields strictly increasing words, so equality with the sorted level
-        # also rules out a child grown twice; the sets that tell an overlap
-        # from a missing member are built only on a mismatch.
+        # On (word, oo, eo) records: grown by the tree, each pair predicted
+        # from its parent's, and listed by the walk, each pair counted by
+        # the drop definition.  The walk yields strictly increasing words,
+        # so equality with the sorted level also rules out a child grown
+        # twice; the maps that tell an overlap, a missing member or a wrong
+        # pair apart are built only on a mismatch.
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)
@@ -170,12 +172,15 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
             level.sort()
             want = list(enumerator.iter_odd_drop_words(n + 1))
             if level != want:
-                grown, listed = set(level), set(want)
+                grown, listed = ({rec[0]: rec[1:] for rec in recs} for recs in (level, want))
                 if len(level) != len(grown):
                     raise CheckFailure(f"n={n}: children lists overlap")
-                missing = sorted(listed - grown)[:1]
-                extra = sorted(grown - listed)[:1]
-                raise CheckFailure(f"n={n}: missing {missing}, extra {extra}")
+                missing = [tuple(w) for w in sorted(listed.keys() - grown)[:1]]
+                extra = [tuple(w) for w in sorted(grown.keys() - listed)[:1]]
+                if missing or extra:
+                    raise CheckFailure(f"n={n}: missing {missing}, extra {extra}")
+                w = min(w for w in grown if grown[w] != listed[w])
+                raise CheckFailure(f"n={n}: Cycle{tuple(w)} grown with stats {grown[w]}, listed with {listed[w]}")
         return detail
 
     marginals = (

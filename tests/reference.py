@@ -1,6 +1,7 @@
 """The drop definition, transcribed literally, as the reference tests check against.
 
-A drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
+A word is ``bytes``, one byte per entry, as the package stores it; ``W``
+writes one from its entries.  A drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
 entry exceeds its latter.  The one-element cycle carries one formal drop
 onto 1 whose former entry has no parity (None here).  A member is a cycle
 all of whose drops land on an odd entry; its statistics tally the drops by
@@ -16,7 +17,12 @@ check the packed walk against.
 from math import comb
 
 
-def drops_by_definition(word: tuple[int, ...]) -> list[tuple[int | None, int]]:
+def W(*entries: int) -> bytes:
+    """The word with these entries, as the package stores a canonical word."""
+    return bytes(entries)
+
+
+def drops_by_definition(word: bytes) -> list[tuple[int | None, int]]:
     n = len(word)
     if n == 1:
         return [(None, 1)]
@@ -24,7 +30,7 @@ def drops_by_definition(word: tuple[int, ...]) -> list[tuple[int | None, int]]:
     return [(former, latter) for former, latter in pairs if former > latter]
 
 
-def stats_by_definition(word: tuple[int, ...]) -> tuple[int, int]:
+def stats_by_definition(word: bytes) -> tuple[int, int]:
     """(odd-odd drops, even-odd drops); the formal drop counts toward neither."""
     kinds = [
         (former % 2, latter % 2)
@@ -34,7 +40,7 @@ def stats_by_definition(word: tuple[int, ...]) -> tuple[int, int]:
     return kinds.count((1, 1)), kinds.count((0, 1))
 
 
-def is_member_by_definition(word: tuple[int, ...]) -> bool:
+def is_member_by_definition(word: bytes) -> bool:
     return all(latter % 2 == 1 for _, latter in drops_by_definition(word))
 
 

@@ -115,10 +115,11 @@ def test_criterion_07_pde_residuals(emit_line):
 
 def test_criterion_08_generating_tree(emit_line):
     with criterion(emit_line, 8, "maximum insertion partitions each level and predicts the statistics"):
-        # verify_level checks every child's membership and its statistics
-        # against the insertion case analysis; the listing walk is strictly
-        # increasing, so a sorted level equal to it has no child grown twice
-        level = [(1,)]
+        # verify_level predicts each child's statistics by the insertion case
+        # analysis, and the listing walk counts them by the drop definition;
+        # the walk is strictly increasing, so a sorted level equal to it has
+        # no child grown twice and no non-member
+        level = list(iter_odd_drop_words(1))
         for n in range(1, 12):
             grown, problems = verify_level(level)
             assert problems == []

@@ -69,7 +69,23 @@ def test_verify_and_enumerator_layers_time_the_stated_runs():
     assert {name: case.code for name, case in bench.LAYERS["enumerator"].items()} == {
         "iter_odd_drop_words(12), drained": "for _ in E.iter_odd_drop_words(12):\n    pass",
         "joint_table(12)": "E.joint_table(12)",
+        "joint_table(n), n=1..12": "[E.joint_table(n) for n in range(1, 13)]",
+        "joint_table(14)": "E.joint_table(14)",
     }
+
+
+def test_tree_levels_start_from_the_walk():
+    # the first level comes from each copy's own walk, in its own format
+    code = bench.LAYERS["gentree"]["verify_level, levels 1..12"].code
+    assert code.startswith("level = list(E.iter_odd_drop_words(1))\n")
+
+
+def test_ratio_is_the_median_of_paired_ratios():
+    before = [{"seconds": s} for s in (1.0, 2.0, 3.0)]
+    after = [{"seconds": s} for s in (0.5, 3.0, 2.4)]
+    # the pairs give 0.5, 1.5 and 0.8; the two medians would give 2.4 / 2.0
+    assert bench.paired_ratio(before, after) == 0.8
+    assert bench.paired_ratio(before, [None, *after[1:]]) is None
 
 
 @pytest.mark.parametrize("layer", sorted(bench.LAYERS))

@@ -29,7 +29,7 @@ def stubbed(monkeypatch):
     """Every heavy call of the command line replaced by one that costs nothing."""
     monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
     monkeypatch.setattr(recurrences, "oo_polys", lambda n: (BigPoly.one() for _ in range(n)))
-    monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(1,)]))
+    monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
     monkeypatch.setattr(
         verify, "run_suites",
         lambda suite, *, max_n, series_order: [CheckResult("stub", True, "stubbed", 0.0)],
@@ -60,28 +60,29 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_members_are_read_one_at_a_time(self, capsys, monkeypatch, fmt):
-        # the first member's statistics are read before the walk that lists
-        # it yields a second one; a listing that collects all 86 400 members
-        # at n = 12 first would show 86 400 there.  JSON walks once more,
-        # only to count, so the members are counted per walk.
+        # the first member's record is read before the walk that lists it
+        # yields a second one; a listing that collects all 86 400 members at
+        # n = 12 first would show 86 400 there.  JSON walks once more, only
+        # to count, so the members are counted per walk.
         walks = []
         walk = enumerator.iter_odd_drop_words
-
-        def counted(n):
-            k = len(walks)
-            walks.append(0)
-            for w in walk(n):
-                walks[k] += 1
-                yield w
 
         class Seen(Exception):
             pass
 
-        def first_stats(w):
-            raise Seen(sorted(walks))
+        class Record:
+            # a member whose entries and statistics are read when unpacked
+            def __iter__(self):
+                raise Seen(sorted(walks))
+
+        def counted(n):
+            k = len(walks)
+            walks.append(0)
+            for _ in walk(n):
+                walks[k] += 1
+                yield Record()
 
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", counted)
-        monkeypatch.setattr(cli, "drop_stats", first_stats)
         with pytest.raises(Seen) as seen:
             cli.main(["enumerate", "--n", "12", "--format", fmt])
         assert seen.value.args == ([1, 86400] if fmt == "json" else [1],)
@@ -101,7 +102,7 @@ class TestEnumerate:
 def whole_listing(n, fmt):
     """enumerate's output as one string, built the way the command built it
     before it streamed: one list of members, json.dumps of the document."""
-    rows = [(w, *drop_stats(w)) for w in enumerator.iter_odd_drop_words(n)]
+    rows = [(w, *drop_stats(w)) for w, _, _ in enumerator.iter_odd_drop_words(n)]
     if fmt == "json":
         params = {"format": fmt, "max_bruteforce_n": 12, "n": n, "series_order": 40}
         cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]
@@ -130,7 +131,8 @@ class TestStreamedListing:
     def test_swapped_statistics_differ(self, capsys, monkeypatch, fmt):
         # negative control: each member's oo and eo trade places in the output
         want = whole_listing(5, fmt)
-        monkeypatch.setattr(cli, "drop_stats", lambda w: drop_stats(w)[::-1])
+        walk = enumerator.iter_odd_drop_words
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: ((w, eo, oo) for w, oo, eo in walk(n)))
         assert run(capsys, "enumerate", "--n", "5", "--format", fmt)[1] != want
 
     def test_json_listing_runs_in_bounded_memory(self):

@@ -1,26 +1,36 @@
 """Canonical cycles, drops, and drop parity statistics."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from oddcycles.cycles import (
-    MAX_N,
-    canonicalize,
-    drop_stats,
-    odd_drop_stats,
-)
-from reference import drops_by_definition, is_member_by_definition, stats_by_definition
+from oddcycles.cycles import MAX_N, canonicalize, drop_stats
+from oddcycles.enumerator import iter_odd_drop_words
+from reference import W, drops_by_definition, is_member_by_definition, stats_by_definition
+
+
+@lru_cache(maxsize=None)
+def listed(n: int) -> dict[bytes, tuple[int, int]]:
+    """The enumerator's records on [n], each word's pair by the word."""
+    return {w: (oo, eo) for w, oo, eo in iter_odd_drop_words(n)}
+
+
+def walk_stats(word: bytes) -> tuple[int, int] | None:
+    """A member's statistics as the enumerator lists them, None for any other word."""
+    return listed(len(word)).get(word)
 
 
 class TestCanonicalize:
     def test_rotations_collapse(self):
         words = [(1, 4, 2, 3), (4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2)]
         cycles = {canonicalize(w) for w in words}
-        assert cycles == {(1, 4, 2, 3)}
+        assert cycles == {W(1, 4, 2, 3)}
 
     def test_singleton(self):
-        assert canonicalize([1]) == (1,)
+        assert canonicalize([1]) == W(1)
+        assert list(canonicalize((2, 1))) == [1, 2]
 
     def test_idempotent(self):
         c = canonicalize((3, 1, 2))
@@ -45,24 +55,26 @@ class TestDrops:
     """The reference definition the property tests below rest on."""
 
     def test_increasing_cycle_has_only_wrap_drop(self):
-        assert drops_by_definition((1, 2, 3, 4)) == [(4, 1)]
+        assert drops_by_definition(W(1, 2, 3, 4)) == [(4, 1)]
 
     def test_interior_and_wrap(self):
-        assert drops_by_definition((1, 2, 4, 3)) == [(4, 3), (3, 1)]
+        assert drops_by_definition(W(1, 2, 4, 3)) == [(4, 3), (3, 1)]
 
     def test_singleton_formal_drop(self):
         # a formal drop onto 1 with a former entry of no parity
-        assert drops_by_definition((1,)) == [(None, 1)]
-        assert stats_by_definition((1,)) == (0, 0)
-        assert is_member_by_definition((1,))
+        assert drops_by_definition(W(1)) == [(None, 1)]
+        assert stats_by_definition(W(1)) == (0, 0)
+        assert is_member_by_definition(W(1))
 
     def test_every_longer_cycle_has_a_drop(self):
-        assert len(drops_by_definition((1, 2))) >= 1
+        assert len(drops_by_definition(W(1, 2))) >= 1
 
 
 class TestMembership:
+    """Membership as the enumerator lists it, with each member's statistics."""
+
     def test_singleton_qualifies(self):
-        assert odd_drop_stats((1,)) == (0, 0)
+        assert walk_stats(W(1)) == (0, 0)
 
     @pytest.mark.parametrize(
         "entries,member",
@@ -76,13 +88,14 @@ class TestMembership:
         ],
     )
     def test_small_cases(self, entries, member):
-        assert odd_drop_stats(entries) == (drop_stats(entries) if member else None)
+        word = W(*entries)
+        assert walk_stats(word) == (drop_stats(word) if member else None)
 
 
 class TestStats:
     def test_singleton_counts_nothing(self):
         # the formal drop has no parity, so neither statistic moves
-        assert drop_stats((1,)) == (0, 0)
+        assert drop_stats(W(1)) == (0, 0)
 
     @pytest.mark.parametrize(
         "entries,oo,eo",
@@ -96,7 +109,7 @@ class TestStats:
         ],
     )
     def test_known_counts(self, entries, oo, eo):
-        assert drop_stats(entries) == (oo, eo)
+        assert drop_stats(W(*entries)) == (oo, eo)
 
     def test_rotation_invariance(self):
         # the statistics live on the cycle, not on any particular word
@@ -125,17 +138,17 @@ def cycles(draw):
     return canonicalize(word[shift:] + word[:shift])
 
 
-def stats_agree(word: tuple[int, ...], stats=drop_stats) -> bool:
+def stats_agree(word: bytes, stats=drop_stats) -> bool:
     return stats(word) == stats_by_definition(word)
 
 
-def membership_agrees(word: tuple[int, ...], member_stats=odd_drop_stats) -> bool:
+def membership_agrees(word: bytes, member_stats=walk_stats) -> bool:
     # the statistics of a member, None for any other word
     want = stats_by_definition(word) if is_member_by_definition(word) else None
     return member_stats(word) == want
 
 
-def rotations_agree(word: tuple[int, ...], canon=canonicalize) -> bool:
+def rotations_agree(word: bytes, canon=canonicalize) -> bool:
     return all(canon(word[s:] + word[:s]) == word for s in range(len(word)))
 
 

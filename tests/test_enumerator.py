@@ -1,6 +1,7 @@
 """Brute-force enumeration and the joint statistic table."""
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -16,17 +17,23 @@ from oddcycles.enumerator import (
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
-from reference import is_member_by_definition
+from reference import W, is_member_by_definition, stats_by_definition
 
 
 def member_count(n: int) -> int:
     return math.factorial((n - 1) // 2) * math.factorial(n // 2)
 
 
-def members_by_definition(n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def members_by_definition(n: int) -> tuple[bytes, ...]:
     """Every tail of (1, ...) in lexicographic order, filtered by membership."""
-    words = ((1,) + tail for tail in permutations(range(2, n + 1)))
-    return [w for w in words if is_member_by_definition(w)]
+    words = (W(1, *tail) for tail in permutations(range(2, n + 1)))
+    return tuple(w for w in words if is_member_by_definition(w))
+
+
+def records_by_definition(n: int) -> list[tuple[bytes, int, int]]:
+    """The members in lexicographic order, each with its statistics by definition."""
+    return [(w, *stats_by_definition(w)) for w in members_by_definition(n)]
 
 
 def tally(words, stats=drop_stats) -> dict[tuple[int, int], int]:
@@ -50,10 +57,11 @@ def table_without_wrap(n):
 
 
 def walk_with_finish(n: int, finish):
-    """The listing walk written out again with its two-value finish as a
-    parameter: finish(prev, low, high) says whether high then low completes
-    a word whose last entry is prev."""
-    stack = [(1, tuple(range(2, n + 1)), (1,))]
+    """A second listing walk, words only: the real walk's exact prune, with
+    a two-value finish where the real walk reads its memo of tails.
+    finish(prev, low, high) says whether high then low completes a word
+    whose last entry is prev."""
+    stack = [(1, bytes(range(2, n + 1)), W(1))]
     while stack:
         prev, rest, word = stack.pop()
         if len(rest) <= 2:
@@ -63,13 +71,13 @@ def walk_with_finish(n: int, finish):
             continue
         low = rest[0]
         if not low & 1:
-            stack.append((low, rest[1:], word + (low,)))
+            stack.append((low, rest[1:], word + rest[:1]))
             continue
         for i in range(len(rest) - 1, -1, -1):
             v = rest[i]
             if v < prev and not v & 1:
                 continue
-            stack.append((v, rest[:i] + rest[i + 1:], word + (v,)))
+            stack.append((v, rest[:i] + rest[i + 1:], word + rest[i : i + 1]))
 
 
 FINISH_RULES = {
@@ -81,7 +89,7 @@ FINISH_RULES = {
 
 def finish_matches_full_scan(rule: str) -> bool:
     return all(
-        list(walk_with_finish(n, FINISH_RULES[rule])) == members_by_definition(n)
+        tuple(walk_with_finish(n, FINISH_RULES[rule])) == members_by_definition(n)
         for n in range(1, 10)
     )
 
@@ -89,7 +97,8 @@ def finish_matches_full_scan(rule: str) -> bool:
 class TestTwoValueFinish:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_test_walk_is_the_real_walk(self, n):
-        assert list(walk_with_finish(n, FINISH_RULES["real"])) == list(iter_odd_drop_words(n))
+        words = walk_with_finish(n, FINISH_RULES["real"])
+        assert [(w, *stats_by_definition(w)) for w in words] == list(iter_odd_drop_words(n))
 
     def test_real_rule_matches_the_full_scan(self):
         assert finish_matches_full_scan("real")
@@ -101,16 +110,17 @@ class TestTwoValueFinish:
 
 class TestIteration:
     def test_smallest_levels(self):
-        assert list(iter_odd_drop_words(1)) == [(1,)]
-        assert list(iter_odd_drop_words(2)) == [(1, 2)]
-        assert list(iter_odd_drop_words(3)) == [(1, 2, 3)]
+        # the formal drop counts for neither statistic; (2, 1) is even-odd
+        assert list(iter_odd_drop_words(1)) == [(W(1), 0, 0)]
+        assert list(iter_odd_drop_words(2)) == [(W(1, 2), 0, 1)]
+        assert list(iter_odd_drop_words(3)) == [(W(1, 2, 3), 1, 0)]
 
     def test_level_four(self):
         got = list(iter_odd_drop_words(4))
-        assert got == [(1, 2, 3, 4), (1, 2, 4, 3)]
+        assert got == [(W(1, 2, 3, 4), 0, 1), (W(1, 2, 4, 3), 1, 1)]
 
     def test_lexicographic_order(self):
-        tails = [w[1:] for w in iter_odd_drop_words(7)]
+        tails = [w[1:] for w, _, _ in iter_odd_drop_words(7)]
         assert tails == sorted(tails)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -119,22 +129,35 @@ class TestIteration:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_pruned_walk_matches_full_scan(self, n):
-        assert list(iter_odd_drop_words(n)) == members_by_definition(n)
+        # every member once, in order, with the statistics of the definition
+        assert list(iter_odd_drop_words(n)) == records_by_definition(n)
+
+    def test_full_scan_catches_a_miscounted_wrap_drop(self):
+        # negative control: a walk that scores the wrap drop (a_n, 1) as
+        # odd-odd whatever a_n's parity lists the right words
+        def wrap_as_odd_odd(n):
+            for w, oo, eo in iter_odd_drop_words(n):
+                yield (w, oo + 1, eo - 1) if n > 1 and not w[-1] & 1 else (w, oo, eo)
+
+        wrong = [n for n in range(1, 10) if list(wrap_as_odd_odd(n)) != records_by_definition(n)]
+        assert wrong == [2, 4, 5, 6, 7, 8, 9]
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_walk_is_the_member_set_in_order(self, n):
         # beyond the full-scan reference: permutations of 1..n that start
         # with 1, strictly increasing (lex order, no repeats), all of them
         # members, as many as there are members
-        words = list(iter_odd_drop_words(n))
+        records = list(iter_odd_drop_words(n))
+        words = [w for w, _, _ in records]
         values = list(range(1, n + 1))
         assert all(w[0] == 1 and sorted(w) == values for w in words)
         assert all(a < b for a, b in zip(words, words[1:]))
         assert all(is_member_by_definition(w) for w in words)
+        assert all((oo, eo) == stats_by_definition(w) for w, oo, eo in records)
         assert len(words) == member_count(n)
 
     def test_membership_of_output(self):
-        for w in iter_odd_drop_words(6):
+        for w, _, _ in iter_odd_drop_words(6):
             assert is_member_by_definition(w)
 
     def test_bounds(self):
@@ -144,7 +167,7 @@ class TestIteration:
             list(iter_odd_drop_words(enumerator.MAX_N + 1))
         # the ceiling itself is accepted; the first word is the increasing one
         top = next(iter_odd_drop_words(enumerator.MAX_N))
-        assert top == tuple(range(1, enumerator.MAX_N + 1))
+        assert top[0] == bytes(range(1, enumerator.MAX_N + 1))
 
     @pytest.mark.parametrize("count", [joint_table, count_even_odd_only, count_odd_odd_only])
     def test_counts_stop_at_the_ceiling(self, count):
@@ -172,14 +195,23 @@ class TestStatTable:
     def test_validation(self, monkeypatch):
         # negative control: oo + eo may never exceed the drop budget
         # ceil(n/2), so a step that scores every drop twice must trip it
-        with_drop = enumerator._with_drop
-        monkeypatch.setattr(
-            enumerator, "_with_drop", lambda dist, former: with_drop(with_drop(dist, former), former)
-        )
-        with pytest.raises(ValueError, match="exceeds bound 1 for n=2"):
+        shifts = enumerator._drop_shifts
+        monkeypatch.setattr(enumerator, "_drop_shifts", lambda n, width: tuple(2 * s for s in shifts(n, width)))
+        with pytest.raises(ValueError, match=r"stat pair \(0, 2\) exceeds bound 1 for n=2"):
             joint_table(2)
         with pytest.raises(ValueError):
             joint_table(0)
+
+    def test_a_drop_onto_an_even_entry_fails(self, monkeypatch):
+        # negative control: a step that lets any unused value follow, so a
+        # drop may land on an even entry.  (1, 3, 2) then counts at n = 3,
+        # which table-vs-tree tells apart, and (1, 4, 3, 2) has three drops
+        # at n = 4, which the bound refuses.
+        monkeypatch.setattr(enumerator, "_successors", lambda prev, values: list(values))
+        result = {c.name: c for c in verify.suite_oracle(max_n=3)}["table-vs-tree"]
+        assert (result.passed, result.detail) == (False, "n=3: x^1*y^1: 1 != 0")
+        with pytest.raises(ValueError, match=r"exceeds bound 2 for n=4"):
+            joint_table(4)
 
 
 class TestJointTable:

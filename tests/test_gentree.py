@@ -5,7 +5,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import canonicalize, drop_stats, odd_drop_stats
+from oddcycles.cycles import canonicalize
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import (
     _child_word,
@@ -17,19 +17,19 @@ from oddcycles.gentree import (
 )
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
-from reference import at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
+from reference import W, at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
 
 
-def children(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+def children(word: bytes) -> list[bytes]:
     """The children verify_level grows from one parent, which it finds sound."""
-    kids, problems = verify_level([word])
+    kids, problems = verify_level([(word, *stats_by_definition(word))])
     assert problems == []
-    return kids
+    return [kid for kid, _, _ in kids]
 
 
-def levels(top: int) -> list[list[tuple[int, ...]]]:
+def levels(top: int) -> list[list[bytes]]:
     """Tree levels 1..top grown by repeated child expansion."""
-    out = [[(1,)]]
+    out = [[W(1)]]
     while len(out) < top:
         out.append([kid for parent in out[-1] for kid in children(parent)])
     return out
@@ -37,26 +37,26 @@ def levels(top: int) -> list[list[tuple[int, ...]]]:
 
 class TestChildren:
     def test_root_child(self):
-        assert children((1,)) == [(1, 2)]
+        assert children(W(1)) == [W(1, 2)]
 
     def test_two_cycle_child(self):
         # inserting 3 before the even entry 2 would create the drop (3, 2),
         # so the only insertion spot is before the leading 1, i.e. appending
-        assert children((1, 2)) == [(1, 2, 3)]
+        assert children(W(1, 2)) == [W(1, 2, 3)]
 
     def test_three_cycle_children(self):
-        assert children((1, 2, 3)) == [(1, 2, 3, 4), (1, 2, 4, 3)]
+        assert children(W(1, 2, 3)) == [W(1, 2, 3, 4), W(1, 2, 4, 3)]
 
     def test_positions_are_odd_entries(self):
-        assert _odd_positions((1, 2, 4, 3)) == [0, 3]
+        assert _odd_positions(W(1, 2, 4, 3)) == [0, 3]
 
     def test_child_at_append_and_split(self):
-        assert _child_word((1, 2, 4, 3), 0) == (1, 2, 4, 3, 5)
-        assert _child_word((1, 2, 4, 3), 3) == (1, 2, 4, 5, 3)
+        assert _child_word(W(1, 2, 4, 3), 0) == W(1, 2, 4, 3, 5)
+        assert _child_word(W(1, 2, 4, 3), 3) == W(1, 2, 4, 5, 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_stay_members_and_count(self, n):
-        for parent in iter_odd_drop_words(n):
+        for parent, _, _ in iter_odd_drop_words(n):
             kids = children(parent)
             assert len(kids) == children_count(n)
             for kid in kids:
@@ -73,16 +73,16 @@ class TestPartition:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_levels_partition_next_level(self, n):
         lvl = levels(n)[-1]
-        seen: set[tuple[int, ...]] = set()
+        seen: set[bytes] = set()
         for parent in lvl:
             kids = children(parent)
             assert seen.isdisjoint(kids)
             seen.update(kids)
-        assert seen == set(iter_odd_drop_words(n + 1))
+        assert seen == {w for w, _, _ in iter_odd_drop_words(n + 1)}
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_delta_predicts_statistics(self, n):
-        for parent in iter_odd_drop_words(n):
+        for parent, _, _ in iter_odd_drop_words(n):
             oo, eo = stats_by_definition(parent)
             for pos in _odd_positions(parent):
                 doo, deo = _word_delta(parent, pos)
@@ -90,10 +90,11 @@ class TestPartition:
                 assert stats_by_definition(kid) == (oo + doo, eo + deo)
 
     def test_verify_level_clean_walk(self):
-        level = [(1,)]
-        for _ in range(7):
+        level = list(iter_odd_drop_words(1))
+        for n in range(1, 8):
             level, problems = verify_level(level)
             assert problems == []
+            assert sorted(level) == list(iter_odd_drop_words(n + 1))
 
     # negative controls for verify's tree-partition check; max_n=6 keeps the
     # oracle suite's other checks cheap
@@ -105,7 +106,7 @@ class TestPartition:
         walk = enumerator.iter_odd_drop_words
 
         def skipping(n):
-            return (w for w in walk(n) if w != (1, 2, 4, 3, 5))
+            return (rec for rec in walk(n) if rec[0] != W(1, 2, 4, 3, 5))
 
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", skipping)
         result = self.tree_partition()
@@ -114,34 +115,42 @@ class TestPartition:
         assert result.detail == "n=4: missing [], extra [(1, 2, 4, 3, 5)]"
 
     def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
-        def wrap_as_odd_odd(stats):
+        walk = enumerator.iter_odd_drop_words
+
+        def wrap_as_odd_odd(n):
             # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
-            def miscounted(word):
-                counts = stats(word)
-                if counts is None or len(word) == 1 or word[-1] & 1:
-                    return counts
-                return (counts[0] + 1, counts[1] - 1)
+            for w, oo, eo in walk(n):
+                yield (w, oo + 1, eo - 1) if n > 1 and not w[-1] & 1 else (w, oo, eo)
 
-            return miscounted
-
-        # gentree imports both by name: parents' statistics come from
-        # drop_stats, children's from odd_drop_stats
-        monkeypatch.setattr(gentree, "drop_stats", wrap_as_odd_odd(drop_stats))
-        monkeypatch.setattr(gentree, "odd_drop_stats", wrap_as_odd_odd(odd_drop_stats))
+        # the words still agree; the first grown child, (1, 2), does not
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", wrap_as_odd_odd)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=1: Cycle(1,) pos 0: predicted stats (0, 1), got (1, 0)"
+        assert result.detail == "n=1: Cycle(1, 2) grown with stats (0, 1), listed with (1, 0)"
 
     def test_verify_level_names_a_non_member_child(self, monkeypatch):
-        # 4 inserted before the even 2 drops onto it; the child's statistics
-        # are then recomputed by drop_stats, which skips that drop
-        monkeypatch.setattr(gentree, "_odd_positions", lambda word: [0, 1])
-        kids, problems = verify_level([(1, 2, 3)])
-        assert kids == [(1, 2, 3, 4), (1, 4, 2, 3)]
-        assert problems == [
-            "Cycle(1, 2, 3) pos 1: child Cycle(1, 4, 2, 3) not an odd-drop cycle",
-            "Cycle(1, 2, 3) pos 1: predicted stats (1, 1), got (1, 0)",
-        ]
+        # 4 inserted before the even 2 of (1, 2, 3) drops onto it.  The child
+        # count is still right, so only the compare with the walk's records
+        # finds the child, which no member record matches.
+        positions = gentree._odd_positions
+        monkeypatch.setattr(
+            gentree, "_odd_positions", lambda word: [0, 1] if word == W(1, 2, 3) else positions(word)
+        )
+        kids, problems = verify_level([(W(1, 2, 3), 1, 0)])
+        assert ([kid for kid, _, _ in kids], problems) == ([W(1, 2, 3, 4), W(1, 4, 2, 3)], [])
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=3: missing [(1, 2, 4, 3)], extra [(1, 4, 2, 3)]"
+
+    def test_tree_partition_catches_a_wrong_child_count(self, monkeypatch):
+        # (1, 2, 3) loses its append spot: one child where there are two
+        positions = gentree._odd_positions
+        monkeypatch.setattr(
+            gentree, "_odd_positions", lambda word: [2] if word == W(1, 2, 3) else positions(word)
+        )
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=3: Cycle(1, 2, 3): 1 children, expected 2"
 
     def test_tree_partition_catches_a_child_grown_twice(self, monkeypatch):
         # 6 inserted before the 3 or before the 5 of (1, 2, 3, 4, 5) splits no
@@ -151,7 +160,7 @@ class TestPartition:
         grow = gentree._child_word
 
         def twice(word, pos):
-            return grow(word, 2 if word == (1, 2, 3, 4, 5) and pos == 4 else pos)
+            return grow(word, 2 if word == W(1, 2, 3, 4, 5) and pos == 4 else pos)
 
         monkeypatch.setattr(gentree, "_child_word", twice)
         result = self.tree_partition()
@@ -161,7 +170,7 @@ class TestPartition:
     def test_delta_cases_cover_all_six(self):
         seen = set()
         for n in range(1, 8):
-            for parent in iter_odd_drop_words(n):
+            for parent, _, _ in iter_odd_drop_words(n):
                 for pos in _odd_positions(parent):
                     seen.add(((n + 1) & 1, _word_delta(parent, pos)))
         assert seen == {
@@ -324,7 +333,7 @@ def test_step_property_catches_a_scale_off_by_one(monkeypatch):
 def member_and_position(draw):
     """A member word on [n], n <= 9, from the listing walk, and one of its odd positions."""
     n = draw(st.integers(1, 9))
-    word = draw(st.sampled_from(list(enumerator.iter_odd_drop_words(n))))
+    word = draw(st.sampled_from([w for w, _, _ in enumerator.iter_odd_drop_words(n)]))
     pos = draw(st.sampled_from([i for i, v in enumerate(word) if v & 1]))
     return word, pos
 
@@ -334,7 +343,7 @@ def _word_child_is_the_cycle_child(case, build=gentree._child_word) -> bool:
     # rotation starting at word[pos] with the maximum put in front of it
     word, pos = case
     kid = build(word, pos)
-    inserted = canonicalize((len(word) + 1,) + word[pos:] + word[:pos])
+    inserted = canonicalize([len(word) + 1, *word[pos:], *word[:pos]])
     return is_member_by_definition(kid) and kid == inserted
 
 
@@ -346,7 +355,7 @@ def test_word_child_is_a_valid_member(case):
 
 def test_word_child_property_catches_a_late_insertion():
     def one_slot_late(word, pos):
-        return word[: pos + 1] + (len(word) + 1,) + word[pos + 1:]
+        return word[: pos + 1] + W(len(word) + 1) + word[pos + 1:]
 
     # raises NoSuchExample if the property cannot tell the late builder apart
     find(

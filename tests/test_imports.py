@@ -69,8 +69,8 @@ def test_command_loads_only_its_routes(argv, forbidden):
     assert crossed(loaded(argv), forbidden) == set()
 
 
-def test_version_loads_the_command_line_and_cycles_only():
-    assert loaded(("--version",)) == {"oddcycles.cli", "oddcycles.cycles"}
+def test_version_loads_the_command_line_only():
+    assert loaded(("--version",)) == {"oddcycles.cli"}
 
 
 def test_each_command_loads_the_route_it_runs():

@@ -17,7 +17,7 @@ PACKAGE = Path(oddcycles.__file__).parent
 
 ALLOWED = {
     "enumerator": {"polynomials"},
-    "gentree": {"cycles", "polynomials"},
+    "gentree": {"polynomials"},
     "recurrences": {"polynomials"},
     "series": {"polynomials"},
 }

@@ -1,7 +1,8 @@
 """Per-layer benchmark: fixed-size cases of one layer, before and after a change.
 
 Times each case of a layer on two copies of the package and writes the
-medians to BENCH_<layer>.json at the root of the repository.  Each case runs
+medians, and the median of each repeat's after/before ratio, to
+BENCH_<layer>.json at the root of the repository.  Each case runs
 in its own child process with the copy's ``src`` directory on PYTHONPATH;
 the child times only the case, in process time, after the package is
 imported, and writes the case's output to a sink that keeps nothing.  The
@@ -14,7 +15,7 @@ Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds),
 gentree (the joint transfer steps and the tree levels), cli (the
 enumerate listing through its emitters), verify (whole suite runs, as
 the verify command makes them) and enumerator (the listing walk and the
-joint table).  A case that needs a
+joint tables).  A case that needs a
 function the copy's package lacks (the one-walk case needs
 ``recurrences.oo_polys``/``eo_polys``) is recorded as null; any other error
 fails the run.  Standard library only; the package does not import it.
@@ -78,7 +79,7 @@ LAYERS = {
         "joint_poly(300)": Case("G.joint_poly(300)"),
         "joint_poly(400)": Case("G.joint_poly(400)"),
         "verify_level, levels 1..12": Case(
-            "level = [(1,)]\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
+            "level = list(E.iter_odd_drop_words(1))\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
         ),
     },
     "verify": {
@@ -95,6 +96,8 @@ LAYERS = {
     "enumerator": {
         "iter_odd_drop_words(12), drained": Case("for _ in E.iter_odd_drop_words(12):\n    pass"),
         "joint_table(12)": Case("E.joint_table(12)"),
+        "joint_table(n), n=1..12": Case("[E.joint_table(n) for n in range(1, 13)]"),
+        "joint_table(14)": Case("E.joint_table(14)"),
     },
     "cli": {
         "enumerate --n 11 --format json": Case(
@@ -155,6 +158,18 @@ def summarize(samples: list[dict | None]) -> dict | None:
     }
 
 
+def paired_ratio(before: list[dict | None], after: list[dict | None]) -> float | None:
+    """Median over repeats of one repeat's after/before time.
+
+    The two runs of a repeat ran side by side, so a drift in host speed
+    between repeats cancels in their ratio, as it does not in the ratio of
+    the two medians.
+    """
+    if any(s is None for s in before + after):
+        return None
+    return round(statistics.median(a["seconds"] / b["seconds"] for b, a in zip(before, after)), 3)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--layer", choices=sorted(LAYERS), required=True)
@@ -173,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "layer": args.layer,
-        "metric": "process time of the case alone, median over repeats, seconds",
+        "metric": "process time of the case alone, median over repeats, seconds; "
+        "after_over_before is the median over repeats of each repeat's after/before ratio",
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -181,7 +197,10 @@ def main(argv: list[str] | None = None) -> int:
         },
         "repeats": REPEATS,
         "cases": {
-            name: {label: summarize(samples[label][name]) for label, _ in sides}
+            name: {
+                **{label: summarize(samples[label][name]) for label, _ in sides},
+                "after_over_before": paired_ratio(samples["before"][name], samples["after"][name]),
+            }
             for name in cases
         },
     }
