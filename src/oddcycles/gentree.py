@@ -142,15 +142,27 @@ def verify_level(parents: list[tuple[bytes, int, int]]) -> tuple[list[tuple], li
     time; each child's pair is its parent's plus _word_delta.  Returns the
     children of all parents plus a list of discrepancy messages, one per
     parent with a wrong child count, which write the word as Cycle(...).
+
+    The children come in runs, one per insertion index in increasing order,
+    each run in the order of its parents.  Inserting at a fixed index keeps
+    lex order, so sorted parents give at most n sorted runs, which a sort of
+    the level merges rather than sorts afresh.
     """
-    next_level: list[tuple] = []
+    runs: list[list[tuple]] = [[] for _ in range(max((len(w) for w, _, _ in parents), default=0))]
     problems: list[str] = []
-    for parent, oo, eo in parents:
+    for record in parents:
+        parent = record[0]
         positions = _odd_positions(parent)
         expected = children_count(len(parent))
         if len(positions) != expected:
             problems.append(f"Cycle{tuple(parent)}: {len(positions)} children, expected {expected}")
         for pos in positions:
-            doo, deo = _word_delta(parent, pos)
-            next_level.append((_child_word(parent, pos), oo + doo, eo + deo))
+            runs[pos].append(record)
+    next_level: list[tuple] = []
+    for pos, run in enumerate(runs):
+        next_level += [
+            (_child_word(parent, pos), oo + doo, eo + deo)
+            for parent, oo, eo in run
+            for doo, deo in (_word_delta(parent, pos),)
+        ]
     return next_level, problems

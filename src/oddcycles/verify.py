@@ -19,8 +19,9 @@ Suites:
 from __future__ import annotations
 
 import time
-from itertools import islice
+from itertools import islice, starmap, zip_longest
 from math import factorial
+from operator import eq
 from typing import NamedTuple
 
 from . import SUITES, enumerator, gentree, recurrences, series
@@ -157,10 +158,14 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
     def check_tree_partition():
         # On (word, oo, eo) records: grown by the tree, each pair predicted
         # from its parent's, and listed by the walk, each pair counted by
-        # the drop definition.  The walk yields strictly increasing words,
-        # so equality with the sorted level also rules out a child grown
-        # twice; the maps that tell an overlap, a missing member or a wrong
-        # pair apart are built only on a mismatch.
+        # the drop definition.  verify_level grows a level as sorted runs,
+        # which the sort merges, and the sorted level is compared with the
+        # walk as it yields, so one level is held at a time; zip_longest
+        # makes a walk that ends early or late differ.  The walk yields
+        # strictly increasing words, so equality also rules out a child
+        # grown twice.  Only on a mismatch is the walk listed, for the maps
+        # that tell an overlap, a listing out of order, a missing member or
+        # a wrong pair apart.
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)
@@ -170,11 +175,15 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
             if problems:
                 raise CheckFailure(f"n={n}: {problems[0]}")
             level.sort()
-            want = list(enumerator.iter_odd_drop_words(n + 1))
-            if level != want:
+            if not all(starmap(eq, zip_longest(level, enumerator.iter_odd_drop_words(n + 1)))):
+                want = list(enumerator.iter_odd_drop_words(n + 1))
                 grown, listed = ({rec[0]: rec[1:] for rec in recs} for recs in (level, want))
                 if len(level) != len(grown):
                     raise CheckFailure(f"n={n}: children lists overlap")
+                for (prev, _, _), (w, _, _) in zip(want, want[1:]):
+                    if w <= prev:
+                        how = "twice" if w == prev else "out of order"
+                        raise CheckFailure(f"n={n}: Cycle{tuple(w)} listed {how}")
                 missing = [tuple(w) for w in sorted(listed.keys() - grown)[:1]]
                 extra = [tuple(w) for w in sorted(grown.keys() - listed)[:1]]
                 if missing or extra:

@@ -1,5 +1,7 @@
 """Growth by maximum insertion and the bivariate transfer steps."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,78 @@ class TestPartition:
         result = self.tree_partition()
         assert not result.passed
         assert result.detail == "n=5: children lists overlap"
+
+    def test_tree_partition_names_a_member_listed_twice(self, monkeypatch):
+        # the right set with one word twice: no member is missing, extra or
+        # miscounted, so only the listing's order tells
+        walk = enumerator.iter_odd_drop_words
+
+        def stutter(n):
+            for rec in walk(n):
+                yield from [rec] * (2 if rec[0] == W(1, 2, 3, 4) else 1)
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", stutter)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=3: Cycle(1, 2, 3, 4) listed twice"
+
+    def test_tree_partition_names_a_listing_out_of_order(self, monkeypatch):
+        walk = enumerator.iter_odd_drop_words
+
+        def swapped(n):
+            records = list(walk(n))
+            if n == 5:
+                records[:2] = records[1::-1]
+            return iter(records)
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", swapped)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=4: Cycle(1, 2, 3, 4, 5) listed out of order"
+
+    # the level is compared with the walk as it yields: a compare that stops
+    # with the shorter of the two passes both of these
+    def test_tree_partition_catches_a_walk_that_ends_early(self, monkeypatch):
+        walk = enumerator.iter_odd_drop_words
+
+        def short(n):
+            records = list(walk(n))
+            return iter(records[:-1] if n == 6 else records)
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", short)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=5: missing [], extra [(1, 2, 6, 5, 3, 4)]"
+
+    def test_tree_partition_catches_a_walk_that_ends_late(self, monkeypatch):
+        # a trailing record above the last member, so the listing stays in order
+        walk = enumerator.iter_odd_drop_words
+
+        def trailing(n):
+            yield from walk(n)
+            if n == 6:
+                yield W(1, 6, 5, 4, 3, 2), 1, 1
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", trailing)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=5: missing [(1, 6, 5, 4, 3, 2)], extra []"
+
+    def test_tree_partition_holds_one_level(self):
+        # the oracle suite at n = 11 with its joint tables built beforehand.
+        # Holding the walk's listing next to the grown level, or growing each
+        # level while the last listing is still held, peaks at about 4.2 MiB.
+        tables = verify.JointTables()
+        for n in range(1, 12):
+            tables[n]
+        tracemalloc.start()
+        try:
+            results = verify.suite_oracle(11, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak < 3 * 2**20
 
     def test_delta_cases_cover_all_six(self):
         seen = set()
