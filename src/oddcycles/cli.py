@@ -32,7 +32,8 @@ enumerator.
 
 Limits come from flags, falling back to a key=value config file given with
 --config, falling back to defaults.  Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error.
+failure, 2 usage or validation error, 74 (EX_IOERR) output that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not sep or not value or key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: expected key=value with key in {CONFIG_KEYS}")
                 values[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return values
 
@@ -417,20 +418,24 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         # chunks are turned into text here, so the limit stays lifted
-        _write(chunks)
+        return _write(chunks) or status
     finally:
         sys.set_int_max_str_digits(digits)
-    return status
 
 
 # chunks are joined into writes of this many characters or a few more: a
 # reader on a pipe pays for every write, and stdout's own buffer is 8 KiB
 _WRITE_SIZE = 1 << 16
+EX_IOERR = 74  # sysexits.h, as os.EX_IOERR is on POSIX only
 
 
-def _write(chunks: Iterable[str]) -> None:
-    write = sys.stdout.write
+def _write(chunks: Iterable[str]) -> int:
+    """Write the chunks to stdout; returns 0, or EX_IOERR when stdout is
+    closed or a write fails."""
     try:
+        if sys.stdout is None:  # started with stdout closed (`>&-`)
+            raise OSError("stdout is closed")
+        write = sys.stdout.write
         batch, size = [], 0
         for chunk in chunks:
             batch.append(chunk)
@@ -444,6 +449,10 @@ def _write(chunks: Iterable[str]) -> None:
     except BrokenPipeError:
         # the reader left early (`| head -1`); the rest goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EX_IOERR
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Cycle level: every odd-drop cycle on [m+1] arises exactly once by taking an
 odd-drop cycle on [m] and inserting the new maximum m+1 immediately before
 one of its odd entries (the new maximum always starts a drop, and that drop
-must land odd; deleting the maximum inverts the step).  Inserting before
-the leading 1 means appending at the end of the canonical word, so children
-are canonical by construction.
+must land odd).  Inserting before the leading 1 means appending at the end
+of the canonical word, so children are canonical by construction, and
+deleting the maximum (_parent) undoes the step.
 
 Polynomial level: the same step acts on the joint polynomial f, the sum
 of x^oo * y^eo, as f -> k*y*f + y*(1-x)*f_x + y*(1-y)*f_y into length 2k and
@@ -16,10 +16,10 @@ shell, with the coefficient of a^i*b^(d-i) at bit W*i and a guard bit to
 spare, and at the end two Taylor shifts by -1 turn F back into f.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
-insertion lands in (see _word_delta); verify_level predicts each child's
-pair with it, verify's tree-partition check compares the predictions with
-the enumerator's records, and the tests compare the case analysis with
-the drop definition in ``tests/reference.py``.
+insertion lands in (see _word_delta).  verify's tree-partition check takes
+each member the enumerator lists back to its parent with _parent and
+predicts the member's pair from the parent's with _word_delta; the tests
+compare both with the drop definition in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,20 +29,15 @@ from math import ceil, prod
 from .polynomials import BiPoly, _shift_down
 
 
-def _odd_positions(word: bytes) -> list[int]:
-    """Indices of odd entries, each a legal spot for the next maximum.
-
-    Index 0 (the leading 1) stands for appending at the end of the word.
-    """
-    return [i for i, v in enumerate(word) if v & 1]
+# each entry as a one-byte word, which _parent looks up rather than builds
+_ENTRY = [bytes((v,)) for v in range(256)]
 
 
-def _child_word(word: bytes, pos: int) -> bytes:
-    """Insert n+1 immediately before the entry at pos (pos 0: append)."""
-    new = bytes((len(word) + 1,))
-    if pos == 0:
-        return word + new
-    return word[:pos] + new + word[pos:]
+def _parent(word: bytes) -> tuple[bytes, int]:
+    """The insertion step undone: the word without its maximum, and the
+    index of the entry the maximum went in before (0: appended)."""
+    n = len(word)
+    return word.replace(_ENTRY[n], b""), word.index(n) % (n - 1)
 
 
 def _word_delta(word: bytes, pos: int) -> tuple[int, int]:
@@ -134,35 +129,3 @@ def children_count(n: int) -> int:
     """Number of children of any odd-drop cycle on [n]: its odd entries."""
     return ceil(n / 2)
 
-
-def verify_level(parents: list[tuple[bytes, int, int]]) -> tuple[list[tuple], list[str]]:
-    """Grow one tree level of (word, oo, eo) records, words as in ``cycles``.
-
-    The parents are member records, such as the level this returned last
-    time; each child's pair is its parent's plus _word_delta.  Returns the
-    children of all parents plus a list of discrepancy messages, one per
-    parent with a wrong child count, which write the word as Cycle(...).
-
-    The children come in runs, one per insertion index in increasing order,
-    each run in the order of its parents.  Inserting at a fixed index keeps
-    lex order, so sorted parents give at most n sorted runs, which a sort of
-    the level merges rather than sorts afresh.
-    """
-    runs: list[list[tuple]] = [[] for _ in range(max((len(w) for w, _, _ in parents), default=0))]
-    problems: list[str] = []
-    for record in parents:
-        parent = record[0]
-        positions = _odd_positions(parent)
-        expected = children_count(len(parent))
-        if len(positions) != expected:
-            problems.append(f"Cycle{tuple(parent)}: {len(positions)} children, expected {expected}")
-        for pos in positions:
-            runs[pos].append(record)
-    next_level: list[tuple] = []
-    for pos, run in enumerate(runs):
-        next_level += [
-            (_child_word(parent, pos), oo + doo, eo + deo)
-            for parent, oo, eo in run
-            for doo, deo in (_word_delta(parent, pos),)
-        ]
-    return next_level, problems

@@ -56,7 +56,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, NamedTuple
 
-from .polynomials import BigPoly, _as_bigpoly
+from .polynomials import BigPoly, _as_bigpoly, _shift_down
 
 
 class TruncSeries:
@@ -243,13 +243,9 @@ def _summand_sum_in_u(fam: _Family, order: int) -> list[list[int]]:
 
 
 def _u_to_v(coeffs: list[int]) -> BigPoly:
-    """sum of coeffs[j] * u^j at u = 1 - v: a Taylor shift by 1, by repeated
-    synthetic division (additions only), then the odd powers negated."""
-    c = list(coeffs)
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] += c[k + 1]
-    return BigPoly(-x if k & 1 else x for k, x in enumerate(c))
+    """sum of coeffs[j] * u^j at u = 1 - v: with its odd powers negated it is
+    a polynomial in v - 1 = -u, which a Taylor shift by -1 writes in v."""
+    return BigPoly(_shift_down([-c if j & 1 else c for j, c in enumerate(coeffs)]))
 
 
 def closed_form_series(which: str, order: int) -> TruncSeries:

@@ -4,7 +4,8 @@ Each suite runs named checks and returns CheckResult records; nothing here
 prints or exits, that is the command line's job.  A check compares two
 independently computed objects for exact equality, and on failure the detail
 string names the first differing coefficient, so a regression points at a
-specific polynomial term rather than a boolean.
+specific polynomial term rather than a boolean.  A route that raises fails
+its check with the exception named, and the later checks still run.
 
 Suites:
   oracle     brute-force table vs generating tree vs recurrence marginals,
@@ -19,9 +20,9 @@ Suites:
 from __future__ import annotations
 
 import time
-from itertools import islice, starmap, zip_longest
+from collections import Counter
+from itertools import islice
 from math import factorial
-from operator import eq
 from typing import NamedTuple
 
 from . import SUITES, enumerator, gentree, recurrences, series
@@ -65,6 +66,8 @@ def _run(name: str, check, *args) -> CheckResult:
         return CheckResult(name, False, str(exc), time.perf_counter() - start)
     except NothingCompared as exc:
         return CheckResult(name, True, str(exc), time.perf_counter() - start, skipped=True)
+    except Exception as exc:  # a route that raises fails its check, not the run
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
 
 
 def _walked(walk, top: int):
@@ -156,40 +159,39 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         return f"cycle counts agree on all four routes for n=1..{max_n}"
 
     def check_tree_partition():
-        # On (word, oo, eo) records: grown by the tree, each pair predicted
-        # from its parent's, and listed by the walk, each pair counted by
-        # the drop definition.  verify_level grows a level as sorted runs,
-        # which the sort merges, and the sorted level is compared with the
-        # walk as it yields, so one level is held at a time; zip_longest
-        # makes a walk that ends early or late differ.  The walk yields
-        # strictly increasing words, so equality also rules out a child
-        # grown twice.  Only on a mismatch is the walk listed, for the maps
-        # that tell an overlap, a listing out of order, a missing member or
-        # a wrong pair apart.
+        # Deleting the maximum takes each member the walk lists on [n+1] to
+        # a member of level n and an odd entry, its spot; the walk's pair
+        # must be the parent's plus the insertion's.  Distinct members (the
+        # listing strictly increases) have distinct spots, so a count equal
+        # to the spots there are proves the partition; only a wrong count
+        # lists the walk again, to name a parent with the wrong children.
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)
-        level = list(enumerator.iter_odd_drop_words(1))
+        parent_of, delta = gentree._parent, gentree._word_delta
+        level = {w: (oo, eo) for w, oo, eo in enumerator.iter_odd_drop_words(1)}
         for n in range(1, max_n):
-            level, problems = gentree.verify_level(level)
-            if problems:
-                raise CheckFailure(f"n={n}: {problems[0]}")
-            level.sort()
-            if not all(starmap(eq, zip_longest(level, enumerator.iter_odd_drop_words(n + 1)))):
-                want = list(enumerator.iter_odd_drop_words(n + 1))
-                grown, listed = ({rec[0]: rec[1:] for rec in recs} for recs in (level, want))
-                if len(level) != len(grown):
-                    raise CheckFailure(f"n={n}: children lists overlap")
-                for (prev, _, _), (w, _, _) in zip(want, want[1:]):
-                    if w <= prev:
-                        how = "twice" if w == prev else "out of order"
-                        raise CheckFailure(f"n={n}: Cycle{tuple(w)} listed {how}")
-                missing = [tuple(w) for w in sorted(listed.keys() - grown)[:1]]
-                extra = [tuple(w) for w in sorted(grown.keys() - listed)[:1]]
-                if missing or extra:
-                    raise CheckFailure(f"n={n}: missing {missing}, extra {extra}")
-                w = min(w for w in grown if grown[w] != listed[w])
-                raise CheckFailure(f"n={n}: Cycle{tuple(w)} grown with stats {grown[w]}, listed with {listed[w]}")
+            grown, prev, members, keep = {}, b"", 0, n + 1 < max_n
+            for members, (w, oo, eo) in enumerate(enumerator.iter_odd_drop_words(n + 1), 1):
+                if w <= prev:
+                    raise CheckFailure(f"n={n}: Cycle{tuple(w)} listed {'twice' if w == prev else 'out of order'}")
+                parent, spot = parent_of(w)
+                stats = level.get(parent)
+                if stats is None or not parent[spot] & 1:
+                    raise CheckFailure(f"n={n}: Cycle{tuple(w)} not grown from level {n}")
+                doo, deo = delta(parent, spot)
+                if (oo - doo, eo - deo) != stats:
+                    want = (stats[0] + doo, stats[1] + deo)
+                    raise CheckFailure(f"n={n}: Cycle{tuple(w)} grown with stats {want}, listed with {(oo, eo)}")
+                if keep:
+                    grown[w] = oo, eo
+                prev = w
+            each = gentree.children_count(n)
+            if members != len(level) * each:
+                hits = Counter(parent_of(w)[0] for w, _, _ in enumerator.iter_odd_drop_words(n + 1))
+                w = next(w for w in level if hits[w] != each)
+                raise CheckFailure(f"n={n}: Cycle{tuple(w)}: {hits[w]} children, expected {each}")
+            level = grown
         return detail
 
     marginals = (

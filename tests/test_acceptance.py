@@ -14,7 +14,7 @@ from oddcycles.enumerator import (
     iter_odd_drop_words,
     joint_table,
 )
-from oddcycles.gentree import children_count, joint_poly, verify_level
+from oddcycles.gentree import _parent, _word_delta, children_count, joint_poly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
@@ -115,18 +115,24 @@ def test_criterion_07_pde_residuals(emit_line):
 
 def test_criterion_08_generating_tree(emit_line):
     with criterion(emit_line, 8, "maximum insertion partitions each level and predicts the statistics"):
-        # verify_level predicts each child's statistics by the insertion case
-        # analysis, and the listing walk counts them by the drop definition;
-        # the walk is strictly increasing, so a sorted level equal to it has
-        # no child grown twice and no non-member
-        level = list(iter_odd_drop_words(1))
+        # deleting the maximum takes each member on [n+1] that the listing
+        # walk gives, with its pair counted by the drop definition, to a
+        # member on [n] and an odd entry of it, the pair predicted by the
+        # insertion case analysis; distinct members go to distinct spots,
+        # and every spot is hit
+        level = {w: (oo, eo) for w, oo, eo in iter_odd_drop_words(1)}
         for n in range(1, 12):
-            grown, problems = verify_level(level)
-            assert problems == []
+            grown, spots = {}, set()
+            for w, oo, eo in iter_odd_drop_words(n + 1):
+                parent, spot = _parent(w)
+                assert parent[spot] & 1
+                doo, deo = _word_delta(parent, spot)
+                assert level[parent] == (oo - doo, eo - deo)
+                grown[w] = (oo, eo)
+                spots.add((parent, spot))
             # every odd entry is an insertion spot, so ceil(n/2) children each
-            assert len(grown) == len(level) * children_count(n) == len(level) * ((n + 1) // 2)
-            level = sorted(grown)
-            assert level == list(iter_odd_drop_words(n + 1))
+            assert len(spots) == len(grown) == len(level) * children_count(n) == len(level) * ((n + 1) // 2)
+            level = grown
 
 
 def test_criterion_09_summand_recurrences(emit_line):

@@ -59,12 +59,16 @@ def test_a_missing_function_is_named():
 def test_verify_and_enumerator_layers_time_the_stated_runs():
     # the sizes the committed BENCH_verify.json and BENCH_enumerator.json record
     assert {name: case.code for name, case in bench.LAYERS["verify"].items()} == {
-        f"run_suites({args})": f"V.run_suites({args})"
-        for args in (
-            "'all', max_n=12, series_order=40",
-            "'identities', max_n=12, series_order=60",
-            "'all', max_n=8, series_order=160",
-        )
+        **{
+            f"run_suites({args})": f"V.run_suites({args})"
+            for args in (
+                "'all', max_n=12, series_order=40",
+                "'identities', max_n=12, series_order=60",
+                "'all', max_n=8, series_order=160",
+            )
+        },
+        "suite_oracle(12)": "V.suite_oracle(12)",
+        "suite_oracle(13)": "V.suite_oracle(13)",
     }
     assert {name: case.code for name, case in bench.LAYERS["enumerator"].items()} == {
         "iter_odd_drop_words(12), drained": "for _ in E.iter_odd_drop_words(12):\n    pass",
@@ -72,12 +76,6 @@ def test_verify_and_enumerator_layers_time_the_stated_runs():
         "joint_table(n), n=1..12": "[E.joint_table(n) for n in range(1, 13)]",
         "joint_table(14)": "E.joint_table(14)",
     }
-
-
-def test_tree_levels_start_from_the_walk():
-    # the first level comes from each copy's own walk, in its own format
-    code = bench.LAYERS["gentree"]["verify_level, levels 1..12"].code
-    assert code.startswith("level = list(E.iter_odd_drop_words(1))\n")
 
 
 def test_ratio_is_the_median_of_paired_ratios():

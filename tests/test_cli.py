@@ -334,6 +334,20 @@ class TestVerifyCommand:
             f"median-vs-enumeration,{odd_status},enumeration confirms medians for lengths {odd_lengths}",
         ]
 
+    def test_a_check_whose_route_raises_fails_and_the_next_still_runs(self, capsys, monkeypatch):
+        from oddcycles import gentree
+
+        def raising(n):
+            raise ValueError(f"transfer step {n}: negative coefficient")
+
+        monkeypatch.setattr(gentree, "joint_poly", raising)
+        status, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "4", "--format", "csv")
+        assert (status, err) == (1, "")
+        assert out.splitlines()[1:3] == [
+            "table-vs-tree,FAIL,ValueError: transfer step 1: negative coefficient",
+            "oo-marginal-vs-recurrence,PASS,odd-odd marginal equals recurrence for n=1..4",
+        ]
+
     def test_oracle_suite_at_the_smallest_ceiling(self, capsys):
         status, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "1", "--format", "csv")
         assert status == 0
@@ -408,6 +422,13 @@ class TestConfig:
         cfg.write_text(content)
         assert run(capsys, "enumerate", "--n", "4", "--config", str(cfg))[0] == 2
 
+    def test_undecodable_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        status, out, err = run(capsys, "enumerate", "--n", "4", "--config", str(cfg))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_config_rejected(self, capsys, tmp_path):
         assert run(capsys, "enumerate", "--n", "4", "--config", str(tmp_path / "nope"))[0] == 2
 
@@ -470,14 +491,14 @@ class TestLimits:
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def spawn(*argv):
-    """The command line in a process of its own, on this package's source."""
+def spawn(*argv, **popen):
+    """The command line in a process of its own, on this package's source;
+    stdout and stderr are pipes unless popen says otherwise."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "oddcycles", *argv],
         env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen},
     )
 
 
@@ -499,6 +520,26 @@ class TestOutput:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(), err) == (0, b"")
+
+    def test_closed_stdout_is_an_output_error(self):
+        # started with stdout closed, as `>&-` does
+        proc = spawn(
+            "sequence", "--kind", "genocchi", "--limit", "3",
+            stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1),
+        )
+        err = proc.communicate()[1]
+        assert (proc.returncode, err) == (74, b"error: cannot write output: stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_is_an_output_error(self):
+        # every write to /dev/full fails with ENOSPC; a listing of several
+        # writes stops at the first
+        for argv in (("sequence", "--kind", "genocchi", "--limit", "3"), ("enumerate", "--n", "11")):
+            with open("/dev/full", "wb") as full:
+                proc = spawn(*argv, stdout=full)
+                err = proc.communicate()[1]
+            assert proc.returncode == 74
+            assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
 
     def test_values_past_the_digit_limit_print(self):
         # the count on [1720] is 859!*860!, longer than the 4300 digits that

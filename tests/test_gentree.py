@@ -9,32 +9,15 @@ from hypothesis import strategies as st
 from oddcycles import enumerator, gentree, verify
 from oddcycles.cycles import canonicalize
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
-from oddcycles.gentree import (
-    _child_word,
-    _odd_positions,
-    _word_delta,
-    children_count,
-    joint_poly,
-    verify_level,
-)
+from oddcycles.gentree import _parent, _word_delta, children_count, joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
 from reference import W, at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
 
 
 def children(word: bytes) -> list[bytes]:
-    """The children verify_level grows from one parent, which it finds sound."""
-    kids, problems = verify_level([(word, *stats_by_definition(word))])
-    assert problems == []
-    return [kid for kid, _, _ in kids]
-
-
-def levels(top: int) -> list[list[bytes]]:
-    """Tree levels 1..top grown by repeated child expansion."""
-    out = [[W(1)]]
-    while len(out) < top:
-        out.append([kid for parent in out[-1] for kid in children(parent)])
-    return out
+    """The members one longer than word that delete back to it, in listing order."""
+    return [kid for kid, _, _ in iter_odd_drop_words(len(word) + 1) if _parent(kid)[0] == word]
 
 
 class TestChildren:
@@ -50,11 +33,11 @@ class TestChildren:
         assert children(W(1, 2, 3)) == [W(1, 2, 3, 4), W(1, 2, 4, 3)]
 
     def test_positions_are_odd_entries(self):
-        assert _odd_positions(W(1, 2, 4, 3)) == [0, 3]
+        assert [_parent(kid)[1] for kid in children(W(1, 2, 4, 3))] == [0, 3]
 
     def test_child_at_append_and_split(self):
-        assert _child_word(W(1, 2, 4, 3), 0) == W(1, 2, 4, 3, 5)
-        assert _child_word(W(1, 2, 4, 3), 3) == W(1, 2, 4, 5, 3)
+        assert _parent(W(1, 2, 4, 3, 5)) == (W(1, 2, 4, 3), 0)
+        assert _parent(W(1, 2, 4, 5, 3)) == (W(1, 2, 4, 3), 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_stay_members_and_count(self, n):
@@ -74,29 +57,20 @@ class TestChildren:
 class TestPartition:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_levels_partition_next_level(self, n):
-        lvl = levels(n)[-1]
-        seen: set[bytes] = set()
-        for parent in lvl:
-            kids = children(parent)
-            assert seen.isdisjoint(kids)
-            seen.update(kids)
-        assert seen == {w for w, _, _ in iter_odd_drop_words(n + 1)}
+        # every member on [n+1] deletes to a member on [n] at an odd entry,
+        # no two to the same spot, and every spot is hit
+        level = {w for w, _, _ in iter_odd_drop_words(n)}
+        spots = [_parent(kid) for kid, _, _ in iter_odd_drop_words(n + 1)]
+        assert all(parent in level and parent[spot] & 1 for parent, spot in spots)
+        assert len(set(spots)) == len(spots) == len(level) * children_count(n)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_delta_predicts_statistics(self, n):
-        for parent, _, _ in iter_odd_drop_words(n):
+        for kid, _, _ in iter_odd_drop_words(n + 1):
+            parent, spot = _parent(kid)
             oo, eo = stats_by_definition(parent)
-            for pos in _odd_positions(parent):
-                doo, deo = _word_delta(parent, pos)
-                kid = _child_word(parent, pos)
-                assert stats_by_definition(kid) == (oo + doo, eo + deo)
-
-    def test_verify_level_clean_walk(self):
-        level = list(iter_odd_drop_words(1))
-        for n in range(1, 8):
-            level, problems = verify_level(level)
-            assert problems == []
-            assert sorted(level) == list(iter_odd_drop_words(n + 1))
+            doo, deo = _word_delta(parent, spot)
+            assert stats_by_definition(kid) == (oo + doo, eo + deo)
 
     # negative controls for verify's tree-partition check; max_n=6 keeps the
     # oracle suite's other checks cheap
@@ -113,8 +87,8 @@ class TestPartition:
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", skipping)
         result = self.tree_partition()
         assert not result.passed
-        # the tree's child is "extra" against the shortened walk
-        assert result.detail == "n=4: missing [], extra [(1, 2, 4, 3, 5)]"
+        # the count falls one short, and the recount names the skipped member's parent
+        assert result.detail == "n=4: Cycle(1, 2, 4, 3): 1 children, expected 2"
 
     def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
         walk = enumerator.iter_odd_drop_words
@@ -124,50 +98,47 @@ class TestPartition:
             for w, oo, eo in walk(n):
                 yield (w, oo + 1, eo - 1) if n > 1 and not w[-1] & 1 else (w, oo, eo)
 
-        # the words still agree; the first grown child, (1, 2), does not
+        # the words still agree; the first listed child, (1, 2), does not
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", wrap_as_odd_odd)
         result = self.tree_partition()
         assert not result.passed
         assert result.detail == "n=1: Cycle(1, 2) grown with stats (0, 1), listed with (1, 0)"
 
-    def test_verify_level_names_a_non_member_child(self, monkeypatch):
-        # 4 inserted before the even 2 of (1, 2, 3) drops onto it.  The child
-        # count is still right, so only the compare with the walk's records
-        # finds the child, which no member record matches.
-        positions = gentree._odd_positions
-        monkeypatch.setattr(
-            gentree, "_odd_positions", lambda word: [0, 1] if word == W(1, 2, 3) else positions(word)
-        )
-        kids, problems = verify_level([(W(1, 2, 3), 1, 0)])
-        assert ([kid for kid, _, _ in kids], problems) == ([W(1, 2, 3, 4), W(1, 4, 2, 3)], [])
+    def test_tree_partition_names_a_non_member_listed(self, monkeypatch):
+        # (1, 4, 2, 3) in place of (1, 2, 4, 3): 4 went in before the even 2
+        # of (1, 2, 3) and drops onto it.  The count is still right, so only
+        # the parity of the spot tells.
+        walk = enumerator.iter_odd_drop_words
+
+        def with_a_stranger(n):
+            for rec in walk(n):
+                yield (W(1, 4, 2, 3), 1, 1) if rec[0] == W(1, 2, 4, 3) else rec
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", with_a_stranger)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=3: missing [(1, 2, 4, 3)], extra [(1, 4, 2, 3)]"
+        assert result.detail == "n=3: Cycle(1, 4, 2, 3) not grown from level 3"
 
     def test_tree_partition_catches_a_wrong_child_count(self, monkeypatch):
-        # (1, 2, 3) loses its append spot: one child where there are two
-        positions = gentree._odd_positions
-        monkeypatch.setattr(
-            gentree, "_odd_positions", lambda word: [2] if word == W(1, 2, 3) else positions(word)
-        )
+        # a tree that counts three insertion spots in (1, 2, 3), which has two
+        count = gentree.children_count
+        monkeypatch.setattr(gentree, "children_count", lambda n: 3 if n == 3 else count(n))
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=3: Cycle(1, 2, 3): 1 children, expected 2"
+        assert result.detail == "n=3: Cycle(1, 2, 3): 2 children, expected 3"
 
-    def test_tree_partition_catches_a_child_grown_twice(self, monkeypatch):
-        # 6 inserted before the 3 or before the 5 of (1, 2, 3, 4, 5) splits no
-        # drop either way, so both children have the same statistics.  Growing
-        # the first in place of the second keeps the count, the membership and
-        # the statistics right: only the partition compare can tell.
-        grow = gentree._child_word
+    def test_tree_partition_catches_a_parent_one_spot_late(self, monkeypatch):
+        # (1, 2, 3) is (1, 2) with 3 appended; one spot late is before the even 2
+        undo = gentree._parent
 
-        def twice(word, pos):
-            return grow(word, 2 if word == W(1, 2, 3, 4, 5) and pos == 4 else pos)
+        def late(word):
+            parent, spot = undo(word)
+            return parent, (spot + 1) % len(parent)
 
-        monkeypatch.setattr(gentree, "_child_word", twice)
+        monkeypatch.setattr(gentree, "_parent", late)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=5: children lists overlap"
+        assert result.detail == "n=2: Cycle(1, 2, 3) not grown from level 2"
 
     def test_tree_partition_names_a_member_listed_twice(self, monkeypatch):
         # the right set with one word twice: no member is missing, extra or
@@ -197,8 +168,8 @@ class TestPartition:
         assert not result.passed
         assert result.detail == "n=4: Cycle(1, 2, 3, 4, 5) listed out of order"
 
-    # the level is compared with the walk as it yields: a compare that stops
-    # with the shorter of the two passes both of these
+    # the walk's length is checked against the count of spots: a check that
+    # only tests the records it is given passes both of these
     def test_tree_partition_catches_a_walk_that_ends_early(self, monkeypatch):
         walk = enumerator.iter_odd_drop_words
 
@@ -209,7 +180,8 @@ class TestPartition:
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", short)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=5: missing [], extra [(1, 2, 6, 5, 3, 4)]"
+        # the last member, (1, 2, 6, 5, 3, 4), deletes to (1, 2, 5, 3, 4)
+        assert result.detail == "n=5: Cycle(1, 2, 5, 3, 4): 2 children, expected 3"
 
     def test_tree_partition_catches_a_walk_that_ends_late(self, monkeypatch):
         # a trailing record above the last member, so the listing stays in order
@@ -223,12 +195,12 @@ class TestPartition:
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", trailing)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=5: missing [(1, 6, 5, 4, 3, 2)], extra []"
+        assert result.detail == "n=5: Cycle(1, 6, 5, 4, 3, 2) not grown from level 5"
 
     def test_tree_partition_holds_one_level(self):
-        # the oracle suite at n = 11 with its joint tables built beforehand.
-        # Holding the walk's listing next to the grown level, or growing each
-        # level while the last listing is still held, peaks at about 4.2 MiB.
+        # the oracle suite at n = 11 with its joint tables built beforehand
+        # peaks at about 1.1 MiB.  Growing the next level beside the last, or
+        # holding a grown level while the walk lists it, peaks at about 2.2 MiB.
         tables = verify.JointTables()
         for n in range(1, 12):
             tables[n]
@@ -239,14 +211,13 @@ class TestPartition:
         finally:
             tracemalloc.stop()
         assert all(r.passed for r in results)
-        assert peak < 3 * 2**20
+        assert peak < 3 * 2**19
 
     def test_delta_cases_cover_all_six(self):
         seen = set()
         for n in range(1, 8):
-            for parent, _, _ in iter_odd_drop_words(n):
-                for pos in _odd_positions(parent):
-                    seen.add(((n + 1) & 1, _word_delta(parent, pos)))
+            for kid, _, _ in iter_odd_drop_words(n + 1):
+                seen.add(((n + 1) & 1, _word_delta(*_parent(kid))))
         assert seen == {
             (1, (1, 0)),
             (1, (0, 0)),
@@ -412,13 +383,13 @@ def member_and_position(draw):
     return word, pos
 
 
-def _word_child_is_the_cycle_child(case, build=gentree._child_word) -> bool:
+def _word_child_is_the_cycle_child(case, undo=gentree._parent) -> bool:
     # the next maximum inserted before word[pos] in the cyclic order: the
-    # rotation starting at word[pos] with the maximum put in front of it
+    # rotation starting at word[pos] with the maximum put in front of it.
+    # Deleting the maximum must give back the word and the spot.
     word, pos = case
-    kid = build(word, pos)
     inserted = canonicalize([len(word) + 1, *word[pos:], *word[:pos]])
-    return is_member_by_definition(kid) and kid == inserted
+    return is_member_by_definition(inserted) and undo(inserted) == (word, pos)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -428,13 +399,14 @@ def test_word_child_is_a_valid_member(case):
 
 
 def test_word_child_property_catches_a_late_insertion():
-    def one_slot_late(word, pos):
-        return word[: pos + 1] + W(len(word) + 1) + word[pos + 1:]
+    def one_spot_late(word):
+        parent, spot = _parent(word)
+        return parent, (spot + 1) % len(parent)
 
-    # raises NoSuchExample if the property cannot tell the late builder apart
+    # raises NoSuchExample if the property cannot tell the late spot apart
     find(
         member_and_position(),
-        lambda case: not _word_child_is_the_cycle_child(case, one_slot_late),
+        lambda case: not _word_child_is_the_cycle_child(case, one_spot_late),
         settings=NO_SHRINK,
     )
 

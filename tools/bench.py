@@ -12,13 +12,13 @@ host speed hits both alike.
     python3 tools/bench.py --layer series ../before/src src
 
 Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds),
-gentree (the joint transfer steps and the tree levels), cli (the
-enumerate listing through its emitters), verify (whole suite runs, as
-the verify command makes them) and enumerator (the listing walk and the
-joint tables).  A case that needs a
-function the copy's package lacks (the one-walk case needs
-``recurrences.oo_polys``/``eo_polys``) is recorded as null; any other error
-fails the run.  Standard library only; the package does not import it.
+gentree (the joint transfer steps), cli (the enumerate listing through its
+emitters), verify (whole suite runs, as the verify command makes them, and
+the oracle suite alone) and enumerator (the listing walk and the joint
+tables).  A case that needs a function the copy's package lacks (the
+one-walk case needs ``recurrences.oo_polys``/``eo_polys``) is recorded as
+null; any other error fails the run.  Standard library only; the package
+does not import it.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ LAYERS = {
     "gentree": {
         "joint_poly(300)": Case("G.joint_poly(300)"),
         "joint_poly(400)": Case("G.joint_poly(400)"),
-        "verify_level, levels 1..12": Case(
-            "level = list(E.iter_odd_drop_words(1))\nfor _ in range(11):\n    level = G.verify_level(level)[0]"
-        ),
     },
     "verify": {
         "run_suites('all', max_n=12, series_order=40)": Case(
@@ -92,6 +89,8 @@ LAYERS = {
         "run_suites('all', max_n=8, series_order=160)": Case(
             "V.run_suites('all', max_n=8, series_order=160)"
         ),
+        "suite_oracle(12)": Case("V.suite_oracle(12)"),
+        "suite_oracle(13)": Case("V.suite_oracle(13)"),
     },
     "enumerator": {
         "iter_odd_drop_words(12), drained": Case("for _ in E.iter_odd_drop_words(12):\n    pass"),
