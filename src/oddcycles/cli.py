@@ -446,10 +446,13 @@ def _write(chunks: Iterable[str]) -> int:
         batch.append("\n")
         write("".join(batch))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early (`| head -1`); the rest goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
+        if sys.stdout is not None:
+            # what stdout still buffers goes to devnull, so that the flush
+            # at exit cannot fail again and turn the exit status into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader left early (`| head -1`)
+            return 0
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EX_IOERR
     return 0

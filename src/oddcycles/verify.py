@@ -161,10 +161,10 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
     def check_tree_partition():
         # Deleting the maximum takes each member the walk lists on [n+1] to
         # a member of level n and an odd entry, its spot; the walk's pair
-        # must be the parent's plus the insertion's.  Distinct members (the
-        # listing strictly increases) have distinct spots, so a count equal
-        # to the spots there are proves the partition; only a wrong count
-        # lists the walk again, to name a parent with the wrong children.
+        # must be the parent's plus the insertion's.  _parent inverts the
+        # insertion (a property test pins that; the check trusts it), so the
+        # distinct members have distinct spots and a count equal to the spots
+        # proves the partition; only a wrong count walks again, to name one.
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)

@@ -491,13 +491,15 @@ class TestLimits:
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def spawn(*argv, **popen):
-    """The command line in a process of its own, on this package's source;
-    stdout and stderr are pipes unless popen says otherwise."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def spawn(*argv, env=None, **popen):
+    """The command line in a process of its own, on this package's source,
+    with env (default: this process's) as its environment; stdout and stderr
+    are pipes unless popen says otherwise."""
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "oddcycles", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen},
     )
 
@@ -533,13 +535,18 @@ class TestOutput:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_failed_write_is_an_output_error(self):
         # every write to /dev/full fails with ENOSPC; a listing of several
-        # writes stops at the first
+        # writes stops at the first. Buffered, a short output is still held
+        # by stdout when the flush fails, and the flush at exit must not
+        # fail with it (PYTHONUNBUFFERED set to "" is off)
         for argv in (("sequence", "--kind", "genocchi", "--limit", "3"), ("enumerate", "--n", "11")):
-            with open("/dev/full", "wb") as full:
-                proc = spawn(*argv, stdout=full)
-                err = proc.communicate()[1]
-            assert proc.returncode == 74
-            assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
+            for unbuffered in ("", "1"):
+                with open("/dev/full", "wb") as full:
+                    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+                    proc = spawn(*argv, stdout=full, env=env)
+                    err = proc.communicate()[1]
+                assert (proc.returncode, err) == (
+                    74, b"error: cannot write output: [Errno 28] No space left on device\n"
+                ), (argv, unbuffered)
 
     def test_values_past_the_digit_limit_print(self):
         # the count on [1720] is 859!*860!, longer than the 4300 digits that

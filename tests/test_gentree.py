@@ -15,9 +15,15 @@ from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
 from reference import W, at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
 
 
+def insert_max(word: bytes, pos: int) -> bytes:
+    """The next maximum put just before word[pos] in the cyclic order."""
+    return canonicalize([len(word) + 1, *word[pos:], *word[:pos]])
+
+
 def children(word: bytes) -> list[bytes]:
-    """The members one longer than word that delete back to it, in listing order."""
-    return [kid for kid, _, _ in iter_odd_drop_words(len(word) + 1) if _parent(kid)[0] == word]
+    """The paper's children of word, by inserting the next maximum just before
+    each odd entry, in listing order; independent of the listing walk."""
+    return sorted(insert_max(word, pos) for pos, entry in enumerate(word) if entry & 1)
 
 
 class TestChildren:
@@ -43,10 +49,14 @@ class TestChildren:
     def test_children_stay_members_and_count(self, n):
         for parent, _, _ in iter_odd_drop_words(n):
             kids = children(parent)
-            assert len(kids) == children_count(n)
+            assert len(set(kids)) == children_count(n)
             for kid in kids:
                 assert len(kid) == n + 1
                 assert is_member_by_definition(kid)
+            # before an even entry the maximum drops onto it: no member
+            for pos, entry in enumerate(parent):
+                if not entry & 1:
+                    assert not is_member_by_definition(insert_max(parent, pos))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11])
     def test_children_count_value(self, n):
@@ -388,7 +398,7 @@ def _word_child_is_the_cycle_child(case, undo=gentree._parent) -> bool:
     # rotation starting at word[pos] with the maximum put in front of it.
     # Deleting the maximum must give back the word and the spot.
     word, pos = case
-    inserted = canonicalize([len(word) + 1, *word[pos:], *word[:pos]])
+    inserted = insert_max(word, pos)
     return is_member_by_definition(inserted) and undo(inserted) == (word, pos)
 
 
