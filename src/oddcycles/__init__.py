@@ -44,12 +44,10 @@ _HOMES = {
     "oo_poly": "recurrences",
     "oo_polys": "recurrences",
     "TruncSeries": "series",
-    "eo_series": "series",
     "genocchi": "series",
     "genocchi_median": "series",
     "genocchi_median_sequence": "series",
     "genocchi_sequence": "series",
-    "oo_series": "series",
     "summand_recurrence_check": "series",
     "CheckResult": "verify",
     "run_suites": "verify",

@@ -25,18 +25,19 @@ needs every length runs one walk and holds one polynomial of it at a time.
 The free step is fused into one pass over the coefficients: coefficient i
 of k*p + p' - v*p' is (k-i)*p[i] + (i+1)*p[i+1].
 
-The walk to one length, behind oo_poly(n)/eo_poly(n), runs in the
-eigenbasis a = v - 1 of the free step.  There P(a) = p(1 + a), the free step
-is P_i -> (k-i)*P_i and the forced step also multiplies by 1 + a.  Each free
+The walk in the eigenbasis a = v - 1 of the free step, _eigen_walk, also
+yields every length.  There P(a) = p(1 + a), the free step is
+P_i -> (k-i)*P_i and the forced step also multiplies by 1 + a.  Each free
 step's factor is held until the forced step after it, so a pair of lengths
 costs one multiply by the small integer (k-i)*(k'-i) and one add per
-coefficient, and one Taylor shift by -1 at the end gives back p(v).
-
-The walk over every length stays in v for two reasons.  Handing out each
-length from the basis a would take a Taylor shift per length, more work
-than the steps it saves.  And the checks that compare every length against
-the series and the enumeration read that walk, so they set the series'
-triangle and Taylor shift against a route that has neither.
+coefficient.  Each length comes out as its coefficients, updated in place,
+and the free step still held, which a reader applies as it reads: applying
+it to a copy at every length would double the walk's time.  oo_poly and
+eo_poly drain the walk and Taylor-shift by -1 to p(v).  The series suite
+reads every length against the closed forms in u = 1 - v = -a, so neither
+side shifts, and sequence --kind cno_count reads the counts f(1) = P(0).
+The walk in v stays for the checks against the enumeration and the
+Genocchi values.
 """
 
 from __future__ import annotations
@@ -99,19 +100,29 @@ def _lift(coeffs: list[int], k: int, held: int) -> None:
     coeffs.append(below)
 
 
-def _eigen_walk(n: int, forced: int) -> BigPoly:
-    # the walk to length n alone, in a = v - 1; forced is the parity of the
-    # lengths the forced step goes into
+def _eigen_walk(n: int, forced: int) -> Iterator[tuple[list[int], int]]:
+    """Lengths 1..n of one statistic in a = v - 1 as (coeffs, held), coeffs
+    updated in place, forced the parity of the lengths the forced step goes
+    into.  Coefficient i of a length is (held-i)*coeffs[i], or coeffs[i]
+    when held, the parameter of a free step not yet applied, is 0."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     coeffs, held = [1], 0
+    yield coeffs, held
     for target in range(2, n + 1):
         if target & 1 == forced:
             _lift(coeffs, target // 2, held)
             held = 0
         else:
             held = target // 2
-    if held:  # the walk ends on a free step
+        yield coeffs, held
+
+
+def _at_length(n: int, forced: int) -> BigPoly:
+    # the walk to length n alone, its held free step applied once at the end
+    for coeffs, held in _eigen_walk(n, forced):
+        pass
+    if held:
         for i, c in enumerate(coeffs):
             coeffs[i] = (held - i) * c
     return BigPoly(_shift_down(coeffs))
@@ -119,9 +130,9 @@ def _eigen_walk(n: int, forced: int) -> BigPoly:
 
 def oo_poly(n: int) -> BigPoly:
     """Odd-odd drop distribution over odd-drop cycles on [n], in x."""
-    return _eigen_walk(n, 1)
+    return _at_length(n, 1)
 
 
 def eo_poly(n: int) -> BigPoly:
     """Even-odd drop distribution over odd-drop cycles on [n], in y."""
-    return _eigen_walk(n, 0)
+    return _at_length(n, 0)

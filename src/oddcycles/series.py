@@ -2,15 +2,14 @@
 
 Everything here is exact integer arithmetic; there is no floating point and
 no tolerance anywhere.  Each generating function marks one statistic with
-one variable (x for odd-odd drops, y for even-odd drops).  That variable
-belongs to the family and is named once, in its FAMILIES row; a series
-holds only BigPoly coefficients and an order.  A TruncSeries knows the
-order through which its coefficients are trustworthy, and every operation
-recomputes that bound honestly (a sum is exact to the lower of its terms'
-orders).  No series is multiplied by another; a product scales each
-coefficient by an integer or a polynomial.
-Residual checks read their valid order off the result instead of guessing
-it.
+one variable v (x for odd-odd drops, y for even-odd drops), and every
+closed form here is a function of u = 1 - v, so its series is built, and
+checked, as polynomials in u; a series holds only BigPoly coefficients and
+an order.  A TruncSeries knows the order through which its coefficients
+are trustworthy, and every operation recomputes that bound honestly (a sum
+is exact to the lower of its terms' orders).  No series is multiplied by
+another, or scaled.  Residual checks read their valid order off the result
+instead of guessing it.
 
 The module builds four closed-form generating functions whose t^m coefficients
 are the drop-statistic polynomials of odd-drop cycles:
@@ -23,32 +22,30 @@ are the drop-statistic polynomials of odd-drop cycles:
 with products over k = 1..m.  The m-th summand starts at t^m, so partial
 sums through m = N give the series exactly to order N; the m = N+1 summand
 contributing nothing at order N is asserted by a test, not assumed.  The
-builder reads each coefficient of that sum off a triangle of integers, the
-complete homogeneous symmetric polynomials in the factors' a_k, as a
-polynomial in u = 1 - v, and then rewrites it in v.  Only the
+builder, closed_form_in_u, reads each coefficient of that sum off a
+triangle of integers, the complete homogeneous symmetric polynomials in the
+factors' a_k, as a polynomial in u; nothing rewrites it in v.  Only the
 summand-recurrence check builds summands one at a time, as integer lists
 by its own list division, so it shares no code with the builder it checks.
-Interleaving even and odd lengths as S_even(t^2) + t^(-1) S_odd(t^2), one
-coefficient at a time, yields the full-distribution series oo_series and
-eo_series.
 
 What differs between the four families is data, one FAMILIES row each: the
-variable, the summand numerators and denominator factors, the coefficient
-zeroth of the prefix zeroth*(1-v)*t (-1 for eo_even's (y-1)t, 0 elsewhere)
-and the two first-order coefficients of the family's PDE.  One builder,
-closed_form_series, reads a row; no code branches on the family name.
+summand numerators and denominator factors, the coefficient zeroth of the
+prefix zeroth*u*t (-1 for eo_even's (y-1)t, 0 elsewhere) and the two
+first-order coefficients of the family's PDE, in u.  One builder reads a
+row; no code branches on the family name.
 
-Specializing the variable to 0 (closed_form_at_zero) turns the oo_even
-family's summands into the Genocchi number generating function and the
-eo_odd family's into the Genocchi median one; the other two families'
-summands collapse to t exactly, which the identities suite checks.
+Specializing the variable to 0, which is u = 1 (closed_form_at_zero), turns
+the oo_even family's summands into the Genocchi number generating function
+and the eo_odd family's into the Genocchi median one; the other two
+families' summands collapse to t exactly, which the identities suite
+checks.
 
 Each closed form satisfies a second-order PDE in its original variables;
 the four share their second-order part, and the row's zeroth also fixes the
-source term t*(1 + zeroth*(1-v)).  pde_residual_of substitutes a truncated
-series coefficient by coefficient, sharing only BigPoly arithmetic with the
-builder it checks, and returns the residual, whose tracked order states
-exactly how far the zero check is meaningful.
+source term t*(1 + zeroth*u).  pde_residual_of substitutes a truncated
+series in u coefficient by coefficient, sharing only BigPoly arithmetic
+with the builder it checks, and returns the residual, whose tracked order
+states exactly how far the zero check is meaningful.
 """
 
 from __future__ import annotations
@@ -56,15 +53,15 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, NamedTuple
 
-from .polynomials import BigPoly, _as_bigpoly, _shift_down
+from .polynomials import BigPoly, _as_bigpoly
 
 
 class TruncSeries:
     """Power series in t, exact through self.order.
 
     coeffs has length order+1 and holds BigPoly coefficients.  The series
-    names no variable: a family's variable lives in its FAMILIES row, and
-    an integer series is one whose coefficients are all constant.
+    names no variable: a closed form's coefficients are polynomials in u,
+    and an integer series is one whose coefficients are all constant.
     """
 
     __slots__ = ("coeffs", "order")
@@ -140,45 +137,33 @@ class TruncSeries:
     def __sub__(self, other) -> "TruncSeries":
         return self + -other
 
-    def __mul__(self, other) -> "TruncSeries":
-        """Each coefficient times an int or a BigPoly."""
-        if isinstance(other, TruncSeries):
-            return NotImplemented
-        return TruncSeries([c * other for c in self.coeffs], self.order)
-
-    def substitute(self, value: int) -> "TruncSeries":
-        """Evaluate the coefficients' variable at an integer: an integer series."""
-        return TruncSeries([c(value) for c in self.coeffs], self.order)
-
 
 # -- closed forms --------------------------------------------------------
 
 
 class _Family(NamedTuple):
-    var: str  # polynomial variable v of the full series
     numerator: Callable[[int], int]  # of the m-th summand
     ratio: Callable[[int], int]  # numerator(m) / numerator(m-1)
-    denom: Callable[[int], int]  # a_k in the factor (1 + a_k*(1-v)*t)
-    # coefficient of s = (1-v)*t in the constant-in-xi term: the series
-    # carries the prefix zeroth*(1-v)*t, and the PDE's source term is
-    # t*(1 + zeroth*(1-v))
+    denom: Callable[[int], int]  # a_k in the factor (1 + a_k*u*t)
+    # coefficient of s = u*t in the constant-in-xi term: the series carries
+    # the prefix zeroth*u*t, and the PDE's source term is t*(1 + zeroth*u)
     zeroth: int
-    pde_v: BigPoly | int  # coefficient of S_v in the family's PDE
-    pde_t: BigPoly | int  # coefficient of t*S_t in the family's PDE
+    pde_v: BigPoly | int  # coefficient of S_u in the family's PDE, in u
+    pde_t: BigPoly | int  # coefficient of t*S_t in the family's PDE, in u
 
 
 # m!(m-1)! steps by m(m-1), ((m-1)!)^2 by (m-1)^2
 _MIXED = (lambda m: factorial(m) * factorial(m - 1), lambda m: m * (m - 1))
 _SQUARE = (lambda m: factorial(m - 1) ** 2, lambda m: (m - 1) ** 2)
-# the family variable v and u = 1 - v, as polynomials
-_V = BigPoly.variable()
-_U = 1 - _V
+# u = 1 - v and the family variable v, as polynomials in u
+_U = BigPoly.variable()
+_V = 1 - _U
 
 FAMILIES = {
-    "oo_even": _Family("x", *_MIXED, lambda k: k * k, 0, _U * _U, 1 + _V),
-    "oo_odd": _Family("x", *_SQUARE, lambda k: k * k, 0, -_V * _U, _V),
-    "eo_even": _Family("y", *_MIXED, lambda k: k * (k + 1), -1, 0, 2 * _V),
-    "eo_odd": _Family("y", *_SQUARE, lambda k: k * (k - 1), 0, _U * (1 - 2 * _V), 1),
+    "oo_even": _Family(*_MIXED, lambda k: k * k, 0, -_U * _U, 1 + _V),
+    "oo_odd": _Family(*_SQUARE, lambda k: k * k, 0, _V * _U, _V),
+    "eo_even": _Family(*_MIXED, lambda k: k * (k + 1), -1, 0, 2 * _V),
+    "eo_odd": _Family(*_SQUARE, lambda k: k * (k - 1), 0, -_U * (1 - 2 * _V), 1),
 }
 
 
@@ -198,9 +183,8 @@ def _divide_linear(coeffs: list, c) -> None:
 def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> list:
     """The t^0..t^order coefficients of the m-th summand
     numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of a family.  With
-    u = 1 - v they are polynomials in the family variable v; with u = 1
-    they are integers, the series at v = 0, which is also the series in
-    s = (1-v)*t."""
+    u the variable they are polynomials in u = 1 - v; with u = 1 they are
+    integers, the series at v = 0, which is also the series in s = u*t."""
     if m < 1:
         raise ValueError(f"summand index must be positive, got {m}")
     if order < 0:
@@ -242,42 +226,12 @@ def _summand_sum_in_u(fam: _Family, order: int) -> list[list[int]]:
     return out
 
 
-def _u_to_v(coeffs: list[int]) -> BigPoly:
-    """sum of coeffs[j] * u^j at u = 1 - v: with its odd powers negated it is
-    a polynomial in v - 1 = -u, which a Taylor shift by -1 writes in v."""
-    return BigPoly(_shift_down([-c if j & 1 else c for j, c in enumerate(coeffs)]))
-
-
-def closed_form_series(which: str, order: int) -> TruncSeries:
-    """The full series of one family, in its variable v: its summands
-    through m = order plus the prefix zeroth*(1-v)*t."""
+def closed_form_in_u(which: str, order: int) -> TruncSeries:
+    """The full series of one family in u = 1 - v: its summands through
+    m = order, read off the triangle, plus the prefix zeroth*u*t."""
     fam = _check_family(which)
-    total = TruncSeries([_u_to_v(c) for c in _summand_sum_in_u(fam, order)], order)
+    total = TruncSeries([BigPoly(c) for c in _summand_sum_in_u(fam, order)], order)
     return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U)
-
-
-def _interleave(even: str, odd: str, order: int) -> TruncSeries:
-    """even(t^2) + odd(t^2)/t for two families, through t^order: t^n is the
-    even family's t^(n/2) for even n, the odd family's t^((n+1)/2) for odd n.
-    The odd-length series has no constant term for the division to drop."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    half = (order + 1) // 2
-    evens, odds = closed_form_series(even, half), closed_form_series(odd, half)
-    cs = [odds.coeff((n + 1) // 2) if n % 2 else evens.coeff(n // 2) for n in range(order + 1)]
-    return TruncSeries(cs, order)
-
-
-def oo_series(order: int) -> TruncSeries:
-    """Full odd-odd distribution series: coefficient of t^n is the polynomial
-    over odd-drop cycles on [n], every n >= 1, interleaving the even- and
-    odd-length series."""
-    return _interleave("oo_even", "oo_odd", order)
-
-
-def eo_series(order: int) -> TruncSeries:
-    """Full even-odd distribution series, interleaved like oo_series."""
-    return _interleave("eo_even", "eo_odd", order)
 
 
 # -- integer specializations ---------------------------------------------
@@ -323,12 +277,12 @@ def genocchi_median(n: int) -> int:
 def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     """Residual of the second-order PDE the family satisfies, evaluated on an
     arbitrary series (so a perturbed input serves as a negative control).
-    The input's coefficients are read as polynomials in the family's
-    variable v, the one its FAMILIES row names.
+    The input's coefficients are read as polynomials in u = 1 - v, with v
+    the family's variable.
 
     The returned series' .order states how far the residual is meaningful:
     one order below the input's, lost to the t division on the source side.
-    Writing S for the input, v for the family variable and u = 1 - v:
+    Writing S for the input, each family's equation in v is
 
       oo_even: (S - t)/t   = v*u^2*S_vv + 2*v*u*t*S_vt + v*t^2*S_tt
                              + u^2*S_v + (1+v)*t*S_t
@@ -340,27 +294,29 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
                              + u*(1-2*v)*S_v + t*S_t
 
     The second-order part is common to all four; the family table supplies
-    the rest: the coefficients of S_v (pde_v) and of t*S_t (pde_t), and
-    zeroth, which makes the source term t*(1 + zeroth*u).
+    the rest in u: the coefficients of S_u = -S_v (pde_v) and of t*S_t
+    (pde_t), and zeroth, which makes the source term t*(1 + zeroth*u).
 
-    With S_n the t^n coefficient of S and ' the derivative in v, the
-    residual's t^n coefficient, n = 0..order-1, is read off directly; the
-    division by t needs S_0 = 0:
+    With S_n the t^n coefficient of S and ' the derivative in u, so that
+    d/dv = -d/du, the residual's t^n coefficient, n = 0..order-1, is read
+    off directly; the division by t needs S_0 = 0:
 
       S_(n+1) - [n=0]*(1 + zeroth*u)
-        - (v*u^2*S_n'' + (2n*v*u + pde_v)*S_n' + (n(n-1)*v + n*pde_t)*S_n)
+        - ((1-u)*u^2*S_n'' + (pde_v - 2n*(1-u)*u)*S_n'
+           + (n(n-1)*(1-u) + n*pde_t)*S_n)
     """
     fam = _check_family(which)
     if series.order < 3:
         raise ValueError(f"order {series.order} too small for a PDE residual")
-    if not series.coeffs[0].is_zero():
-        raise ValueError(f"cannot divide by t^1: coefficient of t^0 is {series.coeffs[0].format()}")
+    if not series.coeff(0).is_zero():
+        constant = series.coeff(0).format("u")
+        raise ValueError(f"cannot divide by t^1: coefficient of t^0 is {constant}")
     vuu, vu = _V * _U * _U, _V * _U
     out = []
     for n in range(series.order):
         s = series.coeffs[n]
         ds = s.derivative()
-        rhs = vuu * ds.derivative() + (2 * n * vu + fam.pde_v) * ds
+        rhs = vuu * ds.derivative() + (fam.pde_v - 2 * n * vu) * ds
         rhs = rhs + (n * (n - 1) * _V + n * fam.pde_t) * s
         out.append(series.coeffs[n + 1] - rhs)
     out[0] = out[0] - (1 + fam.zeroth * _U)
@@ -379,7 +335,7 @@ def _geometric_base(a: int, num: int, order: int) -> list[int]:
 def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
     """Verify the first-order recurrence between consecutive summands.
 
-    Works in the single variable s standing for (1-v)*t, on integer lists:
+    Works in the single variable s standing for u*t, on integer lists:
     each summand is built on its own by _divide_linear, not read off the
     builder's triangle.  Checks, for m = 2..bound, the multiplied-out relation
 

@@ -4,17 +4,19 @@ Each suite runs named checks and returns CheckResult records; nothing here
 prints or exits, that is the command line's job.  A check compares two
 independently computed objects for exact equality, and on failure the detail
 string names the first differing coefficient, so a regression points at a
-specific polynomial term rather than a boolean.  A route that raises fails
-its check with the exception named, and the later checks still run.
+specific polynomial term rather than a boolean; a check in u = 1 - v names
+the power of u, as in "t^3: u^1: 1 != -1".  A route that raises fails its
+check with the exception named, and the later checks still run.
 
 Suites:
   oracle     brute-force table vs generating tree vs recurrence marginals,
              plus the tree's partition and per-insertion bookkeeping
-  series     interleaved closed-form series vs the recurrence polynomials
+  series     the closed forms in u vs the recurrence walked in a = v - 1
+             = -u, every length, neither side rewritten in another basis
   genocchi   pinned Genocchi and median values, recomputed by every route
   identities the two telescoping sums and the summand recurrences
-  pde        residuals of the four closed-form equations plus a negative
-             control
+  pde        residuals of the four closed-form equations, in u, plus a
+             negative control
 """
 
 from __future__ import annotations
@@ -93,19 +95,20 @@ def _first_bipoly_diff(a: BiPoly, b: BiPoly) -> str:
     return "no differing coefficient"
 
 
-def _first_bigpoly_diff(a: BigPoly, b: BigPoly) -> str:
+def _first_bigpoly_diff(a: BigPoly, b: BigPoly, basis: str = "") -> str:
     for d in range(max(a.degree(), b.degree()) + 1):
         if a.coeff(d) != b.coeff(d):
-            return f"degree {d}: {a.coeff(d)} != {b.coeff(d)}"
+            where = f"{basis}^{d}" if basis else f"degree {d}"
+            return f"{where}: {a.coeff(d)} != {b.coeff(d)}"
     return "no differing coefficient"
 
 
-def _series_nonzero_detail(s: series.TruncSeries, var: str) -> str:
-    """The first nonzero coefficient of s, written in the variable var."""
+def _series_nonzero_detail(s: series.TruncSeries) -> str:
+    """The first nonzero coefficient of s, written in u."""
     hit = s.first_nonzero()
     if hit is None:
         return "zero"
-    return f"t^{hit[0]}: {hit[1].format(var)}"
+    return f"t^{hit[0]}: {hit[1].format('u')}"
 
 
 class JointTables(dict):
@@ -210,43 +213,50 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
 
 
 def suite_series(series_order: int) -> list[CheckResult]:
+    # The closed forms are read in u = 1 - v, the recurrence walked in
+    # a = v - 1 = -u, so coefficient j of one is (-1)^j times coefficient j
+    # of the other, and neither is rewritten.  Length n is row (n + 1) // 2
+    # of the even family for even n, of the odd one for odd n.
     top = 2 * series_order
     built = {}
 
-    def full(build):
-        if build not in built:
-            built[build] = build(top)
-        return built[build]
+    def family(which):
+        if which not in built:
+            built[which] = series.closed_form_in_u(which, series_order)
+        return built[which]
 
-    # per statistic: its words, its series and recurrence walk, and the least
-    # of the lengths n, n + 2, ... at which every cycle has a drop of its kind
+    # per statistic: its words, its families of even and odd lengths, the
+    # parity of the lengths its forced step goes into, and the least of the
+    # lengths n, n + 2, ... at which every cycle has a drop of its kind
     stats = (
-        ("oo", "odd-odd", series.oo_series, recurrences.oo_polys, 3),
-        ("eo", "even-odd", series.eo_series, recurrences.eo_polys, 2),
+        ("oo", "odd-odd", ("oo_even", "oo_odd"), 1, 3),
+        ("eo", "even-odd", ("eo_even", "eo_odd"), 0, 2),
     )
 
-    def check_vs_recurrence(label, build, walk):
-        s = full(build)
-        for n, want in _walked(walk(top), top):
-            got = s.coeff(n)
+    def check_vs_recurrence(label, families, forced):
+        rows = [family(which) for which in families]
+        for n, (coeffs, held) in _walked(recurrences._eigen_walk(top, forced), top):
+            got = rows[n & 1].coeff((n + 1) // 2)
+            signed = [-c if j & 1 else c for j, c in enumerate(coeffs)]
+            want = BigPoly([(held - j) * c for j, c in enumerate(signed)] if held else signed)
             if got != want:
-                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want)}")
+                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want, 'u')}")
         return f"{label} series matches recurrence for n=1..{top}"
 
     def check_constant_terms():
         # no odd length >= 3 avoids odd-odd drops; no even length avoids
-        # even-odd drops
-        for _, label, build, _, forced in stats:
-            const = full(build).substitute(0)
-            for n in range(forced, top + 1, 2):
-                if not const.coeff(n).is_zero():
-                    raise CheckFailure(f"{label} constant term at t^{n}: {const.coeff(n)}")
+        # even-odd drops.  v = 0 is u = 1: the sum of a row's coefficients
+        for _, label, families, _, least in stats:
+            for n in range(least, top + 1, 2):
+                const = family(families[n & 1]).coeff((n + 1) // 2)(1)
+                if const:
+                    raise CheckFailure(f"{label} constant term at t^{n}: {const}")
         return f"forced-drop constant terms vanish for n<={top}"
 
     return [
         *(
-            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence, label, build, walk)
-            for stat, label, build, walk, _ in stats
+            _run(f"{stat}-series-vs-recurrence", check_vs_recurrence, label, families, forced)
+            for stat, label, families, forced, _ in stats
         ),
         _run("forced-drops-vanish", check_constant_terms),
     ]
@@ -330,7 +340,7 @@ def suite_identities(series_order: int) -> list[CheckResult]:
         t = series.TruncSeries.t_monomial(1, series_order)
         res = series.closed_form_at_zero(which, series_order) - t
         if not res.is_zero():
-            raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
+            raise CheckFailure(_series_nonzero_detail(res))
         return f"zero series through order {res.order}"
 
     def summand_check(which):
@@ -351,17 +361,17 @@ def suite_identities(series_order: int) -> list[CheckResult]:
 
 
 def suite_pde(series_order: int) -> list[CheckResult]:
-    # each closed form is built once; the negative control perturbs the
-    # build that oo_even's residual check read
+    # each closed form is built once, in u; the negative control perturbs
+    # the build that oo_even's residual check read
     built = {}
 
     def residual_check(which):
-        built[which] = series.closed_form_series(which, series_order)
+        built[which] = series.closed_form_in_u(which, series_order)
         res = series.pde_residual_of(built[which], which)
         if res.order != series_order - 1:
             raise CheckFailure(f"expected residual order {series_order - 1}, got {res.order}")
         if not res.is_zero():
-            raise CheckFailure(_series_nonzero_detail(res, series.FAMILIES[which].var))
+            raise CheckFailure(_series_nonzero_detail(res))
         return f"zero residual through order {res.order}"
 
     def negative_control():
@@ -369,7 +379,7 @@ def suite_pde(series_order: int) -> list[CheckResult]:
         res = series.pde_residual_of(built["oo_even"] + perturbation, "oo_even")
         if res.is_zero():
             raise CheckFailure("perturbed series still satisfies the equation")
-        detail = _series_nonzero_detail(res, series.FAMILIES["oo_even"].var)
+        detail = _series_nonzero_detail(res)
         return f"perturbation detected at {detail}"
 
     checks = [_run(f"pde-{which}", residual_check, which) for which in series.FAMILIES]

@@ -7,11 +7,13 @@ onto 1 whose former entry has no parity (None here).  A member is a cycle
 all of whose drops land on an odd entry; its statistics tally the drops by
 the parities of their two entries.
 
-The module also writes out each closed form's PDE in operator form, on
-plain coefficient lists with no BigPoly or TruncSeries, for the series
-tests to check pde_residual_of against, and the joint transfer step term by
-term on plain dicts {(i, j): coefficient}, for the generating-tree tests to
-check the packed walk against.
+The module also writes out each closed form's PDE in operator form, in the
+family variable v, on plain coefficient lists with no BigPoly or
+TruncSeries, for the series tests to check pde_residual_of against; that
+function reads a series in u = 1 - v, and at_one_minus rewrites a
+polynomial from either basis into the other.  Last, it writes the joint
+transfer step term by term on plain dicts {(i, j): coefficient}, for the
+generating-tree tests to check the packed walk against.
 """
 
 from math import comb
@@ -73,6 +75,16 @@ def at_one_plus(terms: dict) -> dict:
             for q in range(j + 1):
                 out[p, q] = out.get((p, q), 0) + c * comb(i, p) * comb(j, q)
     return {key: c for key, c in out.items() if c}
+
+
+def at_one_minus(p: list[int]) -> list[int]:
+    """p(x) -> p(1 - x) by the binomial theorem, lowest degree first: a
+    polynomial in u = 1 - v written in v, or one in v written in u."""
+    out = [0] * len(p)
+    for j, c in enumerate(p):
+        for k in range(j + 1):
+            out[k] += (-1) ** k * comb(j, k) * c
+    return _trim(out)
 
 
 # -- the PDE of each closed form, in operator form ------------------------

@@ -8,6 +8,8 @@ are asserted, not just measured.
 import time
 from contextlib import contextmanager
 
+from reference import at_one_minus
+
 from oddcycles.enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
@@ -20,13 +22,11 @@ from oddcycles.series import (
     FAMILIES,
     TruncSeries,
     closed_form_at_zero,
-    closed_form_series,
-    eo_series,
+    closed_form_in_u,
     genocchi,
     genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
-    oo_series,
     pde_residual_of,
     summand_recurrence_check,
 )
@@ -87,11 +87,12 @@ def test_criterion_04_odd_odd_pure_counts(emit_line):
 def test_criterion_05_series_coefficients(emit_line):
     with criterion(emit_line, 5, "closed-form series reproduce both polynomial families to n = 80"):
         start = time.perf_counter()
-        oo = oo_series(80)
-        eo = eo_series(80)
-        for n in range(1, 81):
-            assert oo.coeff(n) == oo_poly(n)
-            assert eo.coeff(n) == eo_poly(n)
+        # length n is row (n + 1) // 2 of the even or odd family, in u = 1 - v
+        for stat, poly in (("oo", oo_poly), ("eo", eo_poly)):
+            rows = [closed_form_in_u(f"{stat}_{parity}", 40) for parity in ("even", "odd")]
+            for n in range(1, 81):
+                row = rows[n & 1].coeff((n + 1) // 2)
+                assert at_one_minus(list(row.coeffs)) == list(poly(n).coeffs)
         assert time.perf_counter() - start <= 10.0
 
 
@@ -105,11 +106,11 @@ def test_criterion_06_telescoping_identities(emit_line):
 def test_criterion_07_pde_residuals(emit_line):
     with criterion(emit_line, 7, "all four PDE residuals vanish through order 19 of 20"):
         for which in sorted(FAMILIES):
-            res = pde_residual_of(closed_form_series(which, 20), which)
+            res = pde_residual_of(closed_form_in_u(which, 20), which)
             # one order is lost to the division by t on the source side
             assert res.order == 19
             assert res.is_zero()
-        tainted = closed_form_series("oo_even", 20) + TruncSeries.t_monomial(3, 20)
+        tainted = closed_form_in_u("oo_even", 20) + TruncSeries.t_monomial(3, 20)
         assert not pde_residual_of(tainted, "oo_even").is_zero()
 
 

@@ -51,7 +51,7 @@ def test_case_names_functions_the_package_has(case):
 
 def test_a_missing_function_is_named():
     # negative control: one name read, one needed, neither in the package
-    case = bench.Case("S.closed_form_series('oo_even', 4), R.no_such_walk(3)", ("series.gone",))
+    case = bench.Case("S.closed_form_in_u('oo_even', 4), R.no_such_walk(3)", ("series.gone",))
     assert missing_names(case) == ["series.gone", "recurrences.no_such_walk"]
 
 
@@ -65,6 +65,8 @@ def test_verify_and_enumerator_layers_time_the_stated_runs():
                 "'all', max_n=12, series_order=40",
                 "'identities', max_n=12, series_order=60",
                 "'all', max_n=8, series_order=160",
+                "'series', max_n=8, series_order=160",
+                "'pde', max_n=8, series_order=160",
             )
         },
         "suite_oracle(12)": "V.suite_oracle(12)",

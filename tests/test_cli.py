@@ -1,20 +1,25 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from oddcycles import cli, enumerator, recurrences, verify
+from oddcycles import cli, enumerator, recurrences, series, verify
 from oddcycles.cycles import drop_stats
 from oddcycles.gentree import joint_poly
-from oddcycles.polynomials import BigPoly, BiPoly
+from oddcycles.polynomials import BiPoly
 from oddcycles.verify import CheckResult
 
 
@@ -28,7 +33,7 @@ def run(capsys, *argv):
 def stubbed(monkeypatch):
     """Every heavy call of the command line replaced by one that costs nothing."""
     monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
-    monkeypatch.setattr(recurrences, "oo_polys", lambda n: (BigPoly.one() for _ in range(n)))
+    monkeypatch.setattr(recurrences, "_eigen_walk", lambda n, forced: (([1], 0) for _ in range(n)))
     monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
     monkeypatch.setattr(
         verify, "run_suites",
@@ -573,6 +578,115 @@ class TestOutput:
         digits = sys.get_int_max_str_digits()
         assert run(capsys, "sequence", "--kind", "genocchi", "--limit", "3")[0] == 0
         assert sys.get_int_max_str_digits() == digits
+
+
+# -- the exit contract, over argv lists and config files ---------------------
+
+NO_SHRINK = settings(max_examples=300, derandomize=True, database=None, phases=[Phase.generate])
+# values of every size, the caps and one past them included
+_VALUES = st.one_of(st.integers(-3, 20), st.sampled_from([160, 161, 400, 401, 2000, 2001, 10**6]))
+# the flags each command takes besides the shared ones, with their values
+_COMMAND_FLAGS = {
+    "enumerate": {"--n": _VALUES},
+    "poly": {"--kind": st.sampled_from(cli.POLY_KINDS), "--n": _VALUES},
+    "verify": {"--suite": st.sampled_from(("all",) + cli.SUITES)},
+    "sequence": {"--kind": st.sampled_from(cli.SEQUENCE_KINDS), "--limit": _VALUES},
+    "table": {"--n": _VALUES, "--limit": _VALUES},
+}
+_SHARED_FLAGS = {"--format": st.sampled_from(cli.FORMATS), "--max-n": _VALUES, "--series-order": _VALUES}
+_CONFIG_LINES = st.lists(
+    st.tuples(
+        st.sampled_from([*cli.CONFIG_KEYS, "threads", ""]),
+        st.sampled_from(["=", " = ", ""]),
+        st.one_of(_VALUES.map(str), st.sampled_from(cli.FORMATS), st.text(max_size=6)),
+    ).map("".join),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode())
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config bytes or None, whether verify's stub fails): an argv
+    that argparse accepts, every flag optional, and a config file of
+    key=value lines or of any bytes."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in {**_COMMAND_FLAGS[command], **_SHARED_FLAGS}.items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    config = draw(st.one_of(st.none(), _CONFIG_LINES, st.binary(max_size=12)))
+    return argv, config, draw(st.booleans())
+
+
+def _stub_routes(mp, verify_fails):
+    """Every route the command line reaches, replaced by one that costs nothing."""
+    mp.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
+    mp.setattr(recurrences, "_eigen_walk", lambda n, forced: (([1], 0) for _ in range(n)))
+    mp.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
+    mp.setattr(enumerator, "joint_table", lambda n: BiPoly.one())
+    for count in ("count_even_odd_only", "count_odd_odd_only"):
+        mp.setattr(enumerator, count, lambda n: 1)
+    for values in ("genocchi_sequence", "genocchi_median_sequence"):
+        mp.setattr(series, values, lambda count: [1] * count)
+    checks = [CheckResult("stub", not verify_fails, "stubbed", 0.0)]
+    mp.setattr(verify, "run_suites", lambda suite, *, max_n, series_order: checks)
+
+
+def _exit_contract_broken(case) -> str | None:
+    """How one command line breaks the exit contract, or None: the exit is
+    0, 1 only from a failing check, or 2 with stdout empty and one error:
+    line on stderr; nothing escapes main, and the digit limit is restored."""
+    argv, config, verify_fails = case
+    digits = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        _stub_routes(mp, verify_fails)
+        if config is not None:
+            path = Path(tmp) / "run.cfg"
+            path.write_bytes(config)
+            argv = [*argv, "--config", str(path)]
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+        except (Exception, SystemExit) as exc:
+            return f"{type(exc).__name__} escaped main: {exc}"
+        finally:
+            restored = sys.get_int_max_str_digits() == digits
+            sys.set_int_max_str_digits(digits)
+    out, err = out.getvalue(), err.getvalue()
+    if not restored:
+        return "digit limit not restored"
+    if status == 2:
+        if out or not err.startswith("error: ") or err.count("\n") != 1 or not err.endswith("\n"):
+            return f"exit 2 with stdout {out[:40]!r} and stderr {err!r}"
+        return None
+    want = 1 if argv[0] == "verify" and verify_fails else 0
+    if status != want or err:
+        return f"exit {status}, expected {want}, stderr {err!r}"
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_exit_codes_keep_their_contract(case):
+    assert _exit_contract_broken(case) is None
+
+
+def test_exit_contract_finds_a_reader_that_lets_a_decode_error_escape(monkeypatch):
+    # negative control: the config reader as it was before an undecodable
+    # file was a usage error, which let UnicodeDecodeError out of main
+    reader = cli._read_config_file
+
+    def decode_errors_escape(path):
+        Path(path).read_bytes().decode("utf-8")
+        return reader(path)
+
+    monkeypatch.setattr(cli, "_read_config_file", decode_errors_escape)
+    argv, config, _ = find(
+        command_lines(), lambda case: _exit_contract_broken(case) is not None, settings=NO_SHRINK
+    )
+    with pytest.raises(UnicodeDecodeError):
+        config.decode("utf-8")
 
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"

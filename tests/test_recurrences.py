@@ -6,8 +6,9 @@ from itertools import islice
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
+from reference import at_one_minus
 
-from oddcycles import cli, polynomials, recurrences, verify
+from oddcycles import cli, recurrences, verify
 from oddcycles.polynomials import BigPoly
 from oddcycles.recurrences import eo_poly, eo_polys, forced_step, free_step, oo_poly, oo_polys
 
@@ -175,12 +176,20 @@ class TestOneWalk:
         assert oo_head == [oo_poly(1), oo_poly(2), oo_poly(3)]
         assert eo_head == [eo_poly(1), eo_poly(2), eo_poly(3)]
 
-    def test_series_suite(self, steps):
+    def test_series_suite(self, steps, monkeypatch):
+        # lengths 1..20 of each statistic, all from one walk in a = v - 1
+        # and none from a step in v
+        walks = []
+        walk = recurrences._eigen_walk
+
+        def counted(n, forced):
+            walks.append((n, forced))
+            return walk(n, forced)
+
+        monkeypatch.setattr(recurrences, "_eigen_walk", counted)
         assert all(c.passed for c in verify.suite_series(10))
-        # lengths 1..20 of each statistic: 19 steps, forced into odd lengths
-        # 3..19 for odd-odd and into even lengths 2..20 for even-odd
-        assert len(steps["free"]) == 2 * 19
-        assert len(steps["forced"]) == 9 + 10
+        assert sorted(walks) == [(20, 0), (20, 1)]
+        assert steps == {"free": [], "forced": []}
 
     def test_genocchi_suite(self, steps):
         assert all(c.passed for c in verify.suite_genocchi(10, max_n=4))
@@ -196,9 +205,10 @@ class TestOneWalk:
         assert len(steps["free"]) == 4 * 6
 
     def test_cno_count_sequence(self, steps, capsys):
+        # the counts come from the walk in a, which runs no step in v
         assert cli.main(["sequence", "--kind", "cno_count", "--limit", "30"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31
-        assert len(steps["free"]) == 29
+        assert steps == {"free": [], "forced": []}
 
 
 def _walk_with_a_skipped_step(monkeypatch, length):
@@ -218,8 +228,25 @@ def _walk_with_a_skipped_step(monkeypatch, length):
     monkeypatch.setattr(recurrences, "_walk", skipping)
 
 
+def _eigen_walk_with_a_skipped_step(monkeypatch, length):
+    """The same fault in the walk in a: `length` is yielded twice, before
+    the walk moves on, so every later length is one step behind."""
+    walk = recurrences._eigen_walk
+
+    def skipping(n, forced):
+        def lengths():
+            for i, item in enumerate(walk(n, forced), 1):
+                yield item
+                if i == length:
+                    yield item
+
+        return islice(lengths(), n)
+
+    monkeypatch.setattr(recurrences, "_eigen_walk", skipping)
+
+
 def test_series_suite_catches_a_walk_that_skips_a_step(monkeypatch):
-    _walk_with_a_skipped_step(monkeypatch, 5)
+    _eigen_walk_with_a_skipped_step(monkeypatch, 5)
     results = {c.name: c for c in verify.suite_series(10)}
     for stat in ("oo", "eo"):
         result = results[f"{stat}-series-vs-recurrence"]
@@ -237,15 +264,25 @@ def test_oracle_suite_catches_a_walk_that_skips_a_step(monkeypatch):
 
 
 def _walk_of_wrong_length(monkeypatch, extra):
-    """Patch the walk to stop one length early (extra=-1) or to yield its
-    last length twice (extra=1)."""
-    walk = recurrences._walk
+    """Patch both walks, in v and in a, to stop one length early (extra=-1)
+    or to yield their last length twice (extra=1).  The walk in a updates
+    its coefficients in place, so it is read as it yields."""
+    walk, eigen_walk = recurrences._walk, recurrences._eigen_walk
 
     def wrong_length(n, even_step, odd_step):
         polys = list(walk(n, even_step, odd_step))
         return iter(polys[:-1] if extra < 0 else polys + polys[-1:])
 
+    def eigen_wrong_length(n, forced):
+        if extra < 0:
+            yield from islice(eigen_walk(n, forced), n - 1)
+            return
+        for item in eigen_walk(n, forced):
+            yield item
+        yield item
+
     monkeypatch.setattr(recurrences, "_walk", wrong_length)
+    monkeypatch.setattr(recurrences, "_eigen_walk", eigen_wrong_length)
 
 
 WRONG_LENGTH = [
@@ -386,16 +423,14 @@ def _lift_off_by_one(coeffs, k, held):
     coeffs.append(below)
 
 
-def _walk_dropping_the_last_free_step(n, forced):
-    # the real walk, but a free step that ends it is never applied
-    coeffs, held = [1], 0
-    for target in range(2, n + 1):
-        if target & 1 == forced:
-            recurrences._lift(coeffs, target // 2, held)
-            held = 0
-        else:
-            held = target // 2
-    return BigPoly(polynomials._shift_down(coeffs))
+_eigen_walk = recurrences._eigen_walk
+
+
+def _walk_hiding_held(n, forced):
+    # the real walk, but every length reports no held free step, so a
+    # reader never applies one: a free step that ends the walk is dropped
+    for coeffs, _ in _eigen_walk(n, forced):
+        yield coeffs, 0
 
 
 def _marginal_checks(max_n):
@@ -413,7 +448,7 @@ def test_single_walk_property_catches_a_scale_off_by_one(monkeypatch):
 
 
 def test_single_walk_property_catches_a_dropped_last_free_step(monkeypatch):
-    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_dropping_the_last_free_step)
+    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
     find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
     # odd-odd ends on a free step at even lengths, even-odd at odd ones
     oo, eo = _marginal_checks(6)
@@ -427,6 +462,54 @@ def test_single_walk_property_catches_a_dropped_last_free_step(monkeypatch):
 def test_single_walk_controls_break_only_what_they_name(monkeypatch):
     # unbroken, the dropping walk's body is the real walk wherever no free
     # step ends it, so the controls above fail for the fault they name
-    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_dropping_the_last_free_step)
+    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
     assert all(oo_poly(n) == list(oo_polys(n))[-1] for n in range(1, 40, 2))
     assert all(eo_poly(n) == list(eo_polys(n))[-1] for n in range(2, 40, 2))
+
+
+# -- the walk in a over every length, against the walk in v ------------------
+
+
+def _last(walk):
+    for item in walk:
+        pass
+    return item
+
+
+def _a_walk_in_u(n: int, forced: int) -> BigPoly:
+    """Length n of the walk in a, written in u = -a: coefficient j is
+    (-1)^j times (held-j)*coeffs[j], or coeffs[j] when held is 0."""
+    coeffs, held = _last(recurrences._eigen_walk(n, forced))
+    return BigPoly((held - j if held else 1) * (-c if j & 1 else c) for j, c in enumerate(coeffs))
+
+
+def _every_length_walk_agrees(n: int) -> bool:
+    # the walk in v rewritten in u by the binomial theorem, no Taylor shift
+    return all(
+        _a_walk_in_u(n, forced) == BigPoly(at_one_minus(list(_last(walk(n)).coeffs)))
+        for forced, walk in ((1, oo_polys), (0, eo_polys))
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 200))
+@example(1)
+@example(2)
+@example(199)
+@example(200)
+def test_every_length_walk_in_a_equals_the_walk_in_v(n):
+    assert _every_length_walk_agrees(n)
+
+
+def test_every_length_walk_property_catches_a_scale_off_by_one(monkeypatch):
+    monkeypatch.setattr(recurrences, "_lift", _lift_off_by_one)
+    find(st.integers(1, 200), lambda n: not _every_length_walk_agrees(n), settings=NO_SHRINK)
+
+
+def test_series_suite_catches_a_reader_that_ignores_the_held_step(monkeypatch):
+    # lengths 2k are free steps for odd-odd, lengths 2k+1 for even-odd; the
+    # first whose held factor is not 1 on a nonzero coefficient fails
+    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
+    details = {c.name: (c.status, c.detail) for c in verify.suite_series(10)}
+    assert details["oo-series-vs-recurrence"] == ("FAIL", "t^4: u^0: 2 != 1")
+    assert details["eo-series-vs-recurrence"] == ("FAIL", "t^3: u^1: 0 != -1")

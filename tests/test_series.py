@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import SECOND_ORDER, pde_residual_by_operators
+from reference import SECOND_ORDER, at_one_minus, pde_residual_by_operators
 
 from oddcycles import series, verify
 from oddcycles.polynomials import BigPoly, BiPoly
@@ -16,15 +16,12 @@ from oddcycles.series import (
     _divide_linear,
     _summand_series,
     _summand_sum_in_u,
-    _u_to_v,
     closed_form_at_zero,
-    closed_form_series,
-    eo_series,
+    closed_form_in_u,
     genocchi,
     genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
-    oo_series,
     pde_residual_of,
     summand_recurrence_check,
 )
@@ -32,8 +29,18 @@ from oddcycles.series import (
 GENOCCHI = [1, 1, 3, 17, 155, 2073, 38227, 929569]
 MEDIANS = [1, 2, 8, 56, 608, 9440, 198272, 5410688]
 
-X = BigPoly.variable()
-U = 1 - X
+# the variable of every closed form, u = 1 - v for the family variable v
+U = BigPoly.variable()
+
+
+def in_u(poly: BigPoly) -> BigPoly:
+    """A polynomial in v written in u = 1 - v, by the binomial theorem."""
+    return BigPoly(at_one_minus(list(poly.coeffs)))
+
+
+def at_v_zero(s: TruncSeries) -> TruncSeries:
+    """A series in u read at v = 0, which is u = 1: an integer series."""
+    return TruncSeries([c(1) for c in s.coeffs], s.order)
 
 
 class TestTruncSeriesBasics:
@@ -60,7 +67,7 @@ class TestTruncSeriesBasics:
             s.coeff(3)
 
     def test_coeff_int_requires_constant(self):
-        s = TruncSeries([X], order=0)
+        s = TruncSeries([U], order=0)
         with pytest.raises(ValueError):
             s.coeff_int(0)
 
@@ -86,38 +93,24 @@ class TestTruncSeriesArithmetic:
         assert (a + b).order == 3
         assert (a + b).coeff(1) == BigPoly.one()
 
-    def test_scalar_ops_keep_order(self):
-        a = TruncSeries([1, 1], order=5)
-        assert (a * 3).order == 5
-        assert (a * X).order == 5
-
-    @pytest.mark.parametrize("scalar", [2, X])
+    @pytest.mark.parametrize("scalar", [2, U])
     def test_add_takes_only_a_series(self, scalar):
+        # and no series is scaled or multiplied by another
         a = TruncSeries([1, 1], order=5)
         for combine in (
             lambda: a + scalar,
             lambda: scalar + a,
             lambda: a - scalar,
             lambda: scalar * a,
+            lambda: a * scalar,
+            lambda: a * a,
         ):
             with pytest.raises(TypeError):
                 combine()
 
-    def test_mul_scales_each_coefficient(self):
-        a = TruncSeries([1, 2], order=3)
-        assert a * X == TruncSeries([X, 2 * X], order=3)
-        # no series multiplies another
-        with pytest.raises(TypeError):
-            a * TruncSeries.t_monomial(0, 3)
-
-    def test_substitute_variable(self):
-        a = TruncSeries([X + 1], order=1)
-        assert a.substitute(0).coeff_int(0) == 1
-        assert a.substitute(2).coeff_int(0) == 3
-
     def test_divide_linear_multiplies_back(self):
         # the summands' list division, by an integer and by a polynomial
-        for c in (5, 2 - X):
+        for c in (5, 2 - U):
             s = [1, 1, 1, 1, 0, 0, 0]
             q = list(s)
             _divide_linear(q, c)
@@ -147,13 +140,9 @@ class TestClosedFormSummands:
         assert factors("eo_even") == [2, 6, 12]
         assert factors("eo_odd") == [0, 2, 6]
 
-    def test_variables(self):
-        assert FAMILIES["oo_even"].var == "x"
-        assert FAMILIES["eo_odd"].var == "y"
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            closed_form_series("oo", 4)
+            closed_form_in_u("oo", 4)
         with pytest.raises(ValueError):
             _summand_series(FAMILIES["oo_even"], 0, 4, U)
 
@@ -169,9 +158,9 @@ class TestClosedFormSummands:
     @pytest.mark.parametrize("which", ["oo_even", "oo_odd"])
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_eta_series_is_x_zero_specialization(self, which, m):
-        # with v = 0 the factor (1 - v) is 1, so s = t and both expansions agree
+        # with v = 0 the factor u = 1 - v is 1, so s = t and both expansions agree
         fam = FAMILIES[which]
-        specialized = TruncSeries(_summand_series(fam, m, 9, U)).substitute(0)
+        specialized = at_v_zero(TruncSeries(_summand_series(fam, m, 9, U)))
         assert specialized == TruncSeries(_summand_series(fam, m, 9, 1))
 
 
@@ -183,12 +172,18 @@ def summands_summed(fam, order, u):
     return total
 
 
-def flip_odd_powers(p):
-    return BigPoly(-c if k & 1 else c for k, c in enumerate(p.coeffs))
+def _sign_dropped(monkeypatch):
+    """Patch the triangle to leave out the sign (-1)^j of its u^j entries."""
+    triangle = series._summand_sum_in_u
+
+    def unsigned(fam, order):
+        return [[abs(c) for c in row] for row in triangle(fam, order)]
+
+    monkeypatch.setattr(series, "_summand_sum_in_u", unsigned)
 
 
 class TestTriangleBuild:
-    """closed_form_series and closed_form_at_zero read the summands' sum off
+    """closed_form_in_u and closed_form_at_zero read the summands' sum off
     an integer triangle; here it is summed one divided summand at a time."""
 
     @settings(max_examples=40, deadline=None)
@@ -196,76 +191,88 @@ class TestTriangleBuild:
     def test_triangle_is_the_sum_of_the_summands(self, which, order):
         fam = FAMILIES[which]
         prefix = TruncSeries.t_monomial(1, order, fam.zeroth * U)
-        assert closed_form_series(which, order) - prefix == summands_summed(fam, order, U)
+        assert closed_form_in_u(which, order) - prefix == summands_summed(fam, order, U)
         assert closed_form_at_zero(which, order) == summands_summed(fam, order, 1)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_odd_powers_left_unnegated_disagree(self, monkeypatch, which):
-        # negative control: the Taylor shift alone gives the sum at u = 1 + v
+        # negative control: without its sign the triangle sums the summands
+        # at -u
         fam = FAMILIES[which]
         prefix = TruncSeries.t_monomial(1, 6, fam.zeroth * U)
-        monkeypatch.setattr(series, "_u_to_v", lambda c: flip_odd_powers(_u_to_v(c)))
-        assert closed_form_series(which, 6) - prefix != summands_summed(fam, 6, U)
+        _sign_dropped(monkeypatch)
+        assert closed_form_in_u(which, 6) - prefix != summands_summed(fam, 6, U)
 
     def test_order_floor(self):
         with pytest.raises(ValueError, match="order must be at least 1, got 0"):
             _summand_sum_in_u(FAMILIES["oo_even"], 0)
 
 
+def length_in_v(stat: str, n: int, order: int) -> BigPoly:
+    """Length n of a statistic read off the closed forms: row (n + 1) // 2
+    of its even or odd family, rewritten from u in v by the binomial
+    theorem."""
+    row = closed_form_in_u(f"{stat}_{'odd' if n & 1 else 'even'}", order).coeff((n + 1) // 2)
+    return BigPoly(at_one_minus(list(row.coeffs)))
+
+
 class TestSeriesAgainstRecurrences:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_oo_series_coefficients(self, n):
-        s = oo_series(25)
-        assert s.coeff(n) == oo_poly(n)
+        assert length_in_v("oo", n, 13) == oo_poly(n)
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_eo_series_coefficients(self, n):
-        s = eo_series(25)
-        assert s.coeff(n) == eo_poly(n)
+        assert length_in_v("eo", n, 13) == eo_poly(n)
 
     def test_even_length_slice(self):
-        s = closed_form_series("oo_even", 6)
+        s = closed_form_in_u("oo_even", 6)
         assert s.coeff(1) == BigPoly((1,))
-        assert s.coeff(2) == BigPoly((1, 1))
-        assert s.coeff(3) == oo_poly(6)
+        assert s.coeff(2) == 2 - U == in_u(BigPoly((1, 1)))
+        assert s.coeff(3) == in_u(oo_poly(6))
 
     def test_odd_length_slice(self):
-        s = closed_form_series("oo_odd", 6)
+        s = closed_form_in_u("oo_odd", 6)
         assert s.coeff(1) == BigPoly((1,))
-        assert s.coeff(2) == BigPoly((0, 1))
-        assert s.coeff(3) == oo_poly(5)
+        assert s.coeff(2) == 1 - U
+        assert s.coeff(3) == in_u(oo_poly(5))
 
     def test_eo_even_prefix_term(self):
-        # the correction term (y - 1)t cancels the telescoped sum's lone t,
-        # turning the constant 1 at t^1 into the true coefficient y
-        s = closed_form_series("eo_even", 5)
-        assert s.coeff(1) == X
-        assert s.coeff(2) == eo_poly(4)
-        assert s.coeff(3) == eo_poly(6)
+        # the correction term (y - 1)t = -u*t cancels the telescoped sum's
+        # lone t, turning the constant 1 at t^1 into the true coefficient y
+        s = closed_form_in_u("eo_even", 5)
+        assert s.coeff(1) == 1 - U
+        assert s.coeff(2) == in_u(eo_poly(4))
+        assert s.coeff(3) == in_u(eo_poly(6))
 
     def test_eo_odd_slice(self):
-        s = closed_form_series("eo_odd", 5)
+        s = closed_form_in_u("eo_odd", 5)
         assert s.coeff(1) == BigPoly((1,))
-        assert s.coeff(3) == eo_poly(5)
+        assert s.coeff(3) == in_u(eo_poly(5))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            oo_series(0)
+            closed_form_in_u("oo_even", 0)
         with pytest.raises(ValueError):
-            eo_series(-2)
+            closed_form_in_u("eo_odd", -2)
 
     def test_series_suite_builds_each_series_once(self, monkeypatch):
         built = []
-        for name in ("oo_series", "eo_series"):
-            build = getattr(series, name)
+        build = series.closed_form_in_u
 
-            def counted(order, build=build, name=name):
-                built.append((name, order))
-                return build(order)
+        def counted(which, order):
+            built.append((which, order))
+            return build(which, order)
 
-            monkeypatch.setattr(series, name, counted)
+        monkeypatch.setattr(series, "closed_form_in_u", counted)
         assert all(c.passed for c in verify.suite_series(10))
-        assert built == [("oo_series", 20), ("eo_series", 20)]
+        assert sorted(built) == [(which, 10) for which in sorted(FAMILIES)]
+
+    def test_series_checks_catch_a_triangle_with_its_sign_dropped(self, monkeypatch):
+        _sign_dropped(monkeypatch)
+        details = {c.name: (c.status, c.detail) for c in verify.suite_series(10)}
+        assert details["oo-series-vs-recurrence"] == ("FAIL", "t^3: u^1: 1 != -1")
+        assert details["eo-series-vs-recurrence"] == ("FAIL", "t^4: u^1: 2 != -2")
 
 
 class TestSpecialValues:
@@ -293,8 +300,8 @@ class TestSpecialValues:
     def test_at_zero_is_the_v_zero_slice(self, which):
         # the two builds differ only in the factor u: 1 - v, or 1 at v = 0
         prefix = TruncSeries.t_monomial(1, 10, FAMILIES[which].zeroth * U)
-        full = closed_form_series(which, 10) - prefix
-        assert closed_form_at_zero(which, 10) == full.substitute(0)
+        full = closed_form_in_u(which, 10) - prefix
+        assert closed_form_at_zero(which, 10) == at_v_zero(full)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_at_zero_depends_on_u(self, which):
@@ -305,10 +312,10 @@ class TestSpecialValues:
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
         # cancels the lone t that the telescoped sum contributes
-        assert closed_form_series("eo_even", 12).substitute(0).is_zero()
+        assert at_v_zero(closed_form_in_u("eo_even", 12)).is_zero()
 
     def test_oo_odd_at_x_zero_is_t(self):
-        s = closed_form_series("oo_odd", 12).substitute(0)
+        s = at_v_zero(closed_form_in_u("oo_odd", 12))
         assert s == TruncSeries.t_monomial(1, 12)
 
 
@@ -325,22 +332,23 @@ class TestIdentities:
 class TestPdeResiduals:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_residual_vanishes_with_tracked_order(self, which):
-        res = pde_residual_of(closed_form_series(which, 12), which)
+        res = pde_residual_of(closed_form_in_u(which, 12), which)
         assert res.order == 11
         assert res.is_zero()
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_operator_form_agrees_on_the_closed_form(self, which):
-        closed = closed_form_series(which, 10)
-        s = [list(c.coeffs) for c in closed.coeffs]
-        got = [list(c.coeffs) for c in pde_residual_of(closed, which).coeffs]
+        # the operator form reads v, the residual u
+        closed = closed_form_in_u(which, 10)
+        s = [at_one_minus(list(c.coeffs)) for c in closed.coeffs]
+        got = [at_one_minus(list(c.coeffs)) for c in pde_residual_of(closed, which).coeffs]
         assert pde_residual_by_operators(s, which) == got == [[]] * 10
         # negative control: half the S_vt coefficient, v*u for 2*v*u
         wrong = {**SECOND_ORDER, "vt": [0, 1, -1]}
         assert pde_residual_by_operators(s, which, wrong) != got
 
     def test_negative_control(self):
-        tainted = closed_form_series("oo_even", 12) + TruncSeries.t_monomial(3, 12)
+        tainted = closed_form_in_u("oo_even", 12) + TruncSeries.t_monomial(3, 12)
         res = pde_residual_of(tainted, "oo_even")
         assert not res.is_zero()
 
@@ -351,32 +359,32 @@ class TestPdeResiduals:
         assert res.first_nonzero() == (1, BigPoly((-1,)))
 
     def test_failure_detail_names_the_series_variable(self, monkeypatch):
-        # eo_odd's t*S_t coefficient one v too large leaves -y*t on the
+        # eo_odd's t*S_t coefficient one u too large leaves -u*t on the
         # right-hand side; a detail that formatted it in x would read -1*x
         row = FAMILIES["eo_odd"]
-        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=row.pde_t + X)
+        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=row.pde_t + U)
         details = {c.name: (c.status, c.detail) for c in verify.suite_pde(8)}
-        assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*y")
+        assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*u")
 
     def test_order_floor(self):
         with pytest.raises(ValueError, match="order 2 too small"):
-            pde_residual_of(closed_form_series("oo_even", 2), "oo_even")
+            pde_residual_of(closed_form_in_u("oo_even", 2), "oo_even")
 
     def test_nonzero_constant_term_raises(self):
-        s = closed_form_series("oo_even", 6) + TruncSeries([1 + X], 6)
-        message = "cannot divide by t\\^1: coefficient of t\\^0 is 1 \\+ x"
+        s = closed_form_in_u("oo_even", 6) + TruncSeries([1 + U], 6)
+        message = "cannot divide by t\\^1: coefficient of t\\^0 is 1 \\+ u"
         with pytest.raises(ValueError, match=message):
             pde_residual_of(s, "oo_even")
 
     def test_suite_builds_each_closed_form_once(self, monkeypatch):
         built = []
-        build = series.closed_form_series
+        build = series.closed_form_in_u
 
         def counted(which, order):
             built.append(which)
             return build(which, order)
 
-        monkeypatch.setattr(series, "closed_form_series", counted)
+        monkeypatch.setattr(series, "closed_form_in_u", counted)
         assert all(c.passed for c in verify.suite_pde(8))
         assert sorted(built) == sorted(FAMILIES)
 
@@ -495,6 +503,8 @@ def series_without_constant_term(draw):
 @_property
 @given(series_without_constant_term())
 def test_residual_matches_the_operator_form(which, s):
+    # s is read in u by the residual, and written in v for the operator form
     res = pde_residual_of(TruncSeries([BigPoly(c) for c in s]), which)
     assert res.order == len(s) - 2
-    assert [list(c.coeffs) for c in res.coeffs] == pde_residual_by_operators(s, which)
+    in_v = [at_one_minus(c) for c in s]
+    assert [at_one_minus(list(c.coeffs)) for c in res.coeffs] == pde_residual_by_operators(in_v, which)

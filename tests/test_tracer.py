@@ -64,9 +64,9 @@ def test_command_line_reaches_routes_through_patched_attributes(argv, spans):
 
 def test_install_fails_on_a_missing_series_type(monkeypatch):
     # negative control: the name a deletion of TruncSeries takes away
-    original = series.oo_series
+    original = series.pde_residual_of
     monkeypatch.delattr(series, "TruncSeries")
     with pytest.raises(AttributeError, match="TruncSeries"):
         with installed():
             pass
-    assert series.oo_series is original
+    assert series.pde_residual_of is original

@@ -16,8 +16,9 @@ gentree (the joint transfer steps), cli (the enumerate listing through its
 emitters), verify (whole suite runs, as the verify command makes them, and
 the oracle suite alone) and enumerator (the listing walk and the joint
 tables).  A case that needs a function the copy's package lacks (the
-one-walk case needs ``recurrences.oo_polys``/``eo_polys``) is recorded as
-null; any other error fails the run.  Standard library only; the package
+one-walk case needs ``recurrences.oo_polys``/``eo_polys``, the closed-form
+builds ``series.closed_form_in_u``) is recorded as null; any other error
+fails the run.  Standard library only; the package
 does not import it.
 """
 
@@ -67,11 +68,11 @@ LAYERS = {
         ),
     },
     "series": {
-        "closed_form_series('oo_even', 81)": Case(
-            "S.closed_form_series('oo_even', 81)", ("series.closed_form_series",)
+        "closed_form_in_u('oo_even', 81)": Case(
+            "S.closed_form_in_u('oo_even', 81)", ("series.closed_form_in_u",)
         ),
-        "closed_form_series('oo_even', 161)": Case(
-            "S.closed_form_series('oo_even', 161)", ("series.closed_form_series",)
+        "closed_form_in_u('oo_even', 161)": Case(
+            "S.closed_form_in_u('oo_even', 161)", ("series.closed_form_in_u",)
         ),
         "genocchi_sequence(160)": Case("S.genocchi_sequence(160)"),
     },
@@ -88,6 +89,12 @@ LAYERS = {
         ),
         "run_suites('all', max_n=8, series_order=160)": Case(
             "V.run_suites('all', max_n=8, series_order=160)"
+        ),
+        "run_suites('series', max_n=8, series_order=160)": Case(
+            "V.run_suites('series', max_n=8, series_order=160)"
+        ),
+        "run_suites('pde', max_n=8, series_order=160)": Case(
+            "V.run_suites('pde', max_n=8, series_order=160)"
         ),
         "suite_oracle(12)": Case("V.suite_oracle(12)"),
         "suite_oracle(13)": Case("V.suite_oracle(13)"),
