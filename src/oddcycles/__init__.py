@@ -25,13 +25,12 @@ SUITES = ("oracle", "series", "genocchi", "identities", "pde")
 
 # the largest n the enumerator accepts, kept here so that the command line
 # can check --max-n without loading it.  The enumerator's table grows like
-# 2^n * n^2: it takes 0.55 s at n = 14 and 3.9 s at n = 16.
+# 2^n * n^2: joint_table(14) takes 0.11-0.15 s of process time (5 runs on a
+# 2-vCPU Xeon host).
 MAX_N = 14
 
 # each public name and the module that defines it
 _HOMES = {
-    "canonicalize": "cycles",
-    "drop_stats": "cycles",
     "count_even_odd_only": "enumerator",
     "count_odd_odd_only": "enumerator",
     "iter_odd_drop_words": "enumerator",

@@ -1,8 +1,11 @@
 """Exact enumeration oracle for odd-drop cycles.
 
 This module is the independent oracle the symbolic routes are checked
-against.  It reads only the definition: a cycle on [n] is stored as its
-representative (1, a_2, ..., a_n), and it is a member when every drop
+against.  It reads only the definition: a cycle on [n] is its canonical
+word, the rotation (1, a_2, ..., a_n) as ``bytes`` with one byte per entry,
+which MAX_N keeps below 256 (``gentree._ENTRY`` relies on that).  Slicing,
+joining, sorting and comparing words then run in C, and iterating over a
+word yields its entries as ints.  A cycle is a member when every drop
 (a consecutive pair, the wrap pair (a_n, 1) included, whose first entry is
 larger) lands on an odd entry.
 

@@ -1,7 +1,8 @@
 """The drop definition, transcribed literally, as the reference tests check against.
 
 A word is ``bytes``, one byte per entry, as the package stores it; ``W``
-writes one from its entries.  A drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
+writes one from its entries, and ``canonical`` writes a cycle's word from any
+of its rotations.  A drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
 entry exceeds its latter.  The one-element cycle carries one formal drop
 onto 1 whose former entry has no parity (None here).  A member is a cycle
 all of whose drops land on an odd entry; its statistics tally the drops by
@@ -22,6 +23,13 @@ from math import comb
 def W(*entries: int) -> bytes:
     """The word with these entries, as the package stores a canonical word."""
     return bytes(entries)
+
+
+def canonical(perm) -> bytes:
+    """The word of a permutation of {1, ..., n} read as a cycle: its rotation starting with 1."""
+    perm = list(perm)
+    pivot = perm.index(1)
+    return bytes(perm[pivot:] + perm[:pivot])
 
 
 def drops_by_definition(word: bytes) -> list[tuple[int | None, int]]:

@@ -17,10 +17,10 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import cli, enumerator, recurrences, series, verify
-from oddcycles.cycles import drop_stats
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.verify import CheckResult
+from reference import stats_by_definition
 
 
 def run(capsys, *argv):
@@ -107,7 +107,7 @@ class TestEnumerate:
 def whole_listing(n, fmt):
     """enumerate's output as one string, built the way the command built it
     before it streamed: one list of members, json.dumps of the document."""
-    rows = [(w, *drop_stats(w)) for w, _, _ in enumerator.iter_odd_drop_words(n)]
+    rows = [(w, *stats_by_definition(w)) for w, _, _ in enumerator.iter_odd_drop_words(n)]
     if fmt == "json":
         params = {"format": fmt, "max_bruteforce_n": 12, "n": n, "series_order": 40}
         cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]

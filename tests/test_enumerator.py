@@ -5,9 +5,10 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from oddcycles import enumerator, verify
-from oddcycles.cycles import drop_stats
 from oddcycles.enumerator import (
     count_even_odd_only,
     count_odd_odd_only,
@@ -17,7 +18,7 @@ from oddcycles.enumerator import (
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
-from reference import W, is_member_by_definition, stats_by_definition
+from reference import W, canonical, drops_by_definition, is_member_by_definition, stats_by_definition
 
 
 def member_count(n: int) -> int:
@@ -36,7 +37,7 @@ def records_by_definition(n: int) -> list[tuple[bytes, int, int]]:
     return [(w, *stats_by_definition(w)) for w in members_by_definition(n)]
 
 
-def tally(words, stats=drop_stats) -> dict[tuple[int, int], int]:
+def tally(words, stats=stats_by_definition) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for w in words:
         key = stats(w)
@@ -48,7 +49,7 @@ def table_without_wrap(n):
     """A broken joint table: it scores the wrap pair (a_n, 1) as no drop."""
 
     def stats(w):
-        oo, eo = drop_stats(w)
+        oo, eo = stats_by_definition(w)
         if len(w) == 1:
             return oo, eo
         return (oo - 1, eo) if w[-1] & 1 else (oo, eo - 1)
@@ -298,3 +299,113 @@ class TestParityRestrictedCounts:
     def test_counts_are_constant_terms(self, n):
         assert count_even_odd_only(n) == oo_poly(n)(0)
         assert count_odd_odd_only(n) == eo_poly(n)(0)
+
+
+# -- the walk's records against the definition --------------------------------
+
+
+@lru_cache(maxsize=None)
+def listed(n: int) -> dict[bytes, tuple[int, int]]:
+    """The enumerator's records on [n], each word's pair by the word."""
+    return {w: (oo, eo) for w, oo, eo in iter_odd_drop_words(n)}
+
+
+def walk_stats(word: bytes) -> tuple[int, int] | None:
+    """A member's statistics as the enumerator lists them, None for any other word."""
+    return listed(len(word)).get(word)
+
+
+class TestDrops:
+    """The reference definition the property tests below rest on."""
+
+    def test_increasing_cycle_has_only_wrap_drop(self):
+        assert drops_by_definition(W(1, 2, 3, 4)) == [(4, 1)]
+
+    def test_interior_and_wrap(self):
+        assert drops_by_definition(W(1, 2, 4, 3)) == [(4, 3), (3, 1)]
+
+    def test_singleton_formal_drop(self):
+        # a formal drop onto 1 with a former entry of no parity
+        assert drops_by_definition(W(1)) == [(None, 1)]
+        assert stats_by_definition(W(1)) == (0, 0)
+        assert is_member_by_definition(W(1))
+
+    def test_every_longer_cycle_has_a_drop(self):
+        assert len(drops_by_definition(W(1, 2))) >= 1
+
+
+class TestMembership:
+    """Membership as the enumerator lists it, with each member's statistics."""
+
+    def test_singleton_qualifies(self):
+        assert walk_stats(W(1)) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "entries,member",
+        [
+            ((1, 2), True),
+            ((1, 2, 3), True),
+            ((1, 3, 2), False),
+            ((1, 2, 4, 3), True),
+            ((1, 4, 2, 3), False),
+            ((1, 2, 3, 4), True),
+        ],
+    )
+    def test_small_cases(self, entries, member):
+        word = W(*entries)
+        assert walk_stats(word) == (stats_by_definition(word) if member else None)
+
+
+@st.composite
+def cycle_words(draw):
+    """A canonical word on [n], n = 1..12, written by ``canonical`` from some rotation.
+
+    Half are shuffled words, nearly all of them non-members once n passes 4;
+    half are members, grown by inserting each new maximum before an odd entry.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return canonical(draw(st.permutations(range(1, n + 1))))
+    word = [1]
+    for m in range(2, n + 1):
+        word.insert(draw(st.sampled_from([i for i, v in enumerate(word) if v & 1])), m)
+    shift = draw(st.integers(0, n - 1))
+    return canonical(word[shift:] + word[:shift])
+
+
+def membership_agrees(word: bytes, member_stats=walk_stats) -> bool:
+    # the statistics of a member, None for any other word
+    want = stats_by_definition(word) if is_member_by_definition(word) else None
+    return member_stats(word) == want
+
+
+NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cycle_words())
+def test_membership_is_every_drop_landing_odd(word):
+    assert membership_agrees(word)
+
+
+def test_membership_property_catches_a_skipped_pair():
+    def without_last_pair(word):
+        # off by one: never looks at the pair (a_(n-1), a_n)
+        oo = eo = 0
+        prev = word[-1]
+        for v in word[:-1]:
+            if v < prev:
+                if not v & 1:
+                    return None
+                oo += prev & 1
+                eo += not prev & 1
+            prev = v
+        return oo, eo
+
+    # raises NoSuchExample if the property cannot tell the broken walk apart
+    find(cycle_words(), lambda w: not membership_agrees(w, without_last_pair), settings=NO_SHRINK)
+
+
+def test_membership_property_catches_stats_for_a_non_member():
+    # the statistics right for every word, but never None
+    find(cycle_words(), lambda w: not membership_agrees(w, stats_by_definition), settings=NO_SHRINK)

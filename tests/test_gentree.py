@@ -7,17 +7,16 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
-from oddcycles.cycles import canonicalize
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import _parent, _word_delta, children_count, joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
-from reference import W, at_one_plus, is_member_by_definition, joint_step_by_definition, stats_by_definition
+from reference import W, at_one_plus, canonical, is_member_by_definition, joint_step_by_definition, stats_by_definition
 
 
 def insert_max(word: bytes, pos: int) -> bytes:
     """The next maximum put just before word[pos] in the cyclic order."""
-    return canonicalize([len(word) + 1, *word[pos:], *word[:pos]])
+    return canonical([len(word) + 1, *word[pos:], *word[:pos]])
 
 
 def children(word: bytes) -> list[bytes]:

@@ -6,6 +6,7 @@ loaded ``dataclasses``.  The surface tests check that every public name
 read from the package is the object its home module defines.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -124,3 +125,11 @@ def test_enumerator_limit_has_one_home():
     from oddcycles import cli, enumerator
 
     assert enumerator.MAX_N is oddcycles.MAX_N is cli.MAX_N
+    # and no other module assigns a limit of that name
+    assigners = {
+        path.name
+        for path in SRC.joinpath("oddcycles").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "MAX_N"
+    }
+    assert assigners == {"__init__.py"}

@@ -99,7 +99,7 @@ def test_guard_flags_a_function_only_tests_call():
     readme = (ROOT / "README.md").read_text()
     sources = package_sources()
     before = unreached(sources, readme)
-    sources["cycles"] += "\n\ndef only_tests():\n    return MAX_N\n"
+    sources["enumerator"] += "\n\ndef only_tests():\n    return MAX_N\n"
     assert unreached(sources, readme) - before == {"only_tests"}
 
 
