@@ -3,11 +3,10 @@
 This module is the independent oracle the symbolic routes are checked
 against.  It reads only the definition: a cycle on [n] is its canonical
 word, the rotation (1, a_2, ..., a_n) as ``bytes`` with one byte per entry,
-which MAX_N keeps below 256 (``gentree._ENTRY`` relies on that).  Slicing,
-joining, sorting and comparing words then run in C, and iterating over a
-word yields its entries as ints.  A cycle is a member when every drop
-(a consecutive pair, the wrap pair (a_n, 1) included, whose first entry is
-larger) lands on an odd entry.
+which MAX_N keeps below 256.  Slicing, joining, sorting and comparing words
+then run in C, and iterating over a word yields its entries as ints.  A
+cycle is a member when every drop (a consecutive pair, the wrap pair
+(a_n, 1) included, whose first entry is larger) lands on an odd entry.
 
 Two methods share that definition.  ``joint_table`` counts members by
 their (odd-odd, even-odd) drop pair with a dynamic program over the

@@ -5,7 +5,7 @@ odd-drop cycle on [m] and inserting the new maximum m+1 immediately before
 one of its odd entries (the new maximum always starts a drop, and that drop
 must land odd).  Inserting before the leading 1 means appending at the end
 of the canonical word, so children are canonical by construction, and
-deleting the maximum (_parent) undoes the step.
+deleting the maximum undoes the step.
 
 Polynomial level: the same step acts on the joint polynomial f, the sum
 of x^oo * y^eo, as f -> k*y*f + y*(1-x)*f_x + y*(1-y)*f_y into length 2k and
@@ -16,10 +16,11 @@ shell, with the coefficient of a^i*b^(d-i) at bit W*i and a guard bit to
 spare, and at the end two Taylor shifts by -1 turn F back into f.
 
 The per-insertion effect on (oo, eo) splits into three cases by what the
-insertion lands in (see _word_delta).  verify's tree-partition check takes
-each member the enumerator lists back to its parent with _parent and
-predicts the member's pair from the parent's with _word_delta; the tests
-compare both with the drop definition in ``tests/reference.py``.
+insertion lands in (see _word_delta).  verify's tree-partition check reads
+each member the enumerator lists as its parent, the maximum and the
+maximum's two neighbours, and predicts the member's pair from the parent's
+with _word_delta; the tests compare both with the drop definition in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,34 +30,24 @@ from math import ceil, prod
 from .polynomials import BiPoly, _shift_down
 
 
-# each entry as a one-byte word, which _parent looks up rather than builds
-_ENTRY = [bytes((v,)) for v in range(256)]
-
-
-def _parent(word: bytes) -> tuple[bytes, int]:
-    """The insertion step undone: the word without its maximum, and the
-    index of the entry the maximum went in before (0: appended)."""
-    n = len(word)
-    return word.replace(_ENTRY[n], b""), word.index(n) % (n - 1)
-
-
-def _word_delta(word: bytes, pos: int) -> tuple[int, int]:
-    """Predicted change of (oo, eo) when the next maximum lands before pos.
+def _word_delta(former: int, latter: int, top: int) -> tuple[int, int]:
+    """Predicted change of (oo, eo) when the new maximum top goes in
+    between the neighbours former and latter (the last entry and 1 when
+    it is appended).
 
     Three cases each way: the insertion either splits an existing drop of
-    one kind or another, or sits where there was no drop.  n = 1 needs no
-    case of its own: the pair around the spot is (1, 1), no drop, so the
-    formal drop onto 1 counts as none, and appending 2 creates the
-    even-odd wrap drop (2, 1).
+    one kind or another, or sits where there was no drop.  top = 2 needs
+    no case of its own: its neighbours are (1, 1), no drop, so the formal
+    drop onto 1 counts as none, and appending 2 creates the even-odd wrap
+    drop (2, 1).
     """
-    former, latter = word[pos - 1], word[pos]  # pos 0: the wrap pair
-    if len(word) & 1:  # the new maximum is even
+    if top & 1:
         if former <= latter:
-            return (0, 1)
-        return (-1, 1) if former & 1 else (0, 0)  # a drop replaced by even-odd (new, latter)
+            return (1, 0)
+        return (0, 0) if former & 1 else (1, -1)  # a drop replaced by odd-odd (top, latter)
     if former <= latter:
-        return (1, 0)
-    return (0, 0) if former & 1 else (1, -1)  # a drop replaced by odd-odd (new, latter)
+        return (0, 1)
+    return (-1, 1) if former & 1 else (0, 0)  # a drop replaced by even-odd (top, latter)
 
 
 def _step(shells: list[int], k: int, shift: int) -> list[int]:

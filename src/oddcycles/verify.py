@@ -162,27 +162,29 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         return f"cycle counts agree on all four routes for n=1..{max_n}"
 
     def check_tree_partition():
-        # Deleting the maximum takes each member the walk lists on [n+1] to
-        # a member of level n and an odd entry, its spot; the walk's pair
-        # must be the parent's plus the insertion's.  _parent inverts the
-        # insertion (a property test pins that; the check trusts it), so the
-        # distinct members have distinct spots and a count equal to the spots
-        # proves the partition; only a wrong count walks again, to name one.
+        # Each member the walk lists on [n+1] must be a member of level n,
+        # its parent, with n+1 inserted before an odd entry: the entry after
+        # n+1, or the leading 1 when n+1 is last.  The walk's pair must be
+        # the parent's plus the insertion's.  Distinct members then sit at
+        # distinct spots, so a count equal to the spots proves the
+        # partition; only a wrong count walks again, to name one.
         detail = f"children partition the next level for n=1..{max_n - 1}"
         if max_n < 2:
             raise NothingCompared(detail)
-        parent_of, delta = gentree._parent, gentree._word_delta
+        delta = gentree._word_delta
         level = {w: (oo, eo) for w, oo, eo in enumerator.iter_odd_drop_words(1)}
         for n in range(1, max_n):
-            grown, prev, members, keep = {}, b"", 0, n + 1 < max_n
-            for members, (w, oo, eo) in enumerate(enumerator.iter_odd_drop_words(n + 1), 1):
+            grown, prev, members, keep, top = {}, b"", 0, n + 1 < max_n, n + 1
+            for members, (w, oo, eo) in enumerate(enumerator.iter_odd_drop_words(top), 1):
                 if w <= prev:
                     raise CheckFailure(f"n={n}: Cycle{tuple(w)} listed {'twice' if w == prev else 'out of order'}")
-                parent, spot = parent_of(w)
-                stats = level.get(parent)
-                if stats is None or not parent[spot] & 1:
+                i = w.index(top)
+                stats = level.get(w[:i] + w[i + 1 :])
+                latter = w[i + 1] if i < n else 1
+                # i = 0 would be a rotation of a child that appends top
+                if stats is None or not i or not latter & 1:
                     raise CheckFailure(f"n={n}: Cycle{tuple(w)} not grown from level {n}")
-                doo, deo = delta(parent, spot)
+                doo, deo = delta(w[i - 1], latter, top)
                 if (oo - doo, eo - deo) != stats:
                     want = (stats[0] + doo, stats[1] + deo)
                     raise CheckFailure(f"n={n}: Cycle{tuple(w)} grown with stats {want}, listed with {(oo, eo)}")
@@ -191,7 +193,7 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
                 prev = w
             each = gentree.children_count(n)
             if members != len(level) * each:
-                hits = Counter(parent_of(w)[0] for w, _, _ in enumerator.iter_odd_drop_words(n + 1))
+                hits = Counter(w.replace(bytes((top,)), b"") for w, _, _ in enumerator.iter_odd_drop_words(top))
                 w = next(w for w in level if hits[w] != each)
                 raise CheckFailure(f"n={n}: Cycle{tuple(w)}: {hits[w]} children, expected {each}")
             level = grown

@@ -1,8 +1,9 @@
 """The drop definition, transcribed literally, as the reference tests check against.
 
 A word is ``bytes``, one byte per entry, as the package stores it; ``W``
-writes one from its entries, and ``canonical`` writes a cycle's word from any
-of its rotations.  A drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
+writes one from its entries, ``canonical`` writes a cycle's word from any
+of its rotations, and ``delete_max`` undoes the generating tree's step.  A
+drop of the cyclic word w is a pair (w[i], w[(i+1) % n]) whose former
 entry exceeds its latter.  The one-element cycle carries one formal drop
 onto 1 whose former entry has no parity (None here).  A member is a cycle
 all of whose drops land on an odd entry; its statistics tally the drops by
@@ -30,6 +31,13 @@ def canonical(perm) -> bytes:
     perm = list(perm)
     pivot = perm.index(1)
     return bytes(perm[pivot:] + perm[:pivot])
+
+
+def delete_max(word: bytes) -> tuple[bytes, int, int]:
+    """The word without its maximum, and the maximum's two neighbours in the cyclic order."""
+    n = len(word)
+    i = word.index(n)
+    return word[:i] + word[i + 1 :], word[i - 1], word[(i + 1) % n]
 
 
 def drops_by_definition(word: bytes) -> list[tuple[int | None, int]]:

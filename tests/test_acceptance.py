@@ -8,7 +8,7 @@ are asserted, not just measured.
 import time
 from contextlib import contextmanager
 
-from reference import at_one_minus
+from reference import at_one_minus, delete_max
 
 from oddcycles.enumerator import (
     count_even_odd_only,
@@ -16,7 +16,7 @@ from oddcycles.enumerator import (
     iter_odd_drop_words,
     joint_table,
 )
-from oddcycles.gentree import _parent, _word_delta, children_count, joint_poly
+from oddcycles.gentree import _word_delta, children_count, joint_poly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
     FAMILIES,
@@ -118,19 +118,20 @@ def test_criterion_08_generating_tree(emit_line):
     with criterion(emit_line, 8, "maximum insertion partitions each level and predicts the statistics"):
         # deleting the maximum takes each member on [n+1] that the listing
         # walk gives, with its pair counted by the drop definition, to a
-        # member on [n] and an odd entry of it, the pair predicted by the
-        # insertion case analysis; distinct members go to distinct spots,
-        # and every spot is hit
+        # member on [n] and the odd entry the maximum went in before, the
+        # pair predicted by the insertion case analysis from the maximum's
+        # two neighbours; distinct members go to distinct spots, and every
+        # spot is hit
         level = {w: (oo, eo) for w, oo, eo in iter_odd_drop_words(1)}
         for n in range(1, 12):
             grown, spots = {}, set()
             for w, oo, eo in iter_odd_drop_words(n + 1):
-                parent, spot = _parent(w)
-                assert parent[spot] & 1
-                doo, deo = _word_delta(parent, spot)
+                parent, former, latter = delete_max(w)
+                assert latter & 1
+                doo, deo = _word_delta(former, latter, n + 1)
                 assert level[parent] == (oo - doo, eo - deo)
                 grown[w] = (oo, eo)
-                spots.add((parent, spot))
+                spots.add((parent, latter))
             # every odd entry is an insertion spot, so ceil(n/2) children each
             assert len(spots) == len(grown) == len(level) * children_count(n) == len(level) * ((n + 1) // 2)
             level = grown

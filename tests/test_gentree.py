@@ -8,10 +8,18 @@ from hypothesis import strategies as st
 
 from oddcycles import enumerator, gentree, verify
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
-from oddcycles.gentree import _parent, _word_delta, children_count, joint_poly
+from oddcycles.gentree import _word_delta, children_count, joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
-from reference import W, at_one_plus, canonical, is_member_by_definition, joint_step_by_definition, stats_by_definition
+from reference import (
+    W,
+    at_one_plus,
+    canonical,
+    delete_max,
+    is_member_by_definition,
+    joint_step_by_definition,
+    stats_by_definition,
+)
 
 
 def insert_max(word: bytes, pos: int) -> bytes:
@@ -38,11 +46,12 @@ class TestChildren:
         assert children(W(1, 2, 3)) == [W(1, 2, 3, 4), W(1, 2, 4, 3)]
 
     def test_positions_are_odd_entries(self):
-        assert [_parent(kid)[1] for kid in children(W(1, 2, 4, 3))] == [0, 3]
+        # the entry after the maximum: the leading 1 once it is appended
+        assert [delete_max(kid)[2] for kid in children(W(1, 2, 4, 3))] == [1, 3]
 
     def test_child_at_append_and_split(self):
-        assert _parent(W(1, 2, 4, 3, 5)) == (W(1, 2, 4, 3), 0)
-        assert _parent(W(1, 2, 4, 5, 3)) == (W(1, 2, 4, 3), 3)
+        assert delete_max(W(1, 2, 4, 3, 5)) == (W(1, 2, 4, 3), 3, 1)
+        assert delete_max(W(1, 2, 4, 5, 3)) == (W(1, 2, 4, 3), 4, 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_stay_members_and_count(self, n):
@@ -66,19 +75,21 @@ class TestChildren:
 class TestPartition:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_levels_partition_next_level(self, n):
-        # every member on [n+1] deletes to a member on [n] at an odd entry,
-        # no two to the same spot, and every spot is hit
+        # every member on [n+1] deletes to a member on [n] with the maximum
+        # before an odd entry, no two before the same entry of the same
+        # member, and every such spot is hit
         level = {w for w, _, _ in iter_odd_drop_words(n)}
-        spots = [_parent(kid) for kid, _, _ in iter_odd_drop_words(n + 1)]
-        assert all(parent in level and parent[spot] & 1 for parent, spot in spots)
+        kids = [kid for kid, _, _ in iter_odd_drop_words(n + 1)]
+        spots = [(parent, latter) for parent, _, latter in map(delete_max, kids)]
+        assert all(parent in level and latter & 1 for parent, latter in spots)
         assert len(set(spots)) == len(spots) == len(level) * children_count(n)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_delta_predicts_statistics(self, n):
         for kid, _, _ in iter_odd_drop_words(n + 1):
-            parent, spot = _parent(kid)
+            parent, former, latter = delete_max(kid)
             oo, eo = stats_by_definition(parent)
-            doo, deo = _word_delta(parent, spot)
+            doo, deo = _word_delta(former, latter, n + 1)
             assert stats_by_definition(kid) == (oo + doo, eo + deo)
 
     # negative controls for verify's tree-partition check; max_n=6 keeps the
@@ -136,18 +147,49 @@ class TestPartition:
         assert not result.passed
         assert result.detail == "n=3: Cycle(1, 2, 3): 2 children, expected 3"
 
-    def test_tree_partition_catches_a_parent_one_spot_late(self, monkeypatch):
-        # (1, 2, 3) is (1, 2) with 3 appended; one spot late is before the even 2
-        undo = gentree._parent
+    # one of _word_delta's six cases, by the new maximum's parity and the
+    # drop it splits, and the first member each one predicts
+    DELTA_CASES = {
+        (1, "none"): "n=4: Cycle(1, 2, 5, 3, 4) grown with stats (2, 1), listed with (1, 1)",
+        (1, "odd"): "n=4: Cycle(1, 2, 4, 3, 5) grown with stats (2, 1), listed with (1, 1)",
+        (1, "even"): "n=2: Cycle(1, 2, 3) grown with stats (2, 0), listed with (1, 0)",
+        (0, "none"): "n=1: Cycle(1, 2) grown with stats (1, 1), listed with (0, 1)",
+        (0, "odd"): "n=3: Cycle(1, 2, 3, 4) grown with stats (1, 1), listed with (0, 1)",
+        (0, "even"): "n=5: Cycle(1, 2, 4, 6, 3, 5) grown with stats (2, 1), listed with (1, 1)",
+    }
 
-        def late(word):
-            parent, spot = undo(word)
-            return parent, (spot + 1) % len(parent)
+    @pytest.mark.parametrize("case", sorted(DELTA_CASES))
+    def test_tree_partition_catches_a_wrong_delta_case(self, case, monkeypatch):
+        # the check trusts _word_delta alone; one more odd-odd drop in one case
+        delta = gentree._word_delta
 
-        monkeypatch.setattr(gentree, "_parent", late)
+        def wrong(former, latter, top):
+            doo, deo = delta(former, latter, top)
+            split = "none" if former <= latter else ("odd" if former & 1 else "even")
+            return (doo + 1, deo) if (top & 1, split) == case else (doo, deo)
+
+        monkeypatch.setattr(gentree, "_word_delta", wrong)
         result = self.tree_partition()
         assert not result.passed
-        assert result.detail == "n=2: Cycle(1, 2, 3) not grown from level 2"
+        assert result.detail == self.DELTA_CASES[case]
+
+    def test_tree_partition_catches_a_rotated_member(self, monkeypatch):
+        # the last member on [6] swapped for a rotation of (1, 2, 5, 3, 4, 6)
+        # with its pair: it deletes to the same parent and spot as that
+        # member, so the count of spots holds
+        walk = enumerator.iter_odd_drop_words
+
+        def rotated(n):
+            records = list(walk(n))
+            if n == 6:
+                stats = next(rec[1:] for rec in records if rec[0] == W(1, 2, 5, 3, 4, 6))
+                records[-1] = (W(6, 1, 2, 5, 3, 4), *stats)
+            return iter(records)
+
+        monkeypatch.setattr(enumerator, "iter_odd_drop_words", rotated)
+        result = self.tree_partition()
+        assert not result.passed
+        assert result.detail == "n=5: Cycle(6, 1, 2, 5, 3, 4) not grown from level 5"
 
     def test_tree_partition_names_a_member_listed_twice(self, monkeypatch):
         # the right set with one word twice: no member is missing, extra or
@@ -226,7 +268,7 @@ class TestPartition:
         seen = set()
         for n in range(1, 8):
             for kid, _, _ in iter_odd_drop_words(n + 1):
-                seen.add(((n + 1) & 1, _word_delta(*_parent(kid))))
+                seen.add(((n + 1) & 1, _word_delta(*delete_max(kid)[1:], n + 1)))
         assert seen == {
             (1, (1, 0)),
             (1, (0, 0)),
@@ -392,13 +434,14 @@ def member_and_position(draw):
     return word, pos
 
 
-def _word_child_is_the_cycle_child(case, undo=gentree._parent) -> bool:
+def _word_child_is_the_cycle_child(case, undo=delete_max) -> bool:
     # the next maximum inserted before word[pos] in the cyclic order: the
     # rotation starting at word[pos] with the maximum put in front of it.
-    # Deleting the maximum must give back the word and the spot.
+    # Deleting the maximum must give back the word and the spot's two
+    # neighbours, word[pos - 1] and word[pos].
     word, pos = case
     inserted = insert_max(word, pos)
-    return is_member_by_definition(inserted) and undo(inserted) == (word, pos)
+    return is_member_by_definition(inserted) and undo(inserted) == (word, word[pos - 1], word[pos])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -409,8 +452,10 @@ def test_word_child_is_a_valid_member(case):
 
 def test_word_child_property_catches_a_late_insertion():
     def one_spot_late(word):
-        parent, spot = _parent(word)
-        return parent, (spot + 1) % len(parent)
+        # the neighbours read as if the maximum sat one entry later
+        parent, _, latter = delete_max(word)
+        at = parent.index(latter)
+        return parent, latter, parent[(at + 1) % len(parent)]
 
     # raises NoSuchExample if the property cannot tell the late spot apart
     find(

@@ -59,7 +59,7 @@ def test_route_imports_only_shared_types(route):
 
 def test_checker_rejects_a_route_importing_another():
     source = (PACKAGE / "enumerator.py").read_text()
-    tainted = source + "\nfrom .gentree import _parent\n"
+    tainted = source + "\nfrom .gentree import _word_delta\n"
     assert relative_imports(tainted) != ALLOWED["enumerator"]
     assert "gentree" in relative_imports("from . import gentree\n")
     # a route's function read through the package is that route
