@@ -39,9 +39,7 @@ _HOMES = {
     "BigPoly": "polynomials",
     "BiPoly": "polynomials",
     "eo_poly": "recurrences",
-    "eo_polys": "recurrences",
     "oo_poly": "recurrences",
-    "oo_polys": "recurrences",
     "TruncSeries": "series",
     "genocchi": "series",
     "genocchi_median": "series",

@@ -281,9 +281,14 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
         from . import recurrences
 
         _check_range("limit", limit, 1, MAX_MARGINAL_N)
-        # the count f(1) is the walk's coefficient of a^0, P(0) with a = v - 1
-        walk = recurrences._eigen_walk(limit, 1)
-        return [(n, held * c[0] if held else c[0]) for n, (c, held) in enumerate(walk, 1)], "recurrence"
+        # the count f(1) is P(0) with a = v - 1.  Coefficient 0 of a length
+        # reads only coefficient 0 of the one before, so once read, the
+        # walk goes on from that coefficient alone
+        rows = []
+        for n, (coeffs, held) in enumerate(recurrences._eigen_walk(limit, 1), 1):
+            rows.append((n, recurrences._at(coeffs, held, 0)))
+            del coeffs[1:]
+        return rows, "recurrence"
     if kind in ("even_odd_only", "odd_odd_only"):
         from . import enumerator
 

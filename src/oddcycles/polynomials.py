@@ -47,10 +47,6 @@ class BigPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "BigPoly":
-        return cls((1,))
-
-    @classmethod
     def variable(cls) -> "BigPoly":
         return cls((0, 1))
 
@@ -112,12 +108,6 @@ class BigPoly:
         return BigPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "BigPoly":
-        """Multiply by the k-th power of the variable."""
-        if not self.coeffs:
-            return self
-        return BigPoly((0,) * k + self.coeffs)
 
     def derivative(self) -> "BigPoly":
         return BigPoly(i * c for i, c in enumerate(self.coeffs) if i)

@@ -5,8 +5,8 @@ oo_poly(n) is the distribution of odd-odd drops over odd-drop cycles on [n]
 even-odd drops (the y-marginal).  Both are built from the same two steps in
 the marked variable v,
 
-    free_step:    p  |->  k*p + (1-v)*p'
-    forced_step:  p  |->  v * (k*p + (1-v)*p')
+    free step:    p  |->  k*p + (1-v)*p'
+    forced step:  p  |->  v * (k*p + (1-v)*p')
 
 which are the specializations y=1 resp. x=1 of the bivariate transfer
 operators in gentree, as the cross-check tests pin down.  The forced step is
@@ -16,28 +16,22 @@ oo_poly alternates (even: free, odd: forced) and eo_poly the same steps with
 the phases swapped.
 
 Lengths pair up as 2k -> even step with parameter k, 2k+1 -> odd step with
-parameter k, so a walk picks the step by the parity of the target length
-and passes k = target // 2.  There are two walks.
+parameter k, so the walk picks the step by the parity of the target length
+and passes k = target // 2.
 
-The walk over every length runs in v: oo_polys(n)/eo_polys(n) hand out the
-polynomials of lengths 1..n lazily, one step at a time, so a caller that
-needs every length runs one walk and holds one polynomial of it at a time.
-The free step is fused into one pass over the coefficients: coefficient i
-of k*p + p' - v*p' is (k-i)*p[i] + (i+1)*p[i+1].
-
-The walk in the eigenbasis a = v - 1 of the free step, _eigen_walk, also
-yields every length.  There P(a) = p(1 + a), the free step is
+The walk, _eigen_walk, runs in the eigenbasis a = v - 1 of the free step
+and yields every length.  There P(a) = p(1 + a), the free step is
 P_i -> (k-i)*P_i and the forced step also multiplies by 1 + a.  Each free
 step's factor is held until the forced step after it, so a pair of lengths
 costs one multiply by the small integer (k-i)*(k'-i) and one add per
 coefficient.  Each length comes out as its coefficients, updated in place,
 and the free step still held, which a reader applies as it reads: applying
-it to a copy at every length would double the walk's time.  oo_poly and
-eo_poly drain the walk and Taylor-shift by -1 to p(v).  The series suite
-reads every length against the closed forms in u = 1 - v = -a, so neither
-side shifts, and sequence --kind cno_count reads the counts f(1) = P(0).
-The walk in v stays for the checks against the enumeration and the
-Genocchi values.
+it to a copy at every length would double the walk's time.  _in_v reads a
+length as p(v), ending on one Taylor shift by -1, and oo_poly and eo_poly
+read the walk's last length so.  _at reads a length at an integer a: the
+count f(1) = P(0) and the value at v = 0, P(-1), need no shift.  The series
+suite reads every length against the closed forms in u = 1 - v = -a, so
+neither side shifts.
 """
 
 from __future__ import annotations
@@ -45,48 +39,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .polynomials import BigPoly, _shift_down
-
-
-def free_step(poly: BigPoly, k: int) -> BigPoly:
-    """One length step that forces no marked drop: k*p + (1-v)*p'."""
-    p = poly.coeffs
-    if not p:
-        return poly
-    deg = len(p) - 1
-    return BigPoly(
-        [(k - i) * p[i] + (i + 1) * p[i + 1] for i in range(deg)] + [(k - deg) * p[deg]]
-    )
-
-
-def forced_step(poly: BigPoly, k: int) -> BigPoly:
-    """One length step that forces a marked drop: v * free_step(p, k)."""
-    return free_step(poly, k).shift(1)
-
-
-def _walk(n: int, even_step, odd_step) -> Iterator[BigPoly]:
-    # checked here, not in the generator, so a bad n fails at the call
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-
-    def lengths():
-        poly = BigPoly.one()
-        yield poly
-        for target in range(2, n + 1):
-            step = odd_step if target & 1 else even_step
-            poly = step(poly, target // 2)
-            yield poly
-
-    return lengths()
-
-
-def oo_polys(n: int) -> Iterator[BigPoly]:
-    """oo_poly(1), ..., oo_poly(n) from one walk, computed as they are read."""
-    return _walk(n, free_step, forced_step)
-
-
-def eo_polys(n: int) -> Iterator[BigPoly]:
-    """eo_poly(1), ..., eo_poly(n) from one walk, computed as they are read."""
-    return _walk(n, forced_step, free_step)
 
 
 def _lift(coeffs: list[int], k: int, held: int) -> None:
@@ -118,14 +70,26 @@ def _eigen_walk(n: int, forced: int) -> Iterator[tuple[list[int], int]]:
         yield coeffs, held
 
 
+def _applied(coeffs: list[int], held: int) -> list[int]:
+    # a copy of one length's coefficients in a, its held free step applied
+    return [(held - i) * c for i, c in enumerate(coeffs)] if held else coeffs[:]
+
+
+def _in_v(coeffs: list[int], held: int) -> BigPoly:
+    """One length of the walk as the polynomial p(v) it stands for."""
+    return BigPoly(_shift_down(_applied(coeffs, held)))
+
+
+def _at(coeffs: list[int], held: int, a: int) -> int:
+    """One length of the walk at the integer a: P(a) = p(1 + a)."""
+    return sum(c * a**i for i, c in enumerate(_applied(coeffs, held)))
+
+
 def _at_length(n: int, forced: int) -> BigPoly:
-    # the walk to length n alone, its held free step applied once at the end
+    # the walk to length n alone, read once at the end
     for coeffs, held in _eigen_walk(n, forced):
         pass
-    if held:
-        for i, c in enumerate(coeffs):
-            coeffs[i] = (held - i) * c
-    return BigPoly(_shift_down(coeffs))
+    return _in_v(coeffs, held)
 
 
 def oo_poly(n: int) -> BigPoly:

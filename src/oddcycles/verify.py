@@ -73,16 +73,16 @@ def _run(name: str, check, *args) -> CheckResult:
 
 
 def _walked(walk, top: int):
-    """Number the lengths 1..top of a recurrence walk as (n, poly).
+    """Number the lengths 1..top of a recurrence walk as (n, length).
 
     A walk that yields fewer or more than top lengths fails the check, so a
     short walk cannot pass by comparing less.
     """
     n = 0
-    for n, poly in enumerate(walk, 1):
+    for n, length in enumerate(walk, 1):
         if n > top:
             raise CheckFailure(f"recurrence walk yields more than {top} lengths")
-        yield n, poly
+        yield n, length
     if n < top:
         raise CheckFailure(f"recurrence walk stops at length {n} of {top}")
 
@@ -135,11 +135,11 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
                 raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
-    def check_marginal(label, var, walk, last):
-        # the walk at every length, and the single polynomial that
-        # poly --kind f|g prints at the top one
-        for n, want in _walked(walk(max_n), max_n):
-            got = tables[n].marginal(var)
+    def check_marginal(label, var, forced, last):
+        # the walk in a at every length, read in v, and the single
+        # polynomial that poly --kind f|g prints at the top one
+        for n, (coeffs, held) in _walked(recurrences._eigen_walk(max_n, forced), max_n):
+            got, want = tables[n].marginal(var), recurrences._in_v(coeffs, held)
             if got != want:
                 raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
         got, want = tables[max_n].marginal(var), last(max_n)
@@ -148,12 +148,12 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         return f"{label} marginal equals recurrence for n=1..{max_n}"
 
     def check_totals():
-        walks = (recurrences.oo_polys(max_n), recurrences.eo_polys(max_n))
+        walks = (recurrences._eigen_walk(max_n, forced) for forced in (1, 0))
         # strict: once one walk ends, the other is read once more, so a
-        # longer second walk fails in _walked
+        # longer second walk fails in _walked; f(1) = P(0) needs no shift
         for (n, f), (_, g) in zip(*(_walked(w, max_n) for w in walks), strict=True):
             total = sum(tables[n].terms.values())
-            f1, g1 = f(1), g(1)
+            f1, g1 = recurrences._at(*f, 0), recurrences._at(*g, 0)
             closed = factorial((n - 1) // 2) * factorial(n // 2)
             if not total == f1 == g1 == closed:
                 raise CheckFailure(
@@ -200,8 +200,8 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         return detail
 
     marginals = (
-        ("oo", "odd-odd", "x", recurrences.oo_polys, recurrences.oo_poly),
-        ("eo", "even-odd", "y", recurrences.eo_polys, recurrences.eo_poly),
+        ("oo", "odd-odd", "x", 1, recurrences.oo_poly),
+        ("eo", "even-odd", "y", 0, recurrences.eo_poly),
     )
     return [
         _run("table-vs-tree", check_table_vs_tree),
@@ -239,8 +239,7 @@ def suite_series(series_order: int) -> list[CheckResult]:
         rows = [family(which) for which in families]
         for n, (coeffs, held) in _walked(recurrences._eigen_walk(top, forced), top):
             got = rows[n & 1].coeff((n + 1) // 2)
-            signed = [-c if j & 1 else c for j, c in enumerate(coeffs)]
-            want = BigPoly([(held - j) * c for j, c in enumerate(signed)] if held else signed)
+            want = BigPoly(-c if j & 1 else c for j, c in enumerate(recurrences._applied(coeffs, held)))
             if got != want:
                 raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want, 'u')}")
         return f"{label} series matches recurrence for n=1..{top}"
@@ -276,7 +275,6 @@ def suite_genocchi(
     # (odd = 1) those on [2m - 1], m >= 2, with only odd-odd drops (kind 0).
     pinned = (GENOCCHI_VALUES, MEDIAN_VALUES)
     sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
-    walk = (recurrences.oo_polys, recurrences.eo_polys)
     tables = JointTables() if tables is None else tables
 
     def check_values(odd):
@@ -295,13 +293,15 @@ def suite_genocchi(
         if lo > series_order:
             raise NothingCompared(detail)
         values = sequence[odd](series_order - odd)
-        # one walk to the top length, read at lengths 2m - odd, m >= lo;
-        # the walk comes first in zip so that it is read to its end
+        # one walk to the top length, odd-odd for the Genocchi numbers and
+        # even-odd for the medians, read at lengths 2m - odd, m >= lo, at
+        # v = 0, which is P(-1); the walk comes first in zip so that it is
+        # read to its end
         top = 2 * series_order - odd
-        polys = islice(_walked(walk[odd](top), top), 2 * lo - odd - 1, None, 2)
-        for (n, poly), value in zip(polys, values):
+        lengths = islice(_walked(recurrences._eigen_walk(top, 1 - odd), top), 2 * lo - odd - 1, None, 2)
+        for (n, length), value in zip(lengths, values):
             m = (n + odd) // 2
-            want = poly(0)
+            want = recurrences._at(*length, -1)
             if value != want:
                 raise CheckFailure(f"m={m}: {value} != recurrence {want}")
         return detail

@@ -13,9 +13,12 @@ The module also writes out each closed form's PDE in operator form, in the
 family variable v, on plain coefficient lists with no BigPoly or
 TruncSeries, for the series tests to check pde_residual_of against; that
 function reads a series in u = 1 - v, and at_one_minus rewrites a
-polynomial from either basis into the other.  Last, it writes the joint
+polynomial from either basis into the other.  It writes the joint
 transfer step term by term on plain dicts {(i, j): coefficient}, for the
-generating-tree tests to check the packed walk against.
+generating-tree tests to check the packed walk against.  Last, it writes
+the marginal recurrences' step k*p + (1-v)*p' term by term on coefficient
+lists in v, and the walk over every length that it makes, for the
+recurrence tests to check the walk in a = v - 1 against.
 """
 
 from math import comb
@@ -180,3 +183,27 @@ def pde_residual_by_operators(s, which, second=SECOND_ORDER) -> list[list[int]]:
             right = _add(right, _mul(coeff, term[n]))
         out.append(_add(left, _mul([-1], right)))
     return out
+
+
+# -- the marginal recurrences' step, in v ---------------------------------
+
+
+def marginal_step_by_definition(p: list[int], k: int, forced: bool) -> list[int]:
+    """k*p + (1-v)*p' on p's coefficients in v, times v when forced."""
+    out = [0] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i] += k * c  # k*p
+        if i:
+            out[i - 1] += i * c  # p'
+            out[i] -= i * c  # -v*p'
+    return _trim([0] + out if forced else out)
+
+
+def marginal_walk_by_definition(n: int, forced: int) -> list[list[int]]:
+    """Lengths 1..n of one statistic in v: length 2k or 2k+1 is one step
+    with parameter k from the length before, forced into the lengths of
+    parity forced (1 for the odd-odd drops, 0 for the even-odd ones)."""
+    walk = [[1]]
+    for target in range(2, n + 1):
+        walk.append(marginal_step_by_definition(walk[-1], target // 2, target & 1 == forced))
+    return walk

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oddcycles import enumerator, gentree, verify
 from oddcycles.enumerator import iter_odd_drop_words, joint_table
 from oddcycles.gentree import _word_delta, children_count, joint_poly
-from oddcycles.polynomials import BiPoly
-from oddcycles.recurrences import eo_poly, forced_step, free_step, oo_poly
+from oddcycles.polynomials import BigPoly, BiPoly
+from oddcycles.recurrences import eo_poly, oo_poly
 from reference import (
     W,
     at_one_plus,
@@ -18,6 +18,7 @@ from reference import (
     delete_max,
     is_member_by_definition,
     joint_step_by_definition,
+    marginal_step_by_definition,
     stats_by_definition,
 )
 
@@ -298,6 +299,11 @@ def joint_step(poly: BiPoly, n: int, odd: bool) -> BiPoly:
     return gentree._decode(gentree._step(shells_of(poly, n), n, WIDTH if odd else 0), WIDTH)
 
 
+def _marginal_step(poly: BigPoly, k: int, forced: bool) -> BigPoly:
+    """The reference marginal step in v: k*p + (1-v)*p', times v when forced."""
+    return BigPoly(marginal_step_by_definition(list(poly.coeffs), k, forced))
+
+
 class TestTransferSteps:
     def test_even_step_examples(self):
         assert joint_step(BiPoly.one(), 1, odd=False) == BiPoly({(0, 1): 1})
@@ -326,15 +332,15 @@ class TestTransferSteps:
     def test_even_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k - 1)
         q = joint_step(p, k, odd=False)
-        assert q.marginal("x") == free_step(p.marginal("x"), k)
-        assert q.marginal("y") == forced_step(p.marginal("y"), k)
+        assert q.marginal("x") == _marginal_step(p.marginal("x"), k, forced=False)
+        assert q.marginal("y") == _marginal_step(p.marginal("y"), k, forced=True)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_odd_step_commutes_with_specializations(self, k):
         p = joint_poly(2 * k)
         q = joint_step(p, k, odd=True)
-        assert q.marginal("x") == forced_step(p.marginal("x"), k)
-        assert q.marginal("y") == free_step(p.marginal("y"), k)
+        assert q.marginal("x") == _marginal_step(p.marginal("x"), k, forced=True)
+        assert q.marginal("y") == _marginal_step(p.marginal("y"), k, forced=False)
 
 
 @st.composite
@@ -358,8 +364,12 @@ def _steps_match_marginal_steps(case) -> bool:
     # that even lengths force
     p, n = case
     px, py = _marginals(p)
-    even_ok = _marginals(joint_step(p, n, odd=False)) == (free_step(px, n), forced_step(py, n))
-    odd_ok = _marginals(joint_step(p, n, odd=True)) == (forced_step(px, n), free_step(py, n))
+    even_ok = _marginals(joint_step(p, n, odd=False)) == (
+        _marginal_step(px, n, forced=False), _marginal_step(py, n, forced=True)
+    )
+    odd_ok = _marginals(joint_step(p, n, odd=True)) == (
+        _marginal_step(px, n, forced=True), _marginal_step(py, n, forced=False)
+    )
     return even_ok and odd_ok
 
 

@@ -53,9 +53,6 @@ class TestBigPolyArithmetic:
         assert p * p == BigPoly((1, 2, 1))
         assert p * BigPoly.zero() == 0
 
-    def test_shift(self):
-        assert BigPoly((1, 2)).shift(2) == BigPoly((0, 0, 1, 2))
-
     def test_derivative(self):
         # d/dx (1 + 2x + 3x^2) = 2 + 6x
         assert BigPoly((1, 2, 3)).derivative() == BigPoly((2, 6))

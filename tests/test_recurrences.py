@@ -1,16 +1,27 @@
 """Single-variable recurrences for the two marginal polynomial families."""
 
 import math
+from functools import cache
 from itertools import islice
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
-from reference import at_one_minus
+from reference import marginal_step_by_definition, marginal_walk_by_definition
 
 from oddcycles import cli, recurrences, verify
 from oddcycles.polynomials import BigPoly
-from oddcycles.recurrences import eo_poly, eo_polys, forced_step, free_step, oo_poly, oo_polys
+from oddcycles.recurrences import eo_poly, oo_poly
+
+
+def _step(poly: BigPoly, k: int, forced: bool) -> BigPoly:
+    """The reference step on a polynomial in v: k*p + (1-v)*p', times v when forced."""
+    return BigPoly(marginal_step_by_definition(list(poly.coeffs), k, forced))
+
+
+def _read_in_v(walk) -> list[BigPoly]:
+    """Every length of a walk in a = v - 1, read in v as it is yielded."""
+    return [recurrences._in_v(coeffs, held) for coeffs, held in walk]
 
 
 class TestStepPlan:
@@ -23,43 +34,40 @@ class TestStepPlan:
     )
     def test_mapping(self, target, parity, k):
         # odd-odd is forced into odd lengths, even-odd into even lengths
-        oo_step, eo_step = (free_step, forced_step) if parity == "even" else (forced_step, free_step)
-        assert oo_poly(target) == oo_step(oo_poly(target - 1), k)
-        assert eo_poly(target) == eo_step(eo_poly(target - 1), k)
+        odd = parity == "odd"
+        assert oo_poly(target) == _step(oo_poly(target - 1), k, forced=odd)
+        assert eo_poly(target) == _step(eo_poly(target - 1), k, forced=not odd)
 
     def test_mapping_along_one_walk(self):
-        # every length 2..40 of one walk follows the same rule
-        oo_walk, eo_walk = list(oo_polys(40)), list(eo_polys(40))
+        # every length 2..40 of one walk, read in v, follows the same rule
+        oo_walk, eo_walk = (_read_in_v(recurrences._eigen_walk(40, forced)) for forced in (1, 0))
         assert len(oo_walk) == len(eo_walk) == 40
         assert oo_walk[0] == eo_walk[0] == 1
         for n in range(2, 41):
-            oo_step, eo_step = (forced_step, free_step) if n & 1 else (free_step, forced_step)
-            assert oo_walk[n - 1] == oo_step(oo_walk[n - 2], n // 2)
-            assert eo_walk[n - 1] == eo_step(eo_walk[n - 2], n // 2)
+            assert oo_walk[n - 1] == _step(oo_walk[n - 2], n // 2, forced=n & 1)
+            assert eo_walk[n - 1] == _step(eo_walk[n - 2], n // 2, forced=not n & 1)
 
     @pytest.mark.parametrize("bad", [1, 0, -3])
     def test_rejects_small_targets(self, bad, monkeypatch):
         # no step produces a length below 2: length 1 is the base case, and
         # lower lengths are refused before any step runs
-        def no_step(poly, k):
+        def no_step(coeffs, k, held):
             raise AssertionError(f"step {k} applied")
 
-        monkeypatch.setattr(recurrences, "free_step", no_step)
-        monkeypatch.setattr(recurrences, "forced_step", no_step)
+        monkeypatch.setattr(recurrences, "_lift", no_step)
         if bad == 1:
             assert oo_poly(bad) == 1
             assert eo_poly(bad) == 1
-            assert list(oo_polys(bad)) == list(eo_polys(bad)) == [1]
+            assert _read_in_v(recurrences._eigen_walk(bad, 1)) == _read_in_v(recurrences._eigen_walk(bad, 0)) == [1]
         else:
             with pytest.raises(ValueError):
                 oo_poly(bad)
             with pytest.raises(ValueError):
                 eo_poly(bad)
-            # refused at the call, before the walk is read
-            with pytest.raises(ValueError):
-                oo_polys(bad)
-            with pytest.raises(ValueError):
-                eo_polys(bad)
+            # refused before the walk yields its first length
+            for forced in (1, 0):
+                with pytest.raises(ValueError):
+                    next(recurrences._eigen_walk(bad, forced))
 
 
 class TestPinnedPolynomials:
@@ -86,23 +94,24 @@ class TestPinnedPolynomials:
 
 
 class TestStepOperators:
+    """The reference step that the walk is pinned against."""
+
     def test_zero_is_fixed(self):
-        z = BigPoly.zero()
-        assert free_step(z, 4) == 0
-        assert forced_step(z, 4) == 0
+        assert marginal_step_by_definition([], 4, forced=False) == []
+        assert marginal_step_by_definition([], 4, forced=True) == []
 
     def test_single_step_values(self):
         # one step of each family reproduces the next pinned polynomial:
         # odd-odd is forced into odd lengths, even-odd into even lengths
-        assert forced_step(oo_poly(4), 2) == oo_poly(5)
-        assert free_step(oo_poly(5), 3) == oo_poly(6)
-        assert free_step(eo_poly(4), 2) == eo_poly(5)
-        assert forced_step(eo_poly(3), 2) == eo_poly(4)
+        assert _step(oo_poly(4), 2, forced=True) == oo_poly(5)
+        assert _step(oo_poly(5), 3, forced=False) == oo_poly(6)
+        assert _step(eo_poly(4), 2, forced=False) == eo_poly(5)
+        assert _step(eo_poly(3), 2, forced=True) == eo_poly(4)
 
     def test_derivative_term_matters(self):
-        # the operators are not plain multiplication: degree can stay put
-        p = BigPoly((0, 0, 1))
-        assert free_step(p, 1) != p
+        # the step is not plain multiplication: at k = 1, v^2 goes to
+        # v^2 + 2v - 2v^2
+        assert _step(BigPoly((0, 0, 1)), 1, forced=False) == BigPoly((0, 2, -1))
 
 
 class TestFamilyInvariants:
@@ -137,20 +146,22 @@ class TestFamilyInvariants:
 
 
 @pytest.fixture
-def steps(monkeypatch):
-    """Counts the steps the walks apply, by parameter k.
+def walks(monkeypatch):
+    """Records the walks started, as (n, forced), and the forced steps they
+    run, by parameter k."""
+    counted = {"walks": [], "lifts": []}
+    walk, lift = recurrences._eigen_walk, recurrences._lift
 
-    Every step runs free_step once, directly or inside forced_step, so the
-    free list holds every step and the forced list the forced ones.
-    """
-    counted = {"free": [], "forced": []}
-    for name, fn in (("free", free_step), ("forced", forced_step)):
+    def counted_walk(n, forced):
+        counted["walks"].append((n, forced))
+        return walk(n, forced)
 
-        def count(poly, k, fn=fn, seen=counted[name]):
-            seen.append(k)
-            return fn(poly, k)
+    def counted_lift(coeffs, k, held):
+        counted["lifts"].append(k)
+        lift(coeffs, k, held)
 
-        monkeypatch.setattr(recurrences, f"{name}_step", count)
+    monkeypatch.setattr(recurrences, "_eigen_walk", counted_walk)
+    monkeypatch.setattr(recurrences, "_lift", counted_lift)
     return counted
 
 
@@ -158,79 +169,47 @@ class TestOneWalk:
     """Each caller that needs every length reads one walk per statistic."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    def test_poly_walks_once(self, steps, n):
-        # the single length walks in a = v - 1 and runs no step in v
+    def test_poly_walks_once(self, walks, n):
+        # one walk to n: one forced step into each odd length 3..n
         oo_poly(n)
-        assert steps == {"free": [], "forced": []}
-        # the walk over every length: one step into each length 2..n,
-        # forced into the odd ones
-        list(oo_polys(n))
-        assert steps["free"] == [target // 2 for target in range(2, n + 1)]
-        assert steps["forced"] == [target // 2 for target in range(3, n + 1, 2)]
+        assert walks == {"walks": [(n, 1)], "lifts": [target // 2 for target in range(3, n + 1, 2)]}
 
-    def test_walk_is_lazy(self, steps):
-        oo_head = list(islice(oo_polys(10**9), 3))
-        eo_head = list(islice(eo_polys(10**9), 3))
-        # reading three lengths ran two steps per walk
-        assert steps["free"] == [1, 1, 1, 1]
+    def test_walk_is_lazy(self, walks):
+        oo_head = _read_in_v(islice(recurrences._eigen_walk(10**9, 1), 3))
+        eo_head = _read_in_v(islice(recurrences._eigen_walk(10**9, 0), 3))
+        # reading three lengths ran one forced step per walk: into length 3
+        # for odd-odd, into length 2 for even-odd
+        assert walks["lifts"] == [1, 1]
         assert oo_head == [oo_poly(1), oo_poly(2), oo_poly(3)]
         assert eo_head == [eo_poly(1), eo_poly(2), eo_poly(3)]
 
-    def test_series_suite(self, steps, monkeypatch):
-        # lengths 1..20 of each statistic, all from one walk in a = v - 1
-        # and none from a step in v
-        walks = []
-        walk = recurrences._eigen_walk
-
-        def counted(n, forced):
-            walks.append((n, forced))
-            return walk(n, forced)
-
-        monkeypatch.setattr(recurrences, "_eigen_walk", counted)
+    def test_series_suite(self, walks):
+        # lengths 1..20 of each statistic, all from one walk
         assert all(c.passed for c in verify.suite_series(10))
-        assert sorted(walks) == [(20, 0), (20, 1)]
-        assert steps == {"free": [], "forced": []}
+        assert sorted(walks["walks"]) == [(20, 0), (20, 1)]
 
-    def test_genocchi_suite(self, steps):
+    def test_genocchi_suite(self, walks):
         assert all(c.passed for c in verify.suite_genocchi(10, max_n=4))
         # odd-odd to length 20 for the Genocchi numbers, even-odd to length 19
         # for the medians
-        assert len(steps["free"]) == 19 + 18
+        assert walks["walks"] == [(20, 1), (19, 0)]
 
-    def test_oracle_suite(self, steps):
+    def test_oracle_suite(self, walks):
         assert all(c.passed for c in verify.suite_oracle(7))
-        # each marginal check walks its statistic to 7 once in v, for every
-        # length (the single polynomial poly --kind f|g prints runs no step in
-        # v), and the count check walks both
-        assert len(steps["free"]) == 4 * 6
+        # each marginal check walks its statistic to 7 for every length, and
+        # once more for the single polynomial poly --kind f|g prints; the
+        # count check walks both
+        assert walks["walks"] == [(7, 1), (7, 1), (7, 0), (7, 0), (7, 1), (7, 0)]
 
-    def test_cno_count_sequence(self, steps, capsys):
-        # the counts come from the walk in a, which runs no step in v
+    def test_cno_count_sequence(self, walks, capsys):
         assert cli.main(["sequence", "--kind", "cno_count", "--limit", "30"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31
-        assert steps == {"free": [], "forced": []}
+        assert walks["walks"] == [(30, 1)]
 
 
 def _walk_with_a_skipped_step(monkeypatch, length):
-    """Patch the walk to yield `length` twice: every later length is one step
-    behind, and the walk still yields n polynomials."""
-    walk = recurrences._walk
-
-    def skipping(n, even_step, odd_step):
-        def polys():
-            for i, poly in enumerate(walk(n, even_step, odd_step), 1):
-                yield poly
-                if i == length:
-                    yield poly
-
-        return islice(polys(), n)
-
-    monkeypatch.setattr(recurrences, "_walk", skipping)
-
-
-def _eigen_walk_with_a_skipped_step(monkeypatch, length):
-    """The same fault in the walk in a: `length` is yielded twice, before
-    the walk moves on, so every later length is one step behind."""
+    """Patch the walk to yield `length` twice, before it moves on: every
+    later length is one step behind, and the walk still yields n lengths."""
     walk = recurrences._eigen_walk
 
     def skipping(n, forced):
@@ -246,7 +225,7 @@ def _eigen_walk_with_a_skipped_step(monkeypatch, length):
 
 
 def test_series_suite_catches_a_walk_that_skips_a_step(monkeypatch):
-    _eigen_walk_with_a_skipped_step(monkeypatch, 5)
+    _walk_with_a_skipped_step(monkeypatch, 5)
     results = {c.name: c for c in verify.suite_series(10)}
     for stat in ("oo", "eo"):
         result = results[f"{stat}-series-vs-recurrence"]
@@ -256,33 +235,26 @@ def test_series_suite_catches_a_walk_that_skips_a_step(monkeypatch):
 
 def test_oracle_suite_catches_a_walk_that_skips_a_step(monkeypatch):
     _walk_with_a_skipped_step(monkeypatch, 5)
-    results = {c.name: c for c in verify.suite_oracle(7)}
-    for stat in ("oo", "eo"):
-        result = results[f"{stat}-marginal-vs-recurrence"]
-        assert not result.passed
-        assert result.detail.startswith("n=6: ")
+    results = {c.name: (c.status, c.detail) for c in verify.suite_oracle(7)}
+    assert results["oo-marginal-vs-recurrence"] == ("FAIL", "n=6: degree 0: 3 != 0")
+    assert results["eo-marginal-vs-recurrence"] == ("FAIL", "n=6: degree 0: 0 != 2")
 
 
 def _walk_of_wrong_length(monkeypatch, extra):
-    """Patch both walks, in v and in a, to stop one length early (extra=-1)
-    or to yield their last length twice (extra=1).  The walk in a updates
-    its coefficients in place, so it is read as it yields."""
-    walk, eigen_walk = recurrences._walk, recurrences._eigen_walk
+    """Patch the walk to stop one length early (extra=-1) or to yield its
+    last length twice (extra=1).  It updates its coefficients in place, so
+    it is read as it yields."""
+    walk = recurrences._eigen_walk
 
-    def wrong_length(n, even_step, odd_step):
-        polys = list(walk(n, even_step, odd_step))
-        return iter(polys[:-1] if extra < 0 else polys + polys[-1:])
-
-    def eigen_wrong_length(n, forced):
+    def wrong_length(n, forced):
         if extra < 0:
-            yield from islice(eigen_walk(n, forced), n - 1)
+            yield from islice(walk(n, forced), n - 1)
             return
-        for item in eigen_walk(n, forced):
+        for item in walk(n, forced):
             yield item
         yield item
 
-    monkeypatch.setattr(recurrences, "_walk", wrong_length)
-    monkeypatch.setattr(recurrences, "_eigen_walk", eigen_wrong_length)
+    monkeypatch.setattr(recurrences, "_eigen_walk", wrong_length)
 
 
 WRONG_LENGTH = [
@@ -313,13 +285,15 @@ def test_suites_fail_a_walk_of_the_wrong_length(monkeypatch, extra, detail):
 
 def test_count_check_reads_the_second_walk_to_its_end(monkeypatch):
     # only the even-odd walk, read second, runs one length long
-    eo_walk = recurrences.eo_polys
+    walk = recurrences._eigen_walk
 
-    def one_long(n):
-        polys = list(eo_walk(n))
-        return iter(polys + polys[-1:])
+    def one_long(n, forced):
+        for item in walk(n, forced):
+            yield item
+        if not forced:
+            yield item
 
-    monkeypatch.setattr(recurrences, "eo_polys", one_long)
+    monkeypatch.setattr(recurrences, "_eigen_walk", one_long)
     result = {c.name: c for c in verify.suite_oracle(7)}["counts-all-routes"]
     assert not result.passed
     assert result.detail == "recurrence walk yields more than 7 lengths"
@@ -352,55 +326,81 @@ def test_verify_reports_a_walk_of_the_wrong_length_as_a_failed_check(
     assert detail.format(top=20, top_less_one=19) in out
 
 
-# -- the fused step against the ring-operation formula ----------------------
+# -- the readers at an integer, P(0) and P(-1), without the held step --------
+
+_at, _eigen_walk = recurrences._at, recurrences._eigen_walk
 
 
-@st.composite
-def step_input(draw):
-    """A random polynomial, zero and negative coefficients included, and k >= 0."""
-    coeffs = draw(st.lists(st.integers(-(10**20), 10**20), max_size=8))
-    return BigPoly(coeffs), draw(st.integers(0, 12))
+def _at_dropping_held(value):
+    """The reader at an integer a, but at a = value it ignores the held free step."""
+    return lambda coeffs, held, a: _at(coeffs, 0 if a == value else held, a)
 
 
-def _ring_step(poly: BigPoly, k: int) -> BigPoly:
-    # reference: k*p + (1-v)*p' with one ring operation at a time
-    d = poly.derivative()
-    return poly * k + d - d.shift(1)
+def test_count_check_catches_a_reader_that_drops_the_held_step(monkeypatch):
+    monkeypatch.setattr(recurrences, "_at", _at_dropping_held(0))
+    checks = {c.name: (c.status, c.detail) for c in verify.suite_oracle(7)}
+    assert checks["counts-all-routes"] == ("FAIL", "n=4: table 2, marginals 1/2, product formula 2")
+    # the reader at a = -1, the values at v = 0, is untouched
+    assert all(c.passed for c in verify.suite_genocchi(10, max_n=4))
 
 
-def _fused_agrees(case, step=free_step) -> bool:
-    poly, k = case
-    return step(poly, k) == _ring_step(poly, k) and forced_step(poly, k) == _ring_step(poly, k).shift(1)
+def test_genocchi_checks_catch_a_reader_that_drops_the_held_step(monkeypatch):
+    monkeypatch.setattr(recurrences, "_at", _at_dropping_held(-1))
+    checks = {c.name: (c.status, c.detail) for c in verify.suite_genocchi(10, max_n=4)}
+    assert checks["genocchi-vs-recurrence"] == ("FAIL", "m=2: 1 != recurrence 0")
+    assert checks["median-vs-recurrence"] == ("FAIL", "m=2: 1 != recurrence 0")
+    # the reader at a = 0, the counts, is untouched
+    assert {c.name: c.passed for c in verify.suite_oracle(7)}["counts-all-routes"]
 
 
-NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
+# -- sequence --kind cno_count, its walk one coefficient wide ----------------
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(step_input())
-def test_fused_step_equals_ring_formula(case):
-    assert _fused_agrees(case)
+def _first_count_off_the_full_walk(capsys, limit: int) -> int | None:
+    """The first length at which sequence --kind cno_count prints another
+    count than P(0) of the full walk, or None."""
+    assert cli.main(["sequence", "--kind", "cno_count", "--limit", str(limit), "--format", "csv"]) == 0
+    rows = [tuple(map(int, line.split(","))) for line in capsys.readouterr().out.splitlines()[1:]]
+    full = [(n, _at(coeffs, held, 0)) for n, (coeffs, held) in enumerate(_eigen_walk(limit, 1), 1)]
+    assert len(rows) == limit
+    return next((row[0] for row, want in zip(rows, full) if row != want), None)
 
 
-def test_fused_step_property_catches_an_off_by_one_weight():
-    def off_by_one(poly, k):
-        p = poly.coeffs
-        if not p:
-            return poly
-        deg = len(p) - 1
-        return BigPoly(
-            [(k - i - 1) * p[i] + (i + 1) * p[i + 1] for i in range(deg)] + [(k - deg - 1) * p[deg]]
-        )
-
-    # raises NoSuchExample if the property cannot tell the broken step apart
-    find(step_input(), lambda case: not _fused_agrees(case, off_by_one), settings=NO_SHRINK)
+def test_cno_count_equals_the_full_walk_at_every_length(capsys):
+    assert _first_count_off_the_full_walk(capsys, 400) is None
 
 
-# -- the walk to one length, in a = v - 1, against the walk over every length --
+def test_cno_count_pin_catches_a_step_that_reads_ahead(capsys, monkeypatch):
+    # were coefficient 0 of a forced step to read coefficient 1 as well, the
+    # walk cut to one coefficient would part from the full walk at the
+    # first forced step that meets a coefficient 1 it no longer has
+    lift = recurrences._lift
+
+    def reading_ahead(coeffs, k, held):
+        ahead = coeffs[1] if len(coeffs) > 1 else 0
+        lift(coeffs, k, held)
+        coeffs[0] += ahead
+
+    monkeypatch.setattr(recurrences, "_lift", reading_ahead)
+    assert _first_count_off_the_full_walk(capsys, 400) == 5
+
+
+# -- the walk to one length, read in v, against the reference walk -----------
+
+REFERENCE_LENGTHS = 400
+
+
+@cache
+def _reference_walk(forced: int) -> list[BigPoly]:
+    """Lengths 1..400 of one statistic, stepped in v by the reference step."""
+    return [BigPoly(p) for p in marginal_walk_by_definition(REFERENCE_LENGTHS, forced)]
 
 
 def _single_walk_agrees(n: int) -> bool:
-    return oo_poly(n) == list(oo_polys(n))[-1] and eo_poly(n) == list(eo_polys(n))[-1]
+    return oo_poly(n) == _reference_walk(1)[n - 1] and eo_poly(n) == _reference_walk(0)[n - 1]
+
+
+NO_SHRINK = settings(max_examples=100, derandomize=True, database=None, phases=[Phase.generate])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -423,12 +423,9 @@ def _lift_off_by_one(coeffs, k, held):
     coeffs.append(below)
 
 
-_eigen_walk = recurrences._eigen_walk
-
-
 def _walk_hiding_held(n, forced):
     # the real walk, but every length reports no held free step, so a
-    # reader never applies one: a free step that ends the walk is dropped
+    # reader never applies one
     for coeffs, _ in _eigen_walk(n, forced):
         yield coeffs, 0
 
@@ -442,56 +439,43 @@ def test_single_walk_property_catches_a_scale_off_by_one(monkeypatch):
     monkeypatch.setattr(recurrences, "_lift", _lift_off_by_one)
     # raises NoSuchExample if the property cannot tell the broken walk apart
     find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
-    for result in _marginal_checks(7):
-        assert not result.passed
-        assert result.detail.startswith("n=7: ")
+    # the first forced step goes into length 3 for odd-odd, 2 for even-odd
+    oo, eo = _marginal_checks(7)
+    assert (oo.status, oo.detail) == ("FAIL", "n=3: degree 1: 1 != 2")
+    assert (eo.status, eo.detail) == ("FAIL", "n=2: degree 1: 1 != 2")
 
 
 def test_single_walk_property_catches_a_dropped_last_free_step(monkeypatch):
     monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
     find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
-    # odd-odd ends on a free step at even lengths, even-odd at odd ones
-    oo, eo = _marginal_checks(6)
-    assert (oo.passed, eo.passed) == (False, True)
-    assert oo.detail.startswith("n=6: ")
-    oo, eo = _marginal_checks(7)
-    assert (oo.passed, eo.passed) == (True, False)
-    assert eo.detail.startswith("n=7: ")
+    # a held free step changes a length once it meets a coefficient of a^1
+    # or above: even-odd holds one at length 3, odd-odd first at length 4
+    oo, eo = _marginal_checks(3)
+    assert (oo.passed, eo.status, eo.detail) == (True, "FAIL", "n=3: degree 0: 1 != 0")
+    oo, _ = _marginal_checks(4)
+    assert (oo.status, oo.detail) == ("FAIL", "n=4: degree 0: 1 != 0")
 
 
 def test_single_walk_controls_break_only_what_they_name(monkeypatch):
     # unbroken, the dropping walk's body is the real walk wherever no free
     # step ends it, so the controls above fail for the fault they name
     monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
-    assert all(oo_poly(n) == list(oo_polys(n))[-1] for n in range(1, 40, 2))
-    assert all(eo_poly(n) == list(eo_polys(n))[-1] for n in range(2, 40, 2))
+    assert all(oo_poly(n) == _reference_walk(1)[n - 1] for n in range(1, 40, 2))
+    assert all(eo_poly(n) == _reference_walk(0)[n - 1] for n in range(2, 40, 2))
 
 
-# -- the walk in a over every length, against the walk in v ------------------
-
-
-def _last(walk):
-    for item in walk:
-        pass
-    return item
-
-
-def _a_walk_in_u(n: int, forced: int) -> BigPoly:
-    """Length n of the walk in a, written in u = -a: coefficient j is
-    (-1)^j times (held-j)*coeffs[j], or coeffs[j] when held is 0."""
-    coeffs, held = _last(recurrences._eigen_walk(n, forced))
-    return BigPoly((held - j if held else 1) * (-c if j & 1 else c) for j, c in enumerate(coeffs))
+# -- the walk in a over every length, read in v, against the reference walk --
 
 
 def _every_length_walk_agrees(n: int) -> bool:
-    # the walk in v rewritten in u by the binomial theorem, no Taylor shift
     return all(
-        _a_walk_in_u(n, forced) == BigPoly(at_one_minus(list(_last(walk(n)).coeffs)))
-        for forced, walk in ((1, oo_polys), (0, eo_polys))
+        _read_in_v(recurrences._eigen_walk(n, forced)) == _reference_walk(forced)[:n]
+        for forced in (1, 0)
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# each example shifts every length, so it costs n^3: fewer examples
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 200))
 @example(1)
 @example(2)

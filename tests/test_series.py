@@ -91,7 +91,7 @@ class TestTruncSeriesArithmetic:
         a = TruncSeries([1], order=5)
         b = TruncSeries([0, 1], order=3)
         assert (a + b).order == 3
-        assert (a + b).coeff(1) == BigPoly.one()
+        assert (a + b).coeff(1) == 1
 
     @pytest.mark.parametrize("scalar", [2, U])
     def test_add_takes_only_a_series(self, scalar):

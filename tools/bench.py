@@ -16,9 +16,8 @@ gentree (the joint transfer steps), cli (the enumerate listing through its
 emitters), verify (whole suite runs, as the verify command makes them, and
 the oracle suite alone) and enumerator (the listing walk and the joint
 tables).  A case that needs a function the copy's package lacks (the
-one-walk case needs ``recurrences.oo_polys``/``eo_polys``, the closed-form
-builds ``series.closed_form_in_u``) is recorded as null; any other error
-fails the run.  Standard library only; the package
+closed-form builds need ``series.closed_form_in_u``) is recorded as null;
+any other error fails the run.  Standard library only; the package
 does not import it.
 """
 
@@ -59,10 +58,7 @@ LAYERS = {
         "marginals n=1..160, one n at a time": Case(
             "[(R.oo_poly(n), R.eo_poly(n)) for n in range(1, 161)]"
         ),
-        "marginals n=1..160, one walk": Case(
-            "list(R.oo_polys(160)), list(R.eo_polys(160))",
-            ("recurrences.oo_polys", "recurrences.eo_polys"),
-        ),
+        "marginals n=1..160, one walk": Case("list(R._eigen_walk(160, 1)), list(R._eigen_walk(160, 0))"),
         "sequence --kind cno_count --limit 400": Case(
             "cli.main(['sequence', '--kind', 'cno_count', '--limit', '400', '--format', 'csv'])"
         ),
