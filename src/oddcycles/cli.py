@@ -17,18 +17,20 @@ contain no timings; the human verify report shows per-check seconds.
 Each cmd_* checks all of its input first and then returns its exit status
 with an iterable of text chunks; main writes the chunks as they come, so
 every usage error is reported before any output.  enumerate streams its
-listing in every format, one member at a time, in bounded memory: its JSON
-is written member by member, byte-identical to json.dumps of the whole
-document, with the count taken from a first walk.  The other commands
-return their text as one chunk.
+listing in every format in bounded memory, a batch of 512 members at a
+time: the batch's words and drop pairs go into one bytearray, and one
+str.translate turns it into text.  Its JSON is byte-identical to json.dumps
+of the whole document, with the count taken from a first walk.  The other
+commands return their text as one chunk.
 
 At start-up this module loads no other module of the package: each cmd_*
 imports the routes it runs (enumerate and table the enumerator, poly the
 generating tree or the recurrences, verify the suites, sequence the module
 its kind reads), and reaches them through module attributes such as
 enumerator.iter_odd_drop_words, so `oddcycles --version` and `--help` load
-no route.  RunConfig reads its limit on n from the package, not from the
-enumerator.
+no route.  Only JSON output imports json, so `--version` and the CSV and
+table commands skip it.  RunConfig reads its limit on n from the package,
+not from the enumerator.
 
 Limits come from flags, falling back to a key=value config file given with
 --config, falling back to defaults.  Exit codes: 0 success, 1 verification
@@ -39,9 +41,9 @@ written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import MAX_N, SUITES, __version__
@@ -142,6 +144,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit_json(command: str, params: dict, results: dict, checks: list[dict]) -> str:
+    import json
+
     doc = {"command": command, "params": params, "results": results, "checks": checks}
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -178,43 +182,87 @@ def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, Iterator[str]]:
     return 0, _listing(cfg, n)
 
 
-# one member of the JSON listing, at its depth in the document: the members
-# sit at indent 6, their keys at 8 and the entries at 10
-_MEMBER_JSON = (
-    '{{\n        "entries": [\n          {}\n        ],\n'
-    '        "eo": {},\n        "oo": {}\n      }}'
-)
-_ENTRY_SEP = ",\n          "
+# Members are written a batch at a time.  A batch is one bytearray: each
+# member's word, then one closing byte that carries its drop pair, and one
+# str.translate turns the whole batch into text.  512 members of n = 14 make
+# 137 KB of JSON text.
+_BATCH = 512
+_MEMBER_SEP = ",\n      "  # between two JSON members, at indent 6
+
+# per format, the text of a member's entry 1 (every canonical word starts
+# with 1 and holds it once), of each later entry v, and of its closing byte.
+# The JSON members sit at indent 6, their keys at 8 and the entries at 10.
+_MEMBER_TEXT = {
+    "table": ("1", " {v}", "   oo={oo} eo={eo}\n"),
+    "csv": ("\n{n},1", " {v}", ",{oo},{eo}"),
+    "json": (
+        _MEMBER_SEP + '{{\n        "entries": [\n          1',
+        ",\n          {v}",
+        '\n        ],\n        "eo": {eo},\n        "oo": {oo}\n      }}',
+    ),
+}
 _HOLE = "\0"  # stands for the members while the rest of the document is rendered
+
+
+def _closing(oo: int, eo: int) -> int:
+    # above every entry, and one byte per drop pair up to MAX_N
+    return 128 + 16 * oo + eo
+
+
+def _translation(fmt: str, n: int) -> dict[int, str]:
+    """The str.translate table that turns a batch of members on [n] into text."""
+    first, entry, close = _MEMBER_TEXT[fmt]
+    table = {1: first.format(n=n)}
+    table.update((v, entry.format(v=v)) for v in range(2, n + 1))
+    # a drop lands on an odd entry, and no two drops share one
+    bound = (n + 1) // 2
+    table.update(
+        (_closing(oo, eo), close.format(oo=oo, eo=eo))
+        for oo in range(bound + 1)
+        for eo in range(bound + 1 - oo)
+    )
+    return table
+
+
+def _batches(rows: Iterator[tuple[bytes, int, int]]) -> Iterator[bytearray]:
+    # each record is unpacked as it is read, so no list of them is built
+    while True:
+        buf = bytearray()
+        for w, oo, eo in islice(rows, _BATCH):
+            buf += w
+            buf.append(128 + 16 * oo + eo)  # _closing(oo, eo), without a call per member
+        if not buf:
+            return
+        yield buf
 
 
 def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
     from . import enumerator
 
-    # (word, oo, eo) records are read one at a time; no list of them is built
-    rows = enumerator.iter_odd_drop_words(n)
-    if cfg.output_format == "json":
+    fmt = cfg.output_format
+    if fmt == "json":
+        import json
+
         # "count" sorts before "cycles", so a first walk counts the members
         count = sum(1 for _ in enumerator.iter_odd_drop_words(n))
         results = {"count": count, "cycles": [_HOLE]}
         text = _emit_json("enumerate", _params(cfg, n=n), results, [])
         head, tail = text.split(json.dumps(_HOLE))
         yield head
-        sep = ""
-        for w, oo, eo in rows:
-            yield sep + _MEMBER_JSON.format(_ENTRY_SEP.join(map(str, w)), eo, oo)
-            sep = ",\n      "
-        yield tail
-    elif cfg.output_format == "csv":
+    elif fmt == "csv":
         yield "n,entries,oo,eo"
-        for w, oo, eo in rows:
-            yield f"\n{n},{' '.join(map(str, w))},{oo},{eo}"
-    else:
-        count = 0
-        for w, oo, eo in rows:
-            count += 1
-            yield f"{' '.join(map(str, w))}   oo={oo} eo={eo}\n"
-        yield f"total {count}"
+    table = _translation(fmt, n)
+    # the first JSON member has no separator before it
+    skip = len(_MEMBER_SEP) if fmt == "json" else 0
+    size = 0
+    for buf in _batches(enumerator.iter_odd_drop_words(n)):
+        size += len(buf)
+        yield buf.decode("latin-1").translate(table)[skip:]
+        skip = 0
+    if fmt == "json":
+        yield tail
+    elif fmt == "table":
+        yield f"total {size // (n + 1)}"  # each member is n + 1 bytes
 
 
 def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:

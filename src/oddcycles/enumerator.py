@@ -31,10 +31,12 @@ left the walk reads them from a memo, built by the same placement rule.
 from __future__ import annotations
 
 from math import ceil, factorial
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import MAX_N  # the largest n any function here accepts
-from .polynomials import BiPoly
+
+if TYPE_CHECKING:
+    from .polynomials import BiPoly
 
 
 def _check_n(n: int) -> None:
@@ -114,6 +116,8 @@ def joint_table(n: int) -> BiPoly:
     one bit wider than (n-1)!.  A drop moves every count of a state up a
     fixed number of slots, a shift, and two states merge by an add.
     """
+    from .polynomials import BiPoly  # here, so that listing members loads no polynomials
+
     _check_n(n)
     if n == 1:
         return BiPoly.one()

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import oddcycles
 from oddcycles import cli, enumerator, recurrences, series, verify
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
@@ -124,13 +125,46 @@ def whole_listing(n, fmt):
     return "\n".join(lines) + "\n"
 
 
+def closing_bytes_fit(max_n):
+    """Whether every drop pair possible on [max_n] gets a closing byte of
+    its own, above every entry and below 256."""
+    bound = math.ceil(max_n / 2)
+    codes = [cli._closing(oo, eo) for oo in range(bound + 1) for eo in range(bound + 1 - oo)]
+    return len(set(codes)) == len(codes) and max_n < min(codes) and max(codes) < 256
+
+
 class TestStreamedListing:
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_same_bytes_as_the_whole_document(self, capsys, n, fmt):
         status, out, err = run(capsys, "enumerate", "--n", str(n), "--format", fmt)
         assert (status, err) == (0, "")
         assert out == whole_listing(n, fmt)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_same_bytes_in_small_batches(self, capsys, monkeypatch, batch, fmt):
+        # the 576 members at n = 9 are the first listing longer than one
+        # batch of 512; these batches split the listing from n = 4 (1),
+        # 5 (2) and 7 (7) on, and a batch of 1 holds one member
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        for n in range(1, 10):
+            assert run(capsys, "enumerate", "--n", str(n), "--format", fmt) == (
+                0, whole_listing(n, fmt), ""
+            ), n
+
+    def test_every_drop_pair_has_its_own_closing_byte(self):
+        assert closing_bytes_fit(oddcycles.MAX_N)
+        # negative control: at n = 16 the pair (8, 0) would need byte 256
+        assert not closing_bytes_fit(16)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_swapped_closing_text_differs(self, capsys, monkeypatch, fmt):
+        # negative control: the closing text prints eo where oo belongs
+        first, entry, close = cli._MEMBER_TEXT[fmt]
+        swapped = close.replace("{oo}", "{tmp}").replace("{eo}", "{oo}").replace("{tmp}", "{eo}")
+        monkeypatch.setitem(cli._MEMBER_TEXT, fmt, (first, entry, swapped))
+        assert run(capsys, "enumerate", "--n", "5", "--format", fmt)[1] != whole_listing(5, fmt)
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_swapped_statistics_differ(self, capsys, monkeypatch, fmt):

@@ -2,8 +2,9 @@
 
 The boundary tests run the command line in a child, as ``python -m
 oddcycles`` does, and list the package modules it loaded and whether it
-loaded ``dataclasses``.  The surface tests check that every public name
-read from the package is the object its home module defines.
+loaded ``dataclasses`` or ``json``; only a JSON document loads ``json``.
+The surface tests check that every public name read from the package is
+the object its home module defines.
 """
 
 import ast
@@ -27,17 +28,19 @@ try:
     runpy.run_module("oddcycles", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(*sorted(m for m in sys.modules if m.startswith("oddcycles.") or m == "dataclasses"),
+print(*sorted(m for m in sys.modules if m.startswith("oddcycles.") or m in ("dataclasses", "json")),
       sep="\\n", file=sys.stderr)
 """
 
 ROUTES = {"oddcycles.gentree", "oddcycles.recurrences", "oddcycles.series", "oddcycles.verify"}
 ENUMERATOR = {"oddcycles.enumerator"}
+POLYNOMIALS = {"oddcycles.polynomials"}
+JSON = {"json"}
 
 
 @lru_cache(maxsize=None)
 def loaded(argv: tuple[str, ...], prelude: str = "") -> frozenset[str]:
-    """The package modules, and dataclasses, that one command loads."""
+    """The package modules, dataclasses and json that one command loads."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(prelude=prelude), *argv],
@@ -54,14 +57,18 @@ def crossed(modules: frozenset[str], forbidden: set[str]) -> set[str]:
     return modules & (forbidden | {"dataclasses"})
 
 
-# each command and the modules it must not load
+# each command and the modules it must not load: a listing of members
+# needs no polynomial, and no format but JSON needs json
 BOUNDARIES = [
-    (("enumerate", "--n", "3"), ROUTES),
-    (("poly", "--kind", "f", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR),
-    (("poly", "--kind", "g", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR),
-    (("poly", "--kind", "joint", "--n", "3"), ROUTES - {"oddcycles.gentree"} | ENUMERATOR),
-    (("sequence", "--kind", "genocchi", "--limit", "3"), ROUTES - {"oddcycles.series"} | ENUMERATOR),
-    (("verify", "--max-n", "3", "--series-order", "4", "--format", "csv"), set()),
+    (("enumerate", "--n", "3"), ROUTES | POLYNOMIALS | JSON),
+    (("enumerate", "--n", "3", "--format", "csv"), ROUTES | POLYNOMIALS | JSON),
+    (("enumerate", "--n", "3", "--format", "json"), ROUTES | POLYNOMIALS),
+    (("table", "--n", "3", "--format", "csv"), ROUTES | JSON),
+    (("poly", "--kind", "f", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR | JSON),
+    (("poly", "--kind", "g", "--n", "3"), ROUTES - {"oddcycles.recurrences"} | ENUMERATOR | JSON),
+    (("poly", "--kind", "joint", "--n", "3"), ROUTES - {"oddcycles.gentree"} | ENUMERATOR | JSON),
+    (("sequence", "--kind", "genocchi", "--limit", "3"), ROUTES - {"oddcycles.series"} | ENUMERATOR | JSON),
+    (("verify", "--max-n", "3", "--series-order", "4", "--format", "csv"), JSON),
 ]
 
 
@@ -71,11 +78,14 @@ def test_command_loads_only_its_routes(argv, forbidden):
 
 
 def test_version_loads_the_command_line_only():
+    # json included: the probe reports it when it is loaded
     assert loaded(("--version",)) == {"oddcycles.cli"}
 
 
 def test_each_command_loads_the_route_it_runs():
     assert "oddcycles.enumerator" in loaded(("enumerate", "--n", "3"))
+    assert "json" in loaded(BOUNDARIES[2][0])
+    assert "oddcycles.polynomials" in loaded(BOUNDARIES[3][0])
     assert "oddcycles.recurrences" in loaded(("poly", "--kind", "f", "--n", "3"))
     assert ROUTES <= loaded(BOUNDARIES[-1][0])
 
@@ -86,6 +96,8 @@ def test_boundary_check_sees_a_loaded_route():
     assert "oddcycles.verify" in crossed(modules, ROUTES)
     modules = loaded(("--version",), prelude="import dataclasses")
     assert crossed(modules, set()) == {"dataclasses"}
+    modules = loaded(("--version",), prelude="import json")
+    assert crossed(modules, JSON) == {"json"}
 
 
 def test_each_public_name_is_its_home_modules_object():

@@ -5,9 +5,11 @@ medians, and the median of each repeat's after/before ratio, to
 BENCH_<layer>.json at the root of the repository.  Each case runs
 in its own child process with the copy's ``src`` directory on PYTHONPATH;
 the child times only the case, in process time, after the package is
-imported, and writes the case's output to a sink that keeps nothing.  The
-two copies alternate which runs first from repeat to repeat, so a drift in
-host speed hits both alike.
+imported, and writes the case's output to a sink that keeps nothing.  Its
+peak resident size is the child's own high-water mark, ``VmHWM`` in
+``/proc/self/status`` (Linux); ``ru_maxrss`` would start at the parent's
+peak, which a child carries over.  The two copies alternate which runs
+first from repeat to repeat, so a drift in host speed hits both alike.
 
     python3 tools/bench.py --layer series ../before/src src
 
@@ -32,7 +34,7 @@ import subprocess
 import sys
 from typing import NamedTuple
 
-REPEATS = 5
+REPEATS = 9
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 #: the names a case's code reads, each a module of the package
@@ -108,11 +110,17 @@ LAYERS = {
         "enumerate --n 11 --format csv": Case(
             "cli.main(['enumerate', '--n', '11', '--format', 'csv'])"
         ),
+        "enumerate --n 13 --max-n 13 --format csv": Case(
+            "cli.main(['enumerate', '--n', '13', '--max-n', '13', '--format', 'csv'])"
+        ),
+        "enumerate --n 13 --max-n 13 --format json": Case(
+            "cli.main(['enumerate', '--n', '13', '--max-n', '13', '--format', 'json'])"
+        ),
     },
 }
 
 CHILD = """
-import contextlib, importlib, io, json, resource, sys, time
+import contextlib, importlib, io, json, sys, time
 from oddcycles import cli
 from oddcycles import enumerator as E
 from oddcycles import gentree as G
@@ -136,7 +144,8 @@ with contextlib.redirect_stdout(Sink()):
     start = time.process_time()
     exec(sys.argv[1])
     seconds = time.process_time() - start
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as fh:
+    rss_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 print(json.dumps({"seconds": seconds, "max_rss_mb": rss_mb}))
 """
 
