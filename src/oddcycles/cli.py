@@ -16,12 +16,15 @@ contain no timings; the human verify report shows per-check seconds.
 
 Each cmd_* checks all of its input first and then returns its exit status
 with an iterable of text chunks; main writes the chunks as they come, so
-every usage error is reported before any output.  enumerate streams its
-listing in every format in bounded memory, a batch of 512 members at a
-time: the batch's words and drop pairs go into one bytearray, and one
-str.translate turns it into text.  Its JSON is byte-identical to json.dumps
-of the whole document, with the count taken from a first walk.  The other
-commands return their text as one chunk.
+every usage error is reported before any output.  Each command states its
+output once, as a JSON document with a hole where its rows go, a CSV
+header, its rows and their table lines, and one emitter writes the rows
+in the chosen format as they come, so no command holds its whole text.
+The JSON is byte-identical to json.dumps of the whole document.  enumerate
+streams its listing in bounded memory, a batch of 512 members at a time:
+the batch's words and drop pairs go into one bytearray, and one
+str.translate turns it into text; its count comes from the enumerator's
+table of drop pairs.  poly writes its polynomial term by term.
 
 At start-up this module loads no other module of the package: each cmd_*
 imports the routes it runs (enumerate and table the enumerator, poly the
@@ -53,9 +56,10 @@ if TYPE_CHECKING:
 
 FORMATS = ("table", "json", "csv")
 POLY_KINDS = ("f", "g", "joint")
-# Caps on the inputs that take any size, each a few seconds of work at the
-# cap: joint_poly(400) takes about 1.3-1.5 s (the poly command 1.5-1.8 s, CSV
-# included) and oo_poly(2000) about 1 s (the poly command 1.4-1.6 s).
+# Caps on the inputs that take any size, each under 1.5 s of work at the
+# cap: poly takes about 1.2-1.3 s and 34 MB at --kind joint --n 400 in every
+# format and 1.3 s at --kind f|g --n 2000, and sequence --kind cno_count
+# --limit 2000 0.33 s (medians of wall time, BENCH_caps.json).
 MAX_JOINT_N = 400
 MAX_MARGINAL_N = 2000  # poly --kind f|g --n, and sequence --kind cno_count --limit
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
@@ -142,29 +146,63 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 # -- emission ---------------------------------------------------------------
 
+_HOLE = "\0"  # stands for the rows while the rest of the JSON document is rendered
 
-def _emit_json(command: str, params: dict, results: dict, checks: list[dict]) -> str:
+
+def _document(cfg: RunConfig, command: str, results: dict, checks=(), **params) -> dict:
+    params.update(
+        format=cfg.output_format,
+        max_bruteforce_n=cfg.max_bruteforce_n,
+        series_order=cfg.series_order,
+    )
+    return {"command": command, "params": params, "results": results, "checks": list(checks)}
+
+
+def _emit(fmt: str, doc: dict, header: str, rows: Iterable, line=None, top="", bottom="") -> Iterator[str]:
+    """A command's output in one format, as chunks of text.
+
+    Each row is a tuple of values, or text already in the format (a batch
+    of members, a polynomial's terms), which is written as it is.  The
+    table is top, line(*row) for each row, and bottom.  CSV is the header
+    and a line of each row's values, as many as the header has fields; they
+    never hold a comma or a quote.  JSON is doc with _HOLE where the rows
+    go: in a list, each row an object keyed by the header's fields, as
+    json.dumps writes it there, and each text row starts with the separator
+    the list puts before it; in a string, the text rows, which need no
+    escaping.
+    """
+    if fmt == "table":
+        yield top
+        yield from (row if isinstance(row, str) else line(*row) for row in rows)
+        yield bottom
+        return
+    if fmt == "csv":
+        yield header
+        width = header.count(",") + 1
+        for row in rows:
+            yield row if isinstance(row, str) else "\n" + ",".join(map(str, row[:width]))
+        return
     import json
 
-    doc = {"command": command, "params": params, "results": results, "checks": checks}
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _emit_csv(header: list[str], rows: Iterable[list]) -> str:
-    # values here never contain commas or quotes, so plain joins do
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines)
-
-
-def _params(cfg: RunConfig, **extra) -> dict:
-    out = {
-        "format": cfg.output_format,
-        "max_bruteforce_n": cfg.max_bruteforce_n,
-        "series_order": cfg.series_order,
-    }
-    out.update(extra)
-    return out
+    head, tail = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(_HOLE))
+    indent = head[head.rindex("\n") + 1 :]
+    if not indent.isspace():  # the hole is a string
+        yield head + '"'
+        for text in rows:
+            assert json.dumps(text) == f'"{text}"', text
+            yield text
+        yield '"' + tail
+        return
+    yield head
+    keys, sep = header.split(","), ",\n" + indent
+    skip = len(sep)  # the first row has no separator before it
+    for row in rows:
+        if not isinstance(row, str):
+            obj = json.dumps(dict(zip(keys, row)), sort_keys=True, indent=2)
+            row = sep + obj.replace("\n", "\n" + indent)
+        yield row[skip:]
+        skip = 0
+    yield tail
 
 
 # -- subcommands -------------------------------------------------------------
@@ -175,33 +213,25 @@ def _check_enumerable(cfg: RunConfig, n: int) -> None:
         raise UsageError(f"n must be in 1..{cfg.max_bruteforce_n}, got {n}")
 
 
-def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, Iterator[str]]:
-    if n is None:
-        raise UsageError("enumerate requires --n")
-    _check_enumerable(cfg, n)
-    return 0, _listing(cfg, n)
-
-
 # Members are written a batch at a time.  A batch is one bytearray: each
 # member's word, then one closing byte that carries its drop pair, and one
 # str.translate turns the whole batch into text.  512 members of n = 14 make
 # 137 KB of JSON text.
 _BATCH = 512
-_MEMBER_SEP = ",\n      "  # between two JSON members, at indent 6
 
 # per format, the text of a member's entry 1 (every canonical word starts
 # with 1 and holds it once), of each later entry v, and of its closing byte.
-# The JSON members sit at indent 6, their keys at 8 and the entries at 10.
+# The JSON members sit at indent 6, their keys at 8 and the entries at 10,
+# each member after the separator of its list.
 _MEMBER_TEXT = {
     "table": ("1", " {v}", "   oo={oo} eo={eo}\n"),
     "csv": ("\n{n},1", " {v}", ",{oo},{eo}"),
     "json": (
-        _MEMBER_SEP + '{{\n        "entries": [\n          1',
+        ',\n      {{\n        "entries": [\n          1',
         ",\n          {v}",
         '\n        ],\n        "eo": {eo},\n        "oo": {oo}\n      }}',
     ),
 }
-_HOLE = "\0"  # stands for the members while the rest of the document is rendered
 
 
 def _closing(oo: int, eo: int) -> int:
@@ -224,7 +254,7 @@ def _translation(fmt: str, n: int) -> dict[int, str]:
     return table
 
 
-def _batches(rows: Iterator[tuple[bytes, int, int]]) -> Iterator[bytearray]:
+def _batches(rows: Iterator[tuple[bytes, int, int]], table: dict[int, str]) -> Iterator[str]:
     # each record is unpacked as it is read, so no list of them is built
     while True:
         buf = bytearray()
@@ -233,36 +263,22 @@ def _batches(rows: Iterator[tuple[bytes, int, int]]) -> Iterator[bytearray]:
             buf.append(128 + 16 * oo + eo)  # _closing(oo, eo), without a call per member
         if not buf:
             return
-        yield buf
+        yield buf.decode("latin-1").translate(table)
 
 
-def _listing(cfg: RunConfig, n: int) -> Iterator[str]:
+def cmd_enumerate(cfg: RunConfig, n: int) -> tuple[int, Iterator[str]]:
+    if n is None:
+        raise UsageError("enumerate requires --n")
+    _check_enumerable(cfg, n)
     from . import enumerator
 
     fmt = cfg.output_format
-    if fmt == "json":
-        import json
-
-        # "count" sorts before "cycles", so a first walk counts the members
-        count = sum(1 for _ in enumerator.iter_odd_drop_words(n))
-        results = {"count": count, "cycles": [_HOLE]}
-        text = _emit_json("enumerate", _params(cfg, n=n), results, [])
-        head, tail = text.split(json.dumps(_HOLE))
-        yield head
-    elif fmt == "csv":
-        yield "n,entries,oo,eo"
-    table = _translation(fmt, n)
-    # the first JSON member has no separator before it
-    skip = len(_MEMBER_SEP) if fmt == "json" else 0
-    size = 0
-    for buf in _batches(enumerator.iter_odd_drop_words(n)):
-        size += len(buf)
-        yield buf.decode("latin-1").translate(table)[skip:]
-        skip = 0
-    if fmt == "json":
-        yield tail
-    elif fmt == "table":
-        yield f"total {size // (n + 1)}"  # each member is n + 1 bytes
+    # JSON's count sorts before its members and the table ends with it, so
+    # it is read off the table of drop pairs; CSV has none
+    count = 0 if fmt == "csv" else sum(enumerator._pair_counts(n).values())
+    rows = _batches(enumerator.iter_odd_drop_words(n), _translation(fmt, n))
+    doc = _document(cfg, "enumerate", {"count": count, "cycles": [_HOLE]}, n=n)
+    return 0, _emit(fmt, doc, "n,entries,oo,eo", rows, bottom=f"total {count}")
 
 
 def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
@@ -276,52 +292,41 @@ def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
     return recurrence(n).to_bipoly(var), var
 
 
-def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, list[str]]:
+def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, Iterator[str]]:
     if kind is None or n is None:
         raise UsageError("poly requires --kind and --n")
     _check_range("n", n, 1, MAX_JOINT_N if kind == "joint" else MAX_MARGINAL_N)
     poly, variables = _poly_for(kind, n)
-    if cfg.output_format == "json":
-        results = {
-            "kind": kind,
-            "n": n,
-            "variables": variables,
-            "polynomial": poly.format(explicit_units=True),
-        }
-        return 0, [_emit_json("poly", _params(cfg, kind=kind, n=n), results, [])]
-    if cfg.output_format == "csv":
-        rows = [[i, j, c] for (i, j), c in poly.sorted_terms()]
-        return 0, [_emit_csv(["x_degree", "y_degree", "coefficient"], rows)]
-    return 0, [poly.format()]
+    fmt = cfg.output_format
+    if fmt == "csv":
+        rows = ((i, j, c) for (i, j), c in poly.sorted_terms())
+    else:
+        rows = poly.format(explicit_units=fmt == "json")
+    results = {"kind": kind, "n": n, "variables": variables, "polynomial": _HOLE}
+    doc = _document(cfg, "poly", results, kind=kind, n=n)
+    return 0, _emit(fmt, doc, "x_degree,y_degree,coefficient", rows)
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, list[str]]:
+def cmd_verify(cfg: RunConfig, suite: str) -> tuple[int, Iterator[str]]:
     from . import verify
 
     checks = verify.run_suites(suite, max_n=cfg.max_bruteforce_n, series_order=cfg.series_order)
     failed = sum(not c.passed for c in checks)
     skipped = sum(c.skipped for c in checks)
     passed = len(checks) - failed - skipped
-    status = 1 if failed else 0
-    if cfg.output_format == "json":
-        payload = [
-            {"name": c.name, "status": c.status, "detail": c.detail} for c in checks
-        ]
-        results = {"failed": failed, "passed": passed}
-        return status, [_emit_json("verify", _params(cfg, suite=suite), results, payload)]
-    if cfg.output_format == "csv":
-        rows = [[c.name, c.status, c.detail] for c in checks]
-        return status, [_emit_csv(["name", "status", "detail"], rows)]
     width = max(len(c.name) for c in checks)
-    lines = [
-        f"{c.status:4} {c.name:<{width}} {c.seconds:8.3f}s  {c.detail}" for c in checks
-    ]
-    lines.append(
+    summary = (
         f"{passed}/{len(checks)} checks passed"
         + (f", {skipped} skipped" if skipped else "")
         + (f", {failed} FAILED" if failed else "")
     )
-    return status, ["\n".join(lines)]
+    doc = _document(cfg, "verify", {"failed": failed, "passed": passed}, [_HOLE], suite=suite)
+    rows = [(c.name, c.status, c.detail, c.seconds) for c in checks]
+
+    def line(name: str, status: str, detail: str, seconds: float) -> str:
+        return f"{status:4} {name:<{width}} {seconds:8.3f}s  {detail}\n"
+
+    return 1 if failed else 0, _emit(cfg.output_format, doc, "name,status,detail", rows, line, bottom=summary)
 
 
 def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[int, int]], str]:
@@ -363,27 +368,18 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
     return list(enumerate(values, first)), "generating function"
 
 
-def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, list[str]]:
+def cmd_sequence(cfg: RunConfig, kind: str, limit: int) -> tuple[int, Iterator[str]]:
     if kind is None or limit is None:
         raise UsageError("sequence requires --kind and --limit")
     if limit < 1:
         raise UsageError(f"limit must be positive, got {limit}")
     rows, source = _sequence_rows(cfg, kind, limit)
-    if cfg.output_format == "json":
-        results = {
-            "kind": kind,
-            "source": source,
-            "values": [{"n": n, "value": v} for n, v in rows],
-        }
-        return 0, [_emit_json("sequence", _params(cfg, kind=kind, limit=limit), results, [])]
-    if cfg.output_format == "csv":
-        return 0, [_emit_csv(["n", "value"], [[n, v] for n, v in rows])]
-    lines = [f"# source: {source}"]
-    lines.extend(f"{n}\t{v}" for n, v in rows)
-    return 0, ["\n".join(lines)]
+    results = {"kind": kind, "source": source, "values": [_HOLE]}
+    doc = _document(cfg, "sequence", results, kind=kind, limit=limit)
+    return 0, _emit(cfg.output_format, doc, "n,value", rows, "\n{}\t{}".format, f"# source: {source}")
 
 
-def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, list[str]]:
+def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, Iterator[str]]:
     if (n is None) == (limit is None):
         raise UsageError("table requires exactly one of --n or --limit")
     if limit is not None and limit < 1:
@@ -392,24 +388,14 @@ def cmd_table(cfg: RunConfig, n: int | None, limit: int | None) -> tuple[int, li
     _check_enumerable(cfg, n if n is not None else limit)
     from . import enumerator
 
-    rows: list[list[int]] = []
-    for m in [n] if n is not None else range(1, limit + 1):
-        table = enumerator.joint_table(m)
-        for (oo, eo), c in sorted(table.terms.items()):
-            rows.append([m, oo, eo, c])
-    if cfg.output_format == "json":
-        results = {
-            "rows": [
-                {"n": m, "oo": oo, "eo": eo, "count": c} for m, oo, eo, c in rows
-            ]
-        }
-        params = _params(cfg, n=n, limit=limit)
-        return 0, [_emit_json("table", params, results, [])]
-    if cfg.output_format == "csv":
-        return 0, [_emit_csv(["n", "oo", "eo", "count"], rows)]
-    lines = [f"{'n':>3} {'oo':>3} {'eo':>3} {'count':>12}"]
-    lines.extend(f"{m:>3} {oo:>3} {eo:>3} {c:>12}" for m, oo, eo, c in rows)
-    return 0, ["\n".join(lines)]
+    rows = (
+        (m, oo, eo, c)
+        for m in ([n] if n is not None else range(1, limit + 1))
+        for (oo, eo), c in sorted(enumerator.joint_table(m).terms.items())
+    )
+    doc = _document(cfg, "table", {"rows": [_HOLE]}, n=n, limit=limit)
+    line = "\n{:>3} {:>3} {:>3} {:>12}".format
+    return 0, _emit(cfg.output_format, doc, "n,oo,eo,count", rows, line, line("n", "oo", "eo", "count")[1:])
 
 
 # -- driver -------------------------------------------------------------------

@@ -118,9 +118,14 @@ def joint_table(n: int) -> BiPoly:
     """
     from .polynomials import BiPoly  # here, so that listing members loads no polynomials
 
+    return BiPoly(_pair_counts(n))
+
+
+def _pair_counts(n: int) -> dict[tuple[int, int], int]:
+    # joint_table's dynamic program: its counts by drop pair, in a plain dict
     _check_n(n)
     if n == 1:
-        return BiPoly.one()
+        return {(0, 0): 1}
     width = factorial(n - 1).bit_length() + 1
     drop = _drop_shifts(n, width)
     values = range(2, n + 1)
@@ -151,7 +156,7 @@ def joint_table(n: int) -> BiPoly:
             if sum(pair) > bound:
                 raise ValueError(f"stat pair {pair} exceeds bound {bound} for n={n}")
             counts[pair] = c
-    return BiPoly(counts)
+    return counts
 
 
 def _successors(prev: int, values: range) -> list[int]:

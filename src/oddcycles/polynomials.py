@@ -184,10 +184,6 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
-
     def coeff(self, i: int, j: int) -> int:
         return self.terms.get((i, j), 0)
 
@@ -215,25 +211,23 @@ class BiPoly:
         """Terms in graded lexicographic order (total degree, then x, then y)."""
         return iter(sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])))
 
-    def format(self, explicit_units: bool = False) -> str:
-        """Render as '+'-separated monomials in graded lexicographic order."""
+    def format(self, explicit_units: bool = False) -> Iterator[str]:
+        """Yield the '+'-separated monomials in graded lexicographic order, one
+        at a time: the first alone, each later one after its ' + '."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for (i, j), c in self.sorted_terms():
             factors = []
             if i:
                 factors.append(_fmt_power("x", i))
             if j:
                 factors.append(_fmt_power("y", j))
-            if not factors:
-                parts.append(str(c))
-            elif c == 1 and not explicit_units:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+            if not factors or c != 1 or explicit_units:
+                factors.insert(0, str(c))
+            yield sep + "*".join(factors)
+            sep = " + "
 
     def __repr__(self) -> str:
-        return f"BiPoly({self.format()!r})"
+        return f"BiPoly({''.join(self.format())!r})"
 

@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -33,7 +34,7 @@ def run(capsys, *argv):
 @pytest.fixture
 def stubbed(monkeypatch):
     """Every heavy call of the command line replaced by one that costs nothing."""
-    monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
+    monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (BiPoly({(0, 0): 1}), "x"))
     monkeypatch.setattr(recurrences, "_eigen_walk", lambda n, forced: (([1], 0) for _ in range(n)))
     monkeypatch.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
     monkeypatch.setattr(
@@ -68,8 +69,8 @@ class TestEnumerate:
     def test_members_are_read_one_at_a_time(self, capsys, monkeypatch, fmt):
         # the first member's record is read before the walk that lists it
         # yields a second one; a listing that collects all 86 400 members at
-        # n = 12 first would show 86 400 there.  JSON walks once more, only
-        # to count, so the members are counted per walk.
+        # n = 12 first would show 86 400 there.  The members are counted per
+        # walk: JSON reads its count off the pair table, not off a walk.
         walks = []
         walk = enumerator.iter_odd_drop_words
 
@@ -91,7 +92,7 @@ class TestEnumerate:
         monkeypatch.setattr(enumerator, "iter_odd_drop_words", counted)
         with pytest.raises(Seen) as seen:
             cli.main(["enumerate", "--n", "12", "--format", fmt])
-        assert seen.value.args == ([1, 86400] if fmt == "json" else [1],)
+        assert seen.value.args == ([1],)
 
     def test_requires_n(self, capsys):
         status, _, err = run(capsys, "enumerate")
@@ -105,24 +106,27 @@ class TestEnumerate:
         assert status == 0
 
 
-def whole_listing(n, fmt):
-    """enumerate's output as one string, built the way the command built it
-    before it streamed: one list of members, json.dumps of the document."""
-    rows = [(w, *stats_by_definition(w)) for w, _, _ in enumerator.iter_odd_drop_words(n)]
+def whole_output(fmt, command, params, results, header, rows, lines, checks=()):
+    """A command's output as one string, built the way the commands built it
+    before they streamed: json.dumps of the whole document, or every CSV
+    or table line joined."""
     if fmt == "json":
-        params = {"format": fmt, "max_bruteforce_n": 12, "n": n, "series_order": 40}
-        cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in rows]
-        results = {"count": len(cycles), "cycles": cycles}
-        doc = {"command": "enumerate", "params": params, "results": results, "checks": []}
+        params = {"format": fmt, "max_bruteforce_n": 12, "series_order": 40, **params}
+        doc = {"command": command, "params": params, "results": results, "checks": list(checks)}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        lines = ["n,entries,oo,eo"]
-        body = ([n, " ".join(map(str, w)), oo, eo] for w, oo, eo in rows)
-        lines.extend(",".join(str(v) for v in row) for row in body)
-    else:
-        lines = [f"{' '.join(map(str, w))}   oo={oo} eo={eo}" for w, oo, eo in rows]
-        lines.append(f"total {len(rows)}")
+        lines = [header, *(",".join(str(v) for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def whole_listing(n, fmt):
+    """enumerate's output as one string, from one list of members."""
+    members = [(w, *stats_by_definition(w)) for w, _, _ in enumerator.iter_odd_drop_words(n)]
+    cycles = [{"entries": list(w), "oo": oo, "eo": eo} for w, oo, eo in members]
+    rows = [(n, " ".join(map(str, w)), oo, eo) for w, oo, eo in members]
+    lines = [f"{entries}   oo={oo} eo={eo}" for _, entries, oo, eo in rows] + [f"total {len(rows)}"]
+    results = {"count": len(cycles), "cycles": cycles}
+    return whole_output(fmt, "enumerate", {"n": n}, results, "n,entries,oo,eo", rows, lines)
 
 
 def closing_bytes_fit(max_n):
@@ -198,6 +202,154 @@ class TestStreamedListing:
         assert out == "1" + "0" * 5000 + "\n"
 
 
+def graded(poly):
+    return sorted(poly.terms.items(), key=lambda term: (sum(term[0]), term[0]))
+
+
+def whole_polynomial(poly, explicit_units):
+    """A polynomial's text, built the way BiPoly built it before it yielded
+    its terms."""
+    parts = []
+    for (i, j), c in graded(poly):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in (("x", i), ("y", j)) if e]
+        if not factors:
+            parts.append(str(c))
+        elif c == 1 and not explicit_units:
+            parts.append("*".join(factors))
+        else:
+            parts.append("*".join([str(c)] + factors))
+    return " + ".join(parts)
+
+
+def whole_poly(kind, n, fmt, poly):
+    results = {
+        "kind": kind,
+        "n": n,
+        "variables": {"f": "x", "g": "y", "joint": "xy"}[kind],
+        "polynomial": whole_polynomial(poly, True),
+    }
+    rows = [(i, j, c) for (i, j), c in graded(poly)]
+    return whole_output(
+        fmt, "poly", {"kind": kind, "n": n}, results, "x_degree,y_degree,coefficient", rows,
+        [whole_polynomial(poly, False)],
+    )
+
+
+def whole_verify(suite, max_n, order, fmt, checks):
+    failed = sum(not c.passed for c in checks)
+    skipped = sum(c.skipped for c in checks)
+    passed = len(checks) - failed - skipped
+    width = max(len(c.name) for c in checks)
+    lines = [f"{c.status:4} {c.name:<{width}} {c.seconds:8.3f}s  {c.detail}" for c in checks]
+    lines.append(
+        f"{passed}/{len(checks)} checks passed"
+        + (f", {skipped} skipped" if skipped else "")
+        + (f", {failed} FAILED" if failed else "")
+    )
+    params = {"suite": suite, "max_bruteforce_n": max_n, "series_order": order}
+    payload = [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks]
+    rows = [(c.name, c.status, c.detail) for c in checks]
+    results = {"failed": failed, "passed": passed}
+    return whole_output(fmt, "verify", params, results, "name,status,detail", rows, lines, payload)
+
+
+def whole_sequence(kind, limit, fmt):
+    if kind == "cno_count":
+        # the members on [n]: floor((n-1)/2)! * ceil((n-1)/2)!
+        rows = [(n, math.factorial((n - 1) // 2) * math.factorial(n // 2)) for n in range(1, limit + 1)]
+        source = "recurrence"
+    elif kind in ("even_odd_only", "odd_odd_only"):
+        odd = kind == "odd_odd_only"
+        count = enumerator.count_odd_odd_only if odd else enumerator.count_even_odd_only
+        rows, source = [(2 * m + odd, count(2 * m + odd)) for m in range(1, limit + 1)], "enumeration"
+    elif kind == "genocchi":
+        rows, source = list(enumerate(series.genocchi_sequence(limit), 1)), "generating function"
+    else:
+        rows, source = list(enumerate(series.genocchi_median_sequence(limit), 0)), "generating function"
+    results = {"kind": kind, "source": source, "values": [{"n": n, "value": v} for n, v in rows]}
+    lines = [f"# source: {source}", *(f"{n}\t{v}" for n, v in rows)]
+    return whole_output(fmt, "sequence", {"kind": kind, "limit": limit}, results, "n,value", rows, lines)
+
+
+def whole_table(n, limit, fmt):
+    rows = [
+        (m, oo, eo, c)
+        for m in ([n] if n is not None else range(1, limit + 1))
+        for (oo, eo), c in sorted(enumerator.joint_table(m).terms.items())
+    ]
+    results = {"rows": [{"n": m, "oo": oo, "eo": eo, "count": c} for m, oo, eo, c in rows]}
+    lines = [f"{'n':>3} {'oo':>3} {'eo':>3} {'count':>12}"]
+    lines.extend(f"{m:>3} {oo:>3} {eo:>3} {c:>12}" for m, oo, eo, c in rows)
+    return whole_output(fmt, "table", {"n": n, "limit": limit}, results, "n,oo,eo,count", rows, lines)
+
+
+POLY_SIZES = {"f": [*range(1, 41), 1500], "g": [*range(1, 41), 1500], "joint": [*range(1, 31), 300]}
+
+
+class TestStreamedOutput:
+    """Every other command, streamed row by row, writes the bytes of the
+    whole document that it built before."""
+
+    @pytest.mark.parametrize("kind", sorted(POLY_SIZES))
+    def test_poly(self, capsys, monkeypatch, kind):
+        # each polynomial is computed once for its three formats
+        poly_for = functools.cache(cli._poly_for)
+        monkeypatch.setattr(cli, "_poly_for", poly_for)
+        for n in POLY_SIZES[kind]:
+            for fmt in cli.FORMATS:
+                want = whole_poly(kind, n, fmt, poly_for(kind, n)[0])
+                argv = ("poly", "--kind", kind, "--n", str(n), "--format", fmt)
+                assert run(capsys, *argv) == (0, want, ""), (n, fmt)
+
+    @pytest.mark.parametrize("suite", ["all", *cli.SUITES])
+    def test_verify(self, capsys, monkeypatch, suite):
+        # the checks are run once and replayed, so the table's seconds hold
+        checks = verify.run_suites(suite, max_n=5, series_order=10)
+        failing = CheckResult("quoted", False, 'n=3: "x\\y" != "x"', 0.25)
+        for replayed, status in ((checks, 0), ([*checks, failing], 1)):
+            monkeypatch.setattr(verify, "run_suites", lambda suite, *, max_n, series_order: replayed)
+            for fmt in cli.FORMATS:
+                argv = ("verify", "--suite", suite, "--max-n", "5", "--series-order", "10", "--format", fmt)
+                want = whole_verify(suite, 5, 10, fmt, replayed)
+                assert run(capsys, *argv) == (status, want, ""), (fmt, status)
+
+    @pytest.mark.parametrize(
+        "kind, limit",
+        [("cno_count", 1), ("cno_count", 300), ("even_odd_only", 5), ("odd_odd_only", 5),
+         ("genocchi", 40), ("median", 40)],
+    )
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_sequence(self, capsys, kind, limit, fmt):
+        argv = ("sequence", "--kind", kind, "--limit", str(limit), "--format", fmt)
+        assert run(capsys, *argv) == (0, whole_sequence(kind, limit, fmt), "")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_table(self, capsys, fmt):
+        for n in range(1, 13):
+            want = whole_table(n, None, fmt)
+            assert run(capsys, "table", "--n", str(n), "--format", fmt) == (0, want, ""), n
+        for limit in (1, 2, 12):
+            want = whole_table(None, limit, fmt)
+            assert run(capsys, "table", "--limit", str(limit), "--format", fmt) == (0, want, ""), limit
+
+    def test_poly_json_runs_in_bounded_memory(self, monkeypatch):
+        # the joint polynomial at n = 200, 5049 terms and 1.4 MB of JSON,
+        # computed before tracing and written to a sink that keeps nothing.
+        # Building the whole document first peaks at about 4.5 MB here.
+        poly = joint_poly(200)
+        monkeypatch.setattr(cli, "_poly_for", lambda kind, n: (poly, "xy"))
+        tracemalloc.start()
+        try:
+            status, chunks = cli.cmd_poly(cli.RunConfig(output_format="json"), "joint", 200)
+            for _ in chunks:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 2**20
+
+
 # one bad command line per subcommand, each refused before any output
 USAGE_ERRORS = [
     ["enumerate"],
@@ -242,7 +394,7 @@ class TestPoly:
     def test_json_round_trips_through_parser(self, capsys):
         _, out, _ = run(capsys, "poly", "--kind", "joint", "--n", "7", "--format", "json")
         doc = json.loads(out)
-        assert doc["results"]["polynomial"] == joint_poly(7).format(explicit_units=True)
+        assert doc["results"]["polynomial"] == "".join(joint_poly(7).format(explicit_units=True))
 
     def test_rejects_bad_input(self, capsys):
         assert run(capsys, "poly", "--kind", "f")[0] == 2
@@ -545,13 +697,17 @@ def spawn(*argv, env=None, **popen):
 
 class TestOutput:
     def test_reader_leaving_early_is_no_error(self):
-        # 446 KB of csv, more than a pipe holds; the reader takes the header
-        # and closes the pipe, as `| head -1` does
-        proc = spawn("enumerate", "--n", "11", "--format", "csv")
-        assert proc.stdout.readline() == b"n,entries,oo,eo\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(), err) == (0, b"")
+        # 446 KB and 5.4 MB of csv, more than a pipe holds; the reader takes
+        # the header and closes the pipe, as `| head -1` does
+        for argv, header in (
+            (("enumerate", "--n", "11"), b"n,entries,oo,eo\n"),
+            (("poly", "--kind", "joint", "--n", "300"), b"x_degree,y_degree,coefficient\n"),
+        ):
+            proc = spawn(*argv, "--format", "csv")
+            assert proc.stdout.readline() == header
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(), err) == (0, b""), argv
 
     def test_reader_leaving_a_streamed_listing_is_no_error(self):
         # the JSON listing is written member by member; the reader closes
@@ -577,7 +733,11 @@ class TestOutput:
         # writes stops at the first. Buffered, a short output is still held
         # by stdout when the flush fails, and the flush at exit must not
         # fail with it (PYTHONUNBUFFERED set to "" is off)
-        for argv in (("sequence", "--kind", "genocchi", "--limit", "3"), ("enumerate", "--n", "11")):
+        for argv in (
+            ("sequence", "--kind", "genocchi", "--limit", "3"),
+            ("enumerate", "--n", "11"),
+            ("poly", "--kind", "joint", "--n", "300", "--format", "csv"),
+        ):
             for unbuffered in ("", "1"):
                 with open("/dev/full", "wb") as full:
                     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
@@ -654,10 +814,11 @@ def command_lines(draw):
 
 def _stub_routes(mp, verify_fails):
     """Every route the command line reaches, replaced by one that costs nothing."""
-    mp.setattr(cli, "_poly_for", lambda kind, n: (BiPoly.one(), "x"))
+    mp.setattr(cli, "_poly_for", lambda kind, n: (BiPoly({(0, 0): 1}), "x"))
     mp.setattr(recurrences, "_eigen_walk", lambda n, forced: (([1], 0) for _ in range(n)))
     mp.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
-    mp.setattr(enumerator, "joint_table", lambda n: BiPoly.one())
+    mp.setattr(enumerator, "joint_table", lambda n: BiPoly({(0, 0): 1}))
+    mp.setattr(enumerator, "_pair_counts", lambda n: {(0, 0): 1})
     for count in ("count_even_odd_only", "count_odd_odd_only"):
         mp.setattr(enumerator, count, lambda n: 1)
     for values in ("genocchi_sequence", "genocchi_median_sequence"):

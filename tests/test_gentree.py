@@ -306,7 +306,7 @@ def _marginal_step(poly: BigPoly, k: int, forced: bool) -> BigPoly:
 
 class TestTransferSteps:
     def test_even_step_examples(self):
-        assert joint_step(BiPoly.one(), 1, odd=False) == BiPoly({(0, 1): 1})
+        assert joint_step(BiPoly({(0, 0): 1}), 1, odd=False) == BiPoly({(0, 1): 1})
         assert joint_step(BiPoly({(1, 0): 1}), 2, odd=False) == BiPoly({(0, 1): 1, (1, 1): 1})
 
     def test_odd_step_examples(self):
@@ -477,7 +477,7 @@ def test_word_child_property_catches_a_late_insertion():
 
 class TestJointPolynomial:
     def test_pinned_values(self):
-        assert joint_poly(1) == BiPoly.one()
+        assert joint_poly(1) == BiPoly({(0, 0): 1})
         assert joint_poly(4) == BiPoly({(0, 1): 1, (1, 1): 1})
         assert joint_poly(5) == BiPoly({(1, 0): 1, (1, 1): 2, (2, 0): 1})
 

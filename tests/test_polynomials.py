@@ -113,7 +113,7 @@ class TestBiPolyBasics:
         a = BiPoly({(0, 1): 1, (1, 1): 2})
         b = BiPoly({(1, 1): 2, (0, 1): 1, (2, 0): 0})
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, BiPoly.one()}) == 2
+        assert len({a, b, BiPoly({(0, 0): 1})}) == 2
 
     def test_immutable(self):
         p = BiPoly({(1, 0): 1})
@@ -152,9 +152,10 @@ class TestBiPolyOrderingAndFormat:
         assert keys == sorted(keys, key=lambda k: (k[0] + k[1], k))
 
     def test_format(self):
+        # one monomial at a time, each later one after its separator
         p = BiPoly({(0, 1): 1, (1, 1): 1})
-        assert p.format() == "y + x*y"
+        assert list(p.format()) == ["y", " + x*y"]
 
     def test_format_explicit(self):
-        assert BiPoly({(1, 0): 1}).format(explicit_units=True) == "1*x"
-        assert BiPoly().format() == "0"
+        assert list(BiPoly({(1, 0): 1}).format(explicit_units=True)) == ["1*x"]
+        assert list(BiPoly().format()) == ["0"]

@@ -5,21 +5,25 @@ medians, and the median of each repeat's after/before ratio, to
 BENCH_<layer>.json at the root of the repository.  Each case runs
 in its own child process with the copy's ``src`` directory on PYTHONPATH;
 the child times only the case, in process time, after the package is
-imported, and writes the case's output to a sink that keeps nothing.  Its
-peak resident size is the child's own high-water mark, ``VmHWM`` in
-``/proc/self/status`` (Linux); ``ru_maxrss`` would start at the parent's
-peak, which a child carries over.  The two copies alternate which runs
-first from repeat to repeat, so a drift in host speed hits both alike.
+imported, and writes the case's output to a sink that keeps nothing.  The
+caps layer instead times each command whole, in wall time from outside the
+child, start-up included, as ``python -m oddcycles`` runs it with its output
+written to /dev/null.  A child's peak resident size is its own high-water
+mark, ``VmHWM`` in ``/proc/self/status`` (Linux); ``ru_maxrss`` would start
+at the parent's peak, which a child carries over.  The two copies alternate
+which runs first from repeat to repeat, so a drift in host speed hits both
+alike.
 
     python3 tools/bench.py --layer series ../before/src src
 
 Layers: recurrences (oo_poly / eo_poly), series (the closed-form builds),
 gentree (the joint transfer steps), cli (the enumerate listing through its
 emitters), verify (whole suite runs, as the verify command makes them, and
-the oracle suite alone) and enumerator (the listing walk and the joint
-tables).  A case that needs a function the copy's package lacks (the
-closed-form builds need ``series.closed_form_in_u``) is recorded as null;
-any other error fails the run.  Standard library only; the package
+the oracle suite alone), enumerator (the listing walk and the joint
+tables) and caps (every command at its cap, in each format where the
+format sets its cost).  A case that needs a function the copy's package
+lacks (the closed-form builds need ``series.closed_form_in_u``) is recorded
+as null; any other error fails the run.  Standard library only; the package
 does not import it.
 """
 
@@ -32,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from typing import NamedTuple
 
 REPEATS = 9
@@ -117,6 +122,18 @@ LAYERS = {
             "cli.main(['enumerate', '--n', '13', '--max-n', '13', '--format', 'json'])"
         ),
     },
+    "caps": {
+        line: Case(f"cli.main({line.split()!r})")
+        for line in [
+            *(f"enumerate --n 14 --max-n 14 --format {fmt}" for fmt in ("table", "csv", "json")),
+            *(f"poly --kind joint --n 400 --format {fmt}" for fmt in ("table", "csv", "json")),
+            "poly --kind f --n 2000",
+            "poly --kind g --n 2000",
+            "sequence --kind cno_count --limit 2000",
+            "verify --max-n 8 --series-order 160",
+            "verify --suite oracle --max-n 14",
+        ]
+    },
 }
 
 CHILD = """
@@ -150,8 +167,27 @@ print(json.dumps({"seconds": seconds, "max_rss_mb": rss_mb}))
 """
 
 
-def run_case(src: str, case: Case) -> dict | None:
+# a caps case: the command alone, its exit status kept, its peak on stderr
+CAP_CHILD = """
+import sys
+from oddcycles import cli
+status = eval(sys.argv[1])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+raise SystemExit(status)
+"""
+
+
+def run_case(src: str, case: Case, layer: str) -> dict | None:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    if layer == "caps":
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", CAP_CHILD, case.code],
+            env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        return {"seconds": time.perf_counter() - start, "max_rss_mb": int(proc.stderr.split()[-1]) / 1024}
     argv = [sys.executable, "-c", CHILD, case.code, *case.needs]
     out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
@@ -194,12 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     for rep in range(REPEATS):
         for name, case in cases.items():
             for label, src in sides if rep % 2 == 0 else sides[::-1]:
-                samples[label][name].append(run_case(src, case))
+                samples[label][name].append(run_case(src, case, args.layer))
         print(f"repeat {rep + 1}/{REPEATS} done", file=sys.stderr)
 
+    timed = "wall time of the whole command" if args.layer == "caps" else "process time of the case alone"
     record = {
         "layer": args.layer,
-        "metric": "process time of the case alone, median over repeats, seconds; "
+        "metric": f"{timed}, median over repeats, seconds; max_rss_mb is the child's VmHWM; "
         "after_over_before is the median over repeats of each repeat's after/before ratio",
         "host": {
             "python": platform.python_version(),
