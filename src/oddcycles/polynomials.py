@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic over Python's arbitrary-precision integers.
+"""Exact polynomials over Python's arbitrary-precision integers, as values.
 
 Two representations are provided:
 
@@ -10,11 +10,12 @@ Two representations are provided:
 
 * ``BiPoly`` -- sparse bivariate polynomials in the counting variables
   ``x`` (odd-odd drops) and ``y`` (even-odd drops), stored as a map from
-  ``(x_degree, y_degree)`` to a nonzero integer coefficient.  A ``BiPoly``
-  only holds values and has no arithmetic: the routes compute on their own
-  tables and wrap the result once, to compare, format or take a marginal.
+  ``(x_degree, y_degree)`` to a nonzero integer coefficient.
 
-Both types are immutable value objects that hash and compare by content.
+Neither type has arithmetic: the routes compute on their own integer lists
+and tables and wrap the result once, to compare, evaluate, format or take a
+marginal.  Both types are immutable value objects that hash and compare by
+content.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class BigPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BigPoly is immutable")
 
-    @classmethod
-    def zero(cls) -> "BigPoly":
-        return cls()
-
-    @classmethod
-    def variable(cls) -> "BigPoly":
-        return cls((0, 1))
-
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -69,48 +62,6 @@ class BigPoly:
 
     def __hash__(self) -> int:
         return hash(("BigPoly", self.coeffs))
-
-    def __add__(self, other) -> "BigPoly":
-        other = _as_bigpoly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return BigPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BigPoly":
-        return BigPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "BigPoly":
-        return self + (-_as_bigpoly(other))
-
-    def __rsub__(self, other) -> "BigPoly":
-        return _as_bigpoly(other) + (-self)
-
-    def __mul__(self, other) -> "BigPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return BigPoly()
-            return BigPoly(tuple(c * other for c in self.coeffs))
-        other = _as_bigpoly(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return BigPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return BigPoly(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "BigPoly":
-        return BigPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def __call__(self, value: int) -> int:
         acc = 0
@@ -152,14 +103,6 @@ def _shift_down(coeffs: list[int]) -> list[int]:
         for i in range(len(coeffs) - 2, low - 1, -1):
             coeffs[i] -= coeffs[i + 1]
     return coeffs
-
-
-def _as_bigpoly(value) -> BigPoly:
-    if isinstance(value, BigPoly):
-        return value
-    if isinstance(value, int):
-        return BigPoly((value,))
-    raise TypeError(f"cannot coerce {type(value).__name__} to BigPoly")
 
 
 class BiPoly:

@@ -4,12 +4,12 @@ Everything here is exact integer arithmetic; there is no floating point and
 no tolerance anywhere.  Each generating function marks one statistic with
 one variable v (x for odd-odd drops, y for even-odd drops), and every
 closed form here is a function of u = 1 - v, so its series is built, and
-checked, as polynomials in u; a series holds only BigPoly coefficients and
-an order.  A TruncSeries knows the order through which its coefficients
-are trustworthy, and every operation recomputes that bound honestly (a sum
-is exact to the lower of its terms' orders).  No series is multiplied by
-another, or scaled.  Residual checks read their valid order off the result
-instead of guessing it.
+checked, as polynomials in u.  A TruncSeries only holds those
+coefficients, one BigPoly per power of t, and is exact through its last
+one: its order is one less than their number.  It has no arithmetic; every
+builder and check computes on integer coefficient lists.  The PDE residual
+is one order shorter than its input, and its check reads how far it
+reaches off that order instead of guessing it.
 
 The module builds four closed-form generating functions whose t^m coefficients
 are the drop-statistic polynomials of odd-drop cycles:
@@ -31,8 +31,8 @@ by its own list division, so it shares no code with the builder it checks.
 What differs between the four families is data, one FAMILIES row each: the
 summand numerators and denominator factors, the coefficient zeroth of the
 prefix zeroth*u*t (-1 for eo_even's (y-1)t, 0 elsewhere) and the two
-first-order coefficients of the family's PDE, in u.  One builder reads a
-row; no code branches on the family name.
+first-order coefficients of the family's PDE, as integer tuples in u.
+One builder reads a row; no code branches on the family name.
 
 Specializing the variable to 0, which is u = 1 (closed_form_at_zero), turns
 the oo_even family's summands into the Genocchi number generating function
@@ -43,9 +43,9 @@ checks.
 Each closed form satisfies a second-order PDE in its original variables;
 the four share their second-order part, and the row's zeroth also fixes the
 source term t*(1 + zeroth*u).  pde_residual_of substitutes a truncated
-series in u coefficient by coefficient, sharing only BigPoly arithmetic
-with the builder it checks, and returns the residual, whose tracked order
-states exactly how far the zero check is meaningful.
+series in u coefficient by coefficient, on the integers of each power of
+t, sharing no code with the builder it checks, and returns the residual,
+whose order states exactly how far the zero check is meaningful.
 """
 
 from __future__ import annotations
@@ -53,54 +53,31 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, NamedTuple
 
-from .polynomials import BigPoly, _as_bigpoly
+from .polynomials import BigPoly
 
 
 class TruncSeries:
-    """Power series in t, exact through self.order.
+    """Power series in t, exact through self.order = len(coeffs) - 1.
 
-    coeffs has length order+1 and holds BigPoly coefficients.  The series
-    names no variable: a closed form's coefficients are polynomials in u,
-    and an integer series is one whose coefficients are all constant.
+    coeffs holds one BigPoly per power of t, built from a BigPoly or from a
+    list of integer coefficients.  The series names no variable: a closed
+    form's coefficients are polynomials in u.
     """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs=(), order: int | None = None):
-        cs = [_as_bigpoly(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        if len(cs) > order + 1:
-            raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([BigPoly.zero()] * (order + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
+    def __init__(self, coeffs):
+        cs = tuple(c if isinstance(c, BigPoly) else BigPoly(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "order", len(cs) - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
-
-    @classmethod
-    def t_monomial(cls, k: int, order: int, coeff=1) -> "TruncSeries":
-        """The series coeff * t^k."""
-        if not 0 <= k <= order:
-            raise ValueError(f"exponent {k} outside order {order}")
-        return cls([0] * k + [coeff], order)
-
-    # -- inspection ------------------------------------------------------
 
     def coeff(self, n: int) -> BigPoly:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond tracked order {self.order}")
         return self.coeffs[n]
-
-    def coeff_int(self, n: int) -> int:
-        """Coefficient of t^n as an integer; requires a constant coefficient."""
-        c = self.coeff(n)
-        if c.degree() > 0:
-            raise ValueError(f"coefficient of t^{n} is not constant: {c.format()}")
-        return c.coeff(0)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -114,28 +91,12 @@ class TruncSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.order, self.coeffs) == (other.order, other.coeffs)
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(c.format() for c in self.coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
         return f"TruncSeries(order={self.order}, coeffs=[{head}{tail}])"
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order
-        )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "TruncSeries":
-        return self + -other
 
 
 # -- closed forms --------------------------------------------------------
@@ -148,22 +109,22 @@ class _Family(NamedTuple):
     # coefficient of s = u*t in the constant-in-xi term: the series carries
     # the prefix zeroth*u*t, and the PDE's source term is t*(1 + zeroth*u)
     zeroth: int
-    pde_v: BigPoly | int  # coefficient of S_u in the family's PDE, in u
-    pde_t: BigPoly | int  # coefficient of t*S_t in the family's PDE, in u
+    # the coefficients in u, lowest degree first, of S_u and of t*S_t in
+    # the family's PDE
+    pde_v: tuple[int, ...]
+    pde_t: tuple[int, ...]
 
 
 # m!(m-1)! steps by m(m-1), ((m-1)!)^2 by (m-1)^2
 _MIXED = (lambda m: factorial(m) * factorial(m - 1), lambda m: m * (m - 1))
 _SQUARE = (lambda m: factorial(m - 1) ** 2, lambda m: (m - 1) ** 2)
-# u = 1 - v and the family variable v, as polynomials in u
-_U = BigPoly.variable()
-_V = 1 - _U
-
+# pde_v and pde_t in u = 1 - v: -u^2 and 1 + v, v*u and v, 0 and 2*v,
+# -u*(1 - 2*v) and 1
 FAMILIES = {
-    "oo_even": _Family(*_MIXED, lambda k: k * k, 0, -_U * _U, 1 + _V),
-    "oo_odd": _Family(*_SQUARE, lambda k: k * k, 0, _V * _U, _V),
-    "eo_even": _Family(*_MIXED, lambda k: k * (k + 1), -1, 0, 2 * _V),
-    "eo_odd": _Family(*_SQUARE, lambda k: k * (k - 1), 0, -_U * (1 - 2 * _V), 1),
+    "oo_even": _Family(*_MIXED, lambda k: k * k, 0, (0, 0, -1), (2, -1)),
+    "oo_odd": _Family(*_SQUARE, lambda k: k * k, 0, (0, 1, -1), (1, -1)),
+    "eo_even": _Family(*_MIXED, lambda k: k * (k + 1), -1, (), (2, -2)),
+    "eo_odd": _Family(*_SQUARE, lambda k: k * (k - 1), 0, (0, 1, -2), (1,)),
 }
 
 
@@ -173,18 +134,18 @@ def _check_family(which: str) -> _Family:
     return FAMILIES[which]
 
 
-def _divide_linear(coeffs: list, c) -> None:
-    """Divide a coefficient list by (1 + c*s) in place, an int or BigPoly c:
+def _divide_linear(coeffs: list[int], c: int) -> None:
+    """Divide a coefficient list by (1 + c*s) in place:
     out_j = coeffs_j - c*out_(j-1)."""
     for j in range(1, len(coeffs)):
         coeffs[j] -= c * coeffs[j - 1]
 
 
-def _summand_series(fam: _Family, m: int, order: int, u: int | BigPoly) -> list:
+def _summand_series(fam: _Family, m: int, order: int, u: int) -> list[int]:
     """The t^0..t^order coefficients of the m-th summand
-    numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of a family.  With
-    u the variable they are polynomials in u = 1 - v; with u = 1 they are
-    integers, the series at v = 0, which is also the series in s = u*t."""
+    numerator(m) * t^m / prod_{k=1..m} (1 + a_k*u*t) of a family at an
+    integer u.  With u = 1 they are the series at v = 0, which is also the
+    series in s = u*t."""
     if m < 1:
         raise ValueError(f"summand index must be positive, got {m}")
     if order < 0:
@@ -228,26 +189,27 @@ def _summand_sum_in_u(fam: _Family, order: int) -> list[list[int]]:
 
 def closed_form_in_u(which: str, order: int) -> TruncSeries:
     """The full series of one family in u = 1 - v: its summands through
-    m = order, read off the triangle, plus the prefix zeroth*u*t."""
+    m = order, read off the triangle, plus the prefix zeroth*u*t, the u^1
+    entry of the triangle's row 1."""
     fam = _check_family(which)
-    total = TruncSeries([BigPoly(c) for c in _summand_sum_in_u(fam, order)], order)
-    return total + TruncSeries.t_monomial(1, order, fam.zeroth * _U)
+    rows = _summand_sum_in_u(fam, order)
+    rows[1].append(fam.zeroth)
+    return TruncSeries(rows)
 
 
 # -- integer specializations ---------------------------------------------
 
 
-def closed_form_at_zero(which: str, order: int) -> TruncSeries:
-    """The family's summands through m = order at v = 0, where u = 1: an
-    integer series."""
-    return TruncSeries([sum(c) for c in _summand_sum_in_u(_check_family(which), order)], order)
+def closed_form_at_zero(which: str, order: int) -> list[int]:
+    """The family's summands through m = order at v = 0, where u = 1: the
+    integer coefficients of t^0..t^order."""
+    return [sum(c) for c in _summand_sum_in_u(_check_family(which), order)]
 
 
 def genocchi_sequence(count: int) -> list[int]:
     """The first count Genocchi numbers, starting at index 1: the t^n
     coefficients of sum of m!(m-1)! t^m / prod(1+k^2 t)."""
-    series = closed_form_at_zero("oo_even", count)
-    return [series.coeff_int(n) for n in range(1, count + 1)]
+    return closed_form_at_zero("oo_even", count)[1:]
 
 
 def genocchi(n: int) -> int:
@@ -260,8 +222,7 @@ def genocchi(n: int) -> int:
 def genocchi_median_sequence(count: int) -> list[int]:
     """The first count Genocchi medians, starting at index 0: the t^(n+2)
     coefficients of sum of ((m-1)!)^2 t^m / prod(1+k(k-1) t)."""
-    series = closed_form_at_zero("eo_odd", count + 1)
-    return [series.coeff_int(n + 2) for n in range(count)]
+    return closed_form_at_zero("eo_odd", count + 1)[2:]
 
 
 def genocchi_median(n: int) -> int:
@@ -304,6 +265,11 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
       S_(n+1) - [n=0]*(1 + zeroth*u)
         - ((1-u)*u^2*S_n'' + (pde_v - 2n*(1-u)*u)*S_n'
            + (n(n-1)*(1-u) + n*pde_t)*S_n)
+
+    on integer coefficient lists in u.  With s_j the u^j coefficient of S_n,
+    the common part (1-u)*(u^2*S_n'' - 2n*u*S_n' + n(n-1)*S_n) collapses to
+    ((j-n)^2 - j - n)*s_j at u^j and its negative at u^(j+1); pde_v*S_n'
+    and n*pde_t*S_n are short convolutions.
     """
     fam = _check_family(which)
     if series.order < 3:
@@ -311,16 +277,24 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     if not series.coeff(0).is_zero():
         constant = series.coeff(0).format("u")
         raise ValueError(f"cannot divide by t^1: coefficient of t^0 is {constant}")
-    vuu, vu = _V * _U * _U, _V * _U
     out = []
     for n in range(series.order):
-        s = series.coeffs[n]
-        ds = s.derivative()
-        rhs = vuu * ds.derivative() + (fam.pde_v - 2 * n * vu) * ds
-        rhs = rhs + (n * (n - 1) * _V + n * fam.pde_t) * s
-        out.append(series.coeffs[n + 1] - rhs)
-    out[0] = out[0] - (1 + fam.zeroth * _U)
-    return TruncSeries(out, series.order - 1)
+        s = series.coeffs[n].coeffs
+        # S_(n+1), with room for the right-hand side's top degree
+        res = [*series.coeffs[n + 1].coeffs, *[0] * (len(s) + len(fam.pde_v) + len(fam.pde_t) + 2)]
+        for j, c in enumerate(s):
+            common = ((j - n) ** 2 - j - n) * c
+            res[j] -= common
+            res[j + 1] += common
+            for i, p in enumerate(fam.pde_t):
+                res[i + j] -= n * p * c
+        for j, c in enumerate(s[1:]):  # S_n' holds (j+1)*s_(j+1) at u^j
+            for i, p in enumerate(fam.pde_v):
+                res[i + j] -= p * (j + 1) * c
+        out.append(res)
+    out[0][0] -= 1
+    out[0][1] -= fam.zeroth
+    return TruncSeries(out)
 
 
 # -- summand recurrences ---------------------------------------------------

@@ -339,11 +339,12 @@ def suite_identities(series_order: int) -> list[CheckResult]:
 
     def residual_check(which):
         # the family's summands at v = 0 telescope to t exactly
-        t = series.TruncSeries.t_monomial(1, series_order)
-        res = series.closed_form_at_zero(which, series_order) - t
-        if not res.is_zero():
-            raise CheckFailure(_series_nonzero_detail(res))
-        return f"zero series through order {res.order}"
+        got = series.closed_form_at_zero(which, series_order)
+        for n, c in enumerate(got):
+            excess = c - (n == 1)
+            if excess:
+                raise CheckFailure(f"t^{n}: {excess}")
+        return f"zero series through order {len(got) - 1}"
 
     def summand_check(which):
         if not series.summand_recurrence_check(which, bound, series_order):
@@ -363,8 +364,9 @@ def suite_identities(series_order: int) -> list[CheckResult]:
 
 
 def suite_pde(series_order: int) -> list[CheckResult]:
-    # each closed form is built once, in u; the negative control perturbs
-    # the build that oo_even's residual check read
+    # each closed form is built once, in u; the negative control adds 1 to
+    # the u^0 coefficient of t^3 in the build that oo_even's residual check
+    # read
     built = {}
 
     def residual_check(which):
@@ -377,8 +379,9 @@ def suite_pde(series_order: int) -> list[CheckResult]:
         return f"zero residual through order {res.order}"
 
     def negative_control():
-        perturbation = series.TruncSeries.t_monomial(3, series_order)
-        res = series.pde_residual_of(built["oo_even"] + perturbation, "oo_even")
+        rows = list(built["oo_even"].coeffs)
+        rows[3] = [rows[3].coeff(0) + 1, *rows[3].coeffs[1:]]
+        res = series.pde_residual_of(series.TruncSeries(rows), "oo_even")
         if res.is_zero():
             raise CheckFailure("perturbed series still satisfies the equation")
         detail = _series_nonzero_detail(res)

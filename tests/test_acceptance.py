@@ -8,7 +8,7 @@ are asserted, not just measured.
 import time
 from contextlib import contextmanager
 
-from reference import at_one_minus, delete_max
+from reference import _add, at_one_minus, delete_max
 
 from oddcycles.enumerator import (
     count_even_odd_only,
@@ -98,7 +98,7 @@ def test_criterion_05_series_coefficients(emit_line):
 
 def test_criterion_06_telescoping_identities(emit_line):
     with criterion(emit_line, 6, "both telescoping sums equal t through order 30"):
-        t = TruncSeries.t_monomial(1, 30)
+        t = [0, 1] + [0] * 29
         assert closed_form_at_zero("oo_odd", 30) == t
         assert closed_form_at_zero("eo_even", 30) == t
 
@@ -110,8 +110,10 @@ def test_criterion_07_pde_residuals(emit_line):
             # one order is lost to the division by t on the source side
             assert res.order == 19
             assert res.is_zero()
-        tainted = closed_form_in_u("oo_even", 20) + TruncSeries.t_monomial(3, 20)
-        assert not pde_residual_of(tainted, "oo_even").is_zero()
+        # negative control: 1 more at u^0 of t^3
+        rows = [list(c.coeffs) for c in closed_form_in_u("oo_even", 20).coeffs]
+        rows[3] = _add(rows[3], [1])
+        assert not pde_residual_of(TruncSeries(rows), "oo_even").is_zero()
 
 
 def test_criterion_08_generating_tree(emit_line):

@@ -1,11 +1,11 @@
-"""Truncated series arithmetic and the closed-form generating functions."""
+"""The series type, the closed-form generating functions and their checks."""
 
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import SECOND_ORDER, at_one_minus, pde_residual_by_operators
+from reference import SECOND_ORDER, _add, at_one_minus, pde_residual_by_operators
 
 from oddcycles import series, verify
 from oddcycles.polynomials import BigPoly, BiPoly
@@ -29,88 +29,61 @@ from oddcycles.series import (
 GENOCCHI = [1, 1, 3, 17, 155, 2073, 38227, 929569]
 MEDIANS = [1, 2, 8, 56, 608, 9440, 198272, 5410688]
 
-# the variable of every closed form, u = 1 - v for the family variable v
-U = BigPoly.variable()
-
-
 def in_u(poly: BigPoly) -> BigPoly:
     """A polynomial in v written in u = 1 - v, by the binomial theorem."""
     return BigPoly(at_one_minus(list(poly.coeffs)))
 
 
-def at_v_zero(s: TruncSeries) -> TruncSeries:
-    """A series in u read at v = 0, which is u = 1: an integer series."""
-    return TruncSeries([c(1) for c in s.coeffs], s.order)
+def at_v_zero(s: TruncSeries) -> list[int]:
+    """A series in u read at v = 0, which is u = 1: its integer coefficients."""
+    return [c(1) for c in s.coeffs]
+
+
+def t_alone(order: int) -> list[int]:
+    """The integer coefficients of the series t, through t^order."""
+    return [0, 1] + [0] * (order - 1)
+
+
+def with_constant_added(s: TruncSeries, n: int) -> TruncSeries:
+    """s with 1 added to the u^0 coefficient of its t^n coefficient."""
+    rows = [list(c.coeffs) for c in s.coeffs]
+    rows[n] = _add(rows[n], [1])
+    return TruncSeries(rows)
 
 
 class TestTruncSeriesBasics:
-    def test_padding_and_order(self):
-        s = TruncSeries([1, 2], order=4)
-        assert s.order == 4
-        assert s.coeff(1) == BigPoly((2,))
-        assert s.coeff(4) == BigPoly.zero()
-
     def test_order_inferred_from_coefficients(self):
-        assert TruncSeries([1, 0, 3]).order == 2
+        s = TruncSeries([[1], [], [3, 1]])
+        assert s.order == 2
+        assert s.coeff(2) == BigPoly((3, 1))
+        assert TruncSeries([BigPoly((1,)), [], [3, 1]]) == s
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncSeries([], order=-1)
-        with pytest.raises(ValueError):
-            TruncSeries([1, 2, 3], order=1)
-        with pytest.raises(TypeError):
-            TruncSeries([BiPoly({(1, 0): 1})], order=1)
+        # a coefficient is a BigPoly or a list of integers, never a bare int
+        for coeff in (BiPoly({(1, 0): 1}), 5):
+            with pytest.raises(TypeError):
+                TruncSeries([coeff])
 
     def test_coeff_beyond_order_raises(self):
-        s = TruncSeries([1], order=2)
+        s = TruncSeries([[1], [], []])
         with pytest.raises(IndexError):
             s.coeff(3)
 
-    def test_coeff_int_requires_constant(self):
-        s = TruncSeries([U], order=0)
-        with pytest.raises(ValueError):
-            s.coeff_int(0)
-
     def test_valuation(self):
-        assert TruncSeries([0, 0, 5], order=4).first_nonzero() == (2, BigPoly((5,)))
-        assert TruncSeries([], order=3).first_nonzero() is None
-        assert TruncSeries([], order=3).is_zero()
-
-    def test_t_monomial_bounds(self):
-        with pytest.raises(ValueError):
-            TruncSeries.t_monomial(5, 4)
+        assert TruncSeries([[], [], [5], [], []]).first_nonzero() == (2, BigPoly((5,)))
+        assert TruncSeries([[]] * 4).first_nonzero() is None
+        assert TruncSeries([[]] * 4).is_zero()
 
     def test_immutable(self):
-        s = TruncSeries.t_monomial(0, 2)
+        s = TruncSeries([[1], [], []])
         with pytest.raises(AttributeError):
             s.order = 5
 
 
-class TestTruncSeriesArithmetic:
-    def test_add_takes_min_order(self):
-        a = TruncSeries([1], order=5)
-        b = TruncSeries([0, 1], order=3)
-        assert (a + b).order == 3
-        assert (a + b).coeff(1) == 1
-
-    @pytest.mark.parametrize("scalar", [2, U])
-    def test_add_takes_only_a_series(self, scalar):
-        # and no series is scaled or multiplied by another
-        a = TruncSeries([1, 1], order=5)
-        for combine in (
-            lambda: a + scalar,
-            lambda: scalar + a,
-            lambda: a - scalar,
-            lambda: scalar * a,
-            lambda: a * scalar,
-            lambda: a * a,
-        ):
-            with pytest.raises(TypeError):
-                combine()
-
+class TestClosedFormSummands:
     def test_divide_linear_multiplies_back(self):
-        # the summands' list division, by an integer and by a polynomial
-        for c in (5, 2 - U):
+        # the summands' list division
+        for c in (5, -3):
             s = [1, 1, 1, 1, 0, 0, 0]
             q = list(s)
             _divide_linear(q, c)
@@ -118,8 +91,6 @@ class TestTruncSeriesArithmetic:
             assert [a + c * b for a, b in zip(q, [0, *q])] == s
             assert q[3] == 1 - c + c * c - c * c * c
 
-
-class TestClosedFormSummands:
     @pytest.mark.parametrize(
         "which,m,num",
         [
@@ -144,32 +115,42 @@ class TestClosedFormSummands:
         with pytest.raises(ValueError):
             closed_form_in_u("oo", 4)
         with pytest.raises(ValueError):
-            _summand_series(FAMILIES["oo_even"], 0, 4, U)
+            _summand_series(FAMILIES["oo_even"], 0, 4, 1)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_summand_starts_at_degree_m(self, which, m):
         fam = FAMILIES[which]
-        s = TruncSeries(_summand_series(fam, m, 8, U))
-        assert s.first_nonzero()[0] == m
+        s = _summand_series(fam, m, 8, 2)
+        assert next(n for n, c in enumerate(s) if c) == m
         # below its own degree the summand contributes nothing at all
-        assert TruncSeries(_summand_series(fam, m, m - 1, U)).is_zero()
+        assert not any(_summand_series(fam, m, m - 1, 2))
 
     @pytest.mark.parametrize("which", ["oo_even", "oo_odd"])
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_eta_series_is_x_zero_specialization(self, which, m):
-        # with v = 0 the factor u = 1 - v is 1, so s = t and both expansions agree
+        # with v = 0 the factor u = 1 - v is 1, so s = u*t is t; at any other
+        # u the summand is numerator * t^m times a series in s, so its t^n
+        # coefficient is u^(n-m) times the one at v = 0
         fam = FAMILIES[which]
-        specialized = at_v_zero(TruncSeries(_summand_series(fam, m, 9, U)))
-        assert specialized == TruncSeries(_summand_series(fam, m, 9, 1))
+        at_zero = _summand_series(fam, m, 9, 1)
+        for u in (-1, 0, 3):
+            scaled = [u ** (n - m) * c if n >= m else c for n, c in enumerate(at_zero)]
+            assert _summand_series(fam, m, 9, u) == scaled
 
 
 def summands_summed(fam, order, u):
-    """The summands m = 1..order of a family, each built by list division."""
-    total = TruncSeries(_summand_series(fam, 1, order, u))
-    for m in range(2, order + 1):
-        total = total + TruncSeries(_summand_series(fam, m, order, u))
-    return total
+    """The summands m = 1..order of a family at an integer u, each built by
+    list division, summed."""
+    summands = [_summand_series(fam, m, order, u) for m in range(1, order + 1)]
+    return [sum(column) for column in zip(*summands)]
+
+
+def closed_form_at(which, order, u):
+    """closed_form_in_u without its prefix zeroth*u*t, read at an integer u."""
+    values = [c(u) for c in closed_form_in_u(which, order).coeffs]
+    values[1] -= FAMILIES[which].zeroth * u
+    return values
 
 
 def _sign_dropped(monkeypatch):
@@ -184,14 +165,16 @@ def _sign_dropped(monkeypatch):
 
 class TestTriangleBuild:
     """closed_form_in_u and closed_form_at_zero read the summands' sum off
-    an integer triangle; here it is summed one divided summand at a time."""
+    an integer triangle; here it is summed one divided summand at a time.
+    Each of its coefficients in u has degree below order + 1, so it is
+    fixed by its values at the order + 2 integers u = -1..order."""
 
     @pytest.mark.parametrize("order", range(1, 15))
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_triangle_is_the_sum_of_the_summands(self, which, order):
         fam = FAMILIES[which]
-        prefix = TruncSeries.t_monomial(1, order, fam.zeroth * U)
-        assert closed_form_in_u(which, order) - prefix == summands_summed(fam, order, U)
+        for u in range(-1, order + 1):
+            assert closed_form_at(which, order, u) == summands_summed(fam, order, u)
         assert closed_form_at_zero(which, order) == summands_summed(fam, order, 1)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
@@ -199,9 +182,9 @@ class TestTriangleBuild:
         # negative control: without its sign the triangle sums the summands
         # at -u
         fam = FAMILIES[which]
-        prefix = TruncSeries.t_monomial(1, 6, fam.zeroth * U)
         _sign_dropped(monkeypatch)
-        assert closed_form_in_u(which, 6) - prefix != summands_summed(fam, 6, U)
+        assert closed_form_at(which, 6, 1) != summands_summed(fam, 6, 1)
+        assert closed_form_at(which, 6, 1) == summands_summed(fam, 6, -1)
 
     def test_order_floor(self):
         with pytest.raises(ValueError, match="order must be at least 1, got 0"):
@@ -228,20 +211,20 @@ class TestSeriesAgainstRecurrences:
     def test_even_length_slice(self):
         s = closed_form_in_u("oo_even", 6)
         assert s.coeff(1) == BigPoly((1,))
-        assert s.coeff(2) == 2 - U == in_u(BigPoly((1, 1)))
+        assert s.coeff(2) == BigPoly((2, -1)) == in_u(BigPoly((1, 1)))
         assert s.coeff(3) == in_u(oo_poly(6))
 
     def test_odd_length_slice(self):
         s = closed_form_in_u("oo_odd", 6)
         assert s.coeff(1) == BigPoly((1,))
-        assert s.coeff(2) == 1 - U
+        assert s.coeff(2) == BigPoly((1, -1))
         assert s.coeff(3) == in_u(oo_poly(5))
 
     def test_eo_even_prefix_term(self):
         # the correction term (y - 1)t = -u*t cancels the telescoped sum's
         # lone t, turning the constant 1 at t^1 into the true coefficient y
         s = closed_form_in_u("eo_even", 5)
-        assert s.coeff(1) == 1 - U
+        assert s.coeff(1) == BigPoly((1, -1))
         assert s.coeff(2) == in_u(eo_poly(4))
         assert s.coeff(3) == in_u(eo_poly(6))
 
@@ -299,34 +282,39 @@ class TestSpecialValues:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_at_zero_is_the_v_zero_slice(self, which):
         # the two builds differ only in the factor u: 1 - v, or 1 at v = 0
-        prefix = TruncSeries.t_monomial(1, 10, FAMILIES[which].zeroth * U)
-        full = closed_form_in_u(which, 10) - prefix
-        assert closed_form_at_zero(which, 10) == at_v_zero(full)
+        assert closed_form_at_zero(which, 10) == closed_form_at(which, 10, 1)
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_at_zero_depends_on_u(self, which):
         # negative control: the sum in u read at u = 2 is another series
         at_two = [BigPoly(c)(2) for c in _summand_sum_in_u(FAMILIES[which], 10)]
-        assert at_two != [closed_form_at_zero(which, 10).coeff_int(n) for n in range(11)]
+        assert at_two != closed_form_at_zero(which, 10)
 
     def test_eo_even_vanishes_at_y_zero(self):
         # every even length forces an even-odd drop, and the prefix (y-1)t
         # cancels the lone t that the telescoped sum contributes
-        assert at_v_zero(closed_form_in_u("eo_even", 12)).is_zero()
+        assert not any(at_v_zero(closed_form_in_u("eo_even", 12)))
 
     def test_oo_odd_at_x_zero_is_t(self):
-        s = at_v_zero(closed_form_in_u("oo_odd", 12))
-        assert s == TruncSeries.t_monomial(1, 12)
+        assert at_v_zero(closed_form_in_u("oo_odd", 12)) == t_alone(12)
 
 
 class TestIdentities:
     @pytest.mark.parametrize("order", [1, 2, 5, 30])
     def test_squares_telescope(self, order):
-        assert closed_form_at_zero("oo_odd", order) == TruncSeries.t_monomial(1, order)
+        assert closed_form_at_zero("oo_odd", order) == t_alone(order)
 
     @pytest.mark.parametrize("order", [1, 2, 5, 30])
     def test_products_telescope(self, order):
-        assert closed_form_at_zero("eo_even", order) == TruncSeries.t_monomial(1, order)
+        assert closed_form_at_zero("eo_even", order) == t_alone(order)
+
+    def test_telescoping_checks_catch_a_triangle_with_its_sign_dropped(self, monkeypatch):
+        # negative control: the unsigned triangle sums the summands at u = -1,
+        # whose t^2 coefficients are 1 + 1 (squares) and 2 + 2 (products)
+        _sign_dropped(monkeypatch)
+        details = {c.name: (c.status, c.detail) for c in verify.suite_identities(12)}
+        assert details["identity-squares-telescopes"] == ("FAIL", "t^2: 2")
+        assert details["identity-products-telescopes"] == ("FAIL", "t^2: 4")
 
 
 class TestPdeResiduals:
@@ -348,12 +336,12 @@ class TestPdeResiduals:
         assert pde_residual_by_operators(s, which, wrong) != got
 
     def test_negative_control(self):
-        tainted = closed_form_in_u("oo_even", 12) + TruncSeries.t_monomial(3, 12)
+        tainted = with_constant_added(closed_form_in_u("oo_even", 12), 3)
         res = pde_residual_of(tainted, "oo_even")
         assert not res.is_zero()
 
     def test_integer_series_read_in_family_variable(self):
-        res = pde_residual_of(TruncSeries.t_monomial(1, 8), "eo_odd")
+        res = pde_residual_of(TruncSeries([[], [1], *[[]] * 7]), "eo_odd")
         assert res.order == 7
         # t alone is no solution: its t*S_t term is left over at t^1
         assert res.first_nonzero() == (1, BigPoly((-1,)))
@@ -362,7 +350,7 @@ class TestPdeResiduals:
         # eo_odd's t*S_t coefficient one u too large leaves -u*t on the
         # right-hand side; a detail that formatted it in x would read -1*x
         row = FAMILIES["eo_odd"]
-        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=row.pde_t + U)
+        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=_add(list(row.pde_t), [0, 1]))
         details = {c.name: (c.status, c.detail) for c in verify.suite_pde(8)}
         assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*u")
 
@@ -371,7 +359,7 @@ class TestPdeResiduals:
             pde_residual_of(closed_form_in_u("oo_even", 2), "oo_even")
 
     def test_nonzero_constant_term_raises(self):
-        s = closed_form_in_u("oo_even", 6) + TruncSeries([1 + U], 6)
+        s = TruncSeries([[1, 1], *closed_form_in_u("oo_even", 6).coeffs[1:]])
         message = "cannot divide by t\\^1: coefficient of t\\^0 is 1 \\+ u"
         with pytest.raises(ValueError, match=message):
             pde_residual_of(s, "oo_even")
@@ -400,7 +388,7 @@ class TestFamilyTable:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     @pytest.mark.parametrize("field", ["pde_v", "pde_t"])
     def test_wrong_pde_coefficient_fails_its_check(self, monkeypatch, which, field):
-        wrong = getattr(series.FAMILIES[which], field) + 1
+        wrong = _add(list(getattr(series.FAMILIES[which], field)), [1])
         self.replace_row(monkeypatch, which, **{field: wrong})
         passed = {c.name: c.passed for c in verify.suite_pde(8)}
         assert not passed[f"pde-{which}"]
@@ -459,17 +447,15 @@ class TestSummandRecurrences:
 
 SLACK = 3
 _small = st.integers(-20, 20)
-_poly = st.lists(_small, max_size=4).map(BigPoly)
 
 
 @st.composite
 def wide_series(draw):
-    """(narrow, wide): the coefficients of a random series exact through N,
-    and of the same series known SLACK orders further.  Its coefficients are
-    all integers or all polynomials; it may start with zero coefficients."""
-    coeff = draw(st.sampled_from([_small, _poly]))
+    """(narrow, wide): the integer coefficients of a random series exact
+    through N, and of the same series known SLACK orders further.  It may
+    start with zero coefficients."""
     n = draw(st.integers(0, 7))
-    cs = draw(st.lists(coeff, min_size=n + SLACK + 1, max_size=n + SLACK + 1))
+    cs = draw(st.lists(_small, min_size=n + SLACK + 1, max_size=n + SLACK + 1))
     zeros = draw(st.integers(0, n + SLACK + 1))
     cs[:zeros] = [0] * zeros
     return cs[: n + 1], cs
@@ -479,7 +465,7 @@ _property = settings(max_examples=50, deadline=None, derandomize=True, database=
 
 
 @_property
-@given(wide_series(), st.one_of(_small, _poly))
+@given(wide_series(), _small)
 def test_divide_linear_order_is_honest(a, divisor):
     # every coefficient the narrow quotient claims is the wide one's
     narrow, wide = (list(cs) for cs in a)
@@ -504,7 +490,7 @@ def series_without_constant_term(draw):
 @given(series_without_constant_term())
 def test_residual_matches_the_operator_form(which, s):
     # s is read in u by the residual, and written in v for the operator form
-    res = pde_residual_of(TruncSeries([BigPoly(c) for c in s]), which)
+    res = pde_residual_of(TruncSeries(s), which)
     assert res.order == len(s) - 2
     in_v = [at_one_minus(c) for c in s]
     assert [at_one_minus(list(c.coeffs)) for c in res.coeffs] == pde_residual_by_operators(in_v, which)
