@@ -31,8 +31,6 @@ MAX_N = 14
 
 # each public name and the module that defines it
 _HOMES = {
-    "count_even_odd_only": "enumerator",
-    "count_odd_odd_only": "enumerator",
     "iter_odd_drop_words": "enumerator",
     "joint_table": "enumerator",
     "joint_poly": "gentree",
@@ -41,8 +39,6 @@ _HOMES = {
     "eo_poly": "recurrences",
     "oo_poly": "recurrences",
     "TruncSeries": "series",
-    "genocchi": "series",
-    "genocchi_median": "series",
     "genocchi_median_sequence": "series",
     "genocchi_sequence": "series",
     "summand_recurrence_check": "series",

@@ -287,9 +287,11 @@ def _poly_for(kind: str, n: int) -> tuple[BiPoly, str]:
 
         return gentree.joint_poly(n), "xy"
     from . import recurrences
+    from .polynomials import BiPoly
 
-    recurrence, var = (recurrences.oo_poly, "x") if kind == "f" else (recurrences.eo_poly, "y")
-    return recurrence(n).to_bipoly(var), var
+    if kind == "f":
+        return BiPoly({(i, 0): c for i, c in enumerate(recurrences.oo_poly(n).coeffs)}), "x"
+    return BiPoly({(0, i): c for i, c in enumerate(recurrences.eo_poly(n).coeffs)}), "y"
 
 
 def cmd_poly(cfg: RunConfig, kind: str, n: int) -> tuple[int, Iterator[str]]:
@@ -345,16 +347,16 @@ def _sequence_rows(cfg: RunConfig, kind: str, limit: int) -> tuple[list[tuple[in
     if kind in ("even_odd_only", "odd_odd_only"):
         from . import enumerator
 
-        # lengths 2m for even-odd-only cycles, 2m+1 for odd-odd-only ones
+        # lengths 2m for even-odd-only cycles (kind 1 of the pair (oo, eo)),
+        # 2m+1 for odd-odd-only ones (kind 0)
         odd = kind == "odd_odd_only"
-        count = enumerator.count_odd_odd_only if odd else enumerator.count_even_odd_only
         if 2 * limit + odd > cfg.max_bruteforce_n:
             raise UsageError(
                 f"limit {limit} needs enumeration at {2 * limit + odd}, beyond "
                 f"max_bruteforce_n {cfg.max_bruteforce_n}"
             )
         return [
-            (2 * m + odd, count(2 * m + odd))
+            (2 * m + odd, enumerator.count_only(enumerator.joint_table(2 * m + odd), 1 - odd))
             for m in range(1, limit + 1)
         ], "enumeration"
     if limit > cfg.series_order:

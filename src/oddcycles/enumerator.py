@@ -176,19 +176,3 @@ def count_only(table: BiPoly, kind: int) -> int:
     cycle, whose formal drop has no parity, counts for neither."""
     return sum(c for pair, c in table.terms.items() if pair[kind] and not pair[1 - kind])
 
-
-def count_even_odd_only(length: int) -> int:
-    """Number of cycles on [length] all of whose drops are even-odd.
-
-    The one-element cycle's formal drop has no parity, so it is not
-    even-odd and the count for length 1 is 0.
-    """
-    return count_only(joint_table(length), 1)
-
-
-def count_odd_odd_only(length: int) -> int:
-    """Number of cycles on [length] all of whose drops are odd-odd.
-
-    Zero for length 1, for the same reason as count_even_odd_only.
-    """
-    return count_only(joint_table(length), 0)

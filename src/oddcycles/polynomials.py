@@ -14,8 +14,7 @@ Two representations are provided:
 
 Neither type has arithmetic: the routes compute on their own integer lists
 and tables and wrap the result once, to compare, evaluate, format or take a
-marginal.  Both types are immutable value objects that hash and compare by
-content.
+marginal.  Both types are immutable value objects that compare by content.
 """
 
 from __future__ import annotations
@@ -60,21 +59,11 @@ class BigPoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(("BigPoly", self.coeffs))
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def to_bipoly(self, var: str) -> "BiPoly":
-        if var not in VARIABLES:
-            raise ValueError(f"unknown variable {var!r}")
-        if var == "x":
-            return BiPoly({(i, 0): c for i, c in enumerate(self.coeffs) if c})
-        return BiPoly({(0, i): c for i, c in enumerate(self.coeffs) if c})
 
     def format(self, var: str = "x", explicit_units: bool = False) -> str:
         """Render as '+'-separated monomials in ascending degree."""
@@ -136,9 +125,6 @@ class BiPoly:
         if isinstance(other, BiPoly):
             return self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("BiPoly", frozenset(self.terms.items())))
 
     def marginal(self, var: str) -> BigPoly:
         """The polynomial in var obtained by setting the other variable to 1."""

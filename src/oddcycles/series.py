@@ -212,24 +212,10 @@ def genocchi_sequence(count: int) -> list[int]:
     return closed_form_at_zero("oo_even", count)[1:]
 
 
-def genocchi(n: int) -> int:
-    """n-th Genocchi number (1, 1, 3, 17, 155, ...), n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return genocchi_sequence(n)[-1]
-
-
 def genocchi_median_sequence(count: int) -> list[int]:
     """The first count Genocchi medians, starting at index 0: the t^(n+2)
     coefficients of sum of ((m-1)!)^2 t^m / prod(1+k(k-1) t)."""
     return closed_form_at_zero("eo_odd", count + 1)[2:]
-
-
-def genocchi_median(n: int) -> int:
-    """n-th Genocchi median (1, 2, 8, 56, 608, ...), n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return genocchi_median_sequence(n + 1)[-1]
 
 
 # -- PDE residuals --------------------------------------------------------

@@ -10,12 +10,7 @@ from contextlib import contextmanager
 
 from reference import _add, at_one_minus, delete_max
 
-from oddcycles.enumerator import (
-    count_even_odd_only,
-    count_odd_odd_only,
-    iter_odd_drop_words,
-    joint_table,
-)
+from oddcycles.enumerator import count_only, iter_odd_drop_words, joint_table
 from oddcycles.gentree import _word_delta, children_count, joint_poly
 from oddcycles.recurrences import eo_poly, oo_poly
 from oddcycles.series import (
@@ -23,8 +18,6 @@ from oddcycles.series import (
     TruncSeries,
     closed_form_at_zero,
     closed_form_in_u,
-    genocchi,
-    genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
     pde_residual_of,
@@ -70,18 +63,22 @@ def test_criterion_02_special_sequences(emit_line):
 
 def test_criterion_03_even_odd_pure_counts(emit_line):
     with criterion(emit_line, 3, "cycles with only even-odd drops are counted by Genocchi numbers"):
+        # kind 1 of the pair (oo, eo): even-odd drops only
+        values = genocchi_sequence(40)
         for m in range(1, 7):
-            assert count_even_odd_only(2 * m) == genocchi(m)
+            assert count_only(joint_table(2 * m), 1) == values[m - 1]
         for m in range(1, 41):
-            assert oo_poly(2 * m)(0) == genocchi(m)
+            assert oo_poly(2 * m)(0) == values[m - 1]
 
 
 def test_criterion_04_odd_odd_pure_counts(emit_line):
     with criterion(emit_line, 4, "cycles with only odd-odd drops are counted by Genocchi medians"):
+        # kind 0 of the pair (oo, eo): odd-odd drops only
+        values = genocchi_median_sequence(39)
         for m in range(2, 7):
-            assert count_odd_odd_only(2 * m - 1) == genocchi_median(m - 2)
+            assert count_only(joint_table(2 * m - 1), 0) == values[m - 2]
         for m in range(2, 41):
-            assert eo_poly(2 * m - 1)(0) == genocchi_median(m - 2)
+            assert eo_poly(2 * m - 1)(0) == values[m - 2]
 
 
 def test_criterion_05_series_coefficients(emit_line):

@@ -260,8 +260,9 @@ def whole_sequence(kind, limit, fmt):
         source = "recurrence"
     elif kind in ("even_odd_only", "odd_odd_only"):
         odd = kind == "odd_odd_only"
-        count = enumerator.count_odd_odd_only if odd else enumerator.count_even_odd_only
-        rows, source = [(2 * m + odd, count(2 * m + odd)) for m in range(1, limit + 1)], "enumeration"
+        rows = [(2 * m + odd, enumerator.count_only(enumerator.joint_table(2 * m + odd), 1 - odd))
+                for m in range(1, limit + 1)]
+        source = "enumeration"
     elif kind == "genocchi":
         rows, source = list(enumerate(series.genocchi_sequence(limit), 1)), "generating function"
     else:
@@ -819,8 +820,6 @@ def _stub_routes(mp, verify_fails):
     mp.setattr(enumerator, "iter_odd_drop_words", lambda n: iter([(b"\x01", 0, 0)]))
     mp.setattr(enumerator, "joint_table", lambda n: BiPoly({(0, 0): 1}))
     mp.setattr(enumerator, "_pair_counts", lambda n: {(0, 0): 1})
-    for count in ("count_even_odd_only", "count_odd_odd_only"):
-        mp.setattr(enumerator, count, lambda n: 1)
     for values in ("genocchi_sequence", "genocchi_median_sequence"):
         mp.setattr(series, values, lambda count: [1] * count)
     checks = [CheckResult("stub", not verify_fails, "stubbed", 0.0)]

@@ -9,12 +9,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from oddcycles import enumerator, verify
-from oddcycles.enumerator import (
-    count_even_odd_only,
-    count_odd_odd_only,
-    iter_odd_drop_words,
-    joint_table,
-)
+from oddcycles.enumerator import count_only, iter_odd_drop_words, joint_table
 from oddcycles.gentree import joint_poly
 from oddcycles.polynomials import BiPoly
 from oddcycles.recurrences import eo_poly, oo_poly
@@ -170,7 +165,11 @@ class TestIteration:
         top = next(iter_odd_drop_words(enumerator.MAX_N))
         assert top[0] == bytes(range(1, enumerator.MAX_N + 1))
 
-    @pytest.mark.parametrize("count", [joint_table, count_even_odd_only, count_odd_odd_only])
+    @pytest.mark.parametrize("count", [
+        joint_table,
+        pytest.param(lambda n: count_only(joint_table(n), 1), id="count_even_odd_only"),
+        pytest.param(lambda n: count_only(joint_table(n), 0), id="count_odd_odd_only"),
+    ])
     def test_counts_stop_at_the_ceiling(self, count):
         with pytest.raises(ValueError, match=f"n must be in 1..{enumerator.MAX_N}, got 0"):
             count(0)
@@ -278,27 +277,27 @@ class TestParityRestrictedCounts:
     def test_length_one_has_no_pure_cycles(self):
         # the formal drop carries no parity, so the one-element cycle
         # counts toward neither restricted family
-        assert count_even_odd_only(1) == 0
-        assert count_odd_odd_only(1) == 0
+        assert count_only(joint_table(1), 1) == 0
+        assert count_only(joint_table(1), 0) == 0
 
     @pytest.mark.parametrize(
         "n,expected",
         [(2, 1), (3, 0), (4, 1), (5, 0), (6, 3), (8, 17)],
     )
     def test_even_odd_only(self, n, expected):
-        assert count_even_odd_only(n) == expected
+        assert count_only(joint_table(n), 1) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
         [(2, 0), (3, 1), (4, 0), (5, 2), (7, 8), (9, 56)],
     )
     def test_odd_odd_only(self, n, expected):
-        assert count_odd_odd_only(n) == expected
+        assert count_only(joint_table(n), 0) == expected
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_counts_are_constant_terms(self, n):
-        assert count_even_odd_only(n) == oo_poly(n)(0)
-        assert count_odd_odd_only(n) == eo_poly(n)(0)
+        assert count_only(joint_table(n), 1) == oo_poly(n)(0)
+        assert count_only(joint_table(n), 0) == eo_poly(n)(0)
 
 
 # -- the walk's records against the definition --------------------------------

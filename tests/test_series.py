@@ -18,8 +18,6 @@ from oddcycles.series import (
     _summand_sum_in_u,
     closed_form_at_zero,
     closed_form_in_u,
-    genocchi,
-    genocchi_median,
     genocchi_median_sequence,
     genocchi_sequence,
     pde_residual_of,
@@ -267,17 +265,11 @@ class TestSpecialValues:
 
     @pytest.mark.parametrize("n,value", list(enumerate(GENOCCHI, start=1)))
     def test_genocchi_single(self, n, value):
-        assert genocchi(n) == value
+        assert genocchi_sequence(n)[-1] == value
 
     @pytest.mark.parametrize("n,value", list(enumerate(MEDIANS)))
     def test_median_single(self, n, value):
-        assert genocchi_median(n) == value
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            genocchi(0)
-        with pytest.raises(ValueError):
-            genocchi_median(-1)
+        assert genocchi_median_sequence(n + 1)[-1] == value
 
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_at_zero_is_the_v_zero_slice(self, which):
