@@ -35,10 +35,9 @@ no route.  Only JSON output imports json, so `--version` and the CSV and
 table commands skip it.  RunConfig reads its limit on n from the package,
 not from the enumerator.
 
-Limits come from flags, falling back to a key=value config file given with
---config, falling back to defaults.  Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error, 74 (EX_IOERR) output that cannot be
-written.
+Limits come from flags, falling back to RunConfig's defaults.  Exit codes:
+0 success, 1 verification failure, 2 usage or validation error, 74
+(EX_IOERR) output that cannot be written.
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ POLY_KINDS = ("f", "g", "joint")
 MAX_JOINT_N = 400
 MAX_MARGINAL_N = 2000  # poly --kind f|g --n, and sequence --kind cno_count --limit
 SEQUENCE_KINDS = ("cno_count", "even_odd_only", "odd_odd_only", "genocchi", "median")
-
-CONFIG_KEYS = ("max_bruteforce_n", "series_order", "format")
 
 
 class UsageError(Exception):
@@ -102,46 +99,9 @@ class RunConfig(_Limits):
         return cfg
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if not sep or not value or key not in CONFIG_KEYS:
-                    raise UsageError(f"{path}:{lineno}: expected key=value with key in {CONFIG_KEYS}")
-                values[key] = value
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict[str, str | int] = {}
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    # flags win over the file
-    if args.max_n is not None:
-        merged["max_bruteforce_n"] = args.max_n
-    if args.series_order is not None:
-        merged["series_order"] = args.series_order
-    if args.format is not None:
-        merged["format"] = args.format
-    try:
-        fields = {
-            key: int(merged[key])
-            for key in ("max_bruteforce_n", "series_order")
-            if key in merged
-        }
-    except ValueError as exc:
-        raise UsageError(f"non-integer config value: {exc}") from exc
-    if "format" in merged:
-        fields["output_format"] = str(merged["format"])
-    return RunConfig(**fields)
+    given = {"max_bruteforce_n": args.max_n, "series_order": args.series_order, "output_format": args.format}
+    return RunConfig(**{key: value for key, value in given.items() if value is not None})
 
 
 # -- emission ---------------------------------------------------------------
@@ -408,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=FORMATS, default=None)
     shared.add_argument("--series-order", type=int, default=None, dest="series_order")
     shared.add_argument("--max-n", type=int, default=None, dest="max_n")
-    shared.add_argument("--config", default=None, metavar="PATH")
 
     parser = argparse.ArgumentParser(
         prog="oddcycles",
@@ -439,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     digits = sys.get_int_max_str_digits()
     try:
         try:
@@ -493,7 +451,8 @@ def _write(chunks: Iterable[str]) -> int:
         if sys.stdout is not None:
             # what stdout still buffers goes to devnull, so that the flush
             # at exit cannot fail again and turn the exit status into 120
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader left early (`| head -1`)
             return 0
         print(f"error: cannot write output: {exc}", file=sys.stderr)

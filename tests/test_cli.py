@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -589,54 +588,6 @@ class TestVerifyCommand:
         assert "broken,FAIL,synthetic failure" in out
 
 
-class TestConfig:
-    def test_file_supplies_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_bruteforce_n = 8  # low ceiling\nformat = csv\n")
-        status, out, _ = run(capsys, "enumerate", "--n", "5", "--config", str(cfg))
-        assert status == 0
-        assert out.splitlines()[0] == "n,entries,oo,eo"
-        # the lowered ceiling applies
-        assert run(capsys, "enumerate", "--n", "9", "--config", str(cfg))[0] == 2
-
-    def test_flags_win_over_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_bruteforce_n = 8\n")
-        status, _, _ = run(capsys, "enumerate", "--n", "9", "--config", str(cfg), "--max-n", "10")
-        assert status == 0
-
-    @pytest.mark.parametrize(
-        "content",
-        ["mystery = 4\n", "max_bruteforce_n\n", "max_bruteforce_n = quick\n", "threads = -2\n"],
-    )
-    def test_bad_config_rejected(self, capsys, tmp_path, content):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(content)
-        assert run(capsys, "enumerate", "--n", "4", "--config", str(cfg))[0] == 2
-
-    def test_undecodable_config_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"\xff\xfe=1\n")
-        status, out, err = run(capsys, "enumerate", "--n", "4", "--config", str(cfg))
-        assert (status, out) == (2, "")
-        assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode byte 0xff")
-
-    def test_missing_config_rejected(self, capsys, tmp_path):
-        assert run(capsys, "enumerate", "--n", "4", "--config", str(tmp_path / "nope"))[0] == 2
-
-    def test_series_order_floor(self, capsys):
-        # the identities suite needs order 4; the order is not read against --max-n
-        status, out, err = run(capsys, "verify", "--suite", "identities", "--series-order", "3")
-        assert (status, out) == (2, "")
-        assert err == "error: series_order must be at least 4, got 3\n"
-        status, out, _ = run(
-            capsys, "sequence", "--kind", "genocchi", "--limit", "3", "--series-order", "4",
-            "--format", "csv",
-        )
-        assert status == 0
-        assert out.splitlines() == ["n,value", "1,1", "2,1", "3,3"]
-
-
 # each capped input: its command line without the value, its name in the
 # message, and its cap
 LIMITS = [
@@ -660,12 +611,37 @@ class TestLimits:
         assert (status, out) == (2, "")
         assert err == f"error: {name} must be at most {cap}, got {cap + 1}\n"
 
-    def test_config_file_is_checked_alike(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("series_order = 161\n")
-        status, _, err = run(capsys, "table", "--n", "3", "--config", str(cfg))
-        assert status == 2
+    def test_limit_a_command_does_not_read_is_still_checked(self, capsys):
+        status, out, err = run(capsys, "table", "--n", "3", "--series-order", "161")
+        assert (status, out) == (2, "")
         assert err == "error: series_order must be at most 160, got 161\n"
+
+    def test_limit_past_the_digit_limit_is_a_usage_error(self, capsys):
+        # argparse reads the flag under the limit on integer digits
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--series-order", "9" * 5000])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "argument --series-order: invalid int value" in err
+
+    def test_config_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", "x"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --config x" in err
+
+    def test_series_order_floor(self, capsys):
+        # the identities suite needs order 4; the order is not read against --max-n
+        status, out, err = run(capsys, "verify", "--suite", "identities", "--series-order", "3")
+        assert (status, out) == (2, "")
+        assert err == "error: series_order must be at least 4, got 3\n"
+        status, out, _ = run(
+            capsys, "sequence", "--kind", "genocchi", "--limit", "3", "--series-order", "4",
+            "--format", "csv",
+        )
+        assert status == 0
+        assert out.splitlines() == ["n,value", "1,1", "2,1", "3,3"]
 
     @pytest.mark.parametrize("command", ["enumerate", "table"])
     def test_enumeration_stops_at_max_n(self, capsys, command):
@@ -762,12 +738,30 @@ class TestOutput:
         assert err == b""
         assert out.decode().splitlines()[-1] == want
 
-    def test_config_file_is_read_under_the_digit_limit(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"series_order = {'9' * 5000}\n")
-        status, out, err = run(capsys, "verify", "--config", str(cfg))
-        assert (status, out) == (2, "")
-        assert err.startswith("error: non-integer config value: Exceeds the limit")
+    def test_failed_write_closes_what_it_opens(self, capsys, monkeypatch):
+        # a stdout on a descriptor of its own, whose every write fails; the
+        # lowest free descriptor is the same after the failed write as before
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+            def fileno(self):
+                return target
+
+        def lowest_free():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        target = os.open(os.devnull, os.O_WRONLY)
+        try:
+            before = lowest_free()
+            monkeypatch.setattr(sys, "stdout", Full())
+            assert cli._write(["x"]) == cli.EX_IOERR
+            assert lowest_free() == before
+        finally:
+            os.close(target)
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
 
     def test_digit_limit_is_restored(self, capsys):
         digits = sys.get_int_max_str_digits()
@@ -775,7 +769,7 @@ class TestOutput:
         assert sys.get_int_max_str_digits() == digits
 
 
-# -- the exit contract, over argv lists and config files ---------------------
+# -- the exit contract, over argv lists ---------------------------------------
 
 NO_SHRINK = settings(max_examples=300, derandomize=True, database=None, phases=[Phase.generate])
 # values of every size, the caps and one past them included
@@ -789,28 +783,18 @@ _COMMAND_FLAGS = {
     "table": {"--n": _VALUES, "--limit": _VALUES},
 }
 _SHARED_FLAGS = {"--format": st.sampled_from(cli.FORMATS), "--max-n": _VALUES, "--series-order": _VALUES}
-_CONFIG_LINES = st.lists(
-    st.tuples(
-        st.sampled_from([*cli.CONFIG_KEYS, "threads", ""]),
-        st.sampled_from(["=", " = ", ""]),
-        st.one_of(_VALUES.map(str), st.sampled_from(cli.FORMATS), st.text(max_size=6)),
-    ).map("".join),
-    max_size=4,
-).map(lambda lines: "\n".join(lines).encode())
 
 
 @st.composite
 def command_lines(draw):
-    """(argv, config bytes or None, whether verify's stub fails): an argv
-    that argparse accepts, every flag optional, and a config file of
-    key=value lines or of any bytes."""
+    """(argv, whether verify's stub fails): an argv that argparse accepts,
+    every flag optional."""
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     argv = [command]
     for flag, values in {**_COMMAND_FLAGS[command], **_SHARED_FLAGS}.items():
         if draw(st.booleans()):
             argv += [flag, str(draw(values))]
-    config = draw(st.one_of(st.none(), _CONFIG_LINES, st.binary(max_size=12)))
-    return argv, config, draw(st.booleans())
+    return argv, draw(st.booleans())
 
 
 def _stub_routes(mp, verify_fails):
@@ -830,15 +814,11 @@ def _exit_contract_broken(case) -> str | None:
     """How one command line breaks the exit contract, or None: the exit is
     0, 1 only from a failing check, or 2 with stdout empty and one error:
     line on stderr; nothing escapes main, and the digit limit is restored."""
-    argv, config, verify_fails = case
+    argv, verify_fails = case
     digits = sys.get_int_max_str_digits()
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         _stub_routes(mp, verify_fails)
-        if config is not None:
-            path = Path(tmp) / "run.cfg"
-            path.write_bytes(config)
-            argv = [*argv, "--config", str(path)]
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = cli.main(argv)
@@ -866,21 +846,16 @@ def test_exit_codes_keep_their_contract(case):
     assert _exit_contract_broken(case) is None
 
 
-def test_exit_contract_finds_a_reader_that_lets_a_decode_error_escape(monkeypatch):
-    # negative control: the config reader as it was before an undecodable
-    # file was a usage error, which let UnicodeDecodeError out of main
-    reader = cli._read_config_file
+def test_exit_contract_finds_a_range_check_that_lets_its_error_escape(monkeypatch):
+    # negative control: a range check that raises ValueError in place of
+    # UsageError lets the exception out of main
+    def raises_value_error(name, value, low, high):
+        if not low <= value <= high:
+            raise ValueError(f"{name} out of range")
 
-    def decode_errors_escape(path):
-        Path(path).read_bytes().decode("utf-8")
-        return reader(path)
-
-    monkeypatch.setattr(cli, "_read_config_file", decode_errors_escape)
-    argv, config, _ = find(
-        command_lines(), lambda case: _exit_contract_broken(case) is not None, settings=NO_SHRINK
-    )
-    with pytest.raises(UnicodeDecodeError):
-        config.decode("utf-8")
+    monkeypatch.setattr(cli, "_check_range", raises_value_error)
+    case = find(command_lines(), lambda case: _exit_contract_broken(case) is not None, settings=NO_SHRINK)
+    assert _exit_contract_broken(case).startswith("ValueError escaped main")
 
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
