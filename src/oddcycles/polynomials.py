@@ -65,7 +65,7 @@ class BigPoly:
             acc = acc * value + c
         return acc
 
-    def format(self, var: str = "x", explicit_units: bool = False) -> str:
+    def format(self, var: str = "x") -> str:
         """Render as '+'-separated monomials in ascending degree."""
         if not self.coeffs:
             return "0"
@@ -75,7 +75,7 @@ class BigPoly:
                 continue
             if i == 0:
                 parts.append(str(c))
-            elif c == 1 and not explicit_units:
+            elif c == 1:
                 parts.append(_fmt_power(var, i))
             else:
                 parts.append(f"{c}*{_fmt_power(var, i)}")

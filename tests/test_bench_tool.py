@@ -5,13 +5,15 @@ tests start no child.  They read each case's code and check that every
 attribute it takes from a package module, and every function it lists as
 needed, exists in this package, so a renamed function cannot turn a case
 into a crash or a silent null record, and that each committed
-BENCH_<layer>.json records the cases its layer times now.
+BENCH_<layer>.json records the cases its layer times now.  One more test
+compiles a copy of the package as the tool does before its first repeat.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,15 @@ def test_a_missing_function_is_named():
     case = bench.Case("S.closed_form_in_u('oo_even', 4), R.no_such_walk(3)", ("series.gone",))
     assert missing_names(case) == ["series.gone", "recurrences.no_such_walk"]
 
+
+def test_each_copy_is_compiled_before_it_runs(tmp_path):
+    # a copy of the package without bytecode gains a cached module for each source
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "oddcycles", src / "oddcycles", ignore=shutil.ignore_patterns("__pycache__"))
+    cached = [Path(importlib.util.cache_from_source(str(py))) for py in (src / "oddcycles").glob("*.py")]
+    assert cached and not any(pyc.exists() for pyc in cached)
+    bench.compile_copy(str(src))
+    assert all(pyc.exists() for pyc in cached)
 
 
 def test_verify_and_enumerator_layers_time_the_stated_runs():

@@ -565,19 +565,6 @@ class TestVerifyCommand:
         assert doc["results"] == {"failed": 0, "passed": 4}
         assert [c["status"] for c in doc["checks"]] == ["PASS"] * 4 + ["SKIP"]
 
-    @pytest.mark.parametrize(
-        "stat, name, diff", [("oo", "oo_poly", "3 != 0"), ("eo", "eo_poly", "0 != 2")]
-    )
-    def test_oracle_suite_checks_the_printed_marginal(self, capsys, monkeypatch, stat, name, diff):
-        # poly --kind f|g prints oo_poly/eo_poly; one that returns the
-        # polynomial a length short must fail its marginal check
-        short = getattr(recurrences, name)
-        monkeypatch.setattr(recurrences, name, lambda n: short(n - 1))
-        status, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "6", "--format", "csv")
-        assert status == 1
-        failed = [line for line in out.splitlines() if ",FAIL," in line]
-        assert failed == [f"{stat}-marginal-vs-recurrence,FAIL,n=6: degree 0: {diff}"]
-
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         def fake(suite, *, max_n, series_order):
             return [CheckResult("broken", False, "synthetic failure", 0.0)]

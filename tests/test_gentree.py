@@ -93,162 +93,6 @@ class TestPartition:
             doo, deo = _word_delta(former, latter, n + 1)
             assert stats_by_definition(kid) == (oo + doo, eo + deo)
 
-    # negative controls for verify's tree-partition check; max_n=6 keeps the
-    # oracle suite's other checks cheap
-    @staticmethod
-    def tree_partition():
-        return {c.name: c for c in verify.suite_oracle(max_n=6)}["tree-partition"]
-
-    def test_tree_partition_catches_a_walk_that_skips_a_member(self, monkeypatch):
-        walk = enumerator.iter_odd_drop_words
-
-        def skipping(n):
-            return (rec for rec in walk(n) if rec[0] != W(1, 2, 4, 3, 5))
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", skipping)
-        result = self.tree_partition()
-        assert not result.passed
-        # the count falls one short, and the recount names the skipped member's parent
-        assert result.detail == "n=4: Cycle(1, 2, 4, 3): 1 children, expected 2"
-
-    def test_tree_partition_catches_miscounted_statistics(self, monkeypatch):
-        walk = enumerator.iter_odd_drop_words
-
-        def wrap_as_odd_odd(n):
-            # scores the wrap pair (a_n, 1) as odd-odd whatever a_n's parity
-            for w, oo, eo in walk(n):
-                yield (w, oo + 1, eo - 1) if n > 1 and not w[-1] & 1 else (w, oo, eo)
-
-        # the words still agree; the first listed child, (1, 2), does not
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", wrap_as_odd_odd)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=1: Cycle(1, 2) grown with stats (0, 1), listed with (1, 0)"
-
-    def test_tree_partition_names_a_non_member_listed(self, monkeypatch):
-        # (1, 4, 2, 3) in place of (1, 2, 4, 3): 4 went in before the even 2
-        # of (1, 2, 3) and drops onto it.  The count is still right, so only
-        # the parity of the spot tells.
-        walk = enumerator.iter_odd_drop_words
-
-        def with_a_stranger(n):
-            for rec in walk(n):
-                yield (W(1, 4, 2, 3), 1, 1) if rec[0] == W(1, 2, 4, 3) else rec
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", with_a_stranger)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=3: Cycle(1, 4, 2, 3) not grown from level 3"
-
-    def test_tree_partition_catches_a_wrong_child_count(self, monkeypatch):
-        # a tree that counts three insertion spots in (1, 2, 3), which has two
-        count = gentree.children_count
-        monkeypatch.setattr(gentree, "children_count", lambda n: 3 if n == 3 else count(n))
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=3: Cycle(1, 2, 3): 2 children, expected 3"
-
-    # one of _word_delta's six cases, by the new maximum's parity and the
-    # drop it splits, and the first member each one predicts
-    DELTA_CASES = {
-        (1, "none"): "n=4: Cycle(1, 2, 5, 3, 4) grown with stats (2, 1), listed with (1, 1)",
-        (1, "odd"): "n=4: Cycle(1, 2, 4, 3, 5) grown with stats (2, 1), listed with (1, 1)",
-        (1, "even"): "n=2: Cycle(1, 2, 3) grown with stats (2, 0), listed with (1, 0)",
-        (0, "none"): "n=1: Cycle(1, 2) grown with stats (1, 1), listed with (0, 1)",
-        (0, "odd"): "n=3: Cycle(1, 2, 3, 4) grown with stats (1, 1), listed with (0, 1)",
-        (0, "even"): "n=5: Cycle(1, 2, 4, 6, 3, 5) grown with stats (2, 1), listed with (1, 1)",
-    }
-
-    @pytest.mark.parametrize("case", sorted(DELTA_CASES))
-    def test_tree_partition_catches_a_wrong_delta_case(self, case, monkeypatch):
-        # the check trusts _word_delta alone; one more odd-odd drop in one case
-        delta = gentree._word_delta
-
-        def wrong(former, latter, top):
-            doo, deo = delta(former, latter, top)
-            split = "none" if former <= latter else ("odd" if former & 1 else "even")
-            return (doo + 1, deo) if (top & 1, split) == case else (doo, deo)
-
-        monkeypatch.setattr(gentree, "_word_delta", wrong)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == self.DELTA_CASES[case]
-
-    def test_tree_partition_catches_a_rotated_member(self, monkeypatch):
-        # the last member on [6] swapped for a rotation of (1, 2, 5, 3, 4, 6)
-        # with its pair: it deletes to the same parent and spot as that
-        # member, so the count of spots holds
-        walk = enumerator.iter_odd_drop_words
-
-        def rotated(n):
-            records = list(walk(n))
-            if n == 6:
-                stats = next(rec[1:] for rec in records if rec[0] == W(1, 2, 5, 3, 4, 6))
-                records[-1] = (W(6, 1, 2, 5, 3, 4), *stats)
-            return iter(records)
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", rotated)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=5: Cycle(6, 1, 2, 5, 3, 4) not grown from level 5"
-
-    def test_tree_partition_names_a_member_listed_twice(self, monkeypatch):
-        # the right set with one word twice: no member is missing, extra or
-        # miscounted, so only the listing's order tells
-        walk = enumerator.iter_odd_drop_words
-
-        def stutter(n):
-            for rec in walk(n):
-                yield from [rec] * (2 if rec[0] == W(1, 2, 3, 4) else 1)
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", stutter)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=3: Cycle(1, 2, 3, 4) listed twice"
-
-    def test_tree_partition_names_a_listing_out_of_order(self, monkeypatch):
-        walk = enumerator.iter_odd_drop_words
-
-        def swapped(n):
-            records = list(walk(n))
-            if n == 5:
-                records[:2] = records[1::-1]
-            return iter(records)
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", swapped)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=4: Cycle(1, 2, 3, 4, 5) listed out of order"
-
-    # the walk's length is checked against the count of spots: a check that
-    # only tests the records it is given passes both of these
-    def test_tree_partition_catches_a_walk_that_ends_early(self, monkeypatch):
-        walk = enumerator.iter_odd_drop_words
-
-        def short(n):
-            records = list(walk(n))
-            return iter(records[:-1] if n == 6 else records)
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", short)
-        result = self.tree_partition()
-        assert not result.passed
-        # the last member, (1, 2, 6, 5, 3, 4), deletes to (1, 2, 5, 3, 4)
-        assert result.detail == "n=5: Cycle(1, 2, 5, 3, 4): 2 children, expected 3"
-
-    def test_tree_partition_catches_a_walk_that_ends_late(self, monkeypatch):
-        # a trailing record above the last member, so the listing stays in order
-        walk = enumerator.iter_odd_drop_words
-
-        def trailing(n):
-            yield from walk(n)
-            if n == 6:
-                yield W(1, 6, 5, 4, 3, 2), 1, 1
-
-        monkeypatch.setattr(enumerator, "iter_odd_drop_words", trailing)
-        result = self.tree_partition()
-        assert not result.passed
-        assert result.detail == "n=5: Cycle(1, 6, 5, 4, 3, 2) not grown from level 5"
-
     def test_tree_partition_holds_one_level(self):
         # the oracle suite at n = 11 with its joint tables built beforehand
         # peaks at about 1.1 MiB.  Growing the next level beside the last, or

@@ -45,9 +45,6 @@ class TestBigPolyFormat:
     def test_unit_coefficients_elided(self):
         assert BigPoly((0, 1, 1)).format() == "x + x^2"
 
-    def test_explicit_units(self):
-        assert BigPoly((0, 1)).format(explicit_units=True) == "1*x"
-
     def test_variable_name(self):
         assert BigPoly((2, 0, 1)).format(var="y") == "2 + y^2"
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from reference import marginal_step_by_definition, marginal_walk_by_definition
+from test_faults import FAULTS
 
 from oddcycles import cli, recurrences, verify
 from oddcycles.polynomials import BigPoly
@@ -207,98 +208,6 @@ class TestOneWalk:
         assert walks["walks"] == [(30, 1)]
 
 
-def _walk_with_a_skipped_step(monkeypatch, length):
-    """Patch the walk to yield `length` twice, before it moves on: every
-    later length is one step behind, and the walk still yields n lengths."""
-    walk = recurrences._eigen_walk
-
-    def skipping(n, forced):
-        def lengths():
-            for i, item in enumerate(walk(n, forced), 1):
-                yield item
-                if i == length:
-                    yield item
-
-        return islice(lengths(), n)
-
-    monkeypatch.setattr(recurrences, "_eigen_walk", skipping)
-
-
-def test_series_suite_catches_a_walk_that_skips_a_step(monkeypatch):
-    _walk_with_a_skipped_step(monkeypatch, 5)
-    results = {c.name: c for c in verify.suite_series(10)}
-    for stat in ("oo", "eo"):
-        result = results[f"{stat}-series-vs-recurrence"]
-        assert not result.passed
-        assert result.detail.startswith("t^6: ")
-
-
-def test_oracle_suite_catches_a_walk_that_skips_a_step(monkeypatch):
-    _walk_with_a_skipped_step(monkeypatch, 5)
-    results = {c.name: (c.status, c.detail) for c in verify.suite_oracle(7)}
-    assert results["oo-marginal-vs-recurrence"] == ("FAIL", "n=6: degree 0: 3 != 0")
-    assert results["eo-marginal-vs-recurrence"] == ("FAIL", "n=6: degree 0: 0 != 2")
-
-
-def _walk_of_wrong_length(monkeypatch, extra):
-    """Patch the walk to stop one length early (extra=-1) or to yield its
-    last length twice (extra=1).  It updates its coefficients in place, so
-    it is read as it yields."""
-    walk = recurrences._eigen_walk
-
-    def wrong_length(n, forced):
-        if extra < 0:
-            yield from islice(walk(n, forced), n - 1)
-            return
-        for item in walk(n, forced):
-            yield item
-        yield item
-
-    monkeypatch.setattr(recurrences, "_eigen_walk", wrong_length)
-
-
-WRONG_LENGTH = [
-    pytest.param(-1, "recurrence walk stops at length {top_less_one} of {top}", id="short"),
-    pytest.param(1, "recurrence walk yields more than {top} lengths", id="long"),
-]
-
-
-@pytest.mark.parametrize("extra,detail", WRONG_LENGTH)
-def test_suites_fail_a_walk_of_the_wrong_length(monkeypatch, extra, detail):
-    _walk_of_wrong_length(monkeypatch, extra)
-    series_checks = {c.name: c for c in verify.suite_series(10)}
-    oracle_checks = {c.name: c for c in verify.suite_oracle(7)}
-    genocchi_checks = {c.name: c for c in verify.suite_genocchi(10, max_n=4)}
-    failing = [
-        (series_checks["oo-series-vs-recurrence"], 20),
-        (series_checks["eo-series-vs-recurrence"], 20),
-        (oracle_checks["oo-marginal-vs-recurrence"], 7),
-        (oracle_checks["eo-marginal-vs-recurrence"], 7),
-        (oracle_checks["counts-all-routes"], 7),
-        (genocchi_checks["genocchi-vs-recurrence"], 20),
-        (genocchi_checks["median-vs-recurrence"], 19),
-    ]
-    for result, top in failing:
-        assert not result.passed, result.name
-        assert result.detail == detail.format(top=top, top_less_one=top - 1), result.name
-
-
-def test_count_check_reads_the_second_walk_to_its_end(monkeypatch):
-    # only the even-odd walk, read second, runs one length long
-    walk = recurrences._eigen_walk
-
-    def one_long(n, forced):
-        for item in walk(n, forced):
-            yield item
-        if not forced:
-            yield item
-
-    monkeypatch.setattr(recurrences, "_eigen_walk", one_long)
-    result = {c.name: c for c in verify.suite_oracle(7)}["counts-all-routes"]
-    assert not result.passed
-    assert result.detail == "recurrence walk yields more than 7 lengths"
-
-
 @pytest.mark.parametrize(
     "series_order, status, detail",
     [
@@ -313,47 +222,26 @@ def test_median_recurrence_check_skips_an_empty_range(series_order, status, deta
     assert (result.status, result.detail) == (status, detail)
 
 
-@pytest.mark.parametrize("extra,detail", WRONG_LENGTH)
-def test_verify_reports_a_walk_of_the_wrong_length_as_a_failed_check(
-    monkeypatch, capsys, extra, detail
-):
-    _walk_of_wrong_length(monkeypatch, extra)
+@pytest.mark.parametrize(
+    "row,detail",
+    [
+        pytest.param("walk-ends-early", "recurrence walk stops at length 19 of 20", id="short"),
+        pytest.param("walk-ends-late", "recurrence walk yields more than 20 lengths", id="long"),
+    ],
+)
+def test_verify_reports_a_walk_of_the_wrong_length_as_a_failed_check(monkeypatch, capsys, row, detail):
+    FAULTS[row].patch(monkeypatch)
     argv = ["verify", "--suite", "series", "--max-n", "4", "--series-order", "10", "--format", "csv"]
     status = cli.main(argv)
     out = capsys.readouterr().out
     # a failed check, exit 1, not a usage error
     assert status == 1
-    assert detail.format(top=20, top_less_one=19) in out
-
-
-# -- the readers at an integer, P(0) and P(-1), without the held step --------
-
-_at, _eigen_walk = recurrences._at, recurrences._eigen_walk
-
-
-def _at_dropping_held(value):
-    """The reader at an integer a, but at a = value it ignores the held free step."""
-    return lambda coeffs, held, a: _at(coeffs, 0 if a == value else held, a)
-
-
-def test_count_check_catches_a_reader_that_drops_the_held_step(monkeypatch):
-    monkeypatch.setattr(recurrences, "_at", _at_dropping_held(0))
-    checks = {c.name: (c.status, c.detail) for c in verify.suite_oracle(7)}
-    assert checks["counts-all-routes"] == ("FAIL", "n=4: table 2, marginals 1/2, product formula 2")
-    # the reader at a = -1, the values at v = 0, is untouched
-    assert all(c.passed for c in verify.suite_genocchi(10, max_n=4))
-
-
-def test_genocchi_checks_catch_a_reader_that_drops_the_held_step(monkeypatch):
-    monkeypatch.setattr(recurrences, "_at", _at_dropping_held(-1))
-    checks = {c.name: (c.status, c.detail) for c in verify.suite_genocchi(10, max_n=4)}
-    assert checks["genocchi-vs-recurrence"] == ("FAIL", "m=2: 1 != recurrence 0")
-    assert checks["median-vs-recurrence"] == ("FAIL", "m=2: 1 != recurrence 0")
-    # the reader at a = 0, the counts, is untouched
-    assert {c.name: c.passed for c in verify.suite_oracle(7)}["counts-all-routes"]
+    assert detail in out
 
 
 # -- sequence --kind cno_count, its walk one coefficient wide ----------------
+
+_at, _eigen_walk = recurrences._at, recurrences._eigen_walk
 
 
 def _first_count_off_the_full_walk(capsys, limit: int) -> int | None:
@@ -413,53 +301,21 @@ def test_single_walk_equals_the_last_length(n):
     assert _single_walk_agrees(n)
 
 
-def _lift_off_by_one(coeffs, k, held):
-    # the real body, but the forced step scales coefficient i by k-i+1
-    below = 0
-    for i, c in enumerate(coeffs):
-        c *= (held - i) * (k - i + 1) if held else k - i + 1
-        coeffs[i] = c + below
-        below = c
-    coeffs.append(below)
-
-
-def _walk_hiding_held(n, forced):
-    # the real walk, but every length reports no held free step, so a
-    # reader never applies one
-    for coeffs, _ in _eigen_walk(n, forced):
-        yield coeffs, 0
-
-
-def _marginal_checks(max_n):
-    checks = {c.name: c for c in verify.suite_oracle(max_n)}
-    return checks["oo-marginal-vs-recurrence"], checks["eo-marginal-vs-recurrence"]
-
-
 def test_single_walk_property_catches_a_scale_off_by_one(monkeypatch):
-    monkeypatch.setattr(recurrences, "_lift", _lift_off_by_one)
+    FAULTS["lift-scale-off-by-one"].patch(monkeypatch)
     # raises NoSuchExample if the property cannot tell the broken walk apart
     find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
-    # the first forced step goes into length 3 for odd-odd, 2 for even-odd
-    oo, eo = _marginal_checks(7)
-    assert (oo.status, oo.detail) == ("FAIL", "n=3: degree 1: 1 != 2")
-    assert (eo.status, eo.detail) == ("FAIL", "n=2: degree 1: 1 != 2")
 
 
 def test_single_walk_property_catches_a_dropped_last_free_step(monkeypatch):
-    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
+    FAULTS["walk-hides-held"].patch(monkeypatch)
     find(st.integers(1, 400), lambda n: not _single_walk_agrees(n), settings=NO_SHRINK)
-    # a held free step changes a length once it meets a coefficient of a^1
-    # or above: even-odd holds one at length 3, odd-odd first at length 4
-    oo, eo = _marginal_checks(3)
-    assert (oo.passed, eo.status, eo.detail) == (True, "FAIL", "n=3: degree 0: 1 != 0")
-    oo, _ = _marginal_checks(4)
-    assert (oo.status, oo.detail) == ("FAIL", "n=4: degree 0: 1 != 0")
 
 
 def test_single_walk_controls_break_only_what_they_name(monkeypatch):
     # unbroken, the dropping walk's body is the real walk wherever no free
     # step ends it, so the controls above fail for the fault they name
-    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
+    FAULTS["walk-hides-held"].patch(monkeypatch)
     assert all(oo_poly(n) == _reference_walk(1)[n - 1] for n in range(1, 40, 2))
     assert all(eo_poly(n) == _reference_walk(0)[n - 1] for n in range(2, 40, 2))
 
@@ -486,14 +342,5 @@ def test_every_length_walk_in_a_equals_the_walk_in_v(n):
 
 
 def test_every_length_walk_property_catches_a_scale_off_by_one(monkeypatch):
-    monkeypatch.setattr(recurrences, "_lift", _lift_off_by_one)
+    FAULTS["lift-scale-off-by-one"].patch(monkeypatch)
     find(st.integers(1, 200), lambda n: not _every_length_walk_agrees(n), settings=NO_SHRINK)
-
-
-def test_series_suite_catches_a_reader_that_ignores_the_held_step(monkeypatch):
-    # lengths 2k are free steps for odd-odd, lengths 2k+1 for even-odd; the
-    # first whose held factor is not 1 on a nonzero coefficient fails
-    monkeypatch.setattr(recurrences, "_eigen_walk", _walk_hiding_held)
-    details = {c.name: (c.status, c.detail) for c in verify.suite_series(10)}
-    assert details["oo-series-vs-recurrence"] == ("FAIL", "t^4: u^0: 2 != 1")
-    assert details["eo-series-vs-recurrence"] == ("FAIL", "t^3: u^1: 0 != -1")

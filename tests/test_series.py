@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import SECOND_ORDER, _add, at_one_minus, pde_residual_by_operators
+from test_faults import FAULTS
 
 from oddcycles import series, verify
 from oddcycles.polynomials import BigPoly, BiPoly
@@ -151,16 +152,6 @@ def closed_form_at(which, order, u):
     return values
 
 
-def _sign_dropped(monkeypatch):
-    """Patch the triangle to leave out the sign (-1)^j of its u^j entries."""
-    triangle = series._summand_sum_in_u
-
-    def unsigned(fam, order):
-        return [[abs(c) for c in row] for row in triangle(fam, order)]
-
-    monkeypatch.setattr(series, "_summand_sum_in_u", unsigned)
-
-
 class TestTriangleBuild:
     """closed_form_in_u and closed_form_at_zero read the summands' sum off
     an integer triangle; here it is summed one divided summand at a time.
@@ -178,9 +169,9 @@ class TestTriangleBuild:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
     def test_odd_powers_left_unnegated_disagree(self, monkeypatch, which):
         # negative control: without its sign the triangle sums the summands
-        # at -u
+        # at -u; the verify checks it trips are listed in test_faults.py
         fam = FAMILIES[which]
-        _sign_dropped(monkeypatch)
+        FAULTS["triangle-sign-dropped"].patch(monkeypatch)
         assert closed_form_at(which, 6, 1) != summands_summed(fam, 6, 1)
         assert closed_form_at(which, 6, 1) == summands_summed(fam, 6, -1)
 
@@ -249,12 +240,6 @@ class TestSeriesAgainstRecurrences:
         assert all(c.passed for c in verify.suite_series(10))
         assert sorted(built) == [(which, 10) for which in sorted(FAMILIES)]
 
-    def test_series_checks_catch_a_triangle_with_its_sign_dropped(self, monkeypatch):
-        _sign_dropped(monkeypatch)
-        details = {c.name: (c.status, c.detail) for c in verify.suite_series(10)}
-        assert details["oo-series-vs-recurrence"] == ("FAIL", "t^3: u^1: 1 != -1")
-        assert details["eo-series-vs-recurrence"] == ("FAIL", "t^4: u^1: 2 != -2")
-
 
 class TestSpecialValues:
     def test_genocchi_sequence(self):
@@ -300,14 +285,6 @@ class TestIdentities:
     def test_products_telescope(self, order):
         assert closed_form_at_zero("eo_even", order) == t_alone(order)
 
-    def test_telescoping_checks_catch_a_triangle_with_its_sign_dropped(self, monkeypatch):
-        # negative control: the unsigned triangle sums the summands at u = -1,
-        # whose t^2 coefficients are 1 + 1 (squares) and 2 + 2 (products)
-        _sign_dropped(monkeypatch)
-        details = {c.name: (c.status, c.detail) for c in verify.suite_identities(12)}
-        assert details["identity-squares-telescopes"] == ("FAIL", "t^2: 2")
-        assert details["identity-products-telescopes"] == ("FAIL", "t^2: 4")
-
 
 class TestPdeResiduals:
     @pytest.mark.parametrize("which", sorted(FAMILIES))
@@ -338,14 +315,6 @@ class TestPdeResiduals:
         # t alone is no solution: its t*S_t term is left over at t^1
         assert res.first_nonzero() == (1, BigPoly((-1,)))
 
-    def test_failure_detail_names_the_series_variable(self, monkeypatch):
-        # eo_odd's t*S_t coefficient one u too large leaves -u*t on the
-        # right-hand side; a detail that formatted it in x would read -1*x
-        row = FAMILIES["eo_odd"]
-        TestFamilyTable.replace_row(monkeypatch, "eo_odd", pde_t=_add(list(row.pde_t), [0, 1]))
-        details = {c.name: (c.status, c.detail) for c in verify.suite_pde(8)}
-        assert details["pde-eo_odd"] == ("FAIL", "t^1: -1*u")
-
     def test_order_floor(self):
         with pytest.raises(ValueError, match="order 2 too small"):
             pde_residual_of(closed_form_in_u("oo_even", 2), "oo_even")
@@ -367,38 +336,6 @@ class TestPdeResiduals:
         monkeypatch.setattr(series, "closed_form_in_u", counted)
         assert all(c.passed for c in verify.suite_pde(8))
         assert sorted(built) == sorted(FAMILIES)
-
-
-class TestFamilyTable:
-    """Negative controls: the checks read each family's row of FAMILIES."""
-
-    @staticmethod
-    def replace_row(monkeypatch, which, **fields):
-        row = series.FAMILIES[which]._replace(**fields)
-        monkeypatch.setitem(series.FAMILIES, which, row)
-
-    @pytest.mark.parametrize("which", sorted(FAMILIES))
-    @pytest.mark.parametrize("field", ["pde_v", "pde_t"])
-    def test_wrong_pde_coefficient_fails_its_check(self, monkeypatch, which, field):
-        wrong = _add(list(getattr(series.FAMILIES[which], field)), [1])
-        self.replace_row(monkeypatch, which, **{field: wrong})
-        passed = {c.name: c.passed for c in verify.suite_pde(8)}
-        assert not passed[f"pde-{which}"]
-        assert all(passed[f"pde-{other}"] for other in FAMILIES if other != which)
-
-    def test_eo_even_zeroth_feeds_the_series_and_the_stated_term(self, monkeypatch):
-        # drops the (y-1)t prefix from the series
-        self.replace_row(monkeypatch, "eo_even", zeroth=0)
-        checks = verify.suite_series(6) + verify.suite_identities(12) + verify.suite_pde(8)
-        passed = {c.name: c.passed for c in checks}
-        assert not passed["eo-series-vs-recurrence"]
-        assert not passed["forced-drops-vanish"]
-        assert not passed["summand-recurrence-eo_even"]
-        assert passed["oo-series-vs-recurrence"]
-        assert passed["summand-recurrence-oo_even"]
-        # zeroth also sets the PDE's source term, and the two changes cancel
-        # in the equation, so its check stays blind to this
-        assert passed["pde-eo_even"]
 
 
 def _division_body(lag: int):
