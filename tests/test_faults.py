@@ -259,6 +259,14 @@ HELD_HIDDEN = {
     "median-vs-recurrence": "m=2: 1 != recurrence 0",
 }
 
+# what a walk that skips a step trips at max_n 5, below the oracle's reach
+SKIPPED_STEP = {
+    "oo-series-vs-recurrence": "t^6: u^0: 12 != 4",
+    "eo-series-vs-recurrence": "t^6: u^0: 12 != 4",
+    "genocchi-vs-recurrence": "m=3: 3 != recurrence 0",
+    "median-vs-recurrence": "m=4: 8 != recurrence 0",
+}
+
 FAULTS = {
     # -- the listing walk, the child count and _word_delta, read by
     # tree-partition, whose details name lengths up to 6
@@ -310,10 +318,7 @@ FAULTS = {
             "oo-marginal-vs-recurrence": "n=6: degree 0: 3 != 0",
             "eo-marginal-vs-recurrence": "n=6: degree 0: 0 != 2",
             "counts-all-routes": "n=6: table 12, marginals 4/4, product formula 12",
-            "oo-series-vs-recurrence": "t^6: u^0: 12 != 4",
-            "eo-series-vs-recurrence": "t^6: u^0: 12 != 4",
-            "genocchi-vs-recurrence": "m=3: 3 != recurrence 0",
-            "median-vs-recurrence": "m=4: 8 != recurrence 0",
+            **SKIPPED_STEP,
         },
         **WALK_LIMITS,
     ),
@@ -440,6 +445,10 @@ FAULTS = {
         {"median-values": "index 7: 5410688 != 5410689"},
     ),
 }
+# three faults again at other limits
+FAULTS["table-without-wrap-at-order-4"] = FAULTS["table-without-wrap"]._replace(max_n=6, series_order=4)
+FAULTS["walk-skips-a-step-past-max-n"] = FAULTS["walk-skips-a-step"]._replace(max_n=MAX_N, fails=SKIPPED_STEP)
+FAULTS["triangle-sign-dropped-at-order-12"] = FAULTS["triangle-sign-dropped"]._replace(series_order=12)
 
 
 @pytest.mark.parametrize("fault", FAULTS.values(), ids=list(FAULTS))
@@ -463,6 +472,4 @@ def test_every_check_has_a_fault():
 
 def test_a_check_without_a_fault_is_named():
     # negative control: pde-negative-control fails in one row only
-    faults = dict(FAULTS)
-    del faults["residual-blind"]
-    assert unfaulted(faults.values()) == ["pde-negative-control"]
+    assert unfaulted(fault for name, fault in FAULTS.items() if name != "residual-blind") == ["pde-negative-control"]
