@@ -41,7 +41,6 @@ _HOMES = {
     "TruncSeries": "series",
     "genocchi_median_sequence": "series",
     "genocchi_sequence": "series",
-    "summand_recurrence_check": "series",
     "CheckResult": "verify",
     "run_suites": "verify",
 }

@@ -42,10 +42,6 @@ class BigPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BigPoly is immutable")
 
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

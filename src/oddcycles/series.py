@@ -24,9 +24,10 @@ sums through m = N give the series exactly to order N; the m = N+1 summand
 contributing nothing at order N is asserted by a test, not assumed.  The
 builder, closed_form_in_u, reads each coefficient of that sum off a
 triangle of integers, the complete homogeneous symmetric polynomials in the
-factors' a_k, as a polynomial in u; nothing rewrites it in v.  Only the
-summand-recurrence check builds summands one at a time, as integer lists
-by its own list division, so it shares no code with the builder it checks.
+factors' a_k, as a polynomial in u; nothing rewrites it in v.  Only
+_summand_series builds summands one at a time, as integer lists by its own
+list division, for the summand-recurrence check in verify, so that check
+shares no code with the builder it checks.
 
 What differs between the four families is data, one FAMILIES row each: the
 summand numerators and denominator factors, the coefficient zeroth of the
@@ -282,46 +283,3 @@ def pde_residual_of(series: TruncSeries, which: str) -> TruncSeries:
     out[0][1] -= fam.zeroth
     return TruncSeries(out)
 
-
-# -- summand recurrences ---------------------------------------------------
-
-
-def _geometric_base(a: int, num: int, order: int) -> list[int]:
-    """num * s / (1 + a*s) expanded directly: coefficient of s^j is
-    num * (-a)^(j-1).  Independent of the division routine on purpose."""
-    return [0] + [num * (-a) ** (j - 1) for j in range(1, order + 1)]
-
-
-def summand_recurrence_check(which: str, bound: int, order: int) -> bool:
-    """Verify the first-order recurrence between consecutive summands.
-
-    Works in the single variable s standing for u*t, on integer lists:
-    each summand is built on its own by _divide_linear, not read off the
-    builder's triangle.  Checks, for m = 2..bound, the multiplied-out relation
-
-        summand_m * (1 + a_m*s)  ==  ratio(m) * s * summand_(m-1)
-
-    through s^order, plus the stated m=1 base cases (s/(1+s) for the two oo
-    families, s/(1+2s) and s for eo_even and eo_odd) against an independent
-    geometric expansion, plus the stated constant-in-xi terms (0 except
-    eo_even's -s, which in original variables is exactly the (y-1)t prefix).
-    """
-    fam = _check_family(which)
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
-    if order < 2 * bound:
-        raise ValueError(f"order {order} too small for bound {bound}")
-    stated_zeroth = {"oo_even": 0, "oo_odd": 0, "eo_even": -1, "eo_odd": 0}
-    if fam.zeroth != stated_zeroth[which]:
-        return False
-    prev = _summand_series(fam, 1, order, 1)
-    if prev != _geometric_base(fam.denom(1), fam.numerator(1), order):
-        return False
-    for m in range(2, bound + 1):
-        cur = _summand_series(fam, m, order, 1)
-        a, ratio = fam.denom(m), fam.ratio(m)
-        # s^j of each side; s times a series has no s^0 term
-        if [c + a * d for c, d in zip(cur, [0, *cur])] != [ratio * d for d in [0, *prev[:-1]]]:
-            return False
-        prev = cur
-    return True

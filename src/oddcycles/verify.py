@@ -3,10 +3,11 @@
 Each suite runs named checks and returns CheckResult records; nothing here
 prints or exits, that is the command line's job.  A check compares two
 independently computed objects for exact equality, and on failure the detail
-string names the first differing coefficient, so a regression points at a
-specific polynomial term rather than a boolean; a check in u = 1 - v names
-the power of u, as in "t^3: u^1: 1 != -1".  A route that raises fails its
-check with the exception named, and the later checks still run.
+string names the first differing coefficient, as "<where>: <got> != <want>"
+from one reader, _first_diff, so a regression points at a specific
+polynomial term rather than a boolean; a check in u = 1 - v names the power
+of u, as in "t^3: u^1: 1 != -1".  A route that raises fails its check with
+the exception named, and the later checks still run.
 
 Suites:
   oracle     brute-force table vs generating tree vs recurrence marginals,
@@ -14,7 +15,9 @@ Suites:
   series     the closed forms in u vs the recurrence walked in a = v - 1
              = -u, every length, neither side rewritten in another basis
   genocchi   pinned Genocchi and median values, recomputed by every route
-  identities the two telescoping sums and the summand recurrences
+  identities the two telescoping sums, and each family's summands, built
+             one at a time, against its stated zeroth, its m = 1 summand
+             and the first-order recurrence between consecutive ones
   pde        residuals of the four closed-form equations, in u, plus a
              negative control
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import islice
+from itertools import islice, zip_longest
 from math import factorial
 from typing import NamedTuple
 
@@ -87,20 +90,13 @@ def _walked(walk, top: int):
         raise CheckFailure(f"recurrence walk stops at length {n} of {top}")
 
 
-def _first_bipoly_diff(a: BiPoly, b: BiPoly) -> str:
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda k: (k[0] + k[1], k))
-    for i, j in keys:
-        if a.coeff(i, j) != b.coeff(i, j):
-            return f"x^{i}*y^{j}: {a.coeff(i, j)} != {b.coeff(i, j)}"
-    return "no differing coefficient"
-
-
-def _first_bigpoly_diff(a: BigPoly, b: BigPoly, basis: str = "") -> str:
-    for d in range(max(a.degree(), b.degree()) + 1):
-        if a.coeff(d) != b.coeff(d):
-            where = f"{basis}^{d}" if basis else f"degree {d}"
-            return f"{where}: {a.coeff(d)} != {b.coeff(d)}"
-    return "no differing coefficient"
+def _first_diff(got, want, name, missing=0) -> str:
+    """'<name(i)>: <got> != <want>' at the first index i where two unequal
+    coefficient lists differ.  Past its end the shorter list reads as
+    missing: 0, as a polynomial's coefficients do, unless told otherwise."""
+    for i, (a, b) in enumerate(zip_longest(got, want, fillvalue=missing)):
+        if a != b:
+            return f"{name(i)}: {a} != {b}"
 
 
 def _series_nonzero_detail(s: series.TruncSeries) -> str:
@@ -132,7 +128,10 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
             got = tables[n]
             want = gentree.joint_poly(n)
             if got != want:
-                raise CheckFailure(f"n={n}: {_first_bipoly_diff(got, want)}")
+                # the terms in graded order: total degree, then x, then y
+                keys = sorted(got.terms.keys() | want.terms.keys(), key=lambda k: (sum(k), k))
+                got, want = ([p.coeff(*k) for k in keys] for p in (got, want))
+                raise CheckFailure(f"n={n}: {_first_diff(got, want, lambda i: 'x^{}*y^{}'.format(*keys[i]))}")
         return f"joint table equals tree polynomial for n=1..{max_n}"
 
     def check_marginal(label, var, forced, last):
@@ -141,10 +140,10 @@ def suite_oracle(max_n: int, tables: JointTables | None = None) -> list[CheckRes
         for n, (coeffs, held) in _walked(recurrences._eigen_walk(max_n, forced), max_n):
             got, want = tables[n].marginal(var), recurrences._in_v(coeffs, held)
             if got != want:
-                raise CheckFailure(f"n={n}: {_first_bigpoly_diff(got, want)}")
+                raise CheckFailure(f"n={n}: {_first_diff(got.coeffs, want.coeffs, 'degree {}'.format)}")
         got, want = tables[max_n].marginal(var), last(max_n)
         if got != want:
-            raise CheckFailure(f"n={max_n}: {_first_bigpoly_diff(got, want)}")
+            raise CheckFailure(f"n={max_n}: {_first_diff(got.coeffs, want.coeffs, 'degree {}'.format)}")
         return f"{label} marginal equals recurrence for n=1..{max_n}"
 
     def check_totals():
@@ -244,7 +243,7 @@ def suite_series(series_order: int) -> list[CheckResult]:
             got = rows[n & 1].coeff((n + 1) // 2)
             want = BigPoly(-c if j & 1 else c for j, c in enumerate(recurrences._applied(coeffs, held)))
             if got != want:
-                raise CheckFailure(f"t^{n}: {_first_bigpoly_diff(got, want, 'u')}")
+                raise CheckFailure(f"t^{n}: {_first_diff(got.coeffs, want.coeffs, 'u^{}'.format)}")
         return f"{label} series matches recurrence for n=1..{top}"
 
     def check_constant_terms():
@@ -280,12 +279,19 @@ def suite_genocchi(
     sequence = (series.genocchi_sequence, series.genocchi_median_sequence)
     tables = JointTables() if tables is None else tables
 
+    def closed_form(odd, count, span):
+        # a sequence of another length fails here, before a zip stops at
+        # its shorter side
+        values = sequence[odd](count)
+        if len(values) != count:
+            raise CheckFailure(f"closed form gives {len(values)} values for {span}")
+        return values
+
     def check_values(odd):
         want, first = pinned[odd], 1 - odd
         got = sequence[odd](len(want))
         if got != want:
-            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-            raise CheckFailure(f"index {i + first}: {got[i]} != {want[i]}")
+            raise CheckFailure(_first_diff(got, want, lambda i: f"index {i + first}", "missing"))
         label = ("Genocchi numbers", "Genocchi medians")[odd]
         return f"{label} {first}..{len(want) - 1 + first} match"
 
@@ -295,7 +301,7 @@ def suite_genocchi(
         detail = f"{claim} recurrence count for m={lo}..{series_order}"
         if lo > series_order:
             raise NothingCompared(detail)
-        values = sequence[odd](series_order - odd)
+        values = closed_form(odd, series_order - odd, f"m={lo}..{series_order}")
         # one walk to the top length, odd-odd for the Genocchi numbers and
         # even-odd for the medians, read at lengths 2m - odd, m >= lo, at
         # v = 0, which is P(-1); the walk comes first in zip so that it is
@@ -312,11 +318,12 @@ def suite_genocchi(
     def check_vs_enumeration(odd):
         top = (max_n + odd) // 2
         label = ("Genocchi", "medians")[odd]
-        detail = f"enumeration confirms {label} for lengths {2 + odd}..{2 * top - odd}"
+        span = f"lengths {2 + odd}..{2 * top - odd}"
+        detail = f"enumeration confirms {label} for {span}"
         if top < 1 + odd:
             raise NothingCompared(detail)
-        values = sequence[odd](top - odd)
-        for m, want in zip(range(1 + odd, top + 1), values, strict=True):
+        values = closed_form(odd, top - odd, span)
+        for m, want in zip(range(1 + odd, top + 1), values):
             got = enumerator.count_only(tables[2 * m - odd], 1 - odd)
             if got != want:
                 raise CheckFailure(f"length {2 * m - odd}: enumerated {got} != {want}")
@@ -349,9 +356,32 @@ def suite_identities(series_order: int) -> list[CheckResult]:
                 raise CheckFailure(f"t^{n}: {excess}")
         return f"zero series through order {len(got) - 1}"
 
-    def summand_check(which):
-        if not series.summand_recurrence_check(which, bound, series_order):
-            raise CheckFailure(f"recurrence broken for some m <= {bound}")
+    def check_summands(which):
+        # In s = u*t, on integer lists through s^series_order: each summand
+        # is built on its own by series._divide_linear, not read off the
+        # closed forms' triangle.  The stated zeroth is -1 for eo_even's
+        # prefix (y-1)t, which is -s, and 0 elsewhere; the stated m = 1
+        # summands, s/(1+s) for the oo families, s/(1+2s) for eo_even and s
+        # for eo_odd, are numerator(1) * s / (1 + a_1*s) expanded directly.
+        fam = series.FAMILIES[which]
+        stated = {"oo_even": 0, "oo_odd": 0, "eo_even": -1, "eo_odd": 0}[which]
+        if fam.zeroth != stated:
+            raise CheckFailure(f"zeroth: {fam.zeroth} != {stated}")
+        prev = series._summand_series(fam, 1, series_order, 1)
+        a, num = fam.denom(1), fam.numerator(1)
+        base = [0] + [num * (-a) ** (j - 1) for j in range(1, series_order + 1)]
+        if prev != base:
+            raise CheckFailure(f"m=1: {_first_diff(prev, base, 's^{}'.format)}")
+        for m in range(2, bound + 1):
+            # summand_m * (1 + a_m*s) == ratio(m) * s * summand_(m-1), at
+            # each power of s; s times a series has no s^0 term
+            cur = series._summand_series(fam, m, series_order, 1)
+            a, ratio = fam.denom(m), fam.ratio(m)
+            got = [c + a * d for c, d in zip(cur, [0, *cur])]
+            want = [ratio * d for d in [0, *prev[:-1]]]
+            if got != want:
+                raise CheckFailure(f"m={m}: {_first_diff(got, want, 's^{}'.format)}")
+            prev = cur
         return f"term ratios and bases hold for m<={bound}"
 
     checks = [
@@ -359,7 +389,7 @@ def suite_identities(series_order: int) -> list[CheckResult]:
         _run("identity-products-telescopes", residual_check, "eo_even"),
     ]
     for which in series.FAMILIES:
-        checks.append(_run(f"summand-recurrence-{which}", summand_check, which))
+        checks.append(_run(f"summand-recurrence-{which}", check_summands, which))
     return checks
 
 

@@ -153,6 +153,21 @@ def sign_dropped(triangle):
     return lambda fam, order: [[abs(c) for c in row] for row in triangle(fam, order)]
 
 
+def division_body(lag: int):
+    """A fault in the summands' list division: its step reads coeffs[j - lag]; lag 1 is the real body."""
+
+    def divide(coeffs, c):
+        for j in range(1, len(coeffs)):
+            coeffs[j] -= c * coeffs[j - lag]
+
+    return lambda mp: mp.setattr(series, "_divide_linear", divide)
+
+
+def one_short(name: str):
+    """A fault in a closed-form sequence: it gives one value fewer than asked for."""
+    return wrapping(series, name, lambda sequence: lambda count: sequence(count)[:-1])
+
+
 def residual_blind_after_the_families(mp):
     # the four family checks read the true residual; from the next call on,
     # the residual is all zero at the order it would have had, so the
@@ -228,6 +243,15 @@ PDE_COEFFICIENT_OFF = {
     ("eo_even", "pde_t"): "t^1: -1 + u",
     ("eo_odd", "pde_v"): "t^3: 2",
     ("eo_odd", "pde_t"): "t^1: -1",
+}
+
+# the summand check's detail when a family's ratio is one too large: the
+# relation at m = 2 already fails at its lowest power, s^2
+RATIO_OFF = {
+    "oo_even": "m=2: s^2: 2 != 3",
+    "oo_odd": "m=2: s^2: 1 != 2",
+    "eo_even": "m=2: s^2: 2 != 3",
+    "eo_odd": "m=2: s^2: 1 != 2",
 }
 
 # at these limits each check that reads a recurrence walk walks to its top
@@ -408,18 +432,31 @@ FAULTS = {
         {
             "eo-series-vs-recurrence": "t^2: u^1: 0 != -1",
             "forced-drops-vanish": "even-odd constant term at t^2: 1",
-            "summand-recurrence-eo_even": "recurrence broken for some m <= 4",
+            "summand-recurrence-eo_even": "zeroth: 0 != -1",
         },
     ),
-    # only the summand check reads a family's ratio; at series_order 8 its
-    # bound is 4
+    # only the summand check reads a family's ratio
     **{
         f"{which}-ratio-off": Fault(
             family_row(which, ratio=lambda ratio: lambda m: ratio(m) + 1),
-            {f"summand-recurrence-{which}": "recurrence broken for some m <= 4"},
+            {f"summand-recurrence-{which}": detail},
         )
-        for which in series.FAMILIES
+        for which, detail in RATIO_OFF.items()
     },
+    # only the summand check divides summands one at a time.  A step that
+    # reads two back breaks every m = 1 summand with a nonzero a_1; eo_odd's
+    # is 0, so it breaks first in the recurrence at m = 2
+    "division-reads-two-back": Fault(
+        division_body(2),
+        {
+            "summand-recurrence-oo_even": "m=1: s^2: 0 != -1",
+            "summand-recurrence-oo_odd": "m=1: s^2: 0 != -1",
+            "summand-recurrence-eo_even": "m=1: s^2: 0 != -2",
+            "summand-recurrence-eo_odd": "m=2: s^3: 2 != 0",
+        },
+    ),
+    # control: read one back, the faulty body is the real one and trips nothing
+    "division-reads-one-back": Fault(division_body(1), {}),
     **{
         f"{which}-{field}-off": Fault(
             family_row(which, **{field: lambda coeffs: _add(list(coeffs), [1])}), {f"pde-{which}": detail}
@@ -443,6 +480,25 @@ FAULTS = {
     "median-value-off": Fault(
         wrapping(verify, "MEDIAN_VALUES", lambda pinned: [*pinned[:7], 5410689]),
         {"median-values": "index 7: 5410688 != 5410689"},
+    ),
+    # a sequence one value short fails each check that reads it, by the
+    # first missing index or by the count, before a zip stops at the shorter
+    # side and compares less
+    "genocchi-sequence-one-short": Fault(
+        one_short("genocchi_sequence"),
+        {
+            "genocchi-values": "index 8: missing != 929569",
+            "genocchi-vs-recurrence": "closed form gives 7 values for m=1..8",
+            "genocchi-vs-enumeration": "closed form gives 1 values for lengths 2..4",
+        },
+    ),
+    "median-sequence-one-short": Fault(
+        one_short("genocchi_median_sequence"),
+        {
+            "median-values": "index 7: missing != 5410688",
+            "median-vs-recurrence": "closed form gives 6 values for m=2..8",
+            "median-vs-enumeration": "closed form gives 1 values for lengths 3..5",
+        },
     ),
 }
 # three faults again at other limits

@@ -124,8 +124,9 @@ class TestFamilyInvariants:
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_degree_bounds(self, n):
-        assert oo_poly(n).degree() <= (n + 1) // 2
-        assert eo_poly(n).degree() <= n // 2
+        # a polynomial of degree d has d + 1 coefficients
+        assert len(oo_poly(n).coeffs) <= (n + 1) // 2 + 1
+        assert len(eo_poly(n).coeffs) <= n // 2 + 1
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_nonnegative_coefficients(self, n):

@@ -22,7 +22,6 @@ from oddcycles.series import (
     genocchi_median_sequence,
     genocchi_sequence,
     pde_residual_of,
-    summand_recurrence_check,
 )
 
 GENOCCHI = [1, 1, 3, 17, 155, 2073, 38227, 929569]
@@ -336,40 +335,6 @@ class TestPdeResiduals:
         monkeypatch.setattr(series, "closed_form_in_u", counted)
         assert all(c.passed for c in verify.suite_pde(8))
         assert sorted(built) == sorted(FAMILIES)
-
-
-def _division_body(lag: int):
-    """A list division whose step reads coeffs[j - lag]; lag 1 is the real body."""
-
-    def divide(coeffs, c):
-        for j in range(1, len(coeffs)):
-            coeffs[j] -= c * coeffs[j - lag]
-
-    return divide
-
-
-class TestSummandRecurrences:
-    @pytest.mark.parametrize("which", sorted(FAMILIES))
-    def test_families_satisfy_recurrence(self, which):
-        assert summand_recurrence_check(which, 6, 14)
-
-    def test_division_body_control_is_the_real_body(self, monkeypatch):
-        # the control below breaks this body, so unbroken it must pass
-        monkeypatch.setattr(series, "_divide_linear", _division_body(1))
-        assert all(summand_recurrence_check(which, 6, 14) for which in FAMILIES)
-
-    @pytest.mark.parametrize("which", sorted(FAMILIES))
-    def test_check_catches_a_division_reading_two_back(self, monkeypatch, which):
-        monkeypatch.setattr(series, "_divide_linear", _division_body(2))
-        assert not summand_recurrence_check(which, 6, 14)
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            summand_recurrence_check("oo_even", 1, 40)
-        with pytest.raises(ValueError):
-            summand_recurrence_check("oo_even", 10, 19)
-        with pytest.raises(ValueError):
-            summand_recurrence_check("nope", 5, 20)
 
 
 # -- the list division's order, against the same division three orders wider --
