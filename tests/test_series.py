@@ -337,6 +337,26 @@ class TestPdeResiduals:
         assert sorted(built) == sorted(FAMILIES)
 
 
+def _summand_check(which: str, series_order: int) -> verify.CheckResult:
+    """The family's summand-recurrence check out of the identities suite."""
+    name = f"summand-recurrence-{which}"
+    return next(c for c in verify.suite_identities(series_order) if c.name == name)
+
+
+class TestSummandRecurrences:
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_families_satisfy_recurrence(self, which):
+        assert _summand_check(which, 14).status == "PASS"
+
+    @pytest.mark.parametrize("which", sorted(FAMILIES))
+    def test_check_catches_a_division_reading_two_back(self, monkeypatch, which):
+        # each family fails on its own, with the detail its fault-table row names
+        fault = FAULTS["division-reads-two-back"]
+        fault.patch(monkeypatch)
+        check = _summand_check(which, fault.series_order)
+        assert (check.status, check.detail) == ("FAIL", fault.fails[check.name])
+
+
 # -- the list division's order, against the same division three orders wider --
 
 SLACK = 3
